@@ -18,7 +18,8 @@ import numpy as np
 from .auxiliary import AuxData, HSystem, build_hsystem, eval_h, solve_aux
 from .cauchy import Side
 from .chebyshev import Interval
-from .errors import ConvergenceError, DomainError, PrecisionWarning, SolverError, ImagPartWarning
+from .errors import (ConvergenceError, DomainError, ImagPartWarning, PrecisionWarning,
+                     RHJacobiError, SolverError)
 from .green import GreenData, build_green, eval_g
 from .oracle import adaptive_gauss_mass
 from .rhp import ContourSet, JumpAssembly, RHSolution, build_contours, first_order, solve_matrix_rhp
@@ -146,7 +147,15 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
                      resolution: Resolution = Resolution(), *,
                      context: SolveContext | None = None) -> JacobiSegment:
     """Pairs (a_n, b_n) for n0 <= n <= n1; one solve per index, shared between
-    neighbors.  Per-index failures are recorded and the computation continues."""
+    neighbors.  Numerical failures of one index are recorded as (n, message) in
+    meta["failures"] and the computation continues.
+
+    Per-index arrays in meta, NaN (or -1 for counts) where the pair failed:
+    residuals, the larger off-collocation residual of the pair's two solves;
+    rcond, the smaller condition estimate of the two; circles_used, the number
+    of circles the solve for n kept (circles whose jump is the identity are
+    dropped).
+    """
     if not (0 <= n0 <= n1):
         raise DomainError(f"need 0 <= n0 <= n1, got ({n0}, {n1})")
     ctx = context if context is not None else SolveContext(spec, resolution)
@@ -155,6 +164,8 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
     a = np.full(count, np.nan)
     b = np.full(count, np.nan)
     residuals = np.full(count, np.nan)
+    rcond = np.full(count, np.nan)
+    circles_used = np.full(count, -1)
     failures = []
     orders: dict = {}
 
@@ -166,9 +177,11 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
     for i, n in enumerate(range(n0, n1 + 1)):
         try:
             a[i], b[i] = _pair_from_orders(ctx, n, order_of(n), order_of(n + 1))
-            residuals[i] = max(ctx.solution(n).residual.off_collocation,
-                               ctx.solution(n + 1).residual.off_collocation)
-        except Exception as exc:  # noqa: BLE001 - per-n fault isolation
+            pair = (ctx.solution(n), ctx.solution(n + 1))
+            residuals[i] = max(s.residual.off_collocation for s in pair)
+            rcond[i] = min(s.residual.rcond for s in pair)
+            circles_used[i] = len(pair[0].contours.circles)
+        except (RHJacobiError, np.linalg.LinAlgError, FloatingPointError) as exc:
             failures.append((n, str(exc)))
     meta = {
         "method": "rh",
@@ -176,6 +189,8 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
         "circle_ratio": ctx.resolution.circle_ratio,
         "wall_time": time.perf_counter() - t_start,
         "residuals": residuals,
+        "rcond": rcond,
+        "circles_used": circles_used,
         "max_residual": float(np.nanmax(residuals)) if np.any(np.isfinite(residuals)) else np.nan,
         "failures": failures,
     }

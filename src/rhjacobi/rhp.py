@@ -6,6 +6,11 @@ on bands; jump conditions are enforced at equispaced circle points and mapped
 first-kind roots.  The full matrix problem decouples row-wise, so one LU
 factorization serves both rows.  Every solve reports an off-collocation
 residual and a condition estimate; basis-mismatch failures are visible there.
+
+A circle whose jump matrix differs from the identity by less than
+IDENTITY_JUMP at all of its collocation nodes carries no density to double
+precision.  The 2x2 solver drops it for that solve, so at large n only the
+bands are solved; the off-collocation residual still checks every circle.
 """
 
 from __future__ import annotations
@@ -25,6 +30,11 @@ from .green import GreenData, eval_g
 from .weights import WeightSpec
 
 _I2PI = 1j / (2.0 * np.pi)
+
+# Largest |F - I| at a circle's collocation nodes for which the 2x2 solver
+# drops the circle.  On two bands, n = 50..85, this and 1e-3 of it both agree
+# with the solve on every circle to 6e-15.
+IDENTITY_JUMP = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -155,17 +165,17 @@ def build_contours(spec: WeightSpec, ppi: int, circle_ratio: int = 10, *,
 
 
 def _validate_h_on_disk(spec: WeightSpec, j: int, center: float, radius: float) -> None:
+    """h_j must be finite and zero-free on the closed disk: 1/w enters the jump."""
+    zeros = np.atleast_1d(spec.h[j].zero_locations())
+    if np.any(np.abs(zeros - center) <= radius):
+        raise WeightError(f"h on band {j} vanishes inside its deformation disk")
     angles = np.exp(2j * np.pi * np.arange(64) / 64)
     pts = [np.array([center + 0j])]
     for frac in (0.35, 0.7, 0.9, 1.0):
         pts.append(center + frac * radius * angles)
-    zs = np.concatenate(pts)
-    vals = np.asarray(spec.h[j](zs), dtype=complex)
+    vals = np.asarray(spec.h[j](np.concatenate(pts)), dtype=complex)
     if np.any(~np.isfinite(vals)):
         raise WeightError(f"h on band {j} is not finite on its deformation disk")
-    scale = np.max(np.abs(vals))
-    if scale == 0.0 or np.min(np.abs(vals)) < 1e-13 * scale:
-        raise WeightError(f"h on band {j} vanishes inside its deformation disk")
 
 
 class JumpAssembly:
@@ -235,32 +245,53 @@ class ResidualReport:
 
 @dataclass
 class RHSolution:
-    """Solved coefficients of the 2x2 unknown, piece by piece."""
+    """Solved coefficients of the 2x2 unknown, piece by piece.
+
+    contours lists the pieces that carry a density: every band, and the
+    circles the solve kept.  A circle whose jump is the identity to within
+    IDENTITY_JUMP is left out, so contours can hold fewer circles than the
+    contour set the problem was posed on.
+    """
 
     contours: ContourSet
     bases: tuple                  # per band: (column-1 kind, column-2 kind)
-    circle_coeffs: list           # per circle: array (2, 2, n_points), [row, col, k]
+    circle_coeffs: list           # per circle of contours: array (2, 2, n_points), [row, col, k]
     band_coeffs: list             # per band: array (2, 2, n_points)
     residual: ResidualReport
 
     def eval(self, z) -> np.ndarray:
         """I + the Cauchy transform of the solved densities, off all contours."""
+        out = self.correction(z)
+        out[..., 0, 0] += 1.0
+        out[..., 1, 1] += 1.0
+        return out
+
+    def correction(self, z) -> np.ndarray:
+        """eval(z) - I, the Cauchy transform of the solved densities, off all
+        contours.  At large |z| it keeps the digits of first_order(self)/z that
+        subtracting I from eval(z) would cancel."""
         scalar = np.ndim(z) == 0
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
-        out = np.zeros(zz.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
-        for circ, coeff in zip(self.contours.circles, self.circle_coeffs):
-            K = _circle_table(circ, zz, None)
-            for r in range(2):
-                for m in range(2):
-                    out[..., r, m] += K @ coeff[r, m]
-        for bp, kinds, coeff in zip(self.contours.bands, self.bases, self.band_coeffs):
-            for m, kind in enumerate(kinds):
-                K = cauchy_cheb_table(kind, bp.n_points, bp.interval, zz, Side.OFF)
-                for r in range(2):
-                    out[..., r, m] += K @ coeff[r, m]
+        out, _ = self._limits(np.atleast_1d(np.asarray(z, dtype=complex)))
         return out[0] if scalar else out
+
+    def _limits(self, z: np.ndarray, own: int | None = None):
+        """(plus, minus) Cauchy transforms of the densities at points z.
+
+        Piece `own` of contours.pieces contributes its boundary limits from the
+        two sides; every other piece, and all of them when own is None,
+        contributes its off-contour value to both.
+        """
+        ncirc = len(self.contours.circles)
+        kinds = ((None, None),) * ncirc + tuple(self.bases)
+        coeffs = list(self.circle_coeffs) + list(self.band_coeffs)
+        plus = np.zeros(z.shape + (2, 2), dtype=complex)
+        minus = np.zeros_like(plus)
+        for q, piece in enumerate(self.contours.pieces):
+            for m, (tp, tm) in enumerate(_piece_tables(piece, kinds[q], z, q == own)):
+                cp = tp @ coeffs[q][:, m, :].T
+                plus[..., m] += cp
+                minus[..., m] += cp if tm is tp else tm @ coeffs[q][:, m, :].T
+        return plus, minus
 
 
 def _circle_table(circ: Circle, z, side: Side | None) -> np.ndarray:
@@ -293,15 +324,27 @@ def _circle_table(circ: Circle, z, side: Side | None) -> np.ndarray:
     return W
 
 
-def _band_tables(bp: BandPiece, kinds, z, side: Side | None):
-    """Kernel tables for each requested kind at z (side None means off-contour)."""
-    out = {}
-    for kind in set(kinds):
-        if side is None:
-            out[kind] = cauchy_cheb_table(kind, bp.n_points, bp.interval, z, Side.OFF)
+def _piece_tables(piece, kinds, z, own: bool) -> list:
+    """Per unknown column: the (plus, minus) kernel tables of piece at z.
+
+    Off the piece (own False) both are the one off-contour table.  kinds holds
+    the column bases of a band and is ignored for a circle.
+    """
+    if isinstance(piece, Circle):
+        if own:
+            pair = (_circle_table(piece, z, Side.PLUS), _circle_table(piece, z, Side.MINUS))
         else:
-            out[kind] = cauchy_cheb_table(kind, bp.n_points, bp.interval, z, side)
-    return out
+            pair = (_circle_table(piece, z, None),) * 2
+        return [pair, pair]
+    tables = {}
+    for kind in set(kinds):
+        if own:
+            tables[kind] = tuple(cauchy_cheb_table(kind, piece.n_points, piece.interval, z, side)
+                                 for side in (Side.PLUS, Side.MINUS))
+        else:
+            tables[kind] = (cauchy_cheb_table(kind, piece.n_points, piece.interval, z,
+                                              Side.OFF),) * 2
+    return [tables[kind] for kind in kinds]
 
 
 def default_bases(spec: WeightSpec) -> tuple:
@@ -312,86 +355,68 @@ def default_bases(spec: WeightSpec) -> tuple:
 
 def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly,
                      bases=None, *, warn_tol: float = 1e-6) -> RHSolution:
-    """Assemble and solve the block collocation system for both rows at once."""
-    if bases is None:
-        bases = default_bases(spec)
-    circles, bands = contours.circles, contours.bands
-    pieces = list(circles) + list(bands)
-    ncirc = len(circles)
+    """Assemble and solve the block collocation system for both rows at once.
+
+    Circle j is dropped when max |F - I| of its jump at its collocation nodes
+    is below IDENTITY_JUMP: it then carries no density to double precision.
+    The system is solved on the bands and the remaining circles, and the
+    returned solution's contours list those pieces.  The off-collocation
+    residual checks every piece of `contours`, the dropped circles included.
+    """
+    bases = tuple(default_bases(spec) if bases is None else bases)
+    circle_nodes = [c.nodes() for c in contours.circles]
+    circle_F = [jumps.circle_jump(j, z) for j, z in enumerate(circle_nodes)]
+    kept = [j for j, Fj in enumerate(circle_F)
+            if not np.max(np.abs(Fj - np.eye(2))) < IDENTITY_JUMP]
+    used = ContourSet(circles=tuple(contours.circles[j] for j in kept), bands=contours.bands)
+    pieces = used.pieces
+    kinds = ((None, None),) * len(kept) + bases
+    nodes = [circle_nodes[j] for j in kept] + [bp.nodes() for bp in used.bands]
+    F = [circle_F[j] for j in kept]
+    F += [jumps.band_jump(j, bp_nodes) for j, bp_nodes in enumerate(nodes[len(kept):])]
     counts = [p.n_points for p in pieces]
     offsets = np.concatenate([[0], np.cumsum(counts)])
     T = int(offsets[-1])
 
-    nodes = [p.nodes() for p in pieces]
-    F = [jumps.circle_jump(j, nodes[j]) for j in range(ncirc)]
-    F += [jumps.band_jump(j, nodes[ncirc + j]) for j in range(len(bands))]
-
-    A = np.zeros((2 * T, 2 * T), dtype=complex)
+    # Fortran order lets LAPACK factor A in place instead of copying it.
+    A = np.zeros((2 * T, 2 * T), dtype=complex, order="F")
     rhs = np.zeros((2 * T, 2), dtype=complex)
     eye = np.eye(2)
 
     for p in range(len(pieces)):
-        zp = nodes[p]
-        for q in range(len(pieces)):
-            own = p == q
-            if q < ncirc:
-                Kp = _circle_table(circles[q], zp, Side.PLUS if own else None)
-                Km = _circle_table(circles[q], zp, Side.MINUS if own else None)
-                tabs_p = {None: Kp}
-                tabs_m = {None: Km}
-                kinds_q = (None, None)
-            else:
-                bq = bands[q - ncirc]
-                kinds_q = bases[q - ncirc]
-                if own:
-                    tabs_p = _band_tables(bq, kinds_q, zp, Side.PLUS)
-                    tabs_m = _band_tables(bq, kinds_q, zp, Side.MINUS)
-                else:
-                    tabs = _band_tables(bq, kinds_q, zp, None)
-                    tabs_p = tabs_m = tabs
+        for q, piece in enumerate(pieces):
+            tabs = _piece_tables(piece, kinds[q], nodes[p], p == q)
             for m in range(2):
                 row = slice(m * T + offsets[p], m * T + offsets[p] + counts[p])
                 for m2 in range(2):
                     col = slice(m2 * T + offsets[q], m2 * T + offsets[q] + counts[q])
-                    block = -F[p][:, m2, m][:, None] * tabs_m[kinds_q[m2]]
+                    tp, tm = tabs[m2]
+                    block = -F[p][:, m2, m][:, None] * tm
                     if m2 == m:
-                        block = block + tabs_p[kinds_q[m2]]
+                        block = block + tp
                     A[row, col] = block
         for m in range(2):
             row = slice(m * T + offsets[p], m * T + offsets[p] + counts[p])
             for r in range(2):
                 rhs[row, r] = F[p][:, r, m] - eye[r, m]
 
+    anorm = np.linalg.norm(A, 1)
     try:
-        lu, piv = lu_factor(A, check_finite=False)
+        lu, piv = lu_factor(A, overwrite_a=True, check_finite=False)
     except Exception as exc:
         raise SolverError(f"collocation system factorization failed: {exc}") from exc
     if np.any(np.abs(np.diagonal(lu)) == 0.0):
         raise SolverError("collocation system is numerically singular")
     X = lu_solve((lu, piv), rhs, check_finite=False)
-
-    anorm = np.linalg.norm(A, 1)
     rcond, _ = _lapack.zgecon(lu, anorm)
 
-    circle_coeffs = []
-    for q in range(ncirc):
-        cc = np.empty((2, 2, counts[q]), dtype=complex)
-        for r in range(2):
-            for m in range(2):
-                cc[r, m] = X[m * T + offsets[q]: m * T + offsets[q] + counts[q], r]
-        circle_coeffs.append(cc)
-    band_coeffs = []
-    for qb in range(len(bands)):
-        q = ncirc + qb
-        dd = np.empty((2, 2, counts[q]), dtype=complex)
-        for r in range(2):
-            for m in range(2):
-                dd[r, m] = X[m * T + offsets[q]: m * T + offsets[q] + counts[q], r]
-        band_coeffs.append(dd)
-
-    sol = RHSolution(contours=contours, bases=tuple(bases), circle_coeffs=circle_coeffs,
-                     band_coeffs=band_coeffs, residual=ResidualReport(np.nan, float(rcond)))
-    sol.residual.off_collocation = _off_collocation_residual(sol, jumps)
+    # X rows: column m of the unknown on piece q; X columns: the row r.
+    coeffs = [np.stack([X[m * T + offsets[q]: m * T + offsets[q + 1]].T for m in range(2)],
+                       axis=1) for q in range(len(pieces))]
+    sol = RHSolution(contours=used, bases=bases, circle_coeffs=coeffs[:len(kept)],
+                     band_coeffs=coeffs[len(kept):],
+                     residual=ResidualReport(np.nan, float(rcond)))
+    sol.residual.off_collocation = _off_collocation_residual(sol, jumps, contours, kept)
     if sol.residual.off_collocation > warn_tol:
         warnings.warn(
             f"off-collocation jump residual {sol.residual.off_collocation:.2e} exceeds "
@@ -400,48 +425,26 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     return sol
 
 
-def _off_collocation_residual(sol: RHSolution, jumps: JumpAssembly) -> float:
-    """Max jump defect at points interleaved with the collocation nodes."""
-    contours = sol.contours
-    circles, bands = contours.circles, contours.bands
-    ncirc = len(circles)
-    pieces = list(circles) + list(bands)
+def _off_collocation_residual(sol: RHSolution, jumps: JumpAssembly, contours: ContourSet,
+                              kept: list) -> float:
+    """Max jump defect at points interleaved with the collocation nodes.
+
+    Every piece of contours is checked.  On a circle the solve dropped there is
+    no density, so the two boundary values are both sol.eval and the defect is
+    Phi (I - F).
+    """
+    ncirc = len(contours.circles)
     worst = 0.0
-    for p, piece in enumerate(pieces):
+    for p, piece in enumerate(contours.pieces):
         zt = piece.test_nodes()
-        npts = len(zt)
         if p < ncirc:
             Ft = jumps.circle_jump(p, zt)
+            own = kept.index(p) if p in kept else None
         else:
             Ft = jumps.band_jump(p - ncirc, zt)
-        phi_p = np.zeros((npts, 2, 2), dtype=complex)
-        phi_m = np.zeros((npts, 2, 2), dtype=complex)
-        phi_p[:, 0, 0] = phi_p[:, 1, 1] = 1.0
-        phi_m[:, 0, 0] = phi_m[:, 1, 1] = 1.0
-        for q in range(len(pieces)):
-            own = p == q
-            if q < ncirc:
-                Kp = _circle_table(circles[q], zt, Side.PLUS if own else None)
-                Km = _circle_table(circles[q], zt, Side.MINUS if own else None)
-                coeff = sol.circle_coeffs[q]
-                for r in range(2):
-                    for m in range(2):
-                        phi_p[:, r, m] += Kp @ coeff[r, m]
-                        phi_m[:, r, m] += Km @ coeff[r, m]
-            else:
-                bq = bands[q - ncirc]
-                kinds_q = sol.bases[q - ncirc]
-                coeff = sol.band_coeffs[q - ncirc]
-                if own:
-                    tp = _band_tables(bq, kinds_q, zt, Side.PLUS)
-                    tm = _band_tables(bq, kinds_q, zt, Side.MINUS)
-                else:
-                    tp = tm = _band_tables(bq, kinds_q, zt, None)
-                for r in range(2):
-                    for m in range(2):
-                        phi_p[:, r, m] += tp[kinds_q[m]] @ coeff[r, m]
-                        phi_m[:, r, m] += tm[kinds_q[m]] @ coeff[r, m]
-        defect = phi_p - np.einsum("pij,pjk->pik", phi_m, Ft)
+            own = len(kept) + p - ncirc
+        plus, minus = sol._limits(zt, own)
+        defect = plus - minus @ Ft + (np.eye(2) - Ft)
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst
 

@@ -62,6 +62,23 @@ class TestRecurrenceRange:
         np.testing.assert_allclose(win.a, ref.a[10:13], atol=1e-11)
         np.testing.assert_allclose(win.b, ref.b[10:13], atol=1e-11)
 
+    def test_matches_oracle_while_circles_drop(self, spec_two_band, ctx_two_band):
+        seg = recurrence_range(spec_two_band, 50, 85, context=ctx_two_band)
+        ref = adaptive_oracle(spec_two_band, 86, 1e-12)
+        np.testing.assert_allclose(seg.a, ref.a[50:], atol=1e-12)
+        np.testing.assert_allclose(seg.b, ref.b[50:], atol=1e-12)
+        assert {0, 1, 2} <= set(seg.meta["circles_used"].tolist())
+        assert np.all((seg.meta["rcond"] > 0.0) & (seg.meta["rcond"] <= 1.0))
+        assert not seg.meta["failures"]
+
+    def test_large_n_solves_bands_only(self, spec_two_band, ctx_two_band):
+        seg = recurrence_range(spec_two_band, 300, 300, context=ctx_two_band)
+        ref = adaptive_oracle(spec_two_band, 301, 1e-12)
+        assert seg.a[0] == pytest.approx(ref.a[300], abs=1e-11)
+        assert seg.b[0] == pytest.approx(ref.b[300], abs=1e-11)
+        assert seg.meta["circles_used"][0] == 0
+        assert seg.meta["max_residual"] < 1e-10
+
     def test_bad_range_rejected(self, spec_u):
         with pytest.raises(DomainError):
             recurrence_range(spec_u, 5, 3)

@@ -107,6 +107,19 @@ class _IdentityJumps:
     band_jump = circle_jump
 
 
+class _IdentityAtNodesOnly(JumpAssembly):
+    """Circle jumps that are I at the collocation nodes and not between them."""
+
+    def __init__(self, contours, *args):
+        super().__init__(*args)
+        self.contours = contours
+
+    def circle_jump(self, j, z):
+        out = super().circle_jump(j, z)
+        out[..., 1, 0] = np.where(np.isin(z, self.contours.circles[j].nodes()), 0.0, 0.1)
+        return out
+
+
 class TestMatrixSolve:
     def test_identity_jumps_give_zero(self, spec_u):
         ct = build_contours(spec_u, 8, 10)
@@ -167,12 +180,23 @@ class TestMatrixSolve:
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_first_order_matches_large_z_probe(self, ctx_two_band):
-        # |z| large enough that the next-order term S2/z sits below tolerance
+        # |z| large enough that the next-order term S2/z sits below tolerance;
+        # correction avoids the eps*|z| loss of adding I and subtracting it
         sol = ctx_two_band.solution(4)
         S1 = first_order(sol)
         z = 1e9 * (1.0 + 0.6j)
-        probe = z * (sol.eval(z) - np.eye(2))
+        probe = z * sol.correction(z)
         assert np.max(np.abs(probe - S1)) < 1e-8
+
+    def test_dropped_circles_still_checked(self, ctx_two_band, spec_two_band):
+        # every circle is dropped (identity at its nodes), yet the residual at
+        # the test nodes between them must see the 0.1 jump entry
+        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, spec_two_band, ctx_two_band.green,
+                                     ctx_two_band.hsys, ctx_two_band.aux(300))
+        with pytest.warns(ResidualWarning):
+            sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
+        assert sol.contours.circles == ()
+        assert sol.residual.off_collocation > 0.05
 
 
 class TestJumpAssembly:
