@@ -141,7 +141,7 @@ def cmd_oracle(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     delta = segment.meta["delta"]
-    lines = [f"# method=oracle m_per_band={segment.meta['m_per_band']}", "n,a,b,residual"]
+    lines = [f"# method=oracle m_per_band={segment.meta['m_per_band']}", "n,a,b,delta"]
     for n in range(args.n0, args.n1 + 1):
         lines.append(f"{n},{_fmt(segment.a[n])},{_fmt(segment.b[n])},{_fmt(delta)}")
     _write(args.out, lines)

@@ -181,15 +181,3 @@ def eval_g(green: GreenData, z, side: Side = Side.OFF):
     total = total - green.phi_ref
     return complex(total[0]) if scalar else total
 
-
-def g_prime(green: GreenData, z):
-    """Q_g(z)/R(z) away from the bands (principal branches)."""
-    spec_like = _BandsOnly(green.bands)
-    return _q_val(green.q_coeffs, z) / eval_R(spec_like, z, Side.OFF)
-
-
-class _BandsOnly:
-    """Minimal duck type exposing .bands for eval_R reuse."""
-
-    def __init__(self, bands):
-        self.bands = bands

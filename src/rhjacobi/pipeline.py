@@ -152,9 +152,10 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
 
     Per-index arrays in meta, NaN (or -1 for counts) where the pair failed:
     residuals, the larger off-collocation residual of the pair's two solves;
-    rcond, the smaller condition estimate of the two; circles_used, the number
-    of circles the solve for n kept (circles whose jump is the identity are
-    dropped).
+    rcond, the smaller of the two solves' condition estimates, each taken for
+    the band system left after the circles are eliminated; circles_used, the
+    number of circles the solve for n kept (circles whose jump is the identity
+    are dropped).
     """
     if not (0 <= n0 <= n1):
         raise DomainError(f"need 0 <= n0 <= n1, got ({n0}, {n1})")

@@ -3,9 +3,13 @@ circles and intervals.
 
 Unknowns are Laurent coefficients on circles and Chebyshev-kernel coefficients
 on bands; jump conditions are enforced at equispaced circle points and mapped
-first-kind roots.  The full matrix problem decouples row-wise, so one LU
-factorization serves both rows.  Every solve reports an off-collocation
-residual and a condition estimate; basis-mismatch failures are visible there.
+first-kind roots.  The matrix problem decouples row-wise, so one LU
+factorization serves both rows.  A circle jump is unit lower-triangular, so
+the circle densities are eliminated exactly: the second column vanishes and
+the first is a discrete Fourier transform of band data.  Only the band
+unknowns are factored.  Every solve reports an off-collocation residual and a
+condition estimate of the band system; basis-mismatch failures are visible
+there.
 
 A circle whose jump matrix differs from the identity by less than
 IDENTITY_JUMP at all of its collocation nodes carries no density to double
@@ -31,9 +35,9 @@ from .weights import WeightSpec
 
 _I2PI = 1j / (2.0 * np.pi)
 
-# Largest |F - I| at a circle's collocation nodes for which the 2x2 solver
-# drops the circle.  On two bands, n = 50..85, this and 1e-3 of it both agree
-# with the solve on every circle to 6e-15.
+# Largest |F - I| (its (1, 0) entry) at a circle's collocation nodes for which
+# the 2x2 solver drops the circle.  On two bands, n = 50..85, this and 1e-3 of
+# it both agree with the solve on every circle to 6e-15.
 IDENTITY_JUMP = np.finfo(float).eps
 
 
@@ -237,7 +241,8 @@ class JumpAssembly:
 
 @dataclass
 class ResidualReport:
-    """Off-collocation jump defect and an LU-based condition estimate."""
+    """Off-collocation jump defect over every piece, and the LU-based condition
+    estimate of the band system that remains after the circles are eliminated."""
 
     off_collocation: float
     rcond: float
@@ -355,26 +360,30 @@ def default_bases(spec: WeightSpec) -> tuple:
 
 def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly,
                      bases=None, *, warn_tol: float = 1e-6) -> RHSolution:
-    """Assemble and solve the block collocation system for both rows at once.
+    """Solve the block collocation system for both rows at once.
 
-    Circle j is dropped when max |F - I| of its jump at its collocation nodes
-    is below IDENTITY_JUMP: it then carries no density to double precision.
-    The system is solved on the bands and the remaining circles, and the
-    returned solution's contours list those pieces.  The off-collocation
-    residual checks every piece of `contours`, the dropped circles included.
+    Every circle jump must be unit lower-triangular at the circle's nodes,
+    F = [[1, 0], [v, 1]]; SolverError otherwise.  Circle j is dropped when
+    max |v| is below IDENTITY_JUMP: it then carries no density to double
+    precision.  On a kept circle the column-1 density vanishes and the
+    column-0 density is an explicit function of the band unknowns, so only
+    the bands are factored.  The returned solution's contours list the bands
+    and the kept circles.  The off-collocation residual checks every piece of
+    `contours`, the dropped circles included.
     """
     bases = tuple(default_bases(spec) if bases is None else bases)
     circle_nodes = [c.nodes() for c in contours.circles]
     circle_F = [jumps.circle_jump(j, z) for j, z in enumerate(circle_nodes)]
+    for j, Fj in enumerate(circle_F):
+        if np.any(Fj[:, 0, 0] != 1.0) or np.any(Fj[:, 1, 1] != 1.0) or np.any(Fj[:, 0, 1] != 0.0):
+            raise SolverError(f"jump on circle {j} is not unit lower-triangular at its nodes")
     kept = [j for j, Fj in enumerate(circle_F)
-            if not np.max(np.abs(Fj - np.eye(2))) < IDENTITY_JUMP]
+            if not np.max(np.abs(Fj[:, 1, 0])) < IDENTITY_JUMP]
     used = ContourSet(circles=tuple(contours.circles[j] for j in kept), bands=contours.bands)
-    pieces = used.pieces
-    kinds = ((None, None),) * len(kept) + bases
-    nodes = [circle_nodes[j] for j in kept] + [bp.nodes() for bp in used.bands]
-    F = [circle_F[j] for j in kept]
-    F += [jumps.band_jump(j, bp_nodes) for j, bp_nodes in enumerate(nodes[len(kept):])]
-    counts = [p.n_points for p in pieces]
+    bands = used.bands
+    nodes = [bp.nodes() for bp in bands]
+    F = [jumps.band_jump(j, z) for j, z in enumerate(nodes)]
+    counts = [bp.n_points for bp in bands]
     offsets = np.concatenate([[0], np.cumsum(counts)])
     T = int(offsets[-1])
 
@@ -383,9 +392,9 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     rhs = np.zeros((2 * T, 2), dtype=complex)
     eye = np.eye(2)
 
-    for p in range(len(pieces)):
-        for q, piece in enumerate(pieces):
-            tabs = _piece_tables(piece, kinds[q], nodes[p], p == q)
+    for p in range(len(bands)):
+        for q, piece in enumerate(bands):
+            tabs = _piece_tables(piece, bases[q], nodes[p], p == q)
             for m in range(2):
                 row = slice(m * T + offsets[p], m * T + offsets[p] + counts[p])
                 for m2 in range(2):
@@ -400,6 +409,27 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
             for r in range(2):
                 rhs[row, r] = F[p][:, r, m] - eye[r, m]
 
+    # On a kept circle c the column-1 rows read W u_c1 = 0 with W the Laurent
+    # table at c's own nodes, so u_c1 = 0, and the column-0 rows give
+    # u_c0 = W^-1 v (K u_B1 + [r == 1]) with K the bands' column-1 tables at
+    # c's nodes.  W^-1 = W^H / n_c (consecutive exponents at the n_c-th roots
+    # of unity) is a DFT.  Z_c maps (u_B1, 1) to u_c0; substituting u_c0 into
+    # the band rows leaves a system in the band unknowns only.
+    zb = np.concatenate(nodes)
+    scale = [eye[0, m] - np.concatenate(F)[:, 0, m] for m in range(2)]
+    Z = []
+    for j in kept:
+        circ = contours.circles[j]
+        K = np.hstack([cauchy_cheb_table(kinds[1], bp.n_points, bp.interval, circle_nodes[j],
+                                         Side.OFF) for bp, kinds in zip(bands, bases)]
+                      + [np.ones((circ.n_points, 1))])
+        Zc = np.fft.fft(circle_F[j][:, 1, 0, None] * K, axis=0)[circ.exponents % circ.n_points]
+        Z.append(Zc / circ.n_points)
+        coupling = _circle_table(circ, zb, None) @ Z[-1]
+        for m in range(2):
+            A[m * T:(m + 1) * T, T:] += scale[m][:, None] * coupling[:, :T]
+            rhs[m * T:(m + 1) * T, 1] -= scale[m] * coupling[:, T]
+
     anorm = np.linalg.norm(A, 1)
     try:
         lu, piv = lu_factor(A, overwrite_a=True, check_finite=False)
@@ -410,12 +440,18 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     X = lu_solve((lu, piv), rhs, check_finite=False)
     rcond, _ = _lapack.zgecon(lu, anorm)
 
-    # X rows: column m of the unknown on piece q; X columns: the row r.
-    coeffs = [np.stack([X[m * T + offsets[q]: m * T + offsets[q + 1]].T for m in range(2)],
-                       axis=1) for q in range(len(pieces))]
-    sol = RHSolution(contours=used, bases=bases, circle_coeffs=coeffs[:len(kept)],
-                     band_coeffs=coeffs[len(kept):],
-                     residual=ResidualReport(np.nan, float(rcond)))
+    # X rows: column m of the unknown on band q; X columns: the row r.
+    band_coeffs = [np.stack([X[m * T + offsets[q]: m * T + offsets[q + 1]].T for m in range(2)],
+                            axis=1) for q in range(len(bands))]
+    circle_coeffs = []
+    for Zc in Z:
+        u0 = Zc[:, :T] @ X[T:]
+        u0[:, 1] += Zc[:, T]
+        coeff = np.zeros((2, 2, len(Zc)), dtype=complex)
+        coeff[:, 0, :] = u0.T
+        circle_coeffs.append(coeff)
+    sol = RHSolution(contours=used, bases=bases, circle_coeffs=circle_coeffs,
+                     band_coeffs=band_coeffs, residual=ResidualReport(np.nan, float(rcond)))
     sol.residual.off_collocation = _off_collocation_residual(sol, jumps, contours, kept)
     if sol.residual.off_collocation > warn_tol:
         warnings.warn(
@@ -479,16 +515,7 @@ class ScalarCircleSolution:
         z = np.asarray(z, dtype=complex)
         scalar = z.ndim == 0
         zz = np.atleast_1d(z)
-        neg = self.exponents < 0
-        W = np.empty((len(zz), len(self.exponents)), dtype=complex)
-        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            W[:, ~neg] = zz[:, None] ** self.exponents[None, ~neg]
-            W[:, neg] = (1.0 / zz)[:, None] ** (-self.exponents[None, neg])
-        inside = np.abs(zz) < 1.0
-        W[np.ix_(inside, neg)] = 0.0
-        W[np.ix_(~inside, ~neg)] = 0.0
-        W[np.ix_(~inside, neg)] *= -1.0
-        out = 1.0 + W @ self.coeffs
+        out = 1.0 + _circle_table(Circle(0.0, 1.0, len(self.exponents)), zz, None) @ self.coeffs
         return complex(out[0]) if scalar else out
 
 

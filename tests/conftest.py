@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rhjacobi import (ChebKind, HExpScale, HProduct, HRational, Resolution,
+from rhjacobi import (ChebKind, HExpScale, HPoly, HProduct, HRational, Resolution,
                       SolveContext, WeightSpec, build_green, build_hsystem)
 
 SEED = 20240817
@@ -20,6 +20,15 @@ def spec_u():
 @pytest.fixture(scope="session")
 def spec_two_band():
     return WeightSpec.build([(-1.8, -1.0), (2.0, 3.0)], ["T", "T"])
+
+
+@pytest.fixture(scope="session")
+def spec_genus3():
+    # Four bands of four kinds, so column 0 takes every flipped kernel basis
+    # (U, T, W, V); at small n every circle carries a jump.
+    bands = [(-3.0, -2.2), (-1.5, -0.6), (0.5, 1.3), (2.0, 3.0)]
+    h = [HPoly((2.0, 0.5)), HExpScale(0.3), HPoly((1.0, 0.0, 0.2)), HExpScale(-0.2, 1.0)]
+    return WeightSpec.build(bands, "TUVW", h)
 
 
 @pytest.fixture(scope="session")

@@ -79,6 +79,14 @@ class TestRecurrenceRange:
         assert seg.meta["circles_used"][0] == 0
         assert seg.meta["max_residual"] < 1e-10
 
+    def test_genus3_mixed_kinds_every_circle_kept(self, spec_genus3):
+        seg = recurrence_range(spec_genus3, 0, 8)
+        ref = adaptive_oracle(spec_genus3, 9, 1e-12)
+        np.testing.assert_allclose(seg.a, ref.a, atol=1e-11)
+        np.testing.assert_allclose(seg.b, ref.b, atol=1e-11)
+        assert np.all(seg.meta["circles_used"] == 4)
+        assert not seg.meta["failures"]
+
     def test_bad_range_rejected(self, spec_u):
         with pytest.raises(DomainError):
             recurrence_range(spec_u, 5, 3)

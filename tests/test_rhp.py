@@ -4,7 +4,7 @@ import pytest
 from rhjacobi.auxiliary import build_hsystem, solve_aux
 from rhjacobi.cauchy import Side, cauchy_cheb
 from rhjacobi.chebyshev import ChebKind, Interval, UNIT
-from rhjacobi.errors import GeometryError, ResidualWarning, WeightError
+from rhjacobi.errors import GeometryError, ResidualWarning, SolverError, WeightError
 from rhjacobi.green import build_green
 from rhjacobi.rhp import (JumpAssembly, build_contours, default_bases, first_order,
                           solve_matrix_rhp, solve_scalar_circle, solve_scalar_interval)
@@ -120,6 +120,15 @@ class _IdentityAtNodesOnly(JumpAssembly):
         return out
 
 
+class _UpperEntryOnCircles(JumpAssembly):
+    """Circle jumps with a nonzero (0, 1) entry: no longer unit lower-triangular."""
+
+    def circle_jump(self, j, z):
+        out = super().circle_jump(j, z)
+        out[..., 0, 1] = 0.1
+        return out
+
+
 class TestMatrixSolve:
     def test_identity_jumps_give_zero(self, spec_u):
         ct = build_contours(spec_u, 8, 10)
@@ -197,6 +206,12 @@ class TestMatrixSolve:
             sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
         assert sol.contours.circles == ()
         assert sol.residual.off_collocation > 0.05
+
+    def test_circle_jump_must_be_unit_lower_triangular(self, ctx_two_band, spec_two_band):
+        jumps = _UpperEntryOnCircles(spec_two_band, ctx_two_band.green, ctx_two_band.hsys,
+                                     ctx_two_band.aux(3))
+        with pytest.raises(SolverError):
+            solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
 
 
 class TestJumpAssembly:
