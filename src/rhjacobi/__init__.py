@@ -6,7 +6,7 @@ Lanczos reference computation is included for verification.
 """
 
 from .auxiliary import AuxData, HSystem, build_hsystem, eval_h, solve_aux, wrap_angle
-from .cauchy import Side, cauchy_cheb, cauchy_cheb_table, cauchy_first_order, joukowsky_inv, sqrt_cut
+from .cauchy import Side, cauchy_cheb, cauchy_cheb_table, joukowsky_inv, sqrt_cut
 from .chebyshev import (ChebKind, ChebSeries, Interval, band_integral, cheb_eval,
                         cheb_t_nodes, dct_coeffs, gauss_cheb_rule)
 from .errors import (ConvergenceError, DomainError, EndpointError, GeometryError,
@@ -16,10 +16,9 @@ from .green import GreenData, build_green, eval_R, eval_g, solve_Q
 from .oracle import DiscreteMeasure, adaptive_oracle, discretize, tridiagonalize
 from .pipeline import (JacobiSegment, RecipApproximation, Resolution, SolveContext,
                        TodaTrajectory, cauchy_pn, orthonormal_eval, recip_approx,
-                       recurrence_pair, recurrence_range, toda_evolve)
+                       recurrence_range, toda_evolve)
 from .rhp import (BandPiece, Circle, ContourSet, JumpAssembly, RHSolution,
-                  build_contours, default_bases, first_order, solve_matrix_rhp,
-                  solve_scalar_circle, solve_scalar_interval)
+                  build_contours, default_bases, first_order, solve_matrix_rhp)
 from .weights import (HExpScale, HFunction, HOne, HPoly, HProduct, HRational,
                       WeightSpec, h_from_config)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import Side, cauchy_cheb_table
-from .chebyshev import ChebKind, ChebSeries, Interval, band_integral, adaptive_dct
+from .chebyshev import ChebKind, ChebSeries, band_integral, adaptive_dct
 from .errors import ImagPartWarning, SolverError
 from .green import GreenData, eval_R
 from .weights import WeightSpec

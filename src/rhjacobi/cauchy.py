@@ -157,12 +157,3 @@ def cauchy_cheb_table(kind: ChebKind, n: int, interval: Interval, z, side: Side 
         table = powers * ((1.0 - ratio) * _I2PI * (2.0 / L))[..., None]
     return table[0] if scalar else table
 
-
-def cauchy_first_order(kind: ChebKind, k: int, interval: Interval) -> complex:
-    """Coefficient of 1/z in the large-z expansion of cauchy_cheb.
-
-    Every kind and every interval: i/(2 pi) for degree 0, zero for higher degrees.
-    """
-    if k < 0:
-        raise DomainError("degree must be nonnegative")
-    return complex(_I2PI) if k == 0 else 0.0 + 0.0j

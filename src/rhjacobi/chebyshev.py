@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -164,9 +164,8 @@ def cheb_t_nodes(m: int, interval: Interval = UNIT) -> np.ndarray:
 
 @dataclass
 class ChebSeries:
-    """A finite series sum_k coeffs[k] * p_k in one Chebyshev family on an interval."""
+    """A finite first-kind series sum_k coeffs[k] * p_k on an interval."""
 
-    kind: ChebKind
     interval: Interval
     coeffs: np.ndarray
 
@@ -177,26 +176,20 @@ class ChebSeries:
         return len(self.coeffs)
 
     def __call__(self, x):
-        t = self.interval.to_unit(x)
-        if self.kind is ChebKind.T:
-            # Clenshaw on classical T after undoing the sqrt(2) normalization.
-            c = self.coeffs.copy()
-            c[1:] *= SQRT2
-            return np.polynomial.chebyshev.chebval(t, c)
-        acc = 0.0
-        for k, ck in enumerate(self.coeffs):
-            acc = acc + ck * cheb_eval(self.kind, k, t)
-        return acc
+        # Clenshaw on classical T after undoing the sqrt(2) normalization.
+        c = self.coeffs.copy()
+        c[1:] *= SQRT2
+        return np.polynomial.chebyshev.chebval(self.interval.to_unit(x), c)
 
     def truncated(self, drop_tol: float = 1e-15) -> "ChebSeries":
         """Drop trailing coefficients below drop_tol relative to the largest."""
         mags = np.abs(self.coeffs)
         scale = mags.max() if mags.size else 0.0
         if scale == 0.0:
-            return ChebSeries(self.kind, self.interval, self.coeffs[:1])
+            return ChebSeries(self.interval, self.coeffs[:1])
         keep = np.nonzero(mags > drop_tol * scale)[0]
         last = keep[-1] + 1 if keep.size else 1
-        return ChebSeries(self.kind, self.interval, self.coeffs[:last])
+        return ChebSeries(self.interval, self.coeffs[:last])
 
 
 def dct_coeffs(samples, interval: Interval = UNIT) -> ChebSeries:
@@ -216,7 +209,7 @@ def dct_coeffs(samples, interval: Interval = UNIT) -> ChebSeries:
     classical[0] *= 0.5
     coeffs = classical
     coeffs[1:] /= SQRT2
-    return ChebSeries(ChebKind.T, interval, coeffs)
+    return ChebSeries(interval, coeffs)
 
 
 def adaptive_dct(f: Callable, interval: Interval = UNIT, *, m0: int = 16,

@@ -1,6 +1,7 @@
 """Command-line front end: JSON weight configs in, CSV tables out.
 
-Exit codes: 0 success, 1 config/usage error, 2 partial numerical failure.
+Exit codes: 0 success, 1 config/usage error or an argument outside an
+operation's domain, 2 numerical failure.
 Output is deterministic: full-precision floats, newline endings, metadata only
 in '#'-prefixed comment lines.
 """
@@ -8,17 +9,20 @@ in '#'-prefixed comment lines.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-import warnings
 
 import numpy as np
 
 from .chebyshev import ChebKind, Interval
-from .errors import ConvergenceError, RHJacobiError, WeightError
+from .errors import ConvergenceError, DomainError, RHJacobiError, WeightError
 from .oracle import adaptive_oracle
-from .pipeline import Resolution, SolveContext, recip_approx, recurrence_range, toda_evolve
+from .pipeline import Resolution, recip_approx, recurrence_range, toda_evolve
 from .weights import WeightSpec, h_from_config
+
+CONFIG_FIELDS = ("intervals", "kinds", "h", "resolution")
+RESOLUTION_FIELDS = tuple(f.name for f in dataclasses.fields(Resolution))
 
 
 class ConfigError(Exception):
@@ -30,6 +34,7 @@ def _fmt(x: float) -> str:
 
 
 def load_config(path: str):
+    """(spec, resolution) from a JSON config; ConfigError names the bad field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -39,6 +44,9 @@ def load_config(path: str):
         raise ConfigError(f"config is not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
+    for key in doc:
+        if key not in CONFIG_FIELDS:
+            raise ConfigError(f"unknown field '{key}'")
     for required in ("intervals", "kinds"):
         if required not in doc:
             raise ConfigError(f"config is missing required field '{required}'")
@@ -86,22 +94,20 @@ def load_config(path: str):
     res_doc = doc.get("resolution", {})
     if not isinstance(res_doc, dict):
         raise ConfigError("field 'resolution' must be an object")
-    resolution = {
-        "ppi": int(res_doc.get("ppi", 16)),
-        "circle_ratio": int(res_doc.get("circle_ratio", 10)),
-    }
-    radii = doc.get("circle_radii")
-    if radii is not None:
-        if not (isinstance(radii, list) and len(radii) == len(bands)):
-            raise ConfigError("field 'circle_radii' must list one radius per interval")
-        radii = [float(r) for r in radii]
-    return spec, resolution, radii
+    res = {}
+    for key, value in res_doc.items():
+        if key not in RESOLUTION_FIELDS:
+            raise ConfigError(f"unknown field 'resolution.{key}'")
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"field 'resolution.{key}' must be an integer, got {value!r}")
+        res[key] = value
+    return spec, Resolution(**res)
 
 
-def _resolution(args, config_res) -> Resolution:
-    ppi = args.ppi if args.ppi is not None else config_res["ppi"]
-    ratio = args.circle_ratio if args.circle_ratio is not None else config_res["circle_ratio"]
-    return Resolution(ppi=ppi, circle_ratio=ratio)
+def _resolution(args, res: Resolution) -> Resolution:
+    """The config's resolution with the command-line overrides applied."""
+    overrides = {"ppi": args.ppi, "circle_ratio": args.circle_ratio}
+    return dataclasses.replace(res, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _write(out_path, lines) -> None:
@@ -114,11 +120,8 @@ def _write(out_path, lines) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    spec, config_res, _ = load_config(args.config)
-    res = _resolution(args, config_res)
-    if not (0 <= args.n0 <= args.n1):
-        raise ConfigError("need 0 <= n0 <= n1")
-    segment = recurrence_range(spec, args.n0, args.n1, res)
+    spec, res = load_config(args.config)
+    segment = recurrence_range(spec, args.n0, args.n1, _resolution(args, res))
     failures = dict(segment.meta["failures"])
     lines = ["n,a,b,residual"]
     for i, n in enumerate(segment.ns):
@@ -132,7 +135,7 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    spec, config_res, _ = load_config(args.config)
+    spec, _ = load_config(args.config)
     if not (0 <= args.n0 <= args.n1):
         raise ConfigError("need 0 <= n0 <= n1")
     try:
@@ -149,17 +152,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_toda(args) -> int:
-    spec, config_res, _ = load_config(args.config)
-    res = _resolution(args, config_res)
+    spec, res = load_config(args.config)
     if args.steps < 1:
         raise ConfigError("need steps >= 1")
     if args.steps == 1:
         times = np.array([args.t0])
     else:
         times = np.linspace(args.t0, args.t1, args.steps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        traj = toda_evolve(spec, args.k, times, res)
+    traj = toda_evolve(spec, args.k, times, _resolution(args, res))
     lines = ["t,n,a,b"]
     failed = False
     for t, seg in zip(traj.times, traj.segments):
@@ -178,14 +178,8 @@ def cmd_toda(args) -> int:
 
 
 def cmd_recip(args) -> int:
-    spec, config_res, _ = load_config(args.config)
-    res = _resolution(args, config_res)
-    if args.nmax < 1:
-        raise ConfigError("need nmax >= 1")
-    for band in spec.bands:
-        if band.a <= 0.0 <= band.b:
-            raise ConfigError("0 lies inside the support; 1/x expansion is undefined")
-    approx = recip_approx(spec, args.nmax, resolution=res)
+    spec, res = load_config(args.config)
+    approx = recip_approx(spec, args.nmax, resolution=_resolution(args, res))
     lines = ["N,max_error,reference_rate"]
     for i in range(args.nmax):
         nterms = i + 1
@@ -205,9 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="path to a JSON weight configuration")
         p.add_argument("--ppi", type=int, default=None,
-                       help="collocation points per interval (default 16)")
+                       help=f"collocation points per interval (default {Resolution().ppi})")
         p.add_argument("--circle-ratio", type=int, default=None,
-                       help="circle-to-interval point ratio (default 10)")
+                       help=f"circle-to-interval point ratio (default {Resolution().circle_ratio})")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p = sub.add_parser("coeffs", help="recurrence coefficients via the Riemann-Hilbert solver")
@@ -243,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except RHJacobiError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import Side, cauchy_cheb_table, joukowsky_inv, log_joukowsky_inv, sqrt_cut
-from .chebyshev import SQRT2, ChebKind, ChebSeries, Interval, adaptive_dct, band_integral
+from .chebyshev import SQRT2, ChebKind, Interval, adaptive_dct, band_integral
 from .errors import SolverError
 from .weights import WeightSpec
 

@@ -17,9 +17,7 @@ import numpy as np
 
 from .auxiliary import AuxData, HSystem, build_hsystem, eval_h, solve_aux
 from .cauchy import Side
-from .chebyshev import Interval
-from .errors import (ConvergenceError, DomainError, ImagPartWarning, PrecisionWarning,
-                     RHJacobiError, SolverError)
+from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
 from .green import GreenData, build_green, eval_g
 from .oracle import adaptive_gauss_mass
 from .rhp import ContourSet, JumpAssembly, RHSolution, build_contours, first_order, solve_matrix_rhp
@@ -38,7 +36,6 @@ class Resolution:
 
     ppi: int = 16
     circle_ratio: int = 10
-    margin: float = 0.0
 
 
 @dataclass
@@ -83,7 +80,7 @@ class SolveContext:
         self.green = green if green is not None else build_green(spec)
         self.hsys = hsys if hsys is not None else build_hsystem(spec, self.green)
         self.contours = contours if contours is not None else build_contours(
-            spec, resolution.ppi, resolution.circle_ratio, margin=resolution.margin)
+            spec, resolution.ppi, resolution.circle_ratio)
         self.jump_spec = jump_spec if jump_spec is not None else spec
         self._aux: dict = {}
         self._solutions: dict = {}
@@ -102,10 +99,6 @@ class SolveContext:
     def with_jump_spec(self, jump_spec: WeightSpec) -> "SolveContext":
         return SolveContext(self.spec, self.resolution, green=self.green,
                             hsys=self.hsys, contours=self.contours, jump_spec=jump_spec)
-
-    def max_circle_deviation(self, n: int) -> float:
-        jumps = JumpAssembly(self.jump_spec, self.green, self.hsys, self.aux(n))
-        return jumps.max_circle_deviation(self.contours)
 
 
 def _realify(value: complex, what: str, n: int) -> float:
@@ -130,19 +123,6 @@ def _pair_from_orders(ctx: SolveContext, n: int, S1_n: np.ndarray, S1_n1: np.nda
     return _realify(a_c, "a", n), _realify(b_c, "b", n)
 
 
-def recurrence_pair(spec: WeightSpec, green: GreenData, hsys: HSystem, n: int,
-                    resolution: Resolution = Resolution(), *,
-                    context: SolveContext | None = None):
-    """The pair (a_n, b_n): two adjacent solves and first-order extraction."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    ctx = context if context is not None else SolveContext(
-        spec, resolution, green=green, hsys=hsys)
-    S1_n = first_order(ctx.solution(n))
-    S1_n1 = first_order(ctx.solution(n + 1))
-    return _pair_from_orders(ctx, n, S1_n, S1_n1)
-
-
 def recurrence_range(spec: WeightSpec, n0: int, n1: int,
                      resolution: Resolution = Resolution(), *,
                      context: SolveContext | None = None) -> JacobiSegment:
@@ -155,7 +135,9 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
     rcond, the smaller of the two solves' condition estimates, each taken for
     the band system left after the circles are eliminated; circles_used, the
     number of circles the solve for n kept (circles whose jump is the identity
-    are dropped).
+    are dropped); circle_deviation, the largest |F - I| over the circle nodes
+    of the solve for n.  circle_deviation is kept where only the pair failed
+    (NaN only if the solve for n did), since large jump data makes pairs fail.
     """
     if not (0 <= n0 <= n1):
         raise DomainError(f"need 0 <= n0 <= n1, got ({n0}, {n1})")
@@ -167,6 +149,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
     residuals = np.full(count, np.nan)
     rcond = np.full(count, np.nan)
     circles_used = np.full(count, -1)
+    circle_deviation = np.full(count, np.nan)
     failures = []
     orders: dict = {}
 
@@ -177,6 +160,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
 
     for i, n in enumerate(range(n0, n1 + 1)):
         try:
+            circle_deviation[i] = ctx.solution(n).residual.circle_deviation
             a[i], b[i] = _pair_from_orders(ctx, n, order_of(n), order_of(n + 1))
             pair = (ctx.solution(n), ctx.solution(n + 1))
             residuals[i] = max(s.residual.off_collocation for s in pair)
@@ -192,14 +176,14 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
         "residuals": residuals,
         "rcond": rcond,
         "circles_used": circles_used,
+        "circle_deviation": circle_deviation,
         "max_residual": float(np.nanmax(residuals)) if np.any(np.isfinite(residuals)) else np.nan,
         "failures": failures,
     }
     return JacobiSegment(n0=n0, n1=n1, a=a, b=b, meta=meta)
 
 
-def cauchy_pn(spec: WeightSpec, green: GreenData, hsys: HSystem, n: int, z,
-              resolution: Resolution = Resolution(), *,
+def cauchy_pn(spec: WeightSpec, n: int, z, resolution: Resolution = Resolution(), *,
               context: SolveContext | None = None,
               jacobi: JacobiSegment | None = None) -> complex:
     """Cauchy transform at z of (nth orthonormal polynomial) x (weight).
@@ -208,8 +192,7 @@ def cauchy_pn(spec: WeightSpec, green: GreenData, hsys: HSystem, n: int, z,
     weight with p_0 = 1; the transform integrates against the raw weight.  The
     n-fold product of 1/(b_j c) is accumulated in log space.
     """
-    ctx = context if context is not None else SolveContext(
-        spec, resolution, green=green, hsys=hsys)
+    ctx = context if context is not None else SolveContext(spec, resolution)
     zc = complex(z)
     for band in spec.bands:
         if abs(zc.imag) < 1e-8 and band.a - 1e-8 <= zc.real <= band.b + 1e-8:
@@ -228,20 +211,21 @@ def cauchy_pn(spec: WeightSpec, green: GreenData, hsys: HSystem, n: int, z,
         bs = np.empty(0)
     side = Side.PLUS if abs(zc.imag) == 0.0 else Side.OFF
     zeval = zc.real if side is Side.PLUS else zc
-    expo = (eval_h(spec, hsys, ctx.aux(n), zeval, side)
-            - n * eval_g(green, zeval, side)
-            - np.sum(np.log(bs.astype(complex) * green.cap_const)))
+    expo = (eval_h(spec, ctx.hsys, ctx.aux(n), zeval, side)
+            - n * eval_g(ctx.green, zeval, side)
+            - np.sum(np.log(bs.astype(complex) * ctx.green.cap_const)))
     s12 = ctx.solution(n).eval(zc)[0, 1]
     return complex(s12 * np.exp(expo))
 
 
 def toda_evolve(spec0: WeightSpec, k: int, times,
-                resolution: Resolution = Resolution(), *,
-                horizon: float = JUMP_MAGNITUDE_HORIZON) -> TodaTrajectory:
+                resolution: Resolution = Resolution()) -> TodaTrajectory:
     """First k coefficient pairs of the weight scaled by exp(t x), per time.
 
     The Green's function, moment system, and contours depend only on the bands
-    and are computed once; only the jump data and solves are per-time.
+    and are computed once; only the jump data and solves are per-time.  A time
+    whose circle-jump deviation at n = 0 exceeds JUMP_MAGNITUDE_HORIZON is
+    recorded in warnings_ and raises a PrecisionWarning.
     """
     if k < 1:
         raise DomainError("need at least one coefficient pair")
@@ -253,13 +237,15 @@ def toda_evolve(spec0: WeightSpec, k: int, times,
     warns = []
     for t in times:
         ctx = base.with_jump_spec(spec0.with_exp_factor(float(t)))
-        dev = ctx.max_circle_deviation(0)
-        if dev > horizon:
+        seg = recurrence_range(spec0, 0, k - 1, resolution, context=ctx)
+        dev = seg.meta["circle_deviation"][0]
+        if dev > JUMP_MAGNITUDE_HORIZON:
             warns.append((float(t), dev))
             warnings.warn(
-                f"circle jump magnitude {dev:.2e} at t={t:g} exceeds {horizon:.1e}; "
-                f"results beyond this horizon lose precision", PrecisionWarning, stacklevel=2)
-        segments.append(recurrence_range(spec0, 0, k - 1, resolution, context=ctx))
+                f"circle jump magnitude {dev:.2e} at t={t:g} exceeds "
+                f"{JUMP_MAGNITUDE_HORIZON:.1e}; results beyond this horizon lose precision",
+                PrecisionWarning, stacklevel=2)
+        segments.append(seg)
     return TodaTrajectory(times=times, segments=segments, warnings_=warns)
 
 
@@ -314,15 +300,9 @@ def recip_approx(spec: WeightSpec, n_terms: int, grid=None,
     g0 = eval_g(ctx.green, 0.0, Side.PLUS)
 
     coeffs = np.empty(n_terms)
-    log_prefactor = 0.0 + 0.0j
     for j in range(n_terms):
-        if j > 0:
-            log_prefactor = log_prefactor - np.log(segment.b[j - 1] * ctx.green.cap_const)
-        h_j = eval_h(spec, ctx.hsys, ctx.aux(j), 0.0, Side.PLUS)
-        s12 = ctx.solution(j).eval(0.0 + 0.0j)[0, 1]
-        cj = s12 * np.exp(log_prefactor + h_j - j * g0)
-        kappa = 2j * np.pi * cj / eta
-        coeffs[j] = _realify(complex(kappa), "recip coefficient", j)
+        cj = cauchy_pn(spec, j, 0.0, context=ctx, jacobi=segment)
+        coeffs[j] = _realify(2j * np.pi * cj / eta, "recip coefficient", j)
 
     pvals = orthonormal_eval(segment, n_terms, grid)
     target = 1.0 / grid

@@ -1,5 +1,5 @@
-"""Collocation solver for scalar and 2x2 Riemann-Hilbert problems on unions of
-circles and intervals.
+"""Collocation solver for the 2x2 Riemann-Hilbert problem on a union of circles
+and intervals.
 
 Unknowns are Laurent coefficients on circles and Chebyshev-kernel coefficients
 on bands; jump conditions are enforced at equispaced circle points and mapped
@@ -7,20 +7,20 @@ first-kind roots.  The matrix problem decouples row-wise, so one LU
 factorization serves both rows.  A circle jump is unit lower-triangular, so
 the circle densities are eliminated exactly: the second column vanishes and
 the first is a discrete Fourier transform of band data.  Only the band
-unknowns are factored.  Every solve reports an off-collocation residual and a
-condition estimate of the band system; basis-mismatch failures are visible
-there.
+unknowns are factored.  Every solve reports an off-collocation residual, a
+condition estimate of the band system and the largest circle-jump deviation;
+a kernel basis that does not match the jump shows up in the residual.
 
 A circle whose jump matrix differs from the identity by less than
 IDENTITY_JUMP at all of its collocation nodes carries no density to double
-precision.  The 2x2 solver drops it for that solve, so at large n only the
-bands are solved; the off-collocation residual still checks every circle.
+precision.  The solver drops it for that solve, so at large n only the bands
+are solved; the off-collocation residual still checks every circle.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
@@ -28,7 +28,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .auxiliary import AuxData, HSystem, eval_h
 from .cauchy import Side, cauchy_cheb_table
-from .chebyshev import ChebKind, Interval, cheb_t_nodes
+from .chebyshev import Interval, cheb_t_nodes
 from .errors import GeometryError, ResidualWarning, SolverError, WeightError
 from .green import GreenData, eval_g
 from .weights import WeightSpec
@@ -39,6 +39,9 @@ _I2PI = 1j / (2.0 * np.pi)
 # the 2x2 solver drops the circle.  On two bands, n = 50..85, this and 1e-3 of
 # it both agree with the solve on every circle to 6e-15.
 IDENTITY_JUMP = np.finfo(float).eps
+
+# Off-collocation residual above which a solve warns.
+RESIDUAL_WARN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -54,13 +57,11 @@ class Circle:
     center: float
     radius: float
     n_points: int
-    pos_modes: int | None = None
+    pos_modes: int
 
     @property
     def exponents(self) -> np.ndarray:
         c = self.n_points
-        if self.pos_modes is None:
-            return np.arange(-(c // 2), c - c // 2)
         p = min(self.pos_modes, c // 2)
         return np.arange(-(c - 1 - p), p + 1)
 
@@ -99,51 +100,31 @@ class ContourSet:
         return self.circles + self.bands
 
 
-def build_contours(spec: WeightSpec, ppi: int, circle_ratio: int = 10, *,
-                   margin: float = 0.0, radii=None) -> ContourSet:
+def build_contours(spec: WeightSpec, ppi: int, circle_ratio: int) -> ContourSet:
     """Per-band circles plus the bands themselves as collocation pieces.
 
-    Circle j is centered at the band midpoint with radius at least 5/8 of the
-    band length (below that the deformed jumps misbehave), capped by half the
-    distance to neighboring centers and by the clearance to other bands.
+    Circle j is centered at the band midpoint with radius 5/8 of the band
+    length (below that the deformed jumps misbehave).  GeometryError if two
+    circles meet or a circle reaches another band.
     """
     if ppi < 2:
         raise GeometryError("need at least 2 collocation points per interval")
     bands = spec.bands
     centers = np.array([b.mid for b in bands])
-    base = np.array([0.625 * b.length for b in bands])
-
-    radii_out = np.empty(len(bands))
-    for j, band in enumerate(bands):
-        cand = radii[j] if radii is not None else base[j] * (1.0 + margin)
-        cap = np.inf
-        for k, other in enumerate(bands):
-            if k == j:
-                continue
-            # Share the center distance in proportion to the two circles'
-            # minimum radii so unequal bands are not penalized equally.
-            d = abs(centers[k] - centers[j])
-            cap = min(cap, d * base[j] / (base[j] + base[k]))
-            cap = min(cap, min(abs(centers[j] - other.a), abs(centers[j] - other.b)))
-        r = min(cand, cap)
-        if r < base[j]:
-            raise GeometryError(
-                f"cannot fit a radius >= {base[j]:g} circle around band {j} "
-                f"[{band.a:g}, {band.b:g}]; clearance allows only {cap:g}")
-        radii_out[j] = r
+    radii = np.array([0.625 * b.length for b in bands])
 
     # Strict pairwise disjointness and band clearance.
     for j in range(len(bands)):
         for k in range(j + 1, len(bands)):
-            gap = abs(centers[k] - centers[j]) - radii_out[j] - radii_out[k]
-            if gap <= 0.0:
-                raise GeometryError(f"circles around bands {j} and {k} are not disjoint")
+            if abs(centers[k] - centers[j]) <= radii[j] + radii[k]:
+                raise GeometryError(f"circles of radius {radii[j]:g} and {radii[k]:g} "
+                                    f"around bands {j} and {k} are not disjoint")
         for k, other in enumerate(bands):
-            if k != j and radii_out[j] >= min(abs(centers[j] - other.a), abs(centers[j] - other.b)):
+            if k != j and radii[j] >= min(abs(centers[j] - other.a), abs(centers[j] - other.b)):
                 raise GeometryError(f"circle around band {j} touches band {k}")
 
-    for j, band in enumerate(bands):
-        _validate_h_on_disk(spec, j, centers[j], radii_out[j])
+    for j in range(len(bands)):
+        _validate_h_on_disk(spec, j, centers[j], radii[j])
 
     circles = []
     for j in range(len(bands)):
@@ -158,12 +139,12 @@ def build_contours(spec: WeightSpec, ppi: int, circle_ratio: int = 10, *,
         for zero in np.atleast_1d(spec.h[j].zero_locations()):
             dist = min(dist, abs(zero - centers[j]))
         npts = int(circle_ratio * ppi)
-        if np.isfinite(dist) and dist > radii_out[j]:
-            pos = int(np.ceil(37.0 / np.log(dist / radii_out[j])))
+        if np.isfinite(dist) and dist > radii[j]:
+            pos = int(np.ceil(37.0 / np.log(dist / radii[j])))
             pos = max(12, min(pos, npts // 2))
         else:
             pos = 12 if np.isinf(dist) else npts // 2
-        circles.append(Circle(float(centers[j]), float(radii_out[j]), npts, pos))
+        circles.append(Circle(float(centers[j]), float(radii[j]), npts, pos))
     band_pieces = tuple(BandPiece(band, int(ppi)) for band in bands)
     return ContourSet(circles=tuple(circles), bands=band_pieces)
 
@@ -230,22 +211,17 @@ class JumpAssembly:
         out[..., 1, 0] = -np.exp(a_j) / w
         return out
 
-    def max_circle_deviation(self, contours: ContourSet) -> float:
-        """Largest |F - I| entry over all circle nodes; a precision proxy."""
-        dev = 0.0
-        for j, circ in enumerate(contours.circles):
-            F = self.circle_jump(j, circ.nodes())
-            dev = max(dev, float(np.max(np.abs(F[..., 1, 0]))))
-        return dev
-
 
 @dataclass
 class ResidualReport:
-    """Off-collocation jump defect over every piece, and the LU-based condition
-    estimate of the band system that remains after the circles are eliminated."""
+    """Off-collocation jump defect over every piece; the LU-based condition
+    estimate of the band system that remains after the circles are eliminated;
+    and circle_deviation, the largest |F - I| (the (1, 0) entry) over the
+    collocation nodes of every circle, a precision proxy (0 without circles)."""
 
     off_collocation: float
     rcond: float
+    circle_deviation: float
 
 
 @dataclass
@@ -358,9 +334,9 @@ def default_bases(spec: WeightSpec) -> tuple:
     return tuple((kind.flipped, kind) for kind in spec.kinds)
 
 
-def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly,
-                     bases=None, *, warn_tol: float = 1e-6) -> RHSolution:
-    """Solve the block collocation system for both rows at once.
+def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly) -> RHSolution:
+    """Solve the block collocation system for both rows at once, in the kernel
+    bases default_bases(spec).
 
     Every circle jump must be unit lower-triangular at the circle's nodes,
     F = [[1, 0], [v, 1]]; SolverError otherwise.  Circle j is dropped when
@@ -369,16 +345,16 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     column-0 density is an explicit function of the band unknowns, so only
     the bands are factored.  The returned solution's contours list the bands
     and the kept circles.  The off-collocation residual checks every piece of
-    `contours`, the dropped circles included.
+    `contours`, the dropped circles included; above RESIDUAL_WARN it warns.
     """
-    bases = tuple(default_bases(spec) if bases is None else bases)
+    bases = default_bases(spec)
     circle_nodes = [c.nodes() for c in contours.circles]
     circle_F = [jumps.circle_jump(j, z) for j, z in enumerate(circle_nodes)]
     for j, Fj in enumerate(circle_F):
         if np.any(Fj[:, 0, 0] != 1.0) or np.any(Fj[:, 1, 1] != 1.0) or np.any(Fj[:, 0, 1] != 0.0):
             raise SolverError(f"jump on circle {j} is not unit lower-triangular at its nodes")
-    kept = [j for j, Fj in enumerate(circle_F)
-            if not np.max(np.abs(Fj[:, 1, 0])) < IDENTITY_JUMP]
+    deviation = [float(np.max(np.abs(Fj[:, 1, 0]))) for Fj in circle_F]
+    kept = [j for j, dev in enumerate(deviation) if not dev < IDENTITY_JUMP]
     used = ContourSet(circles=tuple(contours.circles[j] for j in kept), bands=contours.bands)
     bands = used.bands
     nodes = [bp.nodes() for bp in bands]
@@ -451,12 +427,12 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
         coeff[:, 0, :] = u0.T
         circle_coeffs.append(coeff)
     sol = RHSolution(contours=used, bases=bases, circle_coeffs=circle_coeffs,
-                     band_coeffs=band_coeffs, residual=ResidualReport(np.nan, float(rcond)))
+                     band_coeffs=band_coeffs, residual=ResidualReport(np.nan, float(rcond), max(deviation, default=0.0)))
     sol.residual.off_collocation = _off_collocation_residual(sol, jumps, contours, kept)
-    if sol.residual.off_collocation > warn_tol:
+    if sol.residual.off_collocation > RESIDUAL_WARN:
         warnings.warn(
             f"off-collocation jump residual {sol.residual.off_collocation:.2e} exceeds "
-            f"{warn_tol:.1e} (n={jumps.n}); increase resolution or check the basis",
+            f"{RESIDUAL_WARN:.1e} (n={jumps.n}); increase resolution or check the basis",
             ResidualWarning, stacklevel=2)
     return sol
 
@@ -500,89 +476,3 @@ def first_order(sol: RHSolution) -> np.ndarray:
         out += _I2PI * coeff[:, :, 0]
     return out
 
-
-# ---------------------------------------------------------------------------
-# Scalar model problems (unit circle / unit interval)
-
-
-@dataclass
-class ScalarCircleSolution:
-    coeffs: np.ndarray
-    exponents: np.ndarray
-    residual: float
-
-    def __call__(self, z):
-        z = np.asarray(z, dtype=complex)
-        scalar = z.ndim == 0
-        zz = np.atleast_1d(z)
-        out = 1.0 + _circle_table(Circle(0.0, 1.0, len(self.exponents)), zz, None) @ self.coeffs
-        return complex(out[0]) if scalar else out
-
-
-def solve_scalar_circle(f, N: int) -> ScalarCircleSolution:
-    """Solve Phi+ = Phi- f on the unit circle with Phi(inf) = 1."""
-    npts = 2 * N + 1
-    z = np.exp(2j * np.pi * np.arange(npts) / npts)
-    fv = np.asarray(f(z), dtype=complex)
-    exps = np.arange(-N, N + 1)
-    W = z[:, None] ** exps[None, :]
-    A = W.copy()
-    A[:, exps < 0] *= fv[:, None]
-    try:
-        c = np.linalg.solve(A, fv - 1.0)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"scalar circle system is singular: {exc}") from exc
-    zt = np.exp(2j * np.pi * (np.arange(4 * npts) + 0.5) / (4 * npts))
-    ft = np.asarray(f(zt), dtype=complex)
-    Wt = zt[:, None] ** exps[None, :]
-    plus = 1.0 + Wt[:, exps >= 0] @ c[exps >= 0]
-    minus = 1.0 - Wt[:, exps < 0] @ c[exps < 0]
-    res = float(np.max(np.abs(plus - ft * minus)))
-    return ScalarCircleSolution(coeffs=c, exponents=exps, residual=res)
-
-
-@dataclass
-class ScalarIntervalSolution:
-    kind: ChebKind
-    coeffs: np.ndarray
-    residual: float
-
-    def __call__(self, z, side: Side = Side.OFF):
-        z = np.asarray(z, dtype=complex if side is Side.OFF else float)
-        scalar = z.ndim == 0
-        zz = np.atleast_1d(z)
-        K = cauchy_cheb_table(self.kind, len(self.coeffs), Interval(-1.0, 1.0), zz, side)
-        out = 1.0 + K @ self.coeffs
-        return complex(out[0]) if scalar else out
-
-
-def solve_scalar_interval(f, basis: ChebKind, N: int, *,
-                          warn_tol: float = 1e-8) -> ScalarIntervalSolution:
-    """Solve Phi+ = Phi- f on [-1, 1] with Phi(inf) = 1 in the given kernel basis.
-
-    A basis whose endpoint behavior mismatches the jump will not converge; the
-    off-collocation residual exposes this and triggers a warning.
-    """
-    npts = 2 * N + 1
-    x = np.asarray(cheb_t_nodes(npts))
-    fv = np.asarray(f(x), dtype=complex)
-    unit = Interval(-1.0, 1.0)
-    Kp = cauchy_cheb_table(basis, npts, unit, x, Side.PLUS)
-    Km = cauchy_cheb_table(basis, npts, unit, x, Side.MINUS)
-    A = Kp - fv[:, None] * Km
-    try:
-        d = np.linalg.solve(A, fv - 1.0)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"scalar interval system is singular: {exc}") from exc
-    i = np.arange(npts) + 1.0
-    xt = np.cos(i * np.pi / (npts + 1.0))
-    ft = np.asarray(f(xt), dtype=complex)
-    Ktp = cauchy_cheb_table(basis, npts, unit, xt, Side.PLUS)
-    Ktm = cauchy_cheb_table(basis, npts, unit, xt, Side.MINUS)
-    res = float(np.max(np.abs((1.0 + Ktp @ d) - ft * (1.0 + Ktm @ d))))
-    if res > warn_tol:
-        warnings.warn(
-            f"scalar interval solve residual {res:.2e} exceeds {warn_tol:.1e}; "
-            f"the {basis.value}-kind basis may mismatch the jump's endpoint behavior",
-            ResidualWarning, stacklevel=2)
-    return ScalarIntervalSolution(kind=basis, coeffs=d, residual=res)

@@ -10,12 +10,12 @@ enough to contain the deformation circle around the band.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cauchy import Side, sqrt_cut
+from .cauchy import Side
 from .chebyshev import ChebKind, Interval
 from .errors import WeightError
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cauchy_quad
-from rhjacobi.cauchy import (Side, cauchy_cheb, cauchy_cheb_table, cauchy_first_order,
-                             joukowsky_inv, log_joukowsky_inv, sqrt_cut)
+from rhjacobi.cauchy import (Side, cauchy_cheb, cauchy_cheb_table, joukowsky_inv,
+                             log_joukowsky_inv, sqrt_cut)
 from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, UNIT, cheb_eval, normalized_weight_value
 from rhjacobi.errors import EndpointError
 
@@ -170,13 +170,20 @@ class TestCauchyCheb:
 
 
 class TestFirstOrder:
+    """The 1/z coefficient that first_order reads off the band kernels: i/(2 pi)
+    at degree 0 and zero above, for every kind and interval.  z times the
+    transform at large z differs from it by O(|s|/|z|)."""
+
+    Z = 1e6 * (1.0 + 0.6j)
+
     def test_degree_zero(self):
-        assert cauchy_first_order(ChebKind.T, 0, Interval(2.0, 3.0)) == I2PI
+        assert self.Z * cauchy_cheb(ChebKind.T, 0, Interval(2.0, 3.0), self.Z) == \
+            pytest.approx(I2PI, abs=1e-5)
 
     def test_higher_degrees_vanish(self):
-        assert cauchy_first_order(ChebKind.W, 4, UNIT) == 0.0
+        assert abs(self.Z * cauchy_cheb(ChebKind.W, 4, UNIT, self.Z)) < 1e-9
 
     def test_interval_independent(self):
-        a = cauchy_first_order(ChebKind.U, 0, Interval(-7.0, -1.0))
-        b = cauchy_first_order(ChebKind.U, 0, Interval(10.0, 11.0))
-        assert a == b == I2PI
+        for iv in (Interval(-7.0, -1.0), Interval(10.0, 11.0)):
+            assert self.Z * cauchy_cheb(ChebKind.U, 0, iv, self.Z) == \
+                pytest.approx(I2PI, abs=1e-5)

@@ -89,7 +89,7 @@ class TestDct:
         np.testing.assert_allclose(ser(x), f(x), atol=1e-14)
 
     def test_truncated_drops_trailing_noise(self):
-        ser = ChebSeries(ChebKind.T, UNIT, np.array([1.0, 0.5, 1e-18, 1e-19]))
+        ser = ChebSeries(UNIT, np.array([1.0, 0.5, 1e-18, 1e-19]))
         assert len(ser.truncated()) == 2
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from rhjacobi.cli import main
+from rhjacobi.errors import PrecisionWarning
 
 
 def _config(tmp_path, intervals, kinds):
@@ -52,3 +53,50 @@ def test_oracle_reports_delta(single_u, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# method=oracle")
     assert lines[1] == "n,a,b,delta"
+
+
+def test_recip_zero_in_support_exits_1(single_u, capsys):
+    # the library's DomainError, not a copy of its check in the CLI
+    assert main(["recip", single_u, "--nmax", "3"]) == 1
+    assert "0 lies inside the support" in capsys.readouterr().err
+
+
+def test_toda_warning_reaches_caller_and_csv(single_u, tmp_path):
+    out = tmp_path / "toda.csv"
+    # past the horizon the pairs fail as well: exit 2
+    with pytest.warns(PrecisionWarning):
+        assert main(["toda", single_u, "--t0", "15", "--steps", "1", "--k", "2",
+                     "--out", str(out)]) == 2
+    assert any(line.startswith("# warning:") for line in out.read_text().splitlines())
+
+
+_VALID = {"intervals": [[-1.0, 1.0]], "kinds": ["U"]}
+
+
+@pytest.mark.parametrize("text,message", [
+    (None, "cannot read config file"),
+    ("{", "not valid JSON"),
+    ("[]", "root must be an object"),
+    (json.dumps({"kinds": ["U"]}), "missing required field 'intervals'"),
+    (json.dumps({"intervals": [[-1.0, 1.0]]}), "missing required field 'kinds'"),
+    (json.dumps({**_VALID, "intervals": []}), "field 'intervals' must be a nonempty list"),
+    (json.dumps({**_VALID, "intervals": [[-1.0]]}), "field 'intervals[0]' must be a pair"),
+    (json.dumps({**_VALID, "intervals": [[1.0, -1.0]]}), "field 'intervals[0]' is invalid"),
+    (json.dumps({**_VALID, "kinds": ["U", "T"]}), "field 'kinds' must be a list matching"),
+    (json.dumps({**_VALID, "kinds": ["X"]}), "field 'kinds[0]' is invalid"),
+    (json.dumps({**_VALID, "h": {"type": "nope"}}), "field 'h' is invalid"),
+    (json.dumps({"intervals": [[0.0, 2.0], [1.0, 3.0]], "kinds": ["U", "U"]}),
+     "invalid weight specification"),
+    (json.dumps({**_VALID, "resolution": 8}), "field 'resolution' must be an object"),
+    (json.dumps({**_VALID, "resolution": {"ppi": "x"}}), "field 'resolution.ppi' must be an integer"),
+    (json.dumps({**_VALID, "resolution": {"circle_ratio": 8.9}}),
+     "field 'resolution.circle_ratio' must be an integer"),
+    (json.dumps({**_VALID, "resolution": {"margin": 0.1}}), "unknown field 'resolution.margin'"),
+    (json.dumps({**_VALID, "circle_radii": [3.0]}), "unknown field 'circle_radii'"),
+])
+def test_config_error_names_field(tmp_path, capsys, text, message):
+    path = tmp_path / "weight.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["coeffs", str(path), "--n1", "0"]) == 1
+    assert message in capsys.readouterr().err

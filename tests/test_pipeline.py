@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from oracles import weight_integral
-from rhjacobi.cauchy import Side, cauchy_cheb
-from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, UNIT
+from rhjacobi.cauchy import cauchy_cheb
+from rhjacobi.chebyshev import SQRT2, ChebKind, UNIT
 from rhjacobi.errors import DomainError, ImagPartWarning, PrecisionWarning, SolverError
 from rhjacobi.oracle import adaptive_oracle, discretize
 from rhjacobi.pipeline import (Resolution, SolveContext, _realify, cauchy_pn,
-                               orthonormal_eval, recip_approx, recurrence_pair,
-                               recurrence_range, toda_evolve)
+                               orthonormal_eval, recip_approx, recurrence_range,
+                               toda_evolve)
+from rhjacobi.rhp import JumpAssembly
 from rhjacobi.weights import WeightSpec
 
 RES8 = Resolution(8, 10)
@@ -24,30 +25,20 @@ class TestRecurrencePair:
     def test_classical_kinds(self, kind, a0, b0):
         spec = WeightSpec.single(kind)
         ctx = SolveContext(spec, Resolution(16, 10))
-        a, b = recurrence_pair(spec, ctx.green, ctx.hsys, 0, context=ctx)
-        assert a == pytest.approx(a0, abs=1e-11)
-        assert b == pytest.approx(b0, abs=1e-11)
+        seg = recurrence_range(spec, 0, 0, context=ctx)
+        assert seg.a[0] == pytest.approx(a0, abs=1e-11)
+        assert seg.b[0] == pytest.approx(b0, abs=1e-11)
 
     def test_mapped_interval_scaling(self):
         # entries scale affinely with the interval: a -> mid, b -> half/2
         spec = WeightSpec.single(ChebKind.U, (2.0, 5.0))
         ctx = SolveContext(spec, Resolution(16, 10))
-        a, b = recurrence_pair(spec, ctx.green, ctx.hsys, 2, context=ctx)
-        assert a == pytest.approx(3.5, abs=1e-11)
-        assert b == pytest.approx(0.75, abs=1e-11)
-
-    def test_negative_index_rejected(self, ctx_u, spec_u):
-        with pytest.raises(DomainError):
-            recurrence_pair(spec_u, ctx_u.green, ctx_u.hsys, -1, context=ctx_u)
+        seg = recurrence_range(spec, 2, 2, context=ctx)
+        assert seg.a[0] == pytest.approx(3.5, abs=1e-11)
+        assert seg.b[0] == pytest.approx(0.75, abs=1e-11)
 
 
 class TestRecurrenceRange:
-    def test_single_pair_consistency(self, spec_two_band, ctx_two_band):
-        seg = recurrence_range(spec_two_band, 5, 5, context=ctx_two_band)
-        a, b = recurrence_pair(spec_two_band, ctx_two_band.green, ctx_two_band.hsys,
-                               5, context=ctx_two_band)
-        assert seg.a[0] == a and seg.b[0] == b
-
     def test_matches_oracle_segment(self, spec_two_band, ctx_two_band):
         seg = recurrence_range(spec_two_band, 0, 12, context=ctx_two_band)
         ref = adaptive_oracle(spec_two_band, 13, 1e-12)
@@ -87,9 +78,19 @@ class TestRecurrenceRange:
         assert np.all(seg.meta["circles_used"] == 4)
         assert not seg.meta["failures"]
 
+    def test_circle_deviation_recorded(self, spec_two_band, ctx_two_band):
+        seg = recurrence_range(spec_two_band, 18, 20, context=ctx_two_band)
+        for i, n in enumerate(seg.ns):
+            jumps = JumpAssembly(spec_two_band, ctx_two_band.green, ctx_two_band.hsys,
+                                 ctx_two_band.aux(n))
+            dev = max(np.max(np.abs(jumps.circle_jump(j, c.nodes())[:, 1, 0]))
+                      for j, c in enumerate(ctx_two_band.contours.circles))
+            assert seg.meta["circle_deviation"][i] == dev
+
     def test_bad_range_rejected(self, spec_u):
-        with pytest.raises(DomainError):
-            recurrence_range(spec_u, 5, 3)
+        for n0, n1 in ((5, 3), (-1, -1)):
+            with pytest.raises(DomainError):
+                recurrence_range(spec_u, n0, n1)
 
 
 class TestRealifyPolicy:
@@ -108,8 +109,7 @@ class TestRealifyPolicy:
 class TestCauchyPn:
     def test_n0_matches_quadrature(self, spec_two_band, ctx_two_band):
         z = 0.5 + 0.0j  # in the gap
-        got = cauchy_pn(spec_two_band, ctx_two_band.green, ctx_two_band.hsys, 0, z,
-                        context=ctx_two_band)
+        got = cauchy_pn(spec_two_band, 0, z, context=ctx_two_band)
         ref = sum(weight_integral(spec_two_band, j, lambda s: 1.0 / (s - z.real))
                   for j in range(2)) / (2j * np.pi)
         assert got == pytest.approx(ref, abs=1e-10)
@@ -120,21 +120,19 @@ class TestCauchyPn:
         spec = WeightSpec.single(ChebKind.U)
         ctx = SolveContext(spec, Resolution(16, 10))
         z = 0.8 + 1.1j
-        got = cauchy_pn(spec, ctx.green, ctx.hsys, 3, z, context=ctx)
+        got = cauchy_pn(spec, 3, z, context=ctx)
         ref = (np.pi / 2) * cauchy_cheb(ChebKind.U, 3, UNIT, z)
         assert got == pytest.approx(ref, abs=1e-10)
 
     def test_orthogonality_kills_leading_order(self, spec_two_band, ctx_two_band):
         z = 1e4 + 0.0j
         for n in (1, 3):
-            val = cauchy_pn(spec_two_band, ctx_two_band.green, ctx_two_band.hsys,
-                            n, z, context=ctx_two_band)
+            val = cauchy_pn(spec_two_band, n, z, context=ctx_two_band)
             assert abs(z * val) < 1e-3
 
     def test_near_support_warns(self, spec_two_band, ctx_two_band):
         with pytest.warns(PrecisionWarning):
-            cauchy_pn(spec_two_band, ctx_two_band.green, ctx_two_band.hsys, 0,
-                      2.5 + 1e-10j, context=ctx_two_band,
+            cauchy_pn(spec_two_band, 0, 2.5 + 1e-10j, context=ctx_two_band,
                       jacobi=recurrence_range(spec_two_band, 0, 0, context=ctx_two_band))
 
 
@@ -197,8 +195,7 @@ class TestRecip:
     def test_first_term_is_definition(self, spec_two_band, ctx_two_band):
         approx = recip_approx(spec_two_band, 1, context=ctx_two_band)
         eta = sum(weight_integral(spec_two_band, j) for j in range(2))
-        c0 = cauchy_pn(spec_two_band, ctx_two_band.green, ctx_two_band.hsys, 0,
-                       0.0, context=ctx_two_band)
+        c0 = cauchy_pn(spec_two_band, 0, 0.0, context=ctx_two_band)
         kappa0 = complex(2j * np.pi * c0 / eta)
         assert approx.coeffs[0] == pytest.approx(kappa0.real, abs=1e-10)
         ref_err = np.max(np.abs(kappa0.real - 1.0 / approx.grid))

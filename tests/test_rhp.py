@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from rhjacobi.auxiliary import build_hsystem, solve_aux
-from rhjacobi.cauchy import Side, cauchy_cheb
-from rhjacobi.chebyshev import ChebKind, Interval, UNIT
+from rhjacobi.cauchy import cauchy_cheb
+from rhjacobi.chebyshev import ChebKind, UNIT
 from rhjacobi.errors import GeometryError, ResidualWarning, SolverError, WeightError
 from rhjacobi.green import build_green
 from rhjacobi.rhp import (JumpAssembly, build_contours, default_bases, first_order,
-                          solve_matrix_rhp, solve_scalar_circle, solve_scalar_interval)
+                          solve_matrix_rhp)
 from rhjacobi.weights import HPoly, WeightSpec
 
 
@@ -39,10 +39,6 @@ class TestBuildContours:
         with pytest.raises(WeightError):
             build_contours(spec, 8, 10)
 
-    def test_radius_override(self, spec_u):
-        ct = build_contours(spec_u, 8, 10, radii=[1.5])
-        assert ct.circles[0].radius == 1.5
-
     def test_nodes_shapes(self, spec_two_band):
         ct = build_contours(spec_two_band, 8, 10)
         for circ in ct.circles:
@@ -52,48 +48,6 @@ class TestBuildContours:
             x = bp.nodes()
             assert x.shape == (8,)
             assert bp.interval.contains(x)
-
-
-class TestScalarCircle:
-    def test_identity_jump(self):
-        sol = solve_scalar_circle(lambda z: np.ones_like(z), 10)
-        np.testing.assert_allclose(sol.coeffs, 0.0, atol=1e-14)
-        assert sol(0.5 + 0.1j) == pytest.approx(1.0)
-
-    def test_exponential_jump_closed_form(self):
-        # f = e^z factorizes as e^z inside, 1 outside
-        sol = solve_scalar_circle(np.exp, 20)
-        assert sol.residual < 1e-12
-        zin, zout = 0.3 - 0.4j, 2.0 + 1.0j
-        assert sol(zin) == pytest.approx(np.exp(zin), abs=1e-13)
-        assert sol(zout) == pytest.approx(1.0, abs=1e-13)
-
-    def test_residual_decays_geometrically(self):
-        f = lambda z: np.exp(0.8 * z + 0.3 / z)
-        res = [solve_scalar_circle(f, N).residual for N in (4, 8, 16)]
-        assert res[1] < res[0] / 10
-        assert res[2] < res[1] / 10 or res[2] < 1e-12
-
-
-class TestScalarInterval:
-    def test_identity_jump(self):
-        sol = solve_scalar_interval(lambda x: np.ones_like(x), ChebKind.T, 8)
-        np.testing.assert_allclose(sol.coeffs, 0.0, atol=1e-13)
-
-    def test_sign_jump_w_basis_closed_form(self):
-        sol = solve_scalar_interval(lambda x: -np.ones_like(x), ChebKind.W, 10)
-        assert sol.residual < 1e-12
-        for z in (0.7 + 0.9j, -2.0 + 0.3j, 5.0):
-            exact = np.sqrt(z - 1) / np.sqrt(z + 1)
-            assert sol(z) == pytest.approx(exact, abs=1e-12)
-
-    def test_sign_jump_wrong_basis_stagnates(self):
-        residuals = []
-        for N in (5, 10, 20):
-            with pytest.warns(ResidualWarning):
-                sol = solve_scalar_interval(lambda x: -np.ones_like(x), ChebKind.U, N)
-            residuals.append(sol.residual)
-        assert min(residuals) > 1e-3
 
 
 class _IdentityJumps:
@@ -207,6 +161,20 @@ class TestMatrixSolve:
         assert sol.contours.circles == ()
         assert sol.residual.off_collocation > 0.05
 
+    @pytest.mark.parametrize("ppi", [8, 16, 32])
+    def test_mismatched_basis_shows_in_residual(self, spec_u, ppi):
+        # the T weight's kernel bases (U, T) against the U weight's jump, whose
+        # endpoint behavior needs (T, U): the residual stays O(1) as ppi grows
+        gd = build_green(spec_u)
+        hs = build_hsystem(spec_u, gd)
+        ct = build_contours(spec_u, ppi, 10)
+        jumps = JumpAssembly(spec_u, gd, hs, solve_aux(hs, gd, 1))
+        with pytest.warns(ResidualWarning):
+            wrong = solve_matrix_rhp(WeightSpec.single(ChebKind.T), ct, jumps)
+        assert wrong.residual.off_collocation > 1.0
+        right = solve_matrix_rhp(spec_u, ct, jumps)
+        assert right.residual.off_collocation < 1e-6
+
     def test_circle_jump_must_be_unit_lower_triangular(self, ctx_two_band, spec_two_band):
         jumps = _UpperEntryOnCircles(spec_two_band, ctx_two_band.green, ctx_two_band.hsys,
                                      ctx_two_band.aux(3))
@@ -235,10 +203,11 @@ class TestJumpAssembly:
         assert np.max(np.abs(F[:, 1, 0])) > 0
 
     def test_circle_jump_decays_in_n(self, ctx_u, spec_u):
+        z = ctx_u.contours.circles[0].nodes()
         devs = []
         for n in range(8, 20):
             jumps = JumpAssembly(spec_u, ctx_u.green, ctx_u.hsys, ctx_u.aux(n))
-            devs.append(jumps.max_circle_deviation(ctx_u.contours))
+            devs.append(np.max(np.abs(jumps.circle_jump(0, z)[:, 1, 0])))
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
     def test_default_bases_flip(self, spec_two_band):
