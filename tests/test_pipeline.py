@@ -37,6 +37,10 @@ class TestRecurrencePair:
         assert seg.a[0] == pytest.approx(3.5, abs=1e-11)
         assert seg.b[0] == pytest.approx(0.75, abs=1e-11)
 
+    def test_negative_index_rejected(self, ctx_u, spec_u):
+        with pytest.raises(DomainError):
+            recurrence_range(spec_u, -1, -1, context=ctx_u)
+
 
 class TestRecurrenceRange:
     def test_matches_oracle_segment(self, spec_two_band, ctx_two_band):
@@ -88,9 +92,8 @@ class TestRecurrenceRange:
             assert seg.meta["circle_deviation"][i] == dev
 
     def test_bad_range_rejected(self, spec_u):
-        for n0, n1 in ((5, 3), (-1, -1)):
-            with pytest.raises(DomainError):
-                recurrence_range(spec_u, n0, n1)
+        with pytest.raises(DomainError):
+            recurrence_range(spec_u, 5, 3)
 
 
 class TestRealifyPolicy:
