@@ -7,8 +7,8 @@ Lanczos reference computation is included for verification.
 
 from .auxiliary import AuxData, HSystem, build_hsystem, eval_h, solve_aux, wrap_angle
 from .cauchy import Side, cauchy_cheb, cauchy_cheb_table, joukowsky_inv, sqrt_cut
-from .chebyshev import (ChebKind, ChebSeries, Interval, band_integral, cheb_eval,
-                        cheb_t_nodes, dct_coeffs, gauss_cheb_rule)
+from .chebyshev import (ChebKind, ChebSeries, Interval, cheb_eval, cheb_t_nodes, dct_coeffs,
+                        gauss_cheb_rule)
 from .errors import (ConvergenceError, DomainError, EndpointError, GeometryError,
                      ImagPartWarning, PrecisionWarning, ResidualWarning, RHJacobiError,
                      SolverError, WeightError)

@@ -3,7 +3,9 @@
 The function is R(z) times a combination of Cauchy transforms of 1/R densities
 over bands and gaps, with band constants A_j(n) solving a small moment system
 whose right-hand side carries the principal-log-wrapped gap phases.  The moment
-matrix is n-independent, so one factorization serves every n.
+matrix is n-independent, so one factorization serves every n.  The densities
+are the band and gap series that build_green expands; the factors tying them
+to 1/R are the closed-form Plemelj constants -i pi and pi.
 """
 
 from __future__ import annotations
@@ -13,26 +15,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import Side, cauchy_cheb_table
-from .chebyshev import ChebKind, ChebSeries, band_integral, adaptive_dct
+from .chebyshev import ChebKind
 from .errors import ImagPartWarning, SolverError
 from .green import GreenData, eval_R
 from .weights import WeightSpec
 import warnings
 
+# Constants tying a density series to the 1/R density it stands for (see
+# build_hsystem).
+BAND_FACTOR = -1j * np.pi
+GAP_FACTOR = np.pi
+
 
 @dataclass
 class HSystem:
-    """Moment matrix, reusable inverse, densities, and calibrated prefactors."""
+    """Moment matrices, the reusable inverse, and the density series they use."""
 
     bands: tuple
-    gaps: tuple
     H: np.ndarray           # (g+2, g+1): band moments, rows k = 1..g+2
     G: np.ndarray           # (g+2, g): gap moments
     H_inv: np.ndarray       # inverse of the top (g+1) x (g+1) block
     band_beta: list         # per band: first-kind series of i sqrt sqrt / R_plus
     gap_beta: list          # per gap: first-kind series of sqrt sqrt / R
-    band_prefactor: np.ndarray   # calibrated scalar tying each band series to 1/R_plus
-    gap_prefactor: np.ndarray    # same for gaps
 
 
 @dataclass
@@ -61,81 +65,33 @@ def wrap_angle(theta: float) -> float:
     return float(w - np.pi)
 
 
-def _plemelj_prefactor(series: ChebSeries, direct_value: complex, x0: float) -> complex:
-    """Scalar lambda with lambda * sum_k c_k (C_k^+ - C_k^-) = density at x0.
-
-    By the jump identity the bracket equals the series times the normalized
-    first-kind weight, so lambda recovers the constant tying the expansion to
-    the actual density; conventions are measured, not assumed.
-    """
-    iv = series.interval
-    kp = cauchy_cheb_table(ChebKind.T, len(series), iv, np.array([x0]), Side.PLUS)
-    km = cauchy_cheb_table(ChebKind.T, len(series), iv, np.array([x0]), Side.MINUS)
-    jump = (kp - km)[0] @ series.coeffs
-    return complex(direct_value / jump)
-
-
 def build_hsystem(spec: WeightSpec, green: GreenData) -> HSystem:
-    """Moments of 1/R over bands and gaps, density expansions, and calibration."""
+    """Moments of 1/R over bands and gaps, from the density series of build_green.
+
+    By the Plemelj jump of the first-kind Cauchy transform, a series of
+    i sqrt(x-a) sqrt(b-x)/R_plus on a band stands for -i pi times 1/R_plus
+    against the normalized first-kind weight, and one of sqrt(x-a) sqrt(b-x)/R
+    on a gap for pi times 1/R; these are BAND_FACTOR and GAP_FACTOR.
+    """
     g = spec.genus
-    bands, gaps = spec.bands, spec.gaps
-
-    def band_density(band):
-        def f(x):
-            return 1j * np.sqrt(x - band.a) * np.sqrt(band.b - x) / eval_R(spec, x, Side.PLUS)
-        return f
-
-    def gap_density(gap):
-        def f(x):
-            return np.sqrt(x - gap.a) * np.sqrt(gap.b - x) / np.real(eval_R(spec, x, Side.PLUS))
-        return f
-
-    H = np.empty((g + 2, g + 1), dtype=complex)
-    for j, band in enumerate(bands):
-        dens = band_density(band)
-        for k in range(1, g + 3):
-            H[k - 1, j] = -1j * np.pi * band_integral(lambda x: x ** (k - 1) * dens(x), band)
-    G = np.empty((g + 2, g), dtype=complex)
-    for ell, gap in enumerate(gaps):
-        dens = gap_density(gap)
-        for k in range(1, g + 3):
-            G[k - 1, ell] = np.pi * band_integral(lambda x: x ** (k - 1) * dens(x), gap)
-
-    top = H[: g + 1, :]
+    H = BAND_FACTOR * np.array([ser.moments(g + 2) for ser in green.band_beta]).T
+    G = GAP_FACTOR * np.array([ser.moments(g + 2) for ser in green.gap_beta],
+                              dtype=complex).reshape(g, g + 2).T
     try:
-        H_inv = np.linalg.inv(top)
+        H_inv = np.linalg.inv(H[: g + 1, :])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"moment matrix is singular (g={g}): {exc}") from exc
-
-    band_beta, band_pref = [], np.empty(g + 1, dtype=complex)
-    for j, band in enumerate(bands):
-        ser = adaptive_dct(band_density(band), band)
-        x0 = band.mid
-        direct = 1.0 / eval_R(spec, x0, Side.PLUS)
-        band_beta.append(ser)
-        band_pref[j] = _plemelj_prefactor(ser, direct, x0)
-    gap_beta, gap_pref = [], np.empty(g, dtype=complex)
-    for ell, gap in enumerate(gaps):
-        ser = adaptive_dct(gap_density(gap), gap)
-        x0 = gap.mid
-        direct = 1.0 / np.real(eval_R(spec, x0, Side.PLUS))
-        gap_beta.append(ser)
-        gap_pref[ell] = _plemelj_prefactor(ser, direct, x0)
-
-    return HSystem(bands=bands, gaps=gaps, H=H, G=G, H_inv=H_inv,
-                   band_beta=band_beta, gap_beta=gap_beta,
-                   band_prefactor=band_pref, gap_prefactor=gap_pref)
+    return HSystem(bands=spec.bands, H=H, G=G, H_inv=H_inv,
+                   band_beta=green.band_beta, gap_beta=green.gap_beta)
 
 
 def solve_aux(hsys: HSystem, green: GreenData, n: int) -> AuxData:
     """Wrapped gap phases, band constants, and the 1/z coefficient for index n."""
     g = len(hsys.bands) - 1
     nu = np.array([1j * wrap_angle(n * d.imag) for d in green.deltas], dtype=complex)
-    if g == 0:
-        return AuxData(n=n, A=np.zeros(1), nu=nu, h1=0.0 + 0.0j)
     rhs = -(hsys.G[: g + 1, :] @ nu)
     A = hsys.H_inv @ rhs
-    drift = np.max(np.abs(A.imag)) if A.size else 0.0
+    drift = np.max(np.abs(A.imag))
     if drift > 1e-10:
         warnings.warn(f"band constants carry imaginary part {drift:.2e} at n={n}",
                       ImagPartWarning, stacklevel=2)
@@ -151,19 +107,11 @@ def eval_h(spec: WeightSpec, hsys: HSystem, aux: AuxData, z, side: Side = Side.O
     """Evaluate the auxiliary function; boundary values via kernel variants."""
     scalar = np.ndim(z) == 0
     zz = np.atleast_1d(z)
-    if len(hsys.bands) == 1:
-        out = np.zeros(zz.shape, dtype=complex)
-        return complex(out[0]) if scalar else out
     acc = np.zeros(zz.shape, dtype=complex)
-    for j, ser in enumerate(hsys.band_beta):
-        if aux.A[j] == 0.0:
-            continue
-        table = cauchy_cheb_table(ChebKind.T, len(ser), ser.interval, zz, side)
-        acc = acc + aux.A[j] * hsys.band_prefactor[j] * (table @ ser.coeffs)
-    for ell, ser in enumerate(hsys.gap_beta):
-        if aux.nu[ell] == 0.0:
-            continue
-        table = cauchy_cheb_table(ChebKind.T, len(ser), ser.interval, zz, side)
-        acc = acc + aux.nu[ell] * hsys.gap_prefactor[ell] * (table @ ser.coeffs)
+    weights = np.concatenate([aux.A * BAND_FACTOR, aux.nu * GAP_FACTOR])
+    for weight, ser in zip(weights, hsys.band_beta + hsys.gap_beta):
+        if weight != 0.0:
+            table = cauchy_cheb_table(ChebKind.T, len(ser), ser.interval, zz, side)
+            acc = acc + weight * (table @ ser.coeffs)
     out = eval_R(spec, zz, side) * acc
     return complex(out[0]) if scalar else out

@@ -36,6 +36,12 @@ SQRT2 = math.sqrt(2.0)
 
 _ENDPOINT_TOL = 1e-12
 
+# Sample counts and relative tolerances of adaptive_dct.
+DCT_M0 = 16
+DCT_CAP = 2048
+TAIL_TOL = 1e-15
+DROP_TOL = 1e-15
+
 
 class ChebKind(enum.Enum):
     """The four Chebyshev families, tagged by endpoint exponents (alpha, beta)."""
@@ -181,67 +187,53 @@ class ChebSeries:
         c[1:] *= SQRT2
         return np.polynomial.chebyshev.chebval(self.interval.to_unit(x), c)
 
-    def truncated(self, drop_tol: float = 1e-15) -> "ChebSeries":
-        """Drop trailing coefficients below drop_tol relative to the largest."""
+    def truncated(self) -> "ChebSeries":
+        """Drop trailing coefficients below DROP_TOL relative to the largest."""
         mags = np.abs(self.coeffs)
-        scale = mags.max() if mags.size else 0.0
-        if scale == 0.0:
-            return ChebSeries(self.interval, self.coeffs[:1])
-        keep = np.nonzero(mags > drop_tol * scale)[0]
-        last = keep[-1] + 1 if keep.size else 1
-        return ChebSeries(self.interval, self.coeffs[:last])
+        keep = np.nonzero(mags > DROP_TOL * mags.max())[0]
+        return ChebSeries(self.interval, self.coeffs[: keep[-1] + 1 if keep.size else 1])
+
+    def moments(self, count: int) -> np.ndarray:
+        """Integrals of x^k times the series against the normalized first-kind
+        weight on its interval, k = 0..count-1.
+
+        One Gauss-Chebyshev rule, exact for every integrand of degree
+        len(self) + count - 2.
+        """
+        x = cheb_t_nodes((len(self) + count) // 2 + 1, self.interval)
+        return np.mean(x ** np.arange(count)[:, None] * self(x), axis=1)
 
 
 def dct_coeffs(samples, interval: Interval = UNIT) -> ChebSeries:
     """First-kind series interpolating samples taken at cheb_t_nodes(m, interval).
 
-    Direct O(m^2) cosine-matrix product; m stays modest in this pipeline so no
-    FFT is warranted.
+    DCT-II by one FFT of the even extension of the samples, O(m log m); its
+    rounding stays near eps, below the tail test of adaptive_dct.
     """
     samples = np.atleast_1d(np.asarray(samples, dtype=complex))
     m = samples.size
     if m < 1:
         raise DomainError("need at least one sample")
-    theta = (2.0 * np.arange(m) + 1.0) * np.pi / (2.0 * m)
-    k = np.arange(m)
-    cosmat = np.cos(np.outer(k, theta))
-    classical = (2.0 / m) * cosmat @ samples
-    classical[0] *= 0.5
-    coeffs = classical
+    spectrum = np.fft.fft(np.concatenate([samples, samples[::-1]]))[:m]
+    coeffs = np.exp(-0.5j * np.pi * np.arange(m) / m) * spectrum / m
+    coeffs[0] *= 0.5
     coeffs[1:] /= SQRT2
     return ChebSeries(interval, coeffs)
 
 
-def adaptive_dct(f: Callable, interval: Interval = UNIT, *, m0: int = 16,
-                 cap: int = 2048, tail_tol: float = 1e-15,
-                 drop_tol: float = 1e-15) -> ChebSeries:
-    """Sample-double until the last three coefficients drop below tail_tol
-    relative to the largest, then truncate trailing negligible coefficients."""
-    m = m0
-    while m <= cap:
+def adaptive_dct(f: Callable, interval: Interval = UNIT) -> ChebSeries:
+    """Sample-double from DCT_M0 until the last three coefficients drop below
+    TAIL_TOL relative to the largest, then truncate trailing negligible ones."""
+    m = DCT_M0
+    while m <= DCT_CAP:
         series = dct_coeffs(f(cheb_t_nodes(m, interval)), interval)
         mags = np.abs(series.coeffs)
         scale = mags.max()
-        if scale == 0.0 or np.all(mags[-3:] <= tail_tol * scale):
-            return series.truncated(drop_tol)
+        if scale == 0.0 or np.all(mags[-3:] <= TAIL_TOL * scale):
+            return series.truncated()
         m *= 2
     raise ConvergenceError(
-        f"Chebyshev coefficients did not decay below {tail_tol:g} by m={cap} on {interval}")
-
-
-def band_integral(f: Callable, interval: Interval = UNIT, *, rtol: float = 1e-13,
-                  m0: int = 16, cap: int = 4096) -> complex:
-    """Integral of f against the normalized first-kind weight on the interval,
-    i.e. the zeroth first-kind coefficient of f, by adaptive sample doubling."""
-    m = m0
-    prev = None
-    while m <= cap:
-        val = np.mean(f(cheb_t_nodes(m, interval)))
-        if prev is not None and abs(val - prev) <= rtol * max(1.0, abs(val)):
-            return complex(val)
-        prev = val
-        m *= 2
-    raise ConvergenceError(f"band integral failed to stabilize by m={cap} on {interval}")
+        f"Chebyshev coefficients did not decay below {TAIL_TOL:g} by m={DCT_CAP} on {interval}")
 
 
 def gauss_cheb_rule(kind: ChebKind, interval: Interval, m: int, h: Callable | None = None):

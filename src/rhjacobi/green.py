@@ -6,7 +6,9 @@ assembled from antiderivatives of Chebyshev-kernel Cauchy transforms: the
 degree-0 term integrates to a log of the inverse Joukowsky map and the higher
 terms to second-kind kernels.  Normalization makes the function vanish (up to
 the intrinsic i pi phase) at the leftmost band endpoint, which pins the
-capacity-type constant and the 1/z coefficient.
+capacity-type constant and the 1/z coefficient.  build_green expands each
+band and gap density of 1/R once; Q_g, the equilibrium masses and the
+auxiliary function's moment system are all read from those series.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import Side, cauchy_cheb_table, joukowsky_inv, log_joukowsky_inv, sqrt_cut
-from .chebyshev import SQRT2, ChebKind, Interval, adaptive_dct, band_integral
+from .chebyshev import SQRT2, ChebKind, Interval, adaptive_dct
 from .errors import SolverError
 from .weights import WeightSpec
 
@@ -27,16 +29,14 @@ class GreenData:
 
     bands: tuple
     q_coeffs: np.ndarray          # ascending, monic, length g+1
-    band_series: list             # per band: first-kind series of Q i sqrt sqrt / R_plus
-    alpha0: np.ndarray            # per band: quadrature value of the zeroth coefficient
+    band_beta: list               # per band: first-kind series of band_density
+    gap_beta: list                # per gap: first-kind series of gap_density
+    band_series: list             # per band: first-kind series of Q times band_density
+    alpha0: np.ndarray            # per band: equilibrium mass, band_series[j].coeffs[0]
     deltas: np.ndarray            # per gap: the (purely imaginary) jump across the gap
     cap_const: complex            # leading coefficient of exp(g) ~ c z at infinity
     g1: complex                   # 1/z coefficient of g at infinity
     phi_ref: float                # the normalization constant (branch-invariant real part)
-
-    @property
-    def genus(self) -> int:
-        return len(self.bands) - 1
 
 
 def eval_R(spec: WeightSpec, z, side: Side = Side.OFF):
@@ -49,60 +49,47 @@ def eval_R(spec: WeightSpec, z, side: Side = Side.OFF):
     return out
 
 
-def _q_val(q_coeffs: np.ndarray, z):
-    return np.polynomial.polynomial.polyval(np.asarray(z), q_coeffs)
+def band_density(spec: WeightSpec, band: Interval):
+    """i sqrt(x-a) sqrt(b-x) / R_plus(x) on a band: smooth and real."""
+    return lambda x: 1j * np.sqrt(x - band.a) * np.sqrt(band.b - x) / eval_R(spec, x, Side.PLUS)
 
 
-def solve_Q(spec: WeightSpec) -> np.ndarray:
+def gap_density(spec: WeightSpec, gap: Interval):
+    """sqrt(x-a) sqrt(b-x) / R(x) on a gap: smooth and real."""
+    return lambda x: np.sqrt(x - gap.a) * np.sqrt(gap.b - x) / np.real(eval_R(spec, x, Side.PLUS))
+
+
+def solve_Q(gap_beta: list) -> np.ndarray:
     """Monic Q_g whose gap integrals of Q_g/R all vanish.
 
-    The gap integrands carry inverse-square-root endpoint singularities; these
-    are divided out analytically and the smooth remainders integrated by the
-    first-kind quadrature.
+    The integrand's inverse-square-root endpoint factors are the first-kind
+    weight, so each gap integral of x^k/R is a moment of the gap's series.
     """
-    g = spec.genus
+    g = len(gap_beta)
     if g == 0:
         return np.array([1.0])
-    gaps = spec.gaps
-
-    def gap_moment(k: int, gap: Interval) -> complex:
-        def f(x):
-            smooth = np.sqrt(x - gap.a) * np.sqrt(gap.b - x) / np.real(eval_R(spec, x, Side.PLUS))
-            return x ** k * smooth
-        return np.pi * band_integral(f, gap)
-
-    A = np.empty((g, g))
-    rhs = np.empty(g)
-    for ell, gap in enumerate(gaps):
-        for k in range(g):
-            A[ell, k] = np.real(gap_moment(k, gap))
-        rhs[ell] = -np.real(gap_moment(g, gap))
+    M = np.array([ser.moments(g + 1).real for ser in gap_beta])
     try:
-        h = np.linalg.solve(A, rhs)
+        h = np.linalg.solve(M[:, :g], -M[:, g])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"gap-period system is singular (g={g}): {exc}") from exc
     return np.concatenate([h, [1.0]])
 
 
-def _band_density(spec: WeightSpec, q_coeffs: np.ndarray, band: Interval):
-    """Q(x) i sqrt(x-a) sqrt(b-x) / R_plus(x) on the band: smooth and real."""
-    def f(x):
-        num = _q_val(q_coeffs, x) * 1j * np.sqrt(x - band.a) * np.sqrt(band.b - x)
-        return num / eval_R(spec, x, Side.PLUS)
-    return f
-
-
 def build_green(spec: WeightSpec) -> GreenData:
-    """Solve for Q_g, expand the per-band densities, and fix all constants."""
-    q_coeffs = solve_Q(spec)
+    """Expand the band and gap densities, solve for Q_g, expand Q_g times each
+    band density, and fix all constants."""
     g = spec.genus
+    band_beta = [adaptive_dct(band_density(spec, band), band) for band in spec.bands]
+    gap_beta = [adaptive_dct(gap_density(spec, gap), gap) for gap in spec.gaps]
+    q_coeffs = solve_Q(gap_beta)
 
     band_series = []
-    alpha0 = np.empty(g + 1, dtype=complex)
-    for j, band in enumerate(spec.bands):
-        dens = _band_density(spec, q_coeffs, band)
-        band_series.append(adaptive_dct(dens, band))
-        alpha0[j] = band_integral(dens, band)
+    for band in spec.bands:
+        dens = band_density(spec, band)
+        band_series.append(adaptive_dct(
+            lambda x: np.polynomial.polynomial.polyval(x, q_coeffs) * dens(x), band))
+    alpha0 = np.array([ser.coeffs[0] for ser in band_series])
 
     # Jump of g across gap ell: 2 pi i times the equilibrium mass to the right.
     prefix = np.cumsum(alpha0)
@@ -120,9 +107,10 @@ def build_green(spec: WeightSpec) -> GreenData:
             g1 = g1 - c[1] * band.length / (2.0 * SQRT2)
     cap_const = np.exp(log_cap)
 
-    return GreenData(bands=spec.bands, q_coeffs=q_coeffs, band_series=band_series,
-                     alpha0=alpha0, deltas=deltas, cap_const=complex(cap_const),
-                     g1=complex(g1), phi_ref=phi_ref)
+    return GreenData(bands=spec.bands, q_coeffs=q_coeffs, band_beta=band_beta,
+                     gap_beta=gap_beta, band_series=band_series, alpha0=alpha0,
+                     deltas=deltas, cap_const=complex(cap_const), g1=complex(g1),
+                     phi_ref=phi_ref)
 
 
 def _phi_ref(bands, band_series) -> float:

@@ -16,6 +16,10 @@ from .weights import WeightSpec
 
 _MAX_M_PER_BAND = 2 ** 15
 
+# First node count and doubling tolerance of adaptive_gauss_mass.
+MASS_M0 = 32
+MASS_RTOL = 1e-13
+
 
 @dataclass
 class DiscreteMeasure:
@@ -49,20 +53,19 @@ def discretize(spec: WeightSpec, m_per_band: int) -> DiscreteMeasure:
     return DiscreteMeasure(np.concatenate(nodes), np.concatenate(weights))
 
 
-def adaptive_gauss_mass(spec: WeightSpec, j: int, *, rtol: float = 1e-13,
-                        m0: int = 32, cap: int = _MAX_M_PER_BAND) -> float:
+def adaptive_gauss_mass(spec: WeightSpec, j: int) -> float:
     """Total mass of band j of the raw weight, by rule doubling."""
     band, kind, h = spec.bands[j], spec.kinds[j], spec.h[j]
-    m = m0
+    m = MASS_M0
     prev = None
-    while m <= cap:
+    while m <= _MAX_M_PER_BAND:
         _, w = gauss_cheb_rule(kind, band, m, lambda t: np.real(h(t)))
         val = float(w.sum())
-        if prev is not None and abs(val - prev) <= rtol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= MASS_RTOL * max(1.0, abs(val)):
             return val
         prev = val
         m *= 2
-    raise ConvergenceError(f"band-{j} mass did not stabilize by m={cap}")
+    raise ConvergenceError(f"band-{j} mass did not stabilize by m={_MAX_M_PER_BAND}")
 
 
 def tridiagonalize(measure: DiscreteMeasure, n_coeffs: int):
@@ -114,8 +117,9 @@ def tridiagonalize(measure: DiscreteMeasure, n_coeffs: int):
 def adaptive_oracle(spec: WeightSpec, n_coeffs: int, tol: float = 1e-11):
     """Double the per-band node count until two successive segments agree
     entrywise within tol."""
-    if tol < 1e-13:
-        raise DomainError("tolerance below 1e-13 is not resolvable in double precision")
+    if not tol >= 1e-13:  # also false for nan
+        raise DomainError(f"tolerance must be >= 1e-13, the smallest resolvable in "
+                          f"double precision; got {tol}")
     m = max(64, 2 * n_coeffs)
     prev = None
     while m <= _MAX_M_PER_BAND:

@@ -9,18 +9,19 @@ factor changes only the jump data).
 
 from __future__ import annotations
 
+import copy
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import AuxData, HSystem, build_hsystem, eval_h, solve_aux
+from .auxiliary import AuxData, build_hsystem, eval_h, solve_aux
 from .cauchy import Side
 from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
-from .green import GreenData, build_green, eval_g
+from .green import build_green, eval_g
 from .oracle import adaptive_gauss_mass
-from .rhp import ContourSet, JumpAssembly, RHSolution, build_contours, first_order, solve_matrix_rhp
+from .rhp import JumpAssembly, RHSolution, build_contours, first_order, solve_matrix_rhp
 from .weights import WeightSpec
 
 IMAG_DROP = 1e-9
@@ -67,21 +68,19 @@ class TodaTrajectory:
 class SolveContext:
     """Shared per-geometry state with caching of per-n auxiliary data and solves.
 
-    jump_spec lets the jump data carry a different (e.g. exponentially scaled)
-    weight than the geometry spec; the Green's function and moment system
-    depend only on the bands, so they are reused.
+    The jump data carry jump_spec, which with_jump_spec replaces by a weight on
+    the same bands (e.g. exponentially scaled); the Green's function, moment
+    system, contours and auxiliary data depend only on the bands and n, so
+    they are shared.
     """
 
-    def __init__(self, spec: WeightSpec, resolution: Resolution = Resolution(),
-                 green: GreenData | None = None, hsys: HSystem | None = None,
-                 contours: ContourSet | None = None, jump_spec: WeightSpec | None = None):
+    def __init__(self, spec: WeightSpec, resolution: Resolution = Resolution()):
         self.spec = spec
         self.resolution = resolution
-        self.green = green if green is not None else build_green(spec)
-        self.hsys = hsys if hsys is not None else build_hsystem(spec, self.green)
-        self.contours = contours if contours is not None else build_contours(
-            spec, resolution.ppi, resolution.circle_ratio)
-        self.jump_spec = jump_spec if jump_spec is not None else spec
+        self.green = build_green(spec)
+        self.hsys = build_hsystem(spec, self.green)
+        self.contours = build_contours(spec, resolution.ppi, resolution.circle_ratio)
+        self.jump_spec = spec
         self._aux: dict = {}
         self._solutions: dict = {}
 
@@ -97,8 +96,11 @@ class SolveContext:
         return self._solutions[n]
 
     def with_jump_spec(self, jump_spec: WeightSpec) -> "SolveContext":
-        return SolveContext(self.spec, self.resolution, green=self.green,
-                            hsys=self.hsys, contours=self.contours, jump_spec=jump_spec)
+        """This context with jump_spec's jump data and an empty solution cache."""
+        ctx = copy.copy(self)
+        ctx.jump_spec = jump_spec
+        ctx._solutions = {}
+        return ctx
 
 
 def _realify(value: complex, what: str, n: int) -> float:
@@ -263,6 +265,8 @@ class RecipApproximation:
 
 def orthonormal_eval(segment: JacobiSegment, count: int, x) -> np.ndarray:
     """Values of p_0..p_{count-1} at x via the forward three-term recurrence."""
+    if count < 1:
+        raise DomainError(f"need at least one polynomial, got count={count}")
     if segment.n0 != 0 or count - 2 > segment.n1:
         raise DomainError("segment must cover indices 0..count-2")
     x = np.asarray(x, dtype=float)

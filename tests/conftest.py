@@ -57,9 +57,8 @@ def hsys_two_band(spec_two_band, green_two_band):
 
 
 @pytest.fixture(scope="session")
-def ctx_two_band(spec_two_band, green_two_band, hsys_two_band):
-    return SolveContext(spec_two_band, Resolution(16, 10),
-                        green=green_two_band, hsys=hsys_two_band)
+def ctx_two_band(spec_two_band):
+    return SolveContext(spec_two_band, Resolution(16, 10))
 
 
 @pytest.fixture(scope="session")

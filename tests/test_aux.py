@@ -70,12 +70,6 @@ class TestHSystem:
                               weight="alg", wvar=(-0.5, -0.5))
                 assert hs.H[k - 1, j] == pytest.approx(-1j * val, abs=1e-12)
 
-    def test_calibrated_prefactors(self, sym, hsys_two_band):
-        # the expansion constants come out as -i pi (bands) and pi (gaps)
-        for hs in (sym[2], hsys_two_band):
-            np.testing.assert_allclose(hs.band_prefactor, -1j * np.pi, atol=1e-11)
-            np.testing.assert_allclose(hs.gap_prefactor, np.pi, atol=1e-11)
-
 
 class TestSolveAux:
     def test_n_zero_trivial(self, sym):

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from rhjacobi.chebyshev import (SQRT2, ChebKind, ChebSeries, Interval, UNIT,
-                                band_integral, cheb_eval, cheb_t_nodes, dct_coeffs,
-                                gauss_cheb_rule, normalized_weight_value)
+from rhjacobi.chebyshev import (SQRT2, ChebKind, ChebSeries, Interval, UNIT, adaptive_dct,
+                                cheb_eval, cheb_t_nodes, dct_coeffs, gauss_cheb_rule,
+                                normalized_weight_value)
 from rhjacobi.errors import ConvergenceError, DomainError, WeightError
 
 ALL_KINDS = list(ChebKind)
@@ -94,25 +94,28 @@ class TestDct:
 
 
 class TestBandIntegral:
+    # Integrals against the normalized first-kind weight, by ChebSeries.moments.
     def test_constant_is_one(self):
-        assert band_integral(lambda s: np.ones_like(s), Interval(2.0, 7.0)) == pytest.approx(1.0)
+        assert ChebSeries(Interval(2.0, 7.0), [1.0]).moments(1)[0] == pytest.approx(1.0)
 
     def test_odd_vanishes(self):
-        assert abs(band_integral(lambda s: s)) < 1e-15
+        assert abs(ChebSeries(UNIT, [1.0]).moments(2)[1]) < 1e-15
+        assert abs(ChebSeries(UNIT, [0.0, 1.0]).moments(1)[0]) < 1e-15
 
     def test_square(self):
         # closed form: mean of x^2 against 1/(pi sqrt(1-x^2)) is 1/2
-        assert band_integral(lambda s: s * s) == pytest.approx(0.5, abs=1e-14)
+        assert ChebSeries(UNIT, [1.0]).moments(3)[2] == pytest.approx(0.5, abs=1e-14)
 
     def test_matches_reference_quadrature(self):
-        f = lambda s: np.exp(s) * np.cos(2 * s)
-        ref, _ = quad(lambda s: np.exp(s) * np.cos(2 * s), -1, 1,
-                      weight="alg", wvar=(-0.5, -0.5))
-        assert band_integral(f) == pytest.approx(ref / np.pi, abs=1e-12)
+        ser = adaptive_dct(lambda s: np.exp(s) * np.cos(2 * s))
+        for k, moment in enumerate(ser.moments(4)):
+            ref, _ = quad(lambda s: s ** k * np.exp(s) * np.cos(2 * s), -1, 1,
+                          weight="alg", wvar=(-0.5, -0.5))
+            assert moment == pytest.approx(ref / np.pi, abs=1e-12)
 
     def test_nonsmooth_fails_to_converge(self):
         with pytest.raises(ConvergenceError):
-            band_integral(lambda s: np.abs(s), cap=1024)
+            adaptive_dct(np.abs)
 
 
 class TestGaussChebRule:

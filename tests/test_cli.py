@@ -55,6 +55,11 @@ def test_oracle_reports_delta(single_u, tmp_path):
     assert lines[1] == "n,a,b,delta"
 
 
+def test_oracle_nan_tolerance_exits_1(single_u, capsys):
+    assert main(["oracle", single_u, "--n1", "2", "--tol", "nan"]) == 1
+    assert "tolerance" in capsys.readouterr().err
+
+
 def test_recip_zero_in_support_exits_1(single_u, capsys):
     # the library's DomainError, not a copy of its check in the CLI
     assert main(["recip", single_u, "--nmax", "3"]) == 1

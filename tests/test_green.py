@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from rhjacobi.cauchy import Side
-from rhjacobi.chebyshev import ChebKind, Interval, band_integral
-from rhjacobi.green import build_green, eval_R, eval_g, solve_Q
+from rhjacobi.auxiliary import build_hsystem
+from rhjacobi.chebyshev import ChebKind, Interval, adaptive_dct
+from rhjacobi.green import build_green, eval_R, eval_g, gap_density
 from rhjacobi.weights import WeightSpec
 
 
@@ -30,23 +31,22 @@ class TestEvalR:
 
 class TestSolveQ:
     def test_single_interval_trivial(self, spec_u):
-        np.testing.assert_array_equal(solve_Q(spec_u), [1.0])
+        np.testing.assert_array_equal(build_green(spec_u).q_coeffs, [1.0])
 
-    def test_symmetric_root_at_zero(self, spec_symmetric):
-        q = solve_Q(spec_symmetric)
+    def test_symmetric_root_at_zero(self, green_symmetric):
+        q = green_symmetric.q_coeffs
         assert q[1] == 1.0
         assert abs(q[0]) < 1e-14
 
-    def test_asymmetric_root_inside_gap_and_residual(self, spec_two_band):
-        q = solve_Q(spec_two_band)
+    def test_asymmetric_root_inside_gap_and_residual(self, spec_two_band, green_two_band):
+        q = green_two_band.q_coeffs
         root = -q[0] / q[1]
         assert -1.0 < root < 2.0
         gap = Interval(-1.0, 2.0)
-
-        def f(x):
-            smooth = np.sqrt(x + 1) * np.sqrt(2 - x) / np.real(eval_R(spec_two_band, x, Side.PLUS))
-            return np.polynomial.polynomial.polyval(x, q) * smooth
-        assert abs(np.pi * band_integral(f, gap)) < 1e-12
+        dens = gap_density(spec_two_band, gap)
+        # the gap integral of Q/R, by its own expansion rather than the moments
+        ser = adaptive_dct(lambda x: np.polynomial.polynomial.polyval(x, q) * dens(x), gap)
+        assert abs(np.pi * ser.coeffs[0]) < 1e-12
 
 
 class TestBuildGreen:
@@ -76,6 +76,35 @@ class TestBuildGreen:
 
     def test_equilibrium_masses_sum_to_one(self, green_two_band):
         assert np.sum(green_two_band.alpha0).real == pytest.approx(1.0, abs=1e-13)
+
+    def test_series_short_and_accurate(self, spec_genus3):
+        # Every series the set-up keeps (build_hsystem's are build_green's), on
+        # the genus-3 weight and 10 copies with jittered endpoints, against its
+        # density written out here.  A DCT whose rounding exceeds the tail test
+        # doubles on and keeps ~124 coefficients of noise.
+        rng = np.random.default_rng(11)
+        specs = [spec_genus3] + [
+            WeightSpec(tuple(Interval(b.a + rng.uniform(-0.02, 0.02),
+                                      b.b + rng.uniform(-0.02, 0.02))
+                             for b in spec_genus3.bands), spec_genus3.kinds, spec_genus3.h)
+            for _ in range(10)]
+        for spec in specs:
+            gd = build_green(spec)
+            hs = build_hsystem(spec, gd)
+            checks = []
+            for iv, beta, ser in zip(spec.bands, hs.band_beta, gd.band_series):
+                x = np.linspace(iv.a, iv.b, 101)[1:-1]
+                dens = 1j * np.sqrt(x - iv.a) * np.sqrt(iv.b - x) / eval_R(spec, x, Side.PLUS)
+                q = np.polynomial.polynomial.polyval(x, gd.q_coeffs)
+                checks += [(beta, x, dens), (ser, x, q * dens)]
+            for iv, gamma in zip(spec.gaps, hs.gap_beta):
+                x = np.linspace(iv.a, iv.b, 101)[1:-1]
+                dens = np.sqrt(x - iv.a) * np.sqrt(iv.b - x) / np.real(eval_R(spec, x, Side.PLUS))
+                checks.append((gamma, x, dens))
+            assert len(checks) == 11
+            for ser, x, dens in checks:
+                assert len(ser) <= 40
+                assert np.max(np.abs(ser(x) - dens)) <= 1e-13
 
 
 class TestEvalG:

@@ -156,8 +156,29 @@ class TestOrthonormality:
         for k in range(7):
             np.testing.assert_allclose(P[k], cheb_eval(ChebKind.U, k, x), atol=1e-10)
 
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_count_below_one_rejected(self, spec_u, ctx_u, count):
+        seg = recurrence_range(spec_u, 0, 2, context=ctx_u)
+        with pytest.raises(DomainError):
+            orthonormal_eval(seg, count, np.zeros(3))
+
+
+class TestOracle:
+    @pytest.mark.parametrize("tol", [1e-14, np.nan])
+    def test_unresolvable_tolerance_rejected(self, spec_u, tol):
+        with pytest.raises(DomainError):
+            adaptive_oracle(spec_u, 3, tol)
+
 
 class TestToda:
+    def test_jump_spec_context_shares_geometry(self, spec_u):
+        ctx = SolveContext(spec_u, Resolution(8, 10))
+        scaled = ctx.with_jump_spec(spec_u.with_exp_factor(0.5))
+        assert scaled.green is ctx.green and scaled.contours is ctx.contours
+        assert scaled.aux(3) is ctx.aux(3)
+        assert scaled.jump_spec is not ctx.jump_spec
+        assert scaled.solution(1) is not ctx.solution(1)
+
     def test_t0_identical_to_static(self, spec_u, ctx_u):
         traj = toda_evolve(spec_u, 5, [0.0], Resolution(16, 10))
         seg = recurrence_range(spec_u, 0, 4, Resolution(16, 10))

@@ -108,15 +108,14 @@ class TestMatrixSolve:
         for n in (0, 2, 5, 20):
             assert ctx_two_band.solution(n).residual.off_collocation <= 1e-10
 
-    def test_residual_decay_under_doubling(self, spec_two_band, green_two_band, hsys_two_band):
+    def test_residual_decay_under_doubling(self, spec_two_band):
         import warnings as _w
         from rhjacobi.pipeline import Resolution, SolveContext
         res = []
         for ppi in (2, 4, 8):
             with _w.catch_warnings():
                 _w.simplefilter("ignore")
-                ctx = SolveContext(spec_two_band, Resolution(ppi, 10),
-                                   green=green_two_band, hsys=hsys_two_band)
+                ctx = SolveContext(spec_two_band, Resolution(ppi, 10))
                 res.append(ctx.solution(5).residual.off_collocation)
         assert res[1] < res[0] / 10 or res[1] < 1e-12
         assert res[2] < res[1] / 10 or res[2] < 1e-12
