@@ -103,15 +103,28 @@ def solve_aux(hsys: HSystem, green: GreenData, n: int) -> AuxData:
     return AuxData(n=n, A=A, nu=nu, h1=complex(h1))
 
 
+def h_basis(spec: WeightSpec, hsys: HSystem, z, side: Side = Side.OFF) -> tuple:
+    """(R(z), transforms): the first-kind Cauchy transform of each band series,
+    then of each gap series, stacked to shape (2g+1,) + z.shape.  Neither
+    depends on n, so values at fixed points serve every index (combine_h)."""
+    zz = np.atleast_1d(z)
+    transforms = np.array([cauchy_cheb_table(ChebKind.T, len(ser), ser.interval, zz, side)
+                           @ ser.coeffs for ser in hsys.band_beta + hsys.gap_beta])
+    return eval_R(spec, zz, side), transforms
+
+
+def combine_h(aux: AuxData, R: np.ndarray, transforms: np.ndarray) -> np.ndarray:
+    """The auxiliary function for index n from h_basis: R times the combination
+    of the transforms with weights A_j BAND_FACTOR and nu_l GAP_FACTOR."""
+    acc = np.zeros(R.shape, dtype=complex)
+    weights = np.concatenate([aux.A * BAND_FACTOR, aux.nu * GAP_FACTOR])
+    for weight, transform in zip(weights, transforms):
+        if weight != 0.0:
+            acc = acc + weight * transform
+    return R * acc
+
+
 def eval_h(spec: WeightSpec, hsys: HSystem, aux: AuxData, z, side: Side = Side.OFF):
     """Evaluate the auxiliary function; boundary values via kernel variants."""
-    scalar = np.ndim(z) == 0
-    zz = np.atleast_1d(z)
-    acc = np.zeros(zz.shape, dtype=complex)
-    weights = np.concatenate([aux.A * BAND_FACTOR, aux.nu * GAP_FACTOR])
-    for weight, ser in zip(weights, hsys.band_beta + hsys.gap_beta):
-        if weight != 0.0:
-            table = cauchy_cheb_table(ChebKind.T, len(ser), ser.interval, zz, side)
-            acc = acc + weight * (table @ ser.coeffs)
-    out = eval_R(spec, zz, side) * acc
-    return complex(out[0]) if scalar else out
+    out = combine_h(aux, *h_basis(spec, hsys, z, side))
+    return complex(out[0]) if np.ndim(z) == 0 else out

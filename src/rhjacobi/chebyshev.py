@@ -119,9 +119,6 @@ class Interval:
         """Affine map [-1, 1] -> [a, b]."""
         return self.mid + self.half * np.asarray(t)
 
-    def contains(self, x, pad: float = 0.0) -> bool:
-        return bool(np.all((np.asarray(x) >= self.a - pad) & (np.asarray(x) <= self.b + pad)))
-
 
 UNIT = Interval(-1.0, 1.0)
 
@@ -273,18 +270,3 @@ def gauss_cheb_rule(kind: ChebKind, interval: Interval, m: int, h: Callable | No
             raise WeightError("scaling function h is not positive at a quadrature node")
         weights = weights * hv
     return nodes, weights
-
-
-def normalized_weight_value(kind: ChebKind, interval: Interval, x) -> np.ndarray:
-    """The normalized (orthonormal-family) weight of the kind on the interval."""
-    x = np.asarray(x, dtype=float)
-    sa = np.sqrt(x - interval.a)
-    sb = np.sqrt(interval.b - x)
-    L = interval.length
-    if kind is ChebKind.T:
-        return 1.0 / (np.pi * sa * sb)
-    if kind is ChebKind.U:
-        return (2.0 / np.pi) * (2.0 / L) ** 2 * sa * sb
-    if kind is ChebKind.V:
-        return (2.0 / (np.pi * L)) * sa / sb
-    return (2.0 / (np.pi * L)) * sb / sa

@@ -2,9 +2,9 @@
 Toda-lattice evolution, and series approximation of 1/x on disconnected domains.
 
 One Riemann-Hilbert solve per index n, reused between consecutive coefficient
-pairs; the Green's function, moment system, and contours are built once per
-weight geometry and shared across n (and across Toda times, whose exponential
-factor changes only the jump data).
+pairs; the Green's function, moment system, contours and collocation operator
+are built once per weight geometry and shared across n (and across Toda times,
+whose exponential factor changes only the jump data).
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from .cauchy import Side
 from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
 from .green import build_green, eval_g
 from .oracle import adaptive_gauss_mass
-from .rhp import JumpAssembly, RHSolution, build_contours, first_order, solve_matrix_rhp
+from .rhp import (STAGES, JumpAssembly, JumpValues, RHSolution, build_contours, first_order,
+                  solve_matrix_rhp)
 from .weights import WeightSpec
 
 IMAG_DROP = 1e-9
@@ -66,12 +67,17 @@ class TodaTrajectory:
 
 
 class SolveContext:
-    """Shared per-geometry state with caching of per-n auxiliary data and solves.
+    """Everything the solves for one weight share, and a cache of the solves.
 
-    The jump data carry jump_spec, which with_jump_spec replaces by a weight on
-    the same bands (e.g. exponentially scaled); the Green's function, moment
-    system, contours and auxiliary data depend only on the bands and n, so
-    they are shared.
+    Per geometry (the bands and the resolution): the Green's function, the
+    moment system and the contours, built here; the contours' collocation
+    operator and g and the h basis at the circle points (jump_values), built
+    inside the first solve.  Per jump spec: the weight values at the nodes,
+    also built inside the first solve.  with_jump_spec replaces the jump spec
+    by another weight on the same bands (e.g. exponentially scaled) and shares
+    everything per geometry.  Per n: the auxiliary data (aux) and the solve
+    (solution), both cached.  stages adds up the seconds of every solve made
+    here, per stage of rhp.STAGES.
     """
 
     def __init__(self, spec: WeightSpec, resolution: Resolution = Resolution()):
@@ -81,6 +87,8 @@ class SolveContext:
         self.hsys = build_hsystem(spec, self.green)
         self.contours = build_contours(spec, resolution.ppi, resolution.circle_ratio)
         self.jump_spec = spec
+        self.jump_values = JumpValues(spec, self.green, self.hsys)
+        self.stages = dict.fromkeys(STAGES, 0.0)
         self._aux: dict = {}
         self._solutions: dict = {}
 
@@ -91,14 +99,21 @@ class SolveContext:
 
     def solution(self, n: int) -> RHSolution:
         if n not in self._solutions:
-            jumps = JumpAssembly(self.jump_spec, self.green, self.hsys, self.aux(n))
-            self._solutions[n] = solve_matrix_rhp(self.jump_spec, self.contours, jumps)
+            jumps = JumpAssembly(self.jump_spec, self.green, self.hsys, self.aux(n),
+                                 self.jump_values)
+            sol = solve_matrix_rhp(self.jump_spec, self.contours, jumps)
+            for stage, seconds in sol.stages.items():
+                self.stages[stage] += seconds
+            self._solutions[n] = sol
         return self._solutions[n]
 
     def with_jump_spec(self, jump_spec: WeightSpec) -> "SolveContext":
-        """This context with jump_spec's jump data and an empty solution cache."""
+        """This context with jump_spec's jump data, an empty solution cache and
+        zeroed stages."""
         ctx = copy.copy(self)
         ctx.jump_spec = jump_spec
+        ctx.jump_values = self.jump_values.for_spec(jump_spec)
+        ctx.stages = dict.fromkeys(STAGES, 0.0)
         ctx._solutions = {}
         return ctx
 
@@ -140,6 +155,9 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
     are dropped); circle_deviation, the largest |F - I| over the circle nodes
     of the solve for n.  circle_deviation is kept where only the pair failed
     (NaN only if the solve for n did), since large jump data makes pairs fail.
+    meta["stages"] holds the seconds this call's solves spent per stage of
+    rhp.STAGES ("tables" is the collocation operator's build, paid by the
+    first solve on a context).
     """
     if not (0 <= n0 <= n1):
         raise DomainError(f"need 0 <= n0 <= n1, got ({n0}, {n1})")
@@ -154,6 +172,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
     circle_deviation = np.full(count, np.nan)
     failures = []
     orders: dict = {}
+    stages_before = dict(ctx.stages)
 
     def order_of(n):
         if n not in orders:
@@ -181,6 +200,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
         "circle_deviation": circle_deviation,
         "max_residual": float(np.nanmax(residuals)) if np.any(np.isfinite(residuals)) else np.nan,
         "failures": failures,
+        "stages": {stage: ctx.stages[stage] - stages_before[stage] for stage in STAGES},
     }
     return JacobiSegment(n0=n0, n1=n1, a=a, b=b, meta=meta)
 

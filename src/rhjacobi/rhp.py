@@ -15,18 +15,31 @@ A circle whose jump matrix differs from the identity by less than
 IDENTITY_JUMP at all of its collocation nodes carries no density to double
 precision.  The solver drops it for that solve, so at large n only the bands
 are solved; the off-collocation residual still checks every circle.
+
+What is computed how often:
+- per geometry, that is per ContourSet and choice of band kernel bases: the
+  CollocationOperator, every band kernel table at the collocation and test
+  nodes of every piece.  The first solve on a contour set builds it, and the
+  contour set keeps it for every later solve.  g and the h basis at the
+  circle nodes and test nodes depend on the bands only too (JumpValues).
+- per jump spec: the weight values at the nodes and test nodes (JumpValues).
+- per n: the jump values, which are exponentials of those cached factors; one
+  FFT and one Laurent table per kept circle; the band system's assembly and
+  LU; and the residual as matrix products, where a circle's series on its own
+  test nodes is an inverse FFT.
 """
 
 from __future__ import annotations
 
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
 from scipy.linalg import lu_factor, lu_solve
 
-from .auxiliary import AuxData, HSystem, eval_h
+from .auxiliary import AuxData, HSystem, combine_h, h_basis
 from .cauchy import Side, cauchy_cheb_table
 from .chebyshev import Interval, cheb_t_nodes
 from .errors import GeometryError, ResidualWarning, SolverError, WeightError
@@ -42,6 +55,9 @@ IDENTITY_JUMP = np.finfo(float).eps
 
 # Off-collocation residual above which a solve warns.
 RESIDUAL_WARN = 1e-6
+
+# The stages of one solve that RHSolution.stages times, in this order.
+STAGES = ("tables", "jumps", "assembly", "lu", "residual")
 
 
 @dataclass(frozen=True)
@@ -92,12 +108,83 @@ class BandPiece:
 
 @dataclass(frozen=True)
 class ContourSet:
+    """The circles and bands of one geometry, with its collocation operators.
+
+    Everything here is per geometry.  operator(bases) builds the
+    CollocationOperator for one choice of band kernel bases on first use and
+    keeps it, so every solve on this contour set shares it, whatever its jump
+    spec and n.  The weight values per jump spec are JumpValues'; the jump
+    values, the band system and its solution per n are the solve's.
+    """
+
     circles: tuple
     bands: tuple
+    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    @property
-    def pieces(self) -> tuple:
-        return self.circles + self.bands
+    def operator(self, bases: tuple) -> CollocationOperator:
+        if bases not in self._operators:
+            self._operators[bases] = CollocationOperator(self, bases)
+        return self._operators[bases]
+
+
+class CollocationOperator:
+    """The kernel tables of one contour set in one choice of band bases.
+
+    Nothing here depends on n or on the weight.  Column m of the unknown is
+    expanded on every band q in the kernel bases[q][m]:
+    - plus[m], minus[m]: the column-m kernels of all bands side by side, at
+      all band nodes.  A band's rows at its own nodes hold its boundary values
+      from above and below; every other entry is the off-contour value, the
+      same in both.
+    - test_plus[m], test_minus[m]: the same at all band test nodes.
+    - circle_K[j]: the column-1 kernels at circle j's nodes, then a column of
+      ones for the identity's share of the jump.
+    - circle_test[j][m]: the column-m kernels at circle j's test nodes.
+    A circle's Laurent tables are not kept; _circle_table rebuilds them per
+    solve by running products.  On four bands at the default resolution
+    those at the band nodes and test nodes would add 1.3 MB to the 2.5 MB
+    here, and those at the other circles' test nodes 4.9 MB.
+    """
+
+    def __init__(self, contours: ContourSet, bases: tuple):
+        bands = contours.bands
+        self.band_nodes = [bp.nodes() for bp in bands]
+        self.band_test_nodes = [bp.test_nodes() for bp in bands]
+        self.circle_nodes = [c.nodes() for c in contours.circles]
+        self.circle_test_nodes = [c.test_nodes() for c in contours.circles]
+        ends = np.cumsum([bp.n_points for bp in bands]).tolist()
+        self.spans = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
+        at_nodes = [_stacked_kernels(bands, bases, m, self.band_nodes) for m in range(2)]
+        at_tests = [_stacked_kernels(bands, bases, m, self.band_test_nodes) for m in range(2)]
+        self.plus = [p for p, _ in at_nodes]
+        self.minus = [mi for _, mi in at_nodes]
+        self.test_plus = [p for p, _ in at_tests]
+        self.test_minus = [mi for _, mi in at_tests]
+        self.circle_K = [np.hstack([_band_kernels(bands, bases, 1, z)[0], np.ones((len(z), 1))])
+                         for z in self.circle_nodes]
+        self.circle_test = [[_band_kernels(bands, bases, m, z)[0] for m in range(2)]
+                            for z in self.circle_test_nodes]
+
+
+def _band_kernels(bands: tuple, bases: tuple, m: int, z, own: int | None = None):
+    """Column-m kernel tables of every band at points z, side by side, as
+    (plus, minus).  Band `own`, which z lies on, contributes its boundary
+    values from above and below; every other band its off-contour value to
+    both."""
+    plus, minus = [], []
+    for q, bp in enumerate(bands):
+        sides = (Side.PLUS, Side.MINUS) if q == own else (Side.OFF,)
+        tables = [cauchy_cheb_table(bases[q][m], bp.n_points, bp.interval, z, side)
+                  for side in sides]
+        plus.append(tables[0])
+        minus.append(tables[-1])
+    return np.concatenate(plus, axis=-1), np.concatenate(minus, axis=-1)
+
+
+def _stacked_kernels(bands: tuple, bases: tuple, m: int, points: list):
+    """_band_kernels at points[p], which lie on band p, stacked over p."""
+    rows = [_band_kernels(bands, bases, m, z, own=p) for p, z in enumerate(points)]
+    return np.vstack([plus for plus, _ in rows]), np.vstack([minus for _, minus in rows])
 
 
 def build_contours(spec: WeightSpec, ppi: int, circle_ratio: int) -> ContourSet:
@@ -163,8 +250,75 @@ def _validate_h_on_disk(spec: WeightSpec, j: int, center: float, radius: float) 
         raise WeightError(f"h on band {j} is not finite on its deformation disk")
 
 
+def _circle_sides(z: np.ndarray) -> list:
+    """circle_jump's cases among points z: (mask, side, sign, points) for the
+    upper half, the lower half and the real-axis crossings, which take the
+    upper limit.  Empty cases are left out."""
+    upper = z.imag > 0.0
+    lower = z.imag < 0.0
+    axis = ~(upper | lower)
+    cases = ((upper, Side.OFF, -1.0, z[upper]), (lower, Side.OFF, 1.0, z[lower]),
+             (axis, Side.PLUS, -1.0, z[axis].real))
+    return [case for case in cases if np.any(case[0])]
+
+
+class JumpValues:
+    """The n-independent factors of the jumps, at the points they are asked for.
+
+    g and the h basis (auxiliary.h_basis) depend on the bands only, so every
+    jump spec on them shares them (for_spec).  The weight values belong to
+    one jump spec.  Both are memos keyed by the points' bytes and filled by
+    the first request at a point set: a SolveContext's first solve fills them
+    at every node and test node, and every later index reads them.
+    """
+
+    def __init__(self, spec: WeightSpec, green: GreenData, hsys: HSystem):
+        self.spec = spec
+        self.green = green
+        self.hsys = hsys
+        self._geometry: dict = {}
+        self._weights: dict = {}
+
+    def for_spec(self, spec: WeightSpec) -> JumpValues:
+        """These values for a weight on the same bands: the g and h-basis memo
+        is shared, the weight memo starts empty."""
+        out = JumpValues(spec, self.green, self.hsys)
+        out._geometry = self._geometry
+        return out
+
+    def circle(self, j: int, z: np.ndarray) -> tuple:
+        """(sign, R, transforms, g, weight) at points z of circle j, each side
+        taken as circle_jump takes it; R and transforms as h_basis gives them."""
+        key = z.tobytes()
+        if key not in self._geometry:
+            sign = np.empty(z.shape)
+            R = np.empty(z.shape, dtype=complex)
+            transforms = np.empty((len(self.hsys.band_beta) + len(self.hsys.gap_beta),) + z.shape,
+                                  dtype=complex)
+            g = np.empty(z.shape, dtype=complex)
+            for mask, side, sgn, zs in _circle_sides(z):
+                sign[mask] = sgn
+                R[mask], transforms[:, mask] = h_basis(self.spec, self.hsys, zs, side)
+                g[mask] = eval_g(self.green, zs, side)
+            self._geometry[key] = (sign, R, transforms, g)
+        wkey = ("circle", j, key)
+        if wkey not in self._weights:
+            w = np.empty(z.shape, dtype=complex)
+            for mask, side, _, zs in _circle_sides(z):
+                w[mask] = self.spec.weight_value(j, zs, side)
+            self._weights[wkey] = w
+        return self._geometry[key] + (self._weights[wkey],)
+
+    def band_weight(self, j: int, x: np.ndarray) -> np.ndarray:
+        """The band-j weight's upper boundary value at real points x."""
+        key = ("band", j, x.tobytes())
+        if key not in self._weights:
+            self._weights[key] = self.spec.weight_value(j, x, Side.PLUS)
+        return self._weights[key]
+
+
 class JumpAssembly:
-    """Jump matrices of the deformed problem, closed over (spec, green, aux, n).
+    """Jump matrices of the deformed problem for one index n.
 
     On the circles only the (2,1) entry differs from the identity: minus (upper
     half) or plus (lower half) of exp(2 h_n - 2n g)/w_j.  The two real-axis
@@ -172,39 +326,33 @@ class JumpAssembly:
     there because the wrapped gap phases agree with n times the gap jumps
     modulo 2 pi i.  On the bands the jump is the constant-twisted off-diagonal
     involution.
+
+    Per geometry: g and the h basis at each point set; per jump spec: the
+    weight values there.  Both come from `values`, which a SolveContext
+    shares between all its indices; without one the assembly starts its own.
+    Per n: aux, from which each call forms the 2g+1 weights of the h basis,
+    the exponentials and e^(+-A_j).
     """
 
-    def __init__(self, spec: WeightSpec, green: GreenData, hsys: HSystem, aux: AuxData):
-        self.spec = spec
-        self.green = green
-        self.hsys = hsys
+    def __init__(self, spec: WeightSpec, green: GreenData, hsys: HSystem, aux: AuxData,
+                 values: JumpValues | None = None):
         self.aux = aux
         self.n = aux.n
+        self.values = values if values is not None else JumpValues(spec, green, hsys)
 
     def circle_jump(self, j: int, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        v = np.empty(z.shape, dtype=complex)
-        upper = z.imag > 0.0
-        lower = z.imag < 0.0
-        axis = ~(upper | lower)
-        for mask, side, sgn in ((upper, Side.OFF, -1.0), (lower, Side.OFF, 1.0),
-                                (axis, Side.PLUS, -1.0)):
-            if not np.any(mask):
-                continue
-            zs = z[mask] if side is Side.OFF else z[mask].real
-            expo = 2.0 * eval_h(self.spec, self.hsys, self.aux, zs, side) \
-                - 2.0 * self.n * eval_g(self.green, zs, side)
-            wv = self.spec.weight_value(j, zs, side)
-            v[mask] = sgn * np.exp(expo) / wv
+        sign, R, transforms, g, w = self.values.circle(j, z)
+        expo = 2.0 * combine_h(self.aux, R, transforms) - 2.0 * self.n * g
         out = np.zeros(z.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = 1.0
         out[..., 1, 1] = 1.0
-        out[..., 1, 0] = v
+        out[..., 1, 0] = sign * np.exp(expo) / w
         return out
 
     def band_jump(self, j: int, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        w = self.spec.weight_value(j, x, Side.PLUS)
+        w = self.values.band_weight(j, x)
         a_j = self.aux.A[j]
         out = np.zeros(x.shape + (2, 2), dtype=complex)
         out[..., 0, 1] = w * np.exp(-a_j)
@@ -231,7 +379,8 @@ class RHSolution:
     contours lists the pieces that carry a density: every band, and the
     circles the solve kept.  A circle whose jump is the identity to within
     IDENTITY_JUMP is left out, so contours can hold fewer circles than the
-    contour set the problem was posed on.
+    contour set the problem was posed on.  stages holds the seconds the solve
+    spent in each of STAGES.
     """
 
     contours: ContourSet
@@ -239,6 +388,7 @@ class RHSolution:
     circle_coeffs: list           # per circle of contours: array (2, 2, n_points), [row, col, k]
     band_coeffs: list             # per band: array (2, 2, n_points)
     residual: ResidualReport
+    stages: dict
 
     def eval(self, z) -> np.ndarray:
         """I + the Cauchy transform of the solved densities, off all contours."""
@@ -252,80 +402,60 @@ class RHSolution:
         contours.  At large |z| it keeps the digits of first_order(self)/z that
         subtracting I from eval(z) would cancel."""
         scalar = np.ndim(z) == 0
-        out, _ = self._limits(np.atleast_1d(np.asarray(z, dtype=complex)))
+        zz = np.atleast_1d(np.asarray(z, dtype=complex))
+        out = np.zeros(zz.shape + (2, 2), dtype=complex)
+        for circ, coeff in zip(self.contours.circles, self.circle_coeffs):
+            table = _circle_table(circ, zz)
+            for m in range(2):
+                out[..., m] += table @ coeff[:, m, :].T
+        for bp, kinds, coeff in zip(self.contours.bands, self.bases, self.band_coeffs):
+            for m in range(2):
+                table = cauchy_cheb_table(kinds[m], bp.n_points, bp.interval, zz, Side.OFF)
+                out[..., m] += table @ coeff[:, m, :].T
         return out[0] if scalar else out
 
-    def _limits(self, z: np.ndarray, own: int | None = None):
-        """(plus, minus) Cauchy transforms of the densities at points z.
 
-        Piece `own` of contours.pieces contributes its boundary limits from the
-        two sides; every other piece, and all of them when own is None,
-        contributes its off-contour value to both.
-        """
-        ncirc = len(self.contours.circles)
-        kinds = ((None, None),) * ncirc + tuple(self.bases)
-        coeffs = list(self.circle_coeffs) + list(self.band_coeffs)
-        plus = np.zeros(z.shape + (2, 2), dtype=complex)
-        minus = np.zeros_like(plus)
-        for q, piece in enumerate(self.contours.pieces):
-            for m, (tp, tm) in enumerate(_piece_tables(piece, kinds[q], z, q == own)):
-                cp = tp @ coeffs[q][:, m, :].T
-                plus[..., m] += cp
-                minus[..., m] += cp if tm is tp else tm @ coeffs[q][:, m, :].T
-        return plus, minus
-
-
-def _circle_table(circ: Circle, z, side: Side | None) -> np.ndarray:
-    """Laurent basis table at points z.
-
-    side None: interior rows carry the nonnegative powers, exterior rows the
-    negated negative powers.  side PLUS/MINUS: the one-sided boundary limits on
-    the circle itself.
-    """
+def _circle_table(circ: Circle, z) -> np.ndarray:
+    """Laurent basis table at points z off the circle, shape (len(z), n_points):
+    interior rows carry the nonnegative powers, exterior rows the negated
+    negative powers."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     w = (z - circ.center) / circ.radius
+    n_neg = int(np.count_nonzero(circ.exponents < 0))
+    inner = np.abs(w) < 1.0
+    # Powers by running products over the consecutive exponents, one row per
+    # exponent.  Each point takes only the half that decays there, the
+    # exterior half from 1/w, so no power overflows; far points' high powers
+    # underflow to zero, which is their value.
+    table = np.empty((circ.n_points, len(w)), dtype=complex)
+    table[n_neg] = inner
+    with np.errstate(under="ignore"):
+        _powers(np.where(inner, w, 0.0), out=table[n_neg + 1:])
+        _powers(np.divide(1.0, w, out=np.zeros_like(w), where=~inner), out=table[:n_neg][::-1])
+    table[:n_neg] *= -1.0
+    return table.T
+
+
+def _powers(x: np.ndarray, out: np.ndarray) -> None:
+    """x, x^2, ..., x^len(out) into the rows of out."""
+    np.multiply.accumulate(np.broadcast_to(x, out.shape), axis=0, out=out)
+
+
+def _circle_on_test_nodes(circ: Circle, u: np.ndarray):
+    """(plus, minus) boundary values at circ's own test nodes of the Laurent
+    series whose coefficients on circ.exponents are the rows of u.
+
+    The test nodes are the roots of unity turned by half a step, so each half
+    of the series is an inverse DFT of the coefficients times that phase."""
+    n = circ.n_points
     exps = circ.exponents
-    neg = exps < 0
-    # Negative powers via 1/w so the unused overflowing half underflows to zero
-    # instead of tripping complex inf/inf division.
-    W = np.empty((len(w), len(exps)), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        W[:, ~neg] = w[:, None] ** exps[None, ~neg]
-        W[:, neg] = (1.0 / w)[:, None] ** (-exps[None, neg])
-    if side is Side.PLUS:
-        W[:, neg] = 0.0
-        return W
-    if side is Side.MINUS:
-        W[:, ~neg] = 0.0
-        return -W
-    inside = np.abs(w) < 1.0
-    W[np.ix_(inside, neg)] = 0.0
-    W[np.ix_(~inside, ~neg)] = 0.0
-    W[np.ix_(~inside, neg)] *= -1.0
-    return W
-
-
-def _piece_tables(piece, kinds, z, own: bool) -> list:
-    """Per unknown column: the (plus, minus) kernel tables of piece at z.
-
-    Off the piece (own False) both are the one off-contour table.  kinds holds
-    the column bases of a band and is ignored for a circle.
-    """
-    if isinstance(piece, Circle):
-        if own:
-            pair = (_circle_table(piece, z, Side.PLUS), _circle_table(piece, z, Side.MINUS))
-        else:
-            pair = (_circle_table(piece, z, None),) * 2
-        return [pair, pair]
-    tables = {}
-    for kind in set(kinds):
-        if own:
-            tables[kind] = tuple(cauchy_cheb_table(kind, piece.n_points, piece.interval, z, side)
-                                 for side in (Side.PLUS, Side.MINUS))
-        else:
-            tables[kind] = (cauchy_cheb_table(kind, piece.n_points, piece.interval, z,
-                                              Side.OFF),) * 2
-    return [tables[kind] for kind in kinds]
+    shifted = u * np.exp(1j * np.pi * exps / n)[:, None]
+    halves = []
+    for part in (exps >= 0, exps < 0):
+        spectrum = np.zeros((n,) + u.shape[1:], dtype=complex)
+        spectrum[exps[part] % n] = shifted[part]
+        halves.append(n * np.fft.ifft(spectrum, axis=0))
+    return halves[0], -halves[1]
 
 
 def default_bases(spec: WeightSpec) -> tuple:
@@ -346,44 +476,39 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     the bands are factored.  The returned solution's contours list the bands
     and the kept circles.  The off-collocation residual checks every piece of
     `contours`, the dropped circles included; above RESIDUAL_WARN it warns.
+    The kernel tables come from contours.operator, which the first solve on
+    `contours` builds (the "tables" stage).
     """
+    clock = [time.perf_counter()]
     bases = default_bases(spec)
-    circle_nodes = [c.nodes() for c in contours.circles]
-    circle_F = [jumps.circle_jump(j, z) for j, z in enumerate(circle_nodes)]
+    op = contours.operator(bases)
+    clock.append(time.perf_counter())
+
+    circle_F = [jumps.circle_jump(j, z) for j, z in enumerate(op.circle_nodes)]
     for j, Fj in enumerate(circle_F):
         if np.any(Fj[:, 0, 0] != 1.0) or np.any(Fj[:, 1, 1] != 1.0) or np.any(Fj[:, 0, 1] != 0.0):
             raise SolverError(f"jump on circle {j} is not unit lower-triangular at its nodes")
     deviation = [float(np.max(np.abs(Fj[:, 1, 0]))) for Fj in circle_F]
     kept = [j for j, dev in enumerate(deviation) if not dev < IDENTITY_JUMP]
-    used = ContourSet(circles=tuple(contours.circles[j] for j in kept), bands=contours.bands)
-    bands = used.bands
-    nodes = [bp.nodes() for bp in bands]
-    F = [jumps.band_jump(j, z) for j, z in enumerate(nodes)]
-    counts = [bp.n_points for bp in bands]
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    T = int(offsets[-1])
+    F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_nodes)])
+    test_F = [jumps.circle_jump(j, z) for j, z in enumerate(op.circle_test_nodes)]
+    test_F.append(np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_test_nodes)]))
+    clock.append(time.perf_counter())
 
+    T = len(F)
     # Fortran order lets LAPACK factor A in place instead of copying it.
-    A = np.zeros((2 * T, 2 * T), dtype=complex, order="F")
-    rhs = np.zeros((2 * T, 2), dtype=complex)
+    A = np.empty((2 * T, 2 * T), dtype=complex, order="F")
+    rhs = np.empty((2 * T, 2), dtype=complex)
     eye = np.eye(2)
-
-    for p in range(len(bands)):
-        for q, piece in enumerate(bands):
-            tabs = _piece_tables(piece, bases[q], nodes[p], p == q)
-            for m in range(2):
-                row = slice(m * T + offsets[p], m * T + offsets[p] + counts[p])
-                for m2 in range(2):
-                    col = slice(m2 * T + offsets[q], m2 * T + offsets[q] + counts[q])
-                    tp, tm = tabs[m2]
-                    block = -F[p][:, m2, m][:, None] * tm
-                    if m2 == m:
-                        block = block + tp
-                    A[row, col] = block
-        for m in range(2):
-            row = slice(m * T + offsets[p], m * T + offsets[p] + counts[p])
-            for r in range(2):
-                rhs[row, r] = F[p][:, r, m] - eye[r, m]
+    for m in range(2):
+        rows = slice(m * T, (m + 1) * T)
+        for m2 in range(2):
+            block = -F[:, m2, m, None] * op.minus[m2]
+            if m2 == m:
+                block += op.plus[m2]
+            A[rows, m2 * T:(m2 + 1) * T] = block
+        for r in range(2):
+            rhs[rows, r] = F[:, r, m] - eye[r, m]
 
     # On a kept circle c the column-1 rows read W u_c1 = 0 with W the Laurent
     # table at c's own nodes, so u_c1 = 0, and the column-0 rows give
@@ -391,20 +516,18 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     # c's nodes.  W^-1 = W^H / n_c (consecutive exponents at the n_c-th roots
     # of unity) is a DFT.  Z_c maps (u_B1, 1) to u_c0; substituting u_c0 into
     # the band rows leaves a system in the band unknowns only.
-    zb = np.concatenate(nodes)
-    scale = [eye[0, m] - np.concatenate(F)[:, 0, m] for m in range(2)]
+    zb = np.concatenate(op.band_nodes)
+    scale = [eye[0, m] - F[:, 0, m] for m in range(2)]
     Z = []
     for j in kept:
         circ = contours.circles[j]
-        K = np.hstack([cauchy_cheb_table(kinds[1], bp.n_points, bp.interval, circle_nodes[j],
-                                         Side.OFF) for bp, kinds in zip(bands, bases)]
-                      + [np.ones((circ.n_points, 1))])
-        Zc = np.fft.fft(circle_F[j][:, 1, 0, None] * K, axis=0)[circ.exponents % circ.n_points]
-        Z.append(Zc / circ.n_points)
-        coupling = _circle_table(circ, zb, None) @ Z[-1]
+        Zc = np.fft.fft(circle_F[j][:, 1, 0, None] * op.circle_K[j], axis=0)
+        Z.append(Zc[circ.exponents % circ.n_points] / circ.n_points)
+        coupling = _circle_table(circ, zb) @ Z[-1]
         for m in range(2):
             A[m * T:(m + 1) * T, T:] += scale[m][:, None] * coupling[:, :T]
             rhs[m * T:(m + 1) * T, 1] -= scale[m] * coupling[:, T]
+    clock.append(time.perf_counter())
 
     anorm = np.linalg.norm(A, 1)
     try:
@@ -415,10 +538,11 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
         raise SolverError("collocation system is numerically singular")
     X = lu_solve((lu, piv), rhs, check_finite=False)
     rcond, _ = _lapack.zgecon(lu, anorm)
+    clock.append(time.perf_counter())
 
     # X rows: column m of the unknown on band q; X columns: the row r.
-    band_coeffs = [np.stack([X[m * T + offsets[q]: m * T + offsets[q + 1]].T for m in range(2)],
-                            axis=1) for q in range(len(bands))]
+    band_coeffs = [np.stack([X[m * T:(m + 1) * T][span].T for m in range(2)], axis=1)
+                   for span in op.spans]
     circle_coeffs = []
     for Zc in Z:
         u0 = Zc[:, :T] @ X[T:]
@@ -426,37 +550,61 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
         coeff = np.zeros((2, 2, len(Zc)), dtype=complex)
         coeff[:, 0, :] = u0.T
         circle_coeffs.append(coeff)
+    used = ContourSet(circles=tuple(contours.circles[j] for j in kept), bands=contours.bands)
+    residual = _off_collocation_residual(op, contours, kept, circle_coeffs, X, test_F)
+    clock.append(time.perf_counter())
+
     sol = RHSolution(contours=used, bases=bases, circle_coeffs=circle_coeffs,
-                     band_coeffs=band_coeffs, residual=ResidualReport(np.nan, float(rcond), max(deviation, default=0.0)))
-    sol.residual.off_collocation = _off_collocation_residual(sol, jumps, contours, kept)
-    if sol.residual.off_collocation > RESIDUAL_WARN:
+                     band_coeffs=band_coeffs,
+                     residual=ResidualReport(residual, float(rcond), max(deviation, default=0.0)),
+                     stages=dict(zip(STAGES, np.diff(clock).tolist())))
+    if residual > RESIDUAL_WARN:
         warnings.warn(
-            f"off-collocation jump residual {sol.residual.off_collocation:.2e} exceeds "
+            f"off-collocation jump residual {residual:.2e} exceeds "
             f"{RESIDUAL_WARN:.1e} (n={jumps.n}); increase resolution or check the basis",
             ResidualWarning, stacklevel=2)
     return sol
 
 
-def _off_collocation_residual(sol: RHSolution, jumps: JumpAssembly, contours: ContourSet,
-                              kept: list) -> float:
+def _off_collocation_residual(op: CollocationOperator, contours: ContourSet, kept: list,
+                              circle_coeffs: list, X: np.ndarray, test_F: list) -> float:
     """Max jump defect at points interleaved with the collocation nodes.
 
-    Every piece of contours is checked.  On a circle the solve dropped there is
-    no density, so the two boundary values are both sol.eval and the defect is
+    Every piece of contours is checked: each circle's test nodes, the dropped
+    circles' included, then all band test nodes at once, with test_F the jumps
+    there.  X holds the band unknowns and circle_coeffs[i] the coefficients of
+    circle kept[i], whose column 1 is zero.  On a circle the solve dropped
+    there is no density, so the two boundary values agree and the defect is
     Phi (I - F).
     """
-    ncirc = len(contours.circles)
+    T = len(X) // 2
+    cols = (X[:T], X[T:])
+    points = op.circle_test_nodes + [np.concatenate(op.band_test_nodes)]
+    tables = [(t, t) for t in op.circle_test] + [(op.test_plus, op.test_minus)]
+    # Per point set, [point, row, column] of the two boundary values of
+    # Phi - I: the circles first, then band by band as correction sums them.
+    plus = [np.zeros((len(z), 2, 2), dtype=complex) for z in points]
+    minus = [np.zeros_like(p) for p in plus]
+    for j, coeff in zip(kept, circle_coeffs):
+        circ = contours.circles[j]
+        u0 = coeff[:, 0, :].T
+        above, below = _circle_on_test_nodes(circ, u0)
+        plus[j][:, :, 0] += above
+        minus[j][:, :, 0] += below
+        others = [i for i in range(len(points)) if i != j]
+        values = _circle_table(circ, np.concatenate([points[i] for i in others])) @ u0
+        ends = np.cumsum([len(points[i]) for i in others])[:-1]
+        for i, part in zip(others, np.split(values, ends)):
+            plus[i][:, :, 0] += part
+            minus[i][:, :, 0] += part
     worst = 0.0
-    for p, piece in enumerate(contours.pieces):
-        zt = piece.test_nodes()
-        if p < ncirc:
-            Ft = jumps.circle_jump(p, zt)
-            own = kept.index(p) if p in kept else None
-        else:
-            Ft = jumps.band_jump(p - ncirc, zt)
-            own = len(kept) + p - ncirc
-        plus, minus = sol._limits(zt, own)
-        defect = plus - minus @ Ft + (np.eye(2) - Ft)
+    for (tp, tm), above, below, Ft in zip(tables, plus, minus, test_F):
+        for span in op.spans:
+            for m in range(2):
+                value = tp[m][:, span] @ cols[m][span]
+                above[:, :, m] += value
+                below[:, :, m] += value if tm is tp else tm[m][:, span] @ cols[m][span]
+        defect = above - below @ Ft + (np.eye(2) - Ft)
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst
 

@@ -237,16 +237,6 @@ class WeightSpec:
         out = out * (sb if beta > 0 else 1.0 / sb)
         return out if out.shape else complex(out)
 
-    def weight_on_sigma(self, x):
-        """The full weight at real points of the support (0 off the bands)."""
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=float)
-        for j, band in enumerate(self.bands):
-            mask = (x > band.a) & (x < band.b)
-            if np.any(mask):
-                out[mask] = np.real(self.weight_value(j, x[mask], Side.PLUS))
-        return out
-
     def describe(self) -> str:
         parts = [f"[{b.a:g},{b.b:g}]:{k.value}:h={hj.describe()}"
                  for b, k, hj in zip(self.bands, self.kinds, self.h)]

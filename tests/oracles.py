@@ -28,6 +28,13 @@ def _norm_const(kind: ChebKind, interval: Interval) -> float:
     return 2.0 / (np.pi * L)
 
 
+def normalized_weight(kind: ChebKind, interval: Interval, x):
+    """The kind's normalized weight at points x inside the interval."""
+    wa, wb = _ALG[kind]
+    x = np.asarray(x, dtype=float)
+    return _norm_const(kind, interval) * (x - interval.a) ** wa * (interval.b - x) ** wb
+
+
 def quad_alg(f, interval: Interval, kind: ChebKind, **kw):
     """Integral of f(x) times the kind's normalized weight over the interval."""
     wa, wb = _ALG[kind]

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cauchy_quad
+from oracles import cauchy_quad, normalized_weight
 from rhjacobi.cauchy import (Side, cauchy_cheb, cauchy_cheb_table, joukowsky_inv,
                              log_joukowsky_inv, sqrt_cut)
-from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, UNIT, cheb_eval, normalized_weight_value
+from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, UNIT, cheb_eval
 from rhjacobi.errors import EndpointError
 
 ALL_KINDS = list(ChebKind)
@@ -106,7 +106,7 @@ class TestCauchyCheb:
         x = 3.5
         jump = (cauchy_cheb(ChebKind.V, 3, iv, x, Side.PLUS)
                 - cauchy_cheb(ChebKind.V, 3, iv, x, Side.MINUS))
-        dens = cheb_eval(ChebKind.V, 3, iv.to_unit(x)) * normalized_weight_value(ChebKind.V, iv, x)
+        dens = cheb_eval(ChebKind.V, 3, iv.to_unit(x)) * normalized_weight(ChebKind.V, iv, x)
         assert jump == pytest.approx(dens, abs=1e-13)
 
     @given(kind=st.sampled_from(ALL_KINDS), k=st.integers(0, 20),
@@ -116,7 +116,7 @@ class TestCauchyCheb:
         x = iv.from_unit(t)
         jump = (cauchy_cheb(kind, k, iv, x, Side.PLUS)
                 - cauchy_cheb(kind, k, iv, x, Side.MINUS))
-        dens = cheb_eval(kind, k, t) * normalized_weight_value(kind, iv, x)
+        dens = cheb_eval(kind, k, t) * normalized_weight(kind, iv, x)
         assert abs(jump - dens) <= 1e-11 * max(1.0, abs(dens))
 
     @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from rhjacobi.chebyshev import (SQRT2, ChebKind, ChebSeries, Interval, UNIT, adaptive_dct,
-                                cheb_eval, cheb_t_nodes, dct_coeffs, gauss_cheb_rule,
-                                normalized_weight_value)
+                                cheb_eval, cheb_t_nodes, dct_coeffs, gauss_cheb_rule)
 from rhjacobi.errors import ConvergenceError, DomainError, WeightError
 
 ALL_KINDS = list(ChebKind)

@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
 from oracles import weight_integral
+from rhjacobi import cauchy
 from rhjacobi.cauchy import cauchy_cheb
 from rhjacobi.chebyshev import SQRT2, ChebKind, UNIT
 from rhjacobi.errors import DomainError, ImagPartWarning, PrecisionWarning, SolverError
@@ -94,6 +97,61 @@ class TestRecurrenceRange:
     def test_bad_range_rejected(self, spec_u):
         with pytest.raises(DomainError):
             recurrence_range(spec_u, 5, 3)
+
+
+def _count_table_calls(monkeypatch) -> list:
+    """Record every cauchy_cheb_table call, under each name a package module binds it to."""
+    original = cauchy.cauchy_cheb_table
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rhjacobi":
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+class TestSharedOperator:
+    def test_later_solves_build_no_tables(self, spec_genus3, monkeypatch):
+        ctx = SolveContext(spec_genus3)
+        ctx.solution(0)
+        calls = _count_table_calls(monkeypatch)
+        for n in (1, 2, 5, 9):
+            ctx.solution(n)
+        assert calls == []
+        SolveContext(spec_genus3).solution(0)
+        assert calls
+
+    def test_shared_solve_bit_identical_to_fresh(self, spec_genus3):
+        shared = SolveContext(spec_genus3)
+        for n in range(5):
+            shared.solution(n)
+        got, want = shared.solution(5), SolveContext(spec_genus3).solution(5)
+        for x, y in zip(got.circle_coeffs + got.band_coeffs, want.circle_coeffs + want.band_coeffs):
+            np.testing.assert_array_equal(x, y)
+        assert got.residual == want.residual
+
+    def test_jump_spec_weights_not_shared(self, spec_two_band):
+        base = SolveContext(spec_two_band)
+        segs = {t: recurrence_range(spec_two_band, 0, 4,
+                                    context=base.with_jump_spec(spec_two_band.with_exp_factor(t)))
+                for t in (1.0, 0.0)}
+        for t, seg in segs.items():
+            ref = recurrence_range(spec_two_band.with_exp_factor(t), 0, 4)
+            np.testing.assert_allclose(seg.a, ref.a, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(seg.b, ref.b, rtol=0, atol=1e-13)
+
+    def test_stages_timed(self, spec_two_band):
+        seg = recurrence_range(spec_two_band, 0, 3)
+        stages = seg.meta["stages"]
+        assert set(stages) == {"tables", "jumps", "assembly", "lu", "residual"}
+        assert all(seconds >= 0.0 for seconds in stages.values())
+        assert sum(stages.values()) <= seg.meta["wall_time"]
 
 
 class TestRealifyPolicy:

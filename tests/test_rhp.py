@@ -47,7 +47,7 @@ class TestBuildContours:
         for bp in ct.bands:
             x = bp.nodes()
             assert x.shape == (8,)
-            assert bp.interval.contains(x)
+            assert np.all((bp.interval.a <= x) & (x <= bp.interval.b))
 
 
 class _IdentityJumps:

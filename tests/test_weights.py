@@ -105,11 +105,8 @@ class TestWeightSpec:
 
     def test_weight_on_sigma(self):
         spec = WeightSpec.build([(-1.0, 1.0), (2.0, 3.0)], ["U", "U"])
-        x = np.array([0.0, 1.5, 2.5])
-        w = spec.weight_on_sigma(x)
-        assert w[0] == pytest.approx(1.0)          # sqrt(1) sqrt(1)
-        assert w[1] == 0.0                          # gap
-        assert w[2] == pytest.approx(0.5)           # sqrt(.5) sqrt(.5)
+        assert spec.weight_value(0, 0.0, Side.PLUS) == pytest.approx(1.0)   # sqrt(1) sqrt(1)
+        assert spec.weight_value(1, 2.5, Side.PLUS) == pytest.approx(0.5)   # sqrt(.5) sqrt(.5)
 
     def test_with_exp_factor(self):
         spec = WeightSpec.single(ChebKind.U)
