@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import AuxData, build_hsystem, eval_h, solve_aux
+from .auxiliary import AuxData, build_hsystem, combine_h, h_basis, solve_aux
 from .cauchy import Side
 from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
 from .green import build_green, eval_g
@@ -77,7 +77,8 @@ class SolveContext:
     by another weight on the same bands (e.g. exponentially scaled) and shares
     everything per geometry.  Per n: the auxiliary data (aux) and the solve
     (solution), both cached.  stages adds up the seconds of every solve made
-    here, per stage of rhp.STAGES.
+    here, per stage of rhp.STAGES.  cauchy_pn's n-independent factors at its
+    point (_point_values) are kept for the last point only.
     """
 
     def __init__(self, spec: WeightSpec, resolution: Resolution = Resolution()):
@@ -91,6 +92,7 @@ class SolveContext:
         self.stages = dict.fromkeys(STAGES, 0.0)
         self._aux: dict = {}
         self._solutions: dict = {}
+        self._point: tuple = (None,)
 
     def aux(self, n: int) -> AuxData:
         if n not in self._aux:
@@ -106,6 +108,17 @@ class SolveContext:
                 self.stages[stage] += seconds
             self._solutions[n] = sol
         return self._solutions[n]
+
+    def _point_values(self, z: complex) -> tuple:
+        """(R, transforms, g) at z, the h basis and g off the bands or their
+        upper boundary values on the real axis.  They do not depend on n, so
+        they are rebuilt only when z differs from the last point asked for."""
+        if self._point[0] != z:
+            side = Side.PLUS if z.imag == 0.0 else Side.OFF
+            zeval = z.real if side is Side.PLUS else z
+            self._point = (z, *h_basis(self.spec, self.hsys, zeval, side),
+                           eval_g(self.green, zeval, side))
+        return self._point[1:]
 
     def with_jump_spec(self, jump_spec: WeightSpec) -> "SolveContext":
         """This context with jump_spec's jump data, an empty solution cache and
@@ -157,7 +170,8 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
     (NaN only if the solve for n did), since large jump data makes pairs fail.
     meta["stages"] holds the seconds this call's solves spent per stage of
     rhp.STAGES ("tables" is the collocation operator's build, paid by the
-    first solve on a context).
+    first solve on a context, and each circle's Laurent tables, paid by the
+    first solve that keeps the circle).
     """
     if not (0 <= n0 <= n1):
         raise DomainError(f"need 0 <= n0 <= n1, got ({n0}, {n1})")
@@ -212,7 +226,8 @@ def cauchy_pn(spec: WeightSpec, n: int, z, resolution: Resolution = Resolution()
 
     The polynomials are orthonormal for the unit-mass normalization of the
     weight with p_0 = 1; the transform integrates against the raw weight.  The
-    n-fold product of 1/(b_j c) is accumulated in log space.
+    n-fold product of 1/(b_j c) is accumulated in log space, so b_0..b_{n-1}
+    must be finite and positive (DomainError otherwise).
     """
     ctx = context if context is not None else SolveContext(spec, resolution)
     zc = complex(z)
@@ -231,10 +246,11 @@ def cauchy_pn(spec: WeightSpec, n: int, z, resolution: Resolution = Resolution()
         bs = seg.b
     else:
         bs = np.empty(0)
-    side = Side.PLUS if abs(zc.imag) == 0.0 else Side.OFF
-    zeval = zc.real if side is Side.PLUS else zc
-    expo = (eval_h(spec, ctx.hsys, ctx.aux(n), zeval, side)
-            - n * eval_g(ctx.green, zeval, side)
+    bad = np.flatnonzero(~(np.isfinite(bs) & (bs > 0.0)))
+    if bad.size:
+        raise DomainError(f"b_{bad[0]} = {bs[bad[0]]} is not finite and positive")
+    R, transforms, g = ctx._point_values(zc)
+    expo = (complex(combine_h(ctx.aux(n), R, transforms)[0]) - n * g
             - np.sum(np.log(bs.astype(complex) * ctx.green.cap_const)))
     s12 = ctx.solution(n).eval(zc)[0, 1]
     return complex(s12 * np.exp(expo))

@@ -22,11 +22,15 @@ What is computed how often:
   nodes of every piece.  The first solve on a contour set builds it, and the
   contour set keeps it for every later solve.  g and the h basis at the
   circle nodes and test nodes depend on the bands only too (JumpValues).
+- per kept circle: its Laurent tables at the band nodes and at the other
+  pieces' test nodes, truncated to the powers that reach LAURENT_CUT there.
+  The first solve that keeps the circle builds them and the operator keeps
+  them; a circle no solve keeps never gets any.
 - per jump spec: the weight values at the nodes and test nodes (JumpValues).
 - per n: the jump values, which are exponentials of those cached factors; one
-  FFT and one Laurent table per kept circle; the band system's assembly and
-  LU; and the residual as matrix products, where a circle's series on its own
-  test nodes is an inverse FFT.
+  FFT per kept circle; the band system's assembly and LU; and the residual as
+  matrix products, where a circle's series on its own test nodes is an inverse
+  FFT.
 """
 
 from __future__ import annotations
@@ -52,6 +56,12 @@ _I2PI = 1j / (2.0 * np.pi)
 # the 2x2 solver drops the circle.  On two bands, n = 50..85, this and 1e-3 of
 # it both agree with the solve on every circle to 6e-15.
 IDENTITY_JUMP = np.finfo(float).eps
+
+# Smallest |power| a Laurent table keeps.  At points whose distance ratio to
+# the circle is rho, the powers dropped below it add at most
+# LAURENT_CUT / (1 - rho) times the largest coefficient, far below the
+# rounding of the kept terms.
+LAURENT_CUT = np.finfo(float).eps / 100
 
 # Off-collocation residual above which a solve warns.
 RESIDUAL_WARN = 1e-6
@@ -140,18 +150,24 @@ class CollocationOperator:
     - circle_K[j]: the column-1 kernels at circle j's nodes, then a column of
       ones for the identity's share of the jump.
     - circle_test[j][m]: the column-m kernels at circle j's test nodes.
-    A circle's Laurent tables are not kept; _circle_table rebuilds them per
-    solve by running products.  On four bands at the default resolution
-    those at the band nodes and test nodes would add 1.3 MB to the 2.5 MB
-    here, and those at the other circles' test nodes 4.9 MB.
+    - test_points: the residual's point sets, each circle's test nodes and
+      then all band test nodes at once.
+    Circle j's Laurent tables (circle_tables) are built the first time a solve
+    keeps circle j, and kept; each is truncated to the exponents whose powers
+    reach LAURENT_CUT at its points.  The tables at one point set off the
+    contours (kernels_at, circle_at) are kept for the last point set only.
     """
 
     def __init__(self, contours: ContourSet, bases: tuple):
         bands = contours.bands
+        self.bands = bands
+        self.bases = bases
+        self.circles = contours.circles
         self.band_nodes = [bp.nodes() for bp in bands]
         self.band_test_nodes = [bp.test_nodes() for bp in bands]
         self.circle_nodes = [c.nodes() for c in contours.circles]
         self.circle_test_nodes = [c.test_nodes() for c in contours.circles]
+        self.test_points = self.circle_test_nodes + [np.concatenate(self.band_test_nodes)]
         ends = np.cumsum([bp.n_points for bp in bands]).tolist()
         self.spans = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
         at_nodes = [_stacked_kernels(bands, bases, m, self.band_nodes) for m in range(2)]
@@ -164,6 +180,43 @@ class CollocationOperator:
                          for z in self.circle_nodes]
         self.circle_test = [[_band_kernels(bands, bases, m, z)[0] for m in range(2)]
                             for z in self.circle_test_nodes]
+        self._circle_tables: dict = {}
+        self._last_points: tuple = (None, [], {})
+
+    def circle_tables(self, j: int) -> tuple:
+        """(coupling, residual) for circle j, built on first request and kept:
+        coupling is _circle_table at all band nodes, and residual lists
+        (i, span, table) for every point set i of test_points but circle j's
+        own."""
+        if j not in self._circle_tables:
+            circ = self.circles[j]
+            coupling = _circle_table(circ, np.concatenate(self.band_nodes))
+            residual = [(i, *_circle_table(circ, z))
+                        for i, z in enumerate(self.test_points) if i != j]
+            self._circle_tables[j] = (coupling, residual)
+        return self._circle_tables[j]
+
+    def kernels_at(self, z: np.ndarray) -> list:
+        """Per column m, the column-m kernels of all bands side by side at
+        points z off the contours."""
+        return self._at(z)[1]
+
+    def circle_at(self, circ: Circle, z: np.ndarray) -> tuple:
+        """_circle_table(circ, z), kept with kernels_at's tables."""
+        tables = self._at(z)[2]
+        if circ not in tables:
+            tables[circ] = _circle_table(circ, z)
+        return tables[circ]
+
+    def _at(self, z: np.ndarray) -> tuple:
+        """The tables at points z, rebuilt only when z differs from the last
+        point set asked for: repeated evaluation at one point, as in the
+        terms of recip_approx, builds them once, and the memo cannot grow."""
+        key = z.tobytes()
+        if self._last_points[0] != key:
+            kernels = [_band_kernels(self.bands, self.bases, m, z)[0] for m in range(2)]
+            self._last_points = (key, kernels, {})
+        return self._last_points
 
 
 def _band_kernels(bands: tuple, bases: tuple, m: int, z, own: int | None = None):
@@ -380,7 +433,8 @@ class RHSolution:
     circles the solve kept.  A circle whose jump is the identity to within
     IDENTITY_JUMP is left out, so contours can hold fewer circles than the
     contour set the problem was posed on.  stages holds the seconds the solve
-    spent in each of STAGES.
+    spent in each of STAGES.  operator is the collocation operator of the
+    contour set the problem was posed on; eval takes its tables from there.
     """
 
     contours: ContourSet
@@ -389,6 +443,7 @@ class RHSolution:
     band_coeffs: list             # per band: array (2, 2, n_points)
     residual: ResidualReport
     stages: dict
+    operator: CollocationOperator = field(repr=False, compare=False)
 
     def eval(self, z) -> np.ndarray:
         """I + the Cauchy transform of the solved densities, off all contours."""
@@ -405,35 +460,49 @@ class RHSolution:
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.zeros(zz.shape + (2, 2), dtype=complex)
         for circ, coeff in zip(self.contours.circles, self.circle_coeffs):
-            table = _circle_table(circ, zz)
+            span, table = self.operator.circle_at(circ, zz)
             for m in range(2):
-                out[..., m] += table @ coeff[:, m, :].T
-        for bp, kinds, coeff in zip(self.contours.bands, self.bases, self.band_coeffs):
-            for m in range(2):
-                table = cauchy_cheb_table(kinds[m], bp.n_points, bp.interval, zz, Side.OFF)
-                out[..., m] += table @ coeff[:, m, :].T
+                out[..., m] += table @ coeff[:, m, span].T
+        for m, kernels in enumerate(self.operator.kernels_at(zz)):
+            out[..., m] += kernels @ np.concatenate([c[:, m, :] for c in self.band_coeffs], axis=1).T
         return out[0] if scalar else out
 
 
-def _circle_table(circ: Circle, z) -> np.ndarray:
-    """Laurent basis table at points z off the circle, shape (len(z), n_points):
-    interior rows carry the nonnegative powers, exterior rows the negated
-    negative powers."""
+def _circle_table(circ: Circle, z) -> tuple:
+    """(span, table): the Laurent basis at points z off the circle, truncated to
+    the consecutive exponents circ.exponents[span] whose largest |power| over z
+    reaches LAURENT_CUT; table has shape (len(z), that many).  Interior rows
+    carry the nonnegative powers, exterior rows the negated negative powers."""
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     w = (z - circ.center) / circ.radius
     n_neg = int(np.count_nonzero(circ.exponents < 0))
-    inner = np.abs(w) < 1.0
+    r = np.abs(w)
+    inner = r < 1.0
+    # An exterior point's powers fall off like r^-k, an interior one's like
+    # r^k, so the farthest of each from the circle set how many are kept.
+    neg = _reaching(1.0 / np.min(r[~inner]), n_neg) if not np.all(inner) else 0
+    pos = 1 + _reaching(np.max(r[inner]), len(circ.exponents) - n_neg - 1) if np.any(inner) else 0
     # Powers by running products over the consecutive exponents, one row per
     # exponent.  Each point takes only the half that decays there, the
     # exterior half from 1/w, so no power overflows; far points' high powers
     # underflow to zero, which is their value.
-    table = np.empty((circ.n_points, len(w)), dtype=complex)
-    table[n_neg] = inner
+    table = np.empty((neg + pos, len(w)), dtype=complex)
     with np.errstate(under="ignore"):
-        _powers(np.where(inner, w, 0.0), out=table[n_neg + 1:])
-        _powers(np.divide(1.0, w, out=np.zeros_like(w), where=~inner), out=table[:n_neg][::-1])
-    table[:n_neg] *= -1.0
-    return table.T
+        if pos:
+            table[neg] = inner
+            _powers(np.where(inner, w, 0.0), out=table[neg + 1:])
+        _powers(np.divide(1.0, w, out=np.zeros_like(w), where=~inner), out=table[:neg][::-1])
+    table[:neg] *= -1.0
+    return slice(n_neg - neg, n_neg + pos), table.T
+
+
+def _reaching(x: float, count: int) -> int:
+    """How many of x, x^2, ..., x^count reach LAURENT_CUT, for 0 <= x <= 1;
+    all of them for x = 1 or NaN, whose table then carries the NaN on."""
+    if not x < 1.0:
+        return count
+    with np.errstate(divide="ignore"):
+        return min(count, int(np.log(LAURENT_CUT) / np.log(x)))
 
 
 def _powers(x: np.ndarray, out: np.ndarray) -> None:
@@ -477,12 +546,19 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     and the kept circles.  The off-collocation residual checks every piece of
     `contours`, the dropped circles included; above RESIDUAL_WARN it warns.
     The kernel tables come from contours.operator, which the first solve on
-    `contours` builds (the "tables" stage).
+    `contours` builds, and a kept circle's Laurent tables from the operator,
+    which the first solve that keeps the circle builds (the "tables" stage).
     """
+    stages = dict.fromkeys(STAGES, 0.0)
     clock = [time.perf_counter()]
+
+    def lap(stage: str) -> None:
+        clock.append(time.perf_counter())
+        stages[stage] += clock[-1] - clock[-2]
+
     bases = default_bases(spec)
     op = contours.operator(bases)
-    clock.append(time.perf_counter())
+    lap("tables")
 
     circle_F = [jumps.circle_jump(j, z) for j, z in enumerate(op.circle_nodes)]
     for j, Fj in enumerate(circle_F):
@@ -493,7 +569,9 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_nodes)])
     test_F = [jumps.circle_jump(j, z) for j, z in enumerate(op.circle_test_nodes)]
     test_F.append(np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_test_nodes)]))
-    clock.append(time.perf_counter())
+    lap("jumps")
+    circle_tables = [op.circle_tables(j) for j in kept]
+    lap("tables")
 
     T = len(F)
     # Fortran order lets LAPACK factor A in place instead of copying it.
@@ -516,18 +594,17 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     # c's nodes.  W^-1 = W^H / n_c (consecutive exponents at the n_c-th roots
     # of unity) is a DFT.  Z_c maps (u_B1, 1) to u_c0; substituting u_c0 into
     # the band rows leaves a system in the band unknowns only.
-    zb = np.concatenate(op.band_nodes)
     scale = [eye[0, m] - F[:, 0, m] for m in range(2)]
     Z = []
-    for j in kept:
+    for j, ((span, table), _) in zip(kept, circle_tables):
         circ = contours.circles[j]
         Zc = np.fft.fft(circle_F[j][:, 1, 0, None] * op.circle_K[j], axis=0)
         Z.append(Zc[circ.exponents % circ.n_points] / circ.n_points)
-        coupling = _circle_table(circ, zb) @ Z[-1]
+        coupling = table @ Z[-1][span]
         for m in range(2):
             A[m * T:(m + 1) * T, T:] += scale[m][:, None] * coupling[:, :T]
             rhs[m * T:(m + 1) * T, 1] -= scale[m] * coupling[:, T]
-    clock.append(time.perf_counter())
+    lap("assembly")
 
     anorm = np.linalg.norm(A, 1)
     try:
@@ -538,7 +615,7 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
         raise SolverError("collocation system is numerically singular")
     X = lu_solve((lu, piv), rhs, check_finite=False)
     rcond, _ = _lapack.zgecon(lu, anorm)
-    clock.append(time.perf_counter())
+    lap("lu")
 
     # X rows: column m of the unknown on band q; X columns: the row r.
     band_coeffs = [np.stack([X[m * T:(m + 1) * T][span].T for m in range(2)], axis=1)
@@ -551,13 +628,13 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
         coeff[:, 0, :] = u0.T
         circle_coeffs.append(coeff)
     used = ContourSet(circles=tuple(contours.circles[j] for j in kept), bands=contours.bands)
-    residual = _off_collocation_residual(op, contours, kept, circle_coeffs, X, test_F)
-    clock.append(time.perf_counter())
+    residual = _off_collocation_residual(op, kept, circle_coeffs, X, test_F)
+    lap("residual")
 
     sol = RHSolution(contours=used, bases=bases, circle_coeffs=circle_coeffs,
                      band_coeffs=band_coeffs,
                      residual=ResidualReport(residual, float(rcond), max(deviation, default=0.0)),
-                     stages=dict(zip(STAGES, np.diff(clock).tolist())))
+                     stages=stages, operator=op)
     if residual > RESIDUAL_WARN:
         warnings.warn(
             f"off-collocation jump residual {residual:.2e} exceeds "
@@ -566,44 +643,38 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     return sol
 
 
-def _off_collocation_residual(op: CollocationOperator, contours: ContourSet, kept: list,
-                              circle_coeffs: list, X: np.ndarray, test_F: list) -> float:
+def _off_collocation_residual(op: CollocationOperator, kept: list, circle_coeffs: list,
+                              X: np.ndarray, test_F: list) -> float:
     """Max jump defect at points interleaved with the collocation nodes.
 
-    Every piece of contours is checked: each circle's test nodes, the dropped
-    circles' included, then all band test nodes at once, with test_F the jumps
-    there.  X holds the band unknowns and circle_coeffs[i] the coefficients of
-    circle kept[i], whose column 1 is zero.  On a circle the solve dropped
-    there is no density, so the two boundary values agree and the defect is
-    Phi (I - F).
+    Every point set of op.test_points is checked, the dropped circles' test
+    nodes included, with test_F the jumps there.  X holds the band unknowns
+    and circle_coeffs[i] the coefficients of circle kept[i], whose column 1 is
+    zero.  On a circle the solve dropped there is no density, so the two
+    boundary values agree and the defect is Phi (I - F).
     """
     T = len(X) // 2
     cols = (X[:T], X[T:])
-    points = op.circle_test_nodes + [np.concatenate(op.band_test_nodes)]
     tables = [(t, t) for t in op.circle_test] + [(op.test_plus, op.test_minus)]
     # Per point set, [point, row, column] of the two boundary values of
-    # Phi - I: the circles first, then band by band as correction sums them.
-    plus = [np.zeros((len(z), 2, 2), dtype=complex) for z in points]
+    # Phi - I: the circles first, then all bands in one product per column.
+    plus = [np.zeros((len(z), 2, 2), dtype=complex) for z in op.test_points]
     minus = [np.zeros_like(p) for p in plus]
     for j, coeff in zip(kept, circle_coeffs):
-        circ = contours.circles[j]
         u0 = coeff[:, 0, :].T
-        above, below = _circle_on_test_nodes(circ, u0)
+        above, below = _circle_on_test_nodes(op.circles[j], u0)
         plus[j][:, :, 0] += above
         minus[j][:, :, 0] += below
-        others = [i for i in range(len(points)) if i != j]
-        values = _circle_table(circ, np.concatenate([points[i] for i in others])) @ u0
-        ends = np.cumsum([len(points[i]) for i in others])[:-1]
-        for i, part in zip(others, np.split(values, ends)):
+        for i, span, table in op.circle_tables(j)[1]:
+            part = table @ u0[span]
             plus[i][:, :, 0] += part
             minus[i][:, :, 0] += part
     worst = 0.0
     for (tp, tm), above, below, Ft in zip(tables, plus, minus, test_F):
-        for span in op.spans:
-            for m in range(2):
-                value = tp[m][:, span] @ cols[m][span]
-                above[:, :, m] += value
-                below[:, :, m] += value if tm is tp else tm[m][:, span] @ cols[m][span]
+        for m in range(2):
+            value = tp[m] @ cols[m]
+            above[:, :, m] += value
+            below[:, :, m] += value if tm is tp else tm[m] @ cols[m]
         defect = above - below @ Ft + (np.eye(2) - Ft)
         worst = max(worst, float(np.max(np.abs(defect))))
     return worst

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -64,3 +66,24 @@ def ctx_two_band(spec_two_band):
 @pytest.fixture(scope="session")
 def ctx_u(spec_u):
     return SolveContext(spec_u, Resolution(16, 10))
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(fn): a list that records the arguments of every later call
+    of fn, made under any name a rhjacobi module binds it to."""
+    def count(original) -> list:
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "rhjacobi":
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counting)
+        return calls
+
+    return count

@@ -1,10 +1,8 @@
-import sys
-
 import numpy as np
 import pytest
 
 from oracles import weight_integral
-from rhjacobi import cauchy
+from rhjacobi import cauchy, rhp
 from rhjacobi.cauchy import cauchy_cheb
 from rhjacobi.chebyshev import SQRT2, ChebKind, UNIT
 from rhjacobi.errors import DomainError, ImagPartWarning, PrecisionWarning, SolverError
@@ -99,33 +97,17 @@ class TestRecurrenceRange:
             recurrence_range(spec_u, 5, 3)
 
 
-def _count_table_calls(monkeypatch) -> list:
-    """Record every cauchy_cheb_table call, under each name a package module binds it to."""
-    original = cauchy.cauchy_cheb_table
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rhjacobi":
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counting)
-    return calls
-
-
 class TestSharedOperator:
-    def test_later_solves_build_no_tables(self, spec_genus3, monkeypatch):
+    def test_later_solves_build_no_tables(self, spec_genus3, count_calls):
         ctx = SolveContext(spec_genus3)
         ctx.solution(0)
-        calls = _count_table_calls(monkeypatch)
+        calls = count_calls(cauchy.cauchy_cheb_table)
+        laurent_calls = count_calls(rhp._circle_table)
         for n in (1, 2, 5, 9):
             ctx.solution(n)
-        assert calls == []
+        assert calls == [] and laurent_calls == []
         SolveContext(spec_genus3).solution(0)
-        assert calls
+        assert calls and laurent_calls
 
     def test_shared_solve_bit_identical_to_fresh(self, spec_genus3):
         shared = SolveContext(spec_genus3)
@@ -190,6 +172,20 @@ class TestCauchyPn:
         for n in (1, 3):
             val = cauchy_pn(spec_two_band, n, z, context=ctx_two_band)
             assert abs(z * val) < 1e-3
+
+    @pytest.mark.parametrize("factors", [
+        {1: np.nan},
+        {0: np.inf},
+        {2: 0.0},
+        {1: -1.0},              # one b negated flipped the transform's sign
+        {0: -1.0, 2: -1.0},     # two negated gave the positive b's transform
+    ])
+    def test_bad_jacobi_b_rejected(self, spec_two_band, ctx_two_band, factors):
+        seg = recurrence_range(spec_two_band, 0, 3, context=ctx_two_band)
+        for j, factor in factors.items():
+            seg.b[j] *= factor
+        with pytest.raises(DomainError):
+            cauchy_pn(spec_two_band, 4, 0.5 + 1.0j, context=ctx_two_band, jacobi=seg)
 
     def test_near_support_warns(self, spec_two_band, ctx_two_band):
         with pytest.warns(PrecisionWarning):

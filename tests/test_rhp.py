@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+from rhjacobi import auxiliary
 from rhjacobi.auxiliary import build_hsystem, solve_aux
 from rhjacobi.cauchy import cauchy_cheb
 from rhjacobi.chebyshev import ChebKind, UNIT
 from rhjacobi.errors import GeometryError, ResidualWarning, SolverError, WeightError
 from rhjacobi.green import build_green
-from rhjacobi.rhp import (JumpAssembly, build_contours, default_bases, first_order,
-                          solve_matrix_rhp)
+from rhjacobi.pipeline import SolveContext, recip_approx, recurrence_range
+from rhjacobi.rhp import (JumpAssembly, _circle_table, build_contours, default_bases,
+                          first_order, solve_matrix_rhp)
 from rhjacobi.weights import HPoly, WeightSpec
 
 
@@ -214,3 +216,55 @@ class TestJumpAssembly:
         bases = default_bases(spec)
         assert bases[0] == (ChebKind.W, ChebKind.V)
         assert bases[1] == (ChebKind.T, ChebKind.U)
+
+
+def _full_circle_table(circ, z):
+    """The untruncated Laurent table by running products, one column per
+    exponent of circ: the reference the truncated tables are checked against."""
+    w = (np.asarray(z, dtype=complex) - circ.center) / circ.radius
+    n_neg = int(np.count_nonzero(circ.exponents < 0))
+    inner = np.abs(w) < 1.0
+    table = np.empty((circ.n_points, len(w)), dtype=complex)
+    table[n_neg] = inner
+    with np.errstate(under="ignore"):
+        np.multiply.accumulate(np.broadcast_to(np.where(inner, w, 0.0), table[n_neg + 1:].shape),
+                               axis=0, out=table[n_neg + 1:])
+        inv = np.divide(1.0, w, out=np.zeros_like(w), where=~inner)
+        np.multiply.accumulate(np.broadcast_to(inv, table[:n_neg].shape), axis=0,
+                               out=table[:n_neg][::-1])
+    table[:n_neg] *= -1.0
+    return table.T
+
+
+def _operator(ctx):
+    return ctx.contours.operator(default_bases(ctx.spec))
+
+
+class TestCircleTables:
+    def test_truncated_table_matches_full(self, spec_genus3, rng):
+        ctx = SolveContext(spec_genus3)
+        op = _operator(ctx)
+        off_contour = np.array([0.1 + 2.0j, -0.05 + 0.0j, 4.5 - 0.3j])
+        for j, circ in enumerate(ctx.contours.circles):
+            u = np.exp(2j * np.pi * rng.random((circ.n_points, 3)))
+            point_sets = [np.concatenate(op.band_nodes), off_contour]
+            point_sets += [z for i, z in enumerate(op.test_points) if i != j]
+            for z in point_sets:
+                span, table = _circle_table(circ, z)
+                assert table.shape == (len(z), len(circ.exponents[span]))
+                full = _full_circle_table(circ, z)
+                np.testing.assert_allclose(table @ u[span], full @ u, rtol=0, atol=1e-15)
+
+    def test_tables_built_only_for_kept_circles(self, spec_two_band, spec_genus3):
+        ctx = SolveContext(spec_two_band)
+        recurrence_range(spec_two_band, 1000, 1002, context=ctx)
+        assert _operator(ctx)._circle_tables == {}
+        ctx = SolveContext(spec_genus3)
+        recurrence_range(spec_genus3, 0, 8, context=ctx)
+        assert sorted(_operator(ctx)._circle_tables) == [0, 1, 2, 3]
+
+    def test_recip_approx_builds_h_basis_at_zero_once(self, spec_genus3, count_calls):
+        calls = count_calls(auxiliary.h_basis)
+        approx = recip_approx(spec_genus3, 12)
+        assert len(approx.coeffs) == 12
+        assert sum(np.all(np.atleast_1d(args[2]) == 0.0) for args in calls) == 1
