@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import Side, cauchy_cheb_table
+from .cauchy import Side, cauchy_cheb_series
 from .chebyshev import ChebKind
 from .errors import ImagPartWarning, SolverError
 from .green import GreenData, eval_R
@@ -108,8 +108,8 @@ def h_basis(spec: WeightSpec, hsys: HSystem, z, side: Side = Side.OFF) -> tuple:
     then of each gap series, stacked to shape (2g+1,) + z.shape.  Neither
     depends on n, so values at fixed points serve every index (combine_h)."""
     zz = np.atleast_1d(z)
-    transforms = np.array([cauchy_cheb_table(ChebKind.T, len(ser), ser.interval, zz, side)
-                           @ ser.coeffs for ser in hsys.band_beta + hsys.gap_beta])
+    transforms = np.array([cauchy_cheb_series(ChebKind.T, ser.coeffs, ser.interval, zz, side)
+                           for ser in hsys.band_beta + hsys.gap_beta])
     return eval_R(spec, zz, side), transforms
 
 

@@ -85,6 +85,18 @@ def log_joukowsky_inv(z, side: Side = Side.OFF):
     return out if out.shape else complex(out)
 
 
+def unit_variable(interval: Interval, z: np.ndarray, side: Side) -> np.ndarray:
+    """Points z mapped affinely onto [-1, 1]; on the axis (PLUS or MINUS) the
+    real parts, with exact endpoint hits snapped to exactly -1 and 1: the
+    affine map's rounding is amplified to sqrt(eps) by the non-Lipschitz
+    inverse Joukowsky map."""
+    if side is Side.OFF:
+        return interval.to_unit(z)
+    x = np.real(z)
+    t = np.asarray(interval.to_unit(x))
+    return np.where(x == interval.a, -1.0, np.where(x == interval.b, 1.0, t))
+
+
 def _check_endpoints(kind: ChebKind, interval: Interval, z) -> None:
     zc = np.asarray(z, dtype=complex)
     if kind.alpha < 0 and np.any(zc == interval.a):
@@ -114,46 +126,59 @@ def cauchy_cheb_table(kind: ChebKind, n: int, interval: Interval, z, side: Side 
     """
     if n < 1:
         raise DomainError("need at least one degree")
-    _check_endpoints(kind, interval, z)
     scalar = np.ndim(z) == 0
-    zz = np.atleast_1d(z)
-    if side is Side.OFF:
-        t = interval.to_unit(zz)
-    else:
-        # Snap exact endpoint hits to exactly +-1: the affine map's rounding is
-        # amplified to sqrt(eps) by the non-Lipschitz inverse Joukowsky map.
-        x = zz.real
-        t = np.asarray(interval.to_unit(x))
-        t = np.where(x == interval.a, -1.0, np.where(x == interval.b, 1.0, t))
-    J = np.atleast_1d(joukowsky_inv(t, side))
-    L = interval.length
+    J, first, factor = _kernel_factors(kind, interval, z, side)
 
     # powers[..., k] = J^k
     powers = np.empty(J.shape + (n,), dtype=complex)
     powers[..., 0] = 1.0
     for k in range(1, n):
         powers[..., k] = powers[..., k - 1] * J
+    table = powers * factor[..., None]
+    table[..., 0] = first
+    return table[0] if scalar else table
+
+
+def cauchy_cheb_series(kind: ChebKind, coeffs, interval: Interval, z, side: Side = Side.OFF):
+    """The transform of the series sum_k coeffs[k] p_k: cauchy_cheb_table's
+    columns summed against coeffs without forming the table.
+
+    The powers of J are summed by Horner's rule, so each point's value depends
+    on that point alone, whatever the other points of z.
+    """
+    c = np.atleast_1d(np.asarray(coeffs))
+    if len(c) < 1:
+        raise DomainError("need at least one coefficient")
+    J, first, factor = _kernel_factors(kind, interval, z, side)
+    out = first * c[0]
+    if len(c) > 1:
+        acc = np.full(J.shape, c[-1], dtype=complex)
+        for ck in c[-2:0:-1]:
+            acc = acc * J + ck
+        out = out + factor * J * acc
+    return out if np.ndim(z) else complex(out[0])
+
+
+def _kernel_factors(kind: ChebKind, interval: Interval, z, side: Side) -> tuple:
+    """(J, first, factor) at points z, at least 1-d: the degree-k transform is
+    factor J^k for k >= 1 and first for k = 0."""
+    _check_endpoints(kind, interval, z)
+    zz = np.atleast_1d(z)
+    J = np.atleast_1d(joukowsky_inv(unit_variable(interval, zz, side), side))
+    L = interval.length
 
     if kind is ChebKind.T:
         S = np.atleast_1d(sqrt_cut(zz, interval, side))
         base = _I2PI / S
-        table = powers * (SQRT2 * base)[..., None]
-        table[..., 0] = base
-    elif kind is ChebKind.U:
-        table = powers * (J * (2.0 * _I2PI) * (2.0 / L))[..., None]
-    elif kind is ChebKind.V:
-        S = np.atleast_1d(sqrt_cut(zz, interval, side))
-        num = np.atleast_1d(zz) - interval.a
-        with np.errstate(invalid="ignore"):
-            ratio = num / S  # sqrt(z-a)/sqrt(z-b), side-aware
-        ratio = np.where(num == 0.0, 0.0, ratio)  # bounded endpoint: exact limit
-        table = powers * ((ratio - 1.0) * _I2PI * (2.0 / L))[..., None]
-    else:
-        S = np.atleast_1d(sqrt_cut(zz, interval, side))
-        num = np.atleast_1d(zz) - interval.b
-        with np.errstate(invalid="ignore"):
-            ratio = num / S  # sqrt(z-b)/sqrt(z-a), side-aware
-        ratio = np.where(num == 0.0, 0.0, ratio)
-        table = powers * ((1.0 - ratio) * _I2PI * (2.0 / L))[..., None]
-    return table[0] if scalar else table
-
+        return J, base, SQRT2 * base
+    if kind is ChebKind.U:
+        factor = J * (2.0 * _I2PI) * (2.0 / L)
+        return J, factor, factor
+    # V: sqrt(z-a)/sqrt(z-b) - 1; W: 1 - sqrt(z-b)/sqrt(z-a); side-aware.
+    S = np.atleast_1d(sqrt_cut(zz, interval, side))
+    num, sign = (zz - interval.a, 1.0) if kind is ChebKind.V else (zz - interval.b, -1.0)
+    with np.errstate(invalid="ignore"):
+        ratio = num / S
+    ratio = np.where(num == 0.0, 0.0, ratio)  # bounded endpoint: exact limit
+    factor = sign * (ratio - 1.0) * _I2PI * (2.0 / L)
+    return J, factor, factor

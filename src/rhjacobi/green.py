@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import Side, cauchy_cheb_table, joukowsky_inv, log_joukowsky_inv, sqrt_cut
+from .cauchy import (Side, cauchy_cheb_series, joukowsky_inv, log_joukowsky_inv, sqrt_cut,
+                     unit_variable)
 from .chebyshev import SQRT2, ChebKind, Interval, adaptive_dct
 from .errors import SolverError
 from .weights import WeightSpec
@@ -152,20 +153,12 @@ def eval_g(green: GreenData, z, side: Side = Side.OFF):
     total = np.zeros(zz.shape, dtype=complex)
     for band, ser in zip(green.bands, green.band_series):
         c = ser.coeffs
-        if side is Side.OFF:
-            t = band.to_unit(zz)
-        else:
-            x = zz.real
-            t = np.asarray(band.to_unit(x))
-            # exact endpoint hits stay exact through the non-Lipschitz map
-            t = np.where(x == band.a, -1.0, np.where(x == band.b, 1.0, t))
+        t = unit_variable(band, zz, side)
         total = total - c[0] * np.atleast_1d(log_joukowsky_inv(t, side))
         if len(c) > 1:
-            m = len(c) - 1
-            ku = cauchy_cheb_table(ChebKind.U, m, band, zz, side)
             ks = np.arange(1, len(c))
             wts = c[1:] * (np.pi * 1j / ks) * (band.length / SQRT2)
-            total = total + ku @ wts
+            total = total + cauchy_cheb_series(ChebKind.U, wts, band, zz, side)
     total = total - green.phi_ref
     return complex(total[0]) if scalar else total
 

@@ -19,14 +19,18 @@ are solved; the off-collocation residual still checks every circle.
 What is computed how often:
 - per geometry, that is per ContourSet and choice of band kernel bases: the
   CollocationOperator, every band kernel table at the collocation and test
-  nodes of every piece.  The first solve on a contour set builds it, and the
+  nodes of every piece, in one pass over all those points: three tables per
+  band and column.  The first solve on a contour set builds it, and the
   contour set keeps it for every later solve.  g and the h basis at the
-  circle nodes and test nodes depend on the bands only too (JumpValues).
+  circle nodes and test nodes depend on the bands only too; the first solve
+  evaluates them at all circle points at once, one call per side
+  (JumpValues).
 - per kept circle: its Laurent tables at the band nodes and at the other
   pieces' test nodes, truncated to the powers that reach LAURENT_CUT there.
   The first solve that keeps the circle builds them and the operator keeps
   them; a circle no solve keeps never gets any.
-- per jump spec: the weight values at the nodes and test nodes (JumpValues).
+- per jump spec: the weight values at the nodes and test nodes, in one call
+  per circle and side (JumpValues).
 - per n: the jump values, which are exponentials of those cached factors; one
   FFT per kept circle; the band system's assembly and LU; and the residual as
   matrix products, where a circle's series on its own test nodes is an inverse
@@ -38,6 +42,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
@@ -46,7 +51,7 @@ from scipy.linalg import lu_factor, lu_solve
 from .auxiliary import AuxData, HSystem, combine_h, h_basis
 from .cauchy import Side, cauchy_cheb_table
 from .chebyshev import Interval, cheb_t_nodes
-from .errors import GeometryError, ResidualWarning, SolverError, WeightError
+from .errors import DomainError, GeometryError, ResidualWarning, SolverError, WeightError
 from .green import GreenData, eval_g
 from .weights import WeightSpec
 
@@ -152,6 +157,12 @@ class CollocationOperator:
     - circle_test[j][m]: the column-m kernels at circle j's test nodes.
     - test_points: the residual's point sets, each circle's test nodes and
       then all band test nodes at once.
+    The kernel tables come from one pass over the point cloud of column m:
+    band p's nodes and test nodes for every p, so that each band's own points
+    are one slice, then every circle's test nodes and, for column 1, its
+    nodes.  Per band q and column m there are three cauchy_cheb_table calls,
+    off the band at every other point of the cloud and from above and below
+    at its own, and their rows are copied straight into the arrays above.
     Circle j's Laurent tables (circle_tables) are built the first time a solve
     keeps circle j, and kept; each is truncated to the exponents whose powers
     reach LAURENT_CUT at its points.  The tables at one point set off the
@@ -170,16 +181,36 @@ class CollocationOperator:
         self.test_points = self.circle_test_nodes + [np.concatenate(self.band_test_nodes)]
         ends = np.cumsum([bp.n_points for bp in bands]).tolist()
         self.spans = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
-        at_nodes = [_stacked_kernels(bands, bases, m, self.band_nodes) for m in range(2)]
-        at_tests = [_stacked_kernels(bands, bases, m, self.band_test_nodes) for m in range(2)]
-        self.plus = [p for p, _ in at_nodes]
-        self.minus = [mi for _, mi in at_nodes]
-        self.test_plus = [p for p, _ in at_tests]
-        self.test_minus = [mi for _, mi in at_tests]
-        self.circle_K = [np.hstack([_band_kernels(bands, bases, 1, z)[0], np.ones((len(z), 1))])
-                         for z in self.circle_nodes]
-        self.circle_test = [[_band_kernels(bands, bases, m, z)[0] for m in range(2)]
+        T = ends[-1]
+        self.plus, self.minus, self.test_plus, self.test_minus = (
+            [np.empty((T, T), dtype=complex) for _ in range(2)] for _ in range(4))
+        self.circle_K = [np.ones((len(z), T + 1), dtype=complex) for z in self.circle_nodes]
+        self.circle_test = [[np.empty((len(z), T), dtype=complex) for _ in range(2)]
                             for z in self.circle_test_nodes]
+        for m in range(2):
+            # Column m's cloud as (points, the row blocks they fill); a band's
+            # points fill its rows above and below, band q's are pieces 2q
+            # and 2q + 1.
+            cloud = []
+            for p, span in enumerate(self.spans):
+                cloud.append((self.band_nodes[p], (self.plus[m][span], self.minus[m][span])))
+                cloud.append((self.band_test_nodes[p],
+                              (self.test_plus[m][span], self.test_minus[m][span])))
+            cloud += [(z, (t[m],)) for z, t in zip(self.circle_test_nodes, self.circle_test)]
+            if m == 1:
+                cloud += [(z, (K[:, :T],)) for z, K in zip(self.circle_nodes, self.circle_K)]
+            for q, (bp, cols) in enumerate(zip(bands, self.spans)):
+                own, off = cloud[2 * q:2 * q + 2], cloud[:2 * q] + cloud[2 * q + 2:]
+                for side, pieces, which in ((Side.PLUS, own, slice(0, 1)),
+                                            (Side.MINUS, own, slice(1, 2)),
+                                            (Side.OFF, off, slice(None))):
+                    rows = cauchy_cheb_table(bases[q][m], bp.n_points, bp.interval,
+                                             np.concatenate([z for z, _ in pieces]), side)
+                    start = 0
+                    for z, blocks in pieces:
+                        for block in blocks[which]:
+                            block[:, cols] = rows[start:start + len(z)]
+                        start += len(z)
         self._circle_tables: dict = {}
         self._last_points: tuple = (None, [], {})
 
@@ -214,30 +245,16 @@ class CollocationOperator:
         terms of recip_approx, builds them once, and the memo cannot grow."""
         key = z.tobytes()
         if self._last_points[0] != key:
-            kernels = [_band_kernels(self.bands, self.bases, m, z)[0] for m in range(2)]
+            kernels = [_band_kernels(self.bands, self.bases, m, z) for m in range(2)]
             self._last_points = (key, kernels, {})
         return self._last_points
 
 
-def _band_kernels(bands: tuple, bases: tuple, m: int, z, own: int | None = None):
-    """Column-m kernel tables of every band at points z, side by side, as
-    (plus, minus).  Band `own`, which z lies on, contributes its boundary
-    values from above and below; every other band its off-contour value to
-    both."""
-    plus, minus = [], []
-    for q, bp in enumerate(bands):
-        sides = (Side.PLUS, Side.MINUS) if q == own else (Side.OFF,)
-        tables = [cauchy_cheb_table(bases[q][m], bp.n_points, bp.interval, z, side)
-                  for side in sides]
-        plus.append(tables[0])
-        minus.append(tables[-1])
-    return np.concatenate(plus, axis=-1), np.concatenate(minus, axis=-1)
-
-
-def _stacked_kernels(bands: tuple, bases: tuple, m: int, points: list):
-    """_band_kernels at points[p], which lie on band p, stacked over p."""
-    rows = [_band_kernels(bands, bases, m, z, own=p) for p, z in enumerate(points)]
-    return np.vstack([plus for plus, _ in rows]), np.vstack([minus for _, minus in rows])
+def _band_kernels(bands: tuple, bases: tuple, m: int, z) -> np.ndarray:
+    """Column-m kernel tables of every band at points z off the contours, side
+    by side."""
+    return np.concatenate([cauchy_cheb_table(bases[q][m], bp.n_points, bp.interval, z)
+                           for q, bp in enumerate(bands)], axis=-1)
 
 
 def build_contours(spec: WeightSpec, ppi: int, circle_ratio: int) -> ContourSet:
@@ -245,10 +262,12 @@ def build_contours(spec: WeightSpec, ppi: int, circle_ratio: int) -> ContourSet:
 
     Circle j is centered at the band midpoint with radius 5/8 of the band
     length (below that the deformed jumps misbehave).  GeometryError if two
-    circles meet or a circle reaches another band.
+    circles meet or a circle reaches another band.  DomainError unless ppi is
+    an integer >= 2 and circle_ratio one >= 1.
     """
-    if ppi < 2:
-        raise GeometryError("need at least 2 collocation points per interval")
+    for name, value, least in (("ppi", ppi, 2), ("circle_ratio", circle_ratio, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     bands = spec.bands
     centers = np.array([b.mid for b in bands])
     radii = np.array([0.625 * b.length for b in bands])
@@ -303,16 +322,27 @@ def _validate_h_on_disk(spec: WeightSpec, j: int, center: float, radius: float) 
         raise WeightError(f"h on band {j} is not finite on its deformation disk")
 
 
-def _circle_sides(z: np.ndarray) -> list:
-    """circle_jump's cases among points z: (mask, side, sign, points) for the
-    upper half, the lower half and the real-axis crossings, which take the
-    upper limit.  Empty cases are left out."""
-    upper = z.imag > 0.0
-    lower = z.imag < 0.0
-    axis = ~(upper | lower)
-    cases = ((upper, Side.OFF, -1.0, z[upper]), (lower, Side.OFF, 1.0, z[lower]),
-             (axis, Side.PLUS, -1.0, z[axis].real))
-    return [case for case in cases if np.any(case[0])]
+def _fill(memo: dict, point_sets: dict, evaluate) -> None:
+    """memo[key] = evaluate(point_sets[key], side) for every key memo lacks, in
+    one call per side over all of those point sets: off the real axis with
+    Side.OFF, on it from above (Side.PLUS at the real points), as the jumps
+    take them.  The last axis of evaluate's values runs over the points."""
+    new = {key: z for key, z in point_sets.items() if key not in memo}
+    if not new:
+        return
+    z = np.concatenate(list(new.values()))
+    axis = z.imag == 0.0
+    values = None
+    for mask, side, points in ((~axis, Side.OFF, z[~axis]), (axis, Side.PLUS, z[axis].real)):
+        if len(points):
+            part = evaluate(points, side)
+            if values is None:
+                values = np.empty(part.shape[:-1] + z.shape, dtype=complex)
+            values[..., mask] = part
+    start = 0
+    for key, points in new.items():
+        memo[key] = values[..., start:start + len(points)]
+        start += len(points)
 
 
 class JumpValues:
@@ -320,9 +350,14 @@ class JumpValues:
 
     g and the h basis (auxiliary.h_basis) depend on the bands only, so every
     jump spec on them shares them (for_spec).  The weight values belong to
-    one jump spec.  Both are memos keyed by the points' bytes and filled by
-    the first request at a point set: a SolveContext's first solve fills them
-    at every node and test node, and every later index reads them.
+    one jump spec.  Both are memos keyed by the points' bytes.  fill evaluates
+    them at many point sets in one pass: a solve hands it every circle node
+    and test node, so a SolveContext's first solve computes g and the h basis
+    at all circle points in one call per side, each circle's weight in one
+    weight_value call per side, and every later index reads them.  A request
+    at a point set the memos lack (circle) fills that set alone; as each
+    point's value depends on that point only, it is the value the whole
+    cloud gives.
     """
 
     def __init__(self, spec: WeightSpec, green: GreenData, hsys: HSystem):
@@ -339,34 +374,34 @@ class JumpValues:
         out._geometry = self._geometry
         return out
 
+    def fill(self, point_sets: list) -> None:
+        """Evaluate the memos at every (j, z) of point_sets, points z of
+        circle j, where they lack it: g and the h basis in one call per side
+        over all those points, circle j's weight in one weight_value call per
+        side over its own."""
+        _fill(self._geometry, {z.tobytes(): z for _, z in point_sets}, self._geometry_at)
+        for j in dict.fromkeys(j for j, _ in point_sets):
+            _fill(self._weights, {("circle", j, z.tobytes()): z for i, z in point_sets if i == j},
+                  partial(self.spec.weight_value, j))
+
+    def _geometry_at(self, z: np.ndarray, side: Side) -> np.ndarray:
+        """circle_jump's sign, R, the h basis and g at points z, stacked."""
+        R, transforms = h_basis(self.spec, self.hsys, z, side)
+        return np.vstack([np.where(np.imag(z) < 0.0, 1.0, -1.0), R, transforms,
+                          eval_g(self.green, z, side)])
+
     def circle(self, j: int, z: np.ndarray) -> tuple:
         """(sign, R, transforms, g, weight) at points z of circle j, each side
         taken as circle_jump takes it; R and transforms as h_basis gives them."""
-        key = z.tobytes()
-        if key not in self._geometry:
-            sign = np.empty(z.shape)
-            R = np.empty(z.shape, dtype=complex)
-            transforms = np.empty((len(self.hsys.band_beta) + len(self.hsys.gap_beta),) + z.shape,
-                                  dtype=complex)
-            g = np.empty(z.shape, dtype=complex)
-            for mask, side, sgn, zs in _circle_sides(z):
-                sign[mask] = sgn
-                R[mask], transforms[:, mask] = h_basis(self.spec, self.hsys, zs, side)
-                g[mask] = eval_g(self.green, zs, side)
-            self._geometry[key] = (sign, R, transforms, g)
-        wkey = ("circle", j, key)
-        if wkey not in self._weights:
-            w = np.empty(z.shape, dtype=complex)
-            for mask, side, _, zs in _circle_sides(z):
-                w[mask] = self.spec.weight_value(j, zs, side)
-            self._weights[wkey] = w
-        return self._geometry[key] + (self._weights[wkey],)
+        self.fill([(j, z)])
+        values = self._geometry[z.tobytes()]
+        weight = self._weights[("circle", j, z.tobytes())]
+        return values[0], values[1], values[2:-1], values[-1], weight
 
     def band_weight(self, j: int, x: np.ndarray) -> np.ndarray:
         """The band-j weight's upper boundary value at real points x."""
         key = ("band", j, x.tobytes())
-        if key not in self._weights:
-            self._weights[key] = self.spec.weight_value(j, x, Side.PLUS)
+        _fill(self._weights, {key: x}, partial(self.spec.weight_value, j))
         return self._weights[key]
 
 
@@ -381,8 +416,9 @@ class JumpAssembly:
     involution.
 
     Per geometry: g and the h basis at each point set; per jump spec: the
-    weight values there.  Both come from `values`, which a SolveContext
-    shares between all its indices; without one the assembly starts its own.
+    weight values there.  Both come from `values`, which solve_matrix_rhp
+    fills at every circle point at once and a SolveContext shares between all
+    its indices; without one the assembly starts its own.
     Per n: aux, from which each call forms the 2g+1 weights of the h basis,
     the exponentials and e^(+-A_j).
     """
@@ -560,6 +596,8 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     op = contours.operator(bases)
     lap("tables")
 
+    if isinstance(jumps, JumpAssembly):
+        jumps.values.fill([*enumerate(op.circle_nodes), *enumerate(op.circle_test_nodes)])
     circle_F = [jumps.circle_jump(j, z) for j, z in enumerate(op.circle_nodes)]
     for j, Fj in enumerate(circle_F):
         if np.any(Fj[:, 0, 0] != 1.0) or np.any(Fj[:, 1, 1] != 1.0) or np.any(Fj[:, 0, 1] != 0.0):

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import cauchy_quad, normalized_weight
-from rhjacobi.cauchy import (Side, cauchy_cheb, cauchy_cheb_table, joukowsky_inv,
-                             log_joukowsky_inv, sqrt_cut)
+from rhjacobi.cauchy import (Side, cauchy_cheb, cauchy_cheb_series, cauchy_cheb_table,
+                             joukowsky_inv, log_joukowsky_inv, sqrt_cut)
 from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, UNIT, cheb_eval
 from rhjacobi.errors import EndpointError
 
@@ -167,6 +167,65 @@ class TestCauchyCheb:
         # U is bounded at both endpoints: finite values, no error
         assert np.isfinite(cauchy_cheb(ChebKind.U, 2, iv, 1.0))
         assert np.isfinite(cauchy_cheb(ChebKind.V, 2, iv, -1.0))
+
+
+class TestSeries:
+    """cauchy_cheb_series against the table it replaces, table @ coeffs.  The
+    two round differently by about eps times sum_k |c_k| |kernel_k|; the
+    bound is 1e-15 sum_k |c_k|, times the largest kernel value at the point
+    where that exceeds 1 (the T kernel grows like the inverse square root of
+    the distance to an endpoint)."""
+
+    IV = Interval(-0.6, 1.3)
+
+    def points(self, rng):
+        iv = self.IV
+        off = np.concatenate([rng.standard_normal(40) * 3 + 1j * rng.standard_normal(40),
+                              1e4 * np.exp(2j * np.pi * rng.random(8)),
+                              iv.a + 1e-9 * np.exp(1j * rng.uniform(-3, 3, 4)),
+                              [iv.b + 1e-12j, iv.a - 1e-13, iv.b + 1e-9]])
+        on = np.concatenate([np.linspace(iv.a, iv.b, 25)[1:-1],
+                             [iv.a + 1e-14, iv.b - 1e-14, iv.b + 1e-12, iv.a - 0.3, -1e4, 1e4]])
+        return {Side.OFF: off, Side.PLUS: on, Side.MINUS: on}
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    @pytest.mark.parametrize("n", [1, 2, 7, 30])
+    def test_matches_table(self, kind, n, rng):
+        coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for side, z in self.points(rng).items():
+            table = cauchy_cheb_table(kind, n, self.IV, z, side)
+            got = cauchy_cheb_series(kind, coeffs, self.IV, z, side)
+            bound = 1e-15 * np.sum(np.abs(coeffs)) * np.maximum(1.0, np.max(np.abs(table), axis=1))
+            assert np.all(np.abs(got - table @ coeffs) <= bound)
+
+    def test_scalar_point(self):
+        coeffs = np.array([0.5, -0.25, 0.125])
+        got = cauchy_cheb_series(ChebKind.U, coeffs, UNIT, 2.0 + 1.0j)
+        assert isinstance(got, complex)
+        assert got == pytest.approx(cauchy_cheb_table(ChebKind.U, 3, UNIT, 2.0 + 1.0j) @ coeffs,
+                                    abs=1e-16)
+
+    def test_value_depends_on_its_point_only(self, rng):
+        z = rng.standard_normal(33) + 1j * rng.standard_normal(33)
+        coeffs = rng.standard_normal(12)
+        whole = cauchy_cheb_series(ChebKind.T, coeffs, UNIT, z)
+        for part in (slice(0, 1), slice(5, 6), slice(3, 20)):
+            np.testing.assert_array_equal(cauchy_cheb_series(ChebKind.T, coeffs, UNIT, z[part]),
+                                          whole[part])
+
+    @pytest.mark.parametrize("side", list(Side))
+    @pytest.mark.parametrize("end", [-1.0, 1.0])
+    def test_endpoint_errors_like_table(self, side, end):
+        # T is unbounded at both endpoints, U bounded at both
+        z = np.array([0.5, end])
+        coeffs = [1.0, 2.0, 3.0]
+        with pytest.raises(EndpointError):
+            cauchy_cheb_table(ChebKind.T, 3, UNIT, z, side)
+        with pytest.raises(EndpointError):
+            cauchy_cheb_series(ChebKind.T, coeffs, UNIT, z, side)
+        got = cauchy_cheb_series(ChebKind.U, coeffs, UNIT, z, side)
+        np.testing.assert_allclose(got, cauchy_cheb_table(ChebKind.U, 3, UNIT, z, side) @ coeffs,
+                                   rtol=0, atol=1e-15)
 
 
 class TestFirstOrder:

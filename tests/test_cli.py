@@ -75,6 +75,17 @@ def test_toda_warning_reaches_caller_and_csv(single_u, tmp_path):
     assert any(line.startswith("# warning:") for line in out.read_text().splitlines())
 
 
+@pytest.mark.parametrize("command", ["coeffs", "toda"])
+@pytest.mark.parametrize("flags,message", [
+    (["--circle-ratio", "0"], "circle_ratio must be an integer >= 1, got 0"),
+    (["--circle-ratio", "-1"], "circle_ratio must be an integer >= 1, got -1"),
+    (["--ppi", "1"], "ppi must be an integer >= 2, got 1"),
+])
+def test_bad_resolution_exits_1(single_u, capsys, command, flags, message):
+    assert main([command, single_u, *flags]) == 1
+    assert message in capsys.readouterr().err
+
+
 _VALID = {"intervals": [[-1.0, 1.0]], "kinds": ["U"]}
 
 
@@ -96,6 +107,8 @@ _VALID = {"intervals": [[-1.0, 1.0]], "kinds": ["U"]}
     (json.dumps({**_VALID, "resolution": {"ppi": "x"}}), "field 'resolution.ppi' must be an integer"),
     (json.dumps({**_VALID, "resolution": {"circle_ratio": 8.9}}),
      "field 'resolution.circle_ratio' must be an integer"),
+    (json.dumps({**_VALID, "resolution": {"circle_ratio": 0}}),
+     "circle_ratio must be an integer >= 1"),
     (json.dumps({**_VALID, "resolution": {"margin": 0.1}}), "unknown field 'resolution.margin'"),
     (json.dumps({**_VALID, "circle_radii": [3.0]}), "unknown field 'circle_radii'"),
 ])

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from rhjacobi import auxiliary
+from rhjacobi import auxiliary, cauchy, green
 from rhjacobi.auxiliary import build_hsystem, solve_aux
-from rhjacobi.cauchy import cauchy_cheb
+from rhjacobi.cauchy import Side, cauchy_cheb, cauchy_cheb_table
 from rhjacobi.chebyshev import ChebKind, UNIT
-from rhjacobi.errors import GeometryError, ResidualWarning, SolverError, WeightError
+from rhjacobi.errors import DomainError, GeometryError, ResidualWarning, SolverError, WeightError
 from rhjacobi.green import build_green
-from rhjacobi.pipeline import SolveContext, recip_approx, recurrence_range
+from rhjacobi.pipeline import Resolution, SolveContext, recip_approx, recurrence_range, toda_evolve
 from rhjacobi.rhp import (JumpAssembly, _circle_table, build_contours, default_bases,
                           first_order, solve_matrix_rhp)
 from rhjacobi.weights import HPoly, WeightSpec
@@ -40,6 +40,14 @@ class TestBuildContours:
         spec = WeightSpec.single(ChebKind.U, h=HPoly((0.01, 0.0, 1.0)))
         with pytest.raises(WeightError):
             build_contours(spec, 8, 10)
+
+    @pytest.mark.parametrize("ppi, circle_ratio", [(16, 0), (16, -1), (1, 10), (0, 10),
+                                                   (8.0, 10), (16, 2.5), (16, True)])
+    def test_invalid_resolution_rejected(self, spec_u, ppi, circle_ratio):
+        with pytest.raises(DomainError):
+            build_contours(spec_u, ppi, circle_ratio)
+        with pytest.raises(DomainError):
+            recurrence_range(spec_u, 0, 1, Resolution(ppi, circle_ratio))
 
     def test_nodes_shapes(self, spec_two_band):
         ct = build_contours(spec_two_band, 8, 10)
@@ -268,3 +276,65 @@ class TestCircleTables:
         approx = recip_approx(spec_genus3, 12)
         assert len(approx.coeffs) == 12
         assert sum(np.all(np.atleast_1d(args[2]) == 0.0) for args in calls) == 1
+
+
+def _reference_kernels(op, m, z, own=None):
+    """Column-m kernels of every band at points z, side by side, as (plus,
+    minus): one cauchy_cheb_table call per band and side at this point set
+    alone, band `own` (which z lies on) from above and below, the others off
+    the contour."""
+    plus, minus = [], []
+    for q, bp in enumerate(op.bands):
+        sides = (Side.PLUS, Side.MINUS) if q == own else (Side.OFF, Side.OFF)
+        for out, side in zip((plus, minus), sides):
+            out.append(cauchy_cheb_table(op.bases[q][m], bp.n_points, bp.interval, z, side))
+    return np.hstack(plus), np.hstack(minus)
+
+
+def _assert_close(got, want):
+    # Band points enter the other bands' off-band calls as complex numbers,
+    # whose affine map to [-1, 1] rounds apart from the real one's.
+    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+
+
+class TestColdPath:
+    def test_operator_matches_per_point_set_tables(self, spec_genus3):
+        op = _operator(SolveContext(spec_genus3))
+        for m in range(2):
+            for p, span in enumerate(op.spans):
+                for z, above, below in ((op.band_nodes[p], op.plus[m], op.minus[m]),
+                                        (op.band_test_nodes[p], op.test_plus[m], op.test_minus[m])):
+                    want_plus, want_minus = _reference_kernels(op, m, z, own=p)
+                    _assert_close(above[span], want_plus)
+                    _assert_close(below[span], want_minus)
+            for z, tables in zip(op.circle_test_nodes, op.circle_test):
+                np.testing.assert_array_equal(tables[m], _reference_kernels(op, m, z)[0])
+        for z, K in zip(op.circle_nodes, op.circle_K):
+            np.testing.assert_array_equal(K[:, :-1], _reference_kernels(op, 1, z)[0])
+            np.testing.assert_array_equal(K[:, -1], 1.0)
+
+    @pytest.mark.parametrize("workload", ["genus3", "window"])
+    def test_first_solve_makes_one_pass(self, workload, spec_genus3, spec_two_band, count_calls):
+        spec, n, most = (spec_genus3, 0, 24) if workload == "genus3" else (spec_two_band, 1000, 12)
+        ctx = SolveContext(spec)
+        tables = count_calls(cauchy.cauchy_cheb_table)
+        h_calls = count_calls(auxiliary.h_basis)
+        g_calls = count_calls(green.eval_g)
+        ctx.solution(n)
+        assert 0 < len(tables) <= most
+        for calls in (h_calls, g_calls):
+            sides = [args[-1] for args in calls]
+            assert len(sides) == len(set(sides)) and set(sides) <= {Side.OFF, Side.PLUS}
+
+    def test_toda_times_share_g_at_the_circles(self, spec_two_band, count_calls):
+        g_calls = count_calls(green.eval_g)
+        toda_evolve(spec_two_band, 3, [0.0, 0.5, 1.0], Resolution(8, 10))
+        assert len(g_calls) == 2
+
+    def test_cloud_values_match_a_lone_point_set(self, spec_genus3):
+        ctx = SolveContext(spec_genus3)
+        ctx.solution(0)
+        for j, z in enumerate(_operator(ctx).circle_test_nodes):
+            lone = JumpAssembly(spec_genus3, ctx.green, ctx.hsys, ctx.aux(0)).values.circle(j, z)
+            for got, want in zip(ctx.jump_values.circle(j, z), lone):
+                np.testing.assert_array_equal(got, want)
