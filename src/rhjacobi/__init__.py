@@ -14,9 +14,9 @@ from .errors import (ConvergenceError, DomainError, EndpointError, GeometryError
                      SolverError, WeightError)
 from .green import GreenData, build_green, eval_R, eval_g, solve_Q
 from .oracle import DiscreteMeasure, adaptive_oracle, discretize, tridiagonalize
-from .pipeline import (JacobiSegment, RecipApproximation, Resolution, SolveContext,
-                       TodaTrajectory, cauchy_pn, orthonormal_eval, recip_approx,
-                       recurrence_range, toda_evolve)
+from .pipeline import (JacobiSegment, RecipApproximation, SolveContext, TodaTrajectory,
+                       cauchy_pn, orthonormal_eval, recip_approx, recurrence_range,
+                       toda_evolve)
 from .rhp import (BandPiece, Circle, ContourSet, JumpAssembly, RHSolution,
                   build_contours, default_bases, first_order, solve_matrix_rhp)
 from .weights import (HExpScale, HFunction, HOne, HPoly, HProduct, HRational,

@@ -9,7 +9,6 @@ in '#'-prefixed comment lines.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
@@ -18,11 +17,10 @@ import numpy as np
 from .chebyshev import ChebKind, Interval
 from .errors import ConvergenceError, DomainError, RHJacobiError, WeightError
 from .oracle import adaptive_oracle
-from .pipeline import Resolution, recip_approx, recurrence_range, toda_evolve
+from .pipeline import DEFAULT_PPI, recip_approx, recurrence_range, toda_evolve
 from .weights import WeightSpec, h_from_config
 
 CONFIG_FIELDS = ("intervals", "kinds", "h", "resolution")
-RESOLUTION_FIELDS = tuple(f.name for f in dataclasses.fields(Resolution))
 
 
 class ConfigError(Exception):
@@ -34,7 +32,7 @@ def _fmt(x: float) -> str:
 
 
 def load_config(path: str):
-    """(spec, resolution) from a JSON config; ConfigError names the bad field."""
+    """(spec, ppi) from a JSON config; ConfigError names the bad field."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -94,20 +92,18 @@ def load_config(path: str):
     res_doc = doc.get("resolution", {})
     if not isinstance(res_doc, dict):
         raise ConfigError("field 'resolution' must be an object")
-    res = {}
-    for key, value in res_doc.items():
-        if key not in RESOLUTION_FIELDS:
+    for key in res_doc:
+        if key != "ppi":
             raise ConfigError(f"unknown field 'resolution.{key}'")
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"field 'resolution.{key}' must be an integer, got {value!r}")
-        res[key] = value
-    return spec, Resolution(**res)
+    ppi = res_doc.get("ppi", DEFAULT_PPI)
+    if isinstance(ppi, bool) or not isinstance(ppi, int):
+        raise ConfigError(f"field 'resolution.ppi' must be an integer, got {ppi!r}")
+    return spec, ppi
 
 
-def _resolution(args, res: Resolution) -> Resolution:
-    """The config's resolution with the command-line overrides applied."""
-    overrides = {"ppi": args.ppi, "circle_ratio": args.circle_ratio}
-    return dataclasses.replace(res, **{k: v for k, v in overrides.items() if v is not None})
+def _ppi(args, ppi: int) -> int:
+    """The config's ppi, or --ppi where given."""
+    return ppi if args.ppi is None else args.ppi
 
 
 def _write(out_path, lines) -> None:
@@ -120,8 +116,8 @@ def _write(out_path, lines) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    spec, res = load_config(args.config)
-    segment = recurrence_range(spec, args.n0, args.n1, _resolution(args, res))
+    spec, ppi = load_config(args.config)
+    segment = recurrence_range(spec, args.n0, args.n1, _ppi(args, ppi))
     failures = dict(segment.meta["failures"])
     lines = ["n,a,b,residual"]
     for i, n in enumerate(segment.ns):
@@ -152,14 +148,14 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_toda(args) -> int:
-    spec, res = load_config(args.config)
+    spec, ppi = load_config(args.config)
     if args.steps < 1:
         raise ConfigError("need steps >= 1")
     if args.steps == 1:
         times = np.array([args.t0])
     else:
         times = np.linspace(args.t0, args.t1, args.steps)
-    traj = toda_evolve(spec, args.k, times, _resolution(args, res))
+    traj = toda_evolve(spec, args.k, times, _ppi(args, ppi))
     lines = ["t,n,a,b"]
     failed = False
     for t, seg in zip(traj.times, traj.segments):
@@ -178,8 +174,8 @@ def cmd_toda(args) -> int:
 
 
 def cmd_recip(args) -> int:
-    spec, res = load_config(args.config)
-    approx = recip_approx(spec, args.nmax, resolution=_resolution(args, res))
+    spec, ppi = load_config(args.config)
+    approx = recip_approx(spec, args.nmax, ppi=_ppi(args, ppi))
     lines = ["N,max_error,reference_rate"]
     for i in range(args.nmax):
         nterms = i + 1
@@ -199,9 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("config", help="path to a JSON weight configuration")
         p.add_argument("--ppi", type=int, default=None,
-                       help=f"collocation points per interval (default {Resolution().ppi})")
-        p.add_argument("--circle-ratio", type=int, default=None,
-                       help=f"circle-to-interval point ratio (default {Resolution().circle_ratio})")
+                       help=f"collocation points per interval (default {DEFAULT_PPI})")
         p.add_argument("--out", default=None, help="output CSV path (default stdout)")
 
     p = sub.add_parser("coeffs", help="recurrence coefficients via the Riemann-Hilbert solver")

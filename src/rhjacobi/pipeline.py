@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import AuxData, build_hsystem, combine_h, h_basis, solve_aux
-from .cauchy import Side
+from .auxiliary import AuxData, build_hsystem, combine_h, solve_aux
 from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
-from .green import build_green, eval_g
+from .green import build_green
 from .oracle import adaptive_gauss_mass
 from .rhp import (STAGES, JumpAssembly, JumpValues, RHSolution, build_contours, first_order,
                   solve_matrix_rhp)
@@ -28,16 +27,12 @@ from .weights import WeightSpec
 IMAG_DROP = 1e-9
 IMAG_ERROR = 1e-6
 
+# Collocation points per band; each circle takes rhp.CIRCLE_POINTS_PER_PPI
+# times as many.
+DEFAULT_PPI = 16
+
 # Largest |F - I| on circles before double precision degrades visibly.
 JUMP_MAGNITUDE_HORIZON = 1e7
-
-
-@dataclass(frozen=True)
-class Resolution:
-    """Collocation resolution: points per interval and the circle multiplier."""
-
-    ppi: int = 16
-    circle_ratio: int = 10
 
 
 @dataclass
@@ -69,30 +64,28 @@ class TodaTrajectory:
 class SolveContext:
     """Everything the solves for one weight share, and a cache of the solves.
 
-    Per geometry (the bands and the resolution): the Green's function, the
-    moment system and the contours, built here; the contours' collocation
-    operator and g and the h basis at the circle points (jump_values), built
-    inside the first solve.  Per jump spec: the weight values at the nodes,
-    also built inside the first solve.  with_jump_spec replaces the jump spec
-    by another weight on the same bands (e.g. exponentially scaled) and shares
-    everything per geometry.  Per n: the auxiliary data (aux) and the solve
-    (solution), both cached.  stages adds up the seconds of every solve made
-    here, per stage of rhp.STAGES.  cauchy_pn's n-independent factors at its
-    point (_point_values) are kept for the last point only.
+    Per geometry (the bands and ppi, the collocation points per band): the
+    Green's function, the moment system and the contours, built here; the
+    contours' collocation operator and g and the h basis at the circle points
+    (jump_values), built inside the first solve.  Per jump spec: the weight
+    values at the nodes, also built inside the first solve.  with_jump_spec
+    replaces the jump spec by another weight on the same bands (e.g.
+    exponentially scaled) and shares everything per geometry.  Per n: the
+    auxiliary data (aux) and the solve (solution), both cached.  stages adds
+    up the seconds of every solve made here, per stage of rhp.STAGES.
     """
 
-    def __init__(self, spec: WeightSpec, resolution: Resolution = Resolution()):
+    def __init__(self, spec: WeightSpec, ppi: int = DEFAULT_PPI):
         self.spec = spec
-        self.resolution = resolution
+        self.ppi = ppi
         self.green = build_green(spec)
         self.hsys = build_hsystem(spec, self.green)
-        self.contours = build_contours(spec, resolution.ppi, resolution.circle_ratio)
+        self.contours = build_contours(spec, ppi)
         self.jump_spec = spec
-        self.jump_values = JumpValues(spec, self.green, self.hsys)
+        self.jump_values = JumpValues(spec, self.green, self.hsys, self.contours)
         self.stages = dict.fromkeys(STAGES, 0.0)
         self._aux: dict = {}
         self._solutions: dict = {}
-        self._point: tuple = (None,)
 
     def aux(self, n: int) -> AuxData:
         if n not in self._aux:
@@ -101,24 +94,12 @@ class SolveContext:
 
     def solution(self, n: int) -> RHSolution:
         if n not in self._solutions:
-            jumps = JumpAssembly(self.jump_spec, self.green, self.hsys, self.aux(n),
-                                 self.jump_values)
+            jumps = JumpAssembly(self.aux(n), self.jump_values)
             sol = solve_matrix_rhp(self.jump_spec, self.contours, jumps)
             for stage, seconds in sol.stages.items():
                 self.stages[stage] += seconds
             self._solutions[n] = sol
         return self._solutions[n]
-
-    def _point_values(self, z: complex) -> tuple:
-        """(R, transforms, g) at z, the h basis and g off the bands or their
-        upper boundary values on the real axis.  They do not depend on n, so
-        they are rebuilt only when z differs from the last point asked for."""
-        if self._point[0] != z:
-            side = Side.PLUS if z.imag == 0.0 else Side.OFF
-            zeval = z.real if side is Side.PLUS else z
-            self._point = (z, *h_basis(self.spec, self.hsys, zeval, side),
-                           eval_g(self.green, zeval, side))
-        return self._point[1:]
 
     def with_jump_spec(self, jump_spec: WeightSpec) -> "SolveContext":
         """This context with jump_spec's jump data, an empty solution cache and
@@ -131,7 +112,19 @@ class SolveContext:
         return ctx
 
 
+def _context(spec: WeightSpec, ppi: int, context: SolveContext | None) -> SolveContext:
+    """context, or a new one for spec at ppi; DomainError if context was
+    built for another weight."""
+    if context is None:
+        return SolveContext(spec, ppi)
+    if context.spec != spec:
+        raise DomainError("the context was built for another weight")
+    return context
+
+
 def _realify(value: complex, what: str, n: int) -> float:
+    if not np.isfinite(value):
+        raise SolverError(f"{what} at n={n} is {value}; solve is under-resolved")
     im, re = abs(value.imag), value.real
     if im >= IMAG_ERROR:
         raise SolverError(f"{what} at n={n} has imaginary part {im:.2e}; solve is under-resolved")
@@ -153,21 +146,24 @@ def _pair_from_orders(ctx: SolveContext, n: int, S1_n: np.ndarray, S1_n1: np.nda
     return _realify(a_c, "a", n), _realify(b_c, "b", n)
 
 
-def recurrence_range(spec: WeightSpec, n0: int, n1: int,
-                     resolution: Resolution = Resolution(), *,
+def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int = DEFAULT_PPI, *,
                      context: SolveContext | None = None) -> JacobiSegment:
     """Pairs (a_n, b_n) for n0 <= n <= n1; one solve per index, shared between
     neighbors.  Numerical failures of one index are recorded as (n, message) in
-    meta["failures"] and the computation continues.
+    meta["failures"] and the computation continues.  A context must be built
+    for spec (DomainError otherwise); without one a new one at ppi is used.
 
     Per-index arrays in meta, NaN (or -1 for counts) where the pair failed:
     residuals, the larger off-collocation residual of the pair's two solves;
     rcond, the smaller of the two solves' condition estimates, each taken for
-    the band system left after the circles are eliminated; circles_used, the
-    number of circles the solve for n kept (circles whose jump is the identity
-    are dropped); circle_deviation, the largest |F - I| over the circle nodes
-    of the solve for n.  circle_deviation is kept where only the pair failed
-    (NaN only if the solve for n did), since large jump data makes pairs fail.
+    the band system left after the circles are eliminated (LAPACK zgecon's
+    1-norm estimate: it moves by up to about 1e-3 relative when the system
+    changes only by rounding, so compare it across versions to 2-3 digits);
+    circles_used, the number of circles the solve for n kept (circles whose
+    jump is the identity are dropped); circle_deviation, the largest |F - I|
+    over the circle nodes of the solve for n.  circle_deviation is kept where
+    only the pair failed (NaN only if the solve for n did), since large jump
+    data makes pairs fail.
     meta["stages"] holds the seconds this call's solves spent per stage of
     rhp.STAGES ("tables" is the collocation operator's build, paid by the
     first solve on a context, and each circle's Laurent tables, paid by the
@@ -175,7 +171,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
     """
     if not (0 <= n0 <= n1):
         raise DomainError(f"need 0 <= n0 <= n1, got ({n0}, {n1})")
-    ctx = context if context is not None else SolveContext(spec, resolution)
+    ctx = _context(spec, ppi, context)
     t_start = time.perf_counter()
     count = n1 - n0 + 1
     a = np.full(count, np.nan)
@@ -205,8 +201,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
             failures.append((n, str(exc)))
     meta = {
         "method": "rh",
-        "ppi": ctx.resolution.ppi,
-        "circle_ratio": ctx.resolution.circle_ratio,
+        "ppi": ctx.ppi,
         "wall_time": time.perf_counter() - t_start,
         "residuals": residuals,
         "rcond": rcond,
@@ -219,7 +214,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int,
     return JacobiSegment(n0=n0, n1=n1, a=a, b=b, meta=meta)
 
 
-def cauchy_pn(spec: WeightSpec, n: int, z, resolution: Resolution = Resolution(), *,
+def cauchy_pn(spec: WeightSpec, n: int, z, ppi: int = DEFAULT_PPI, *,
               context: SolveContext | None = None,
               jacobi: JacobiSegment | None = None) -> complex:
     """Cauchy transform at z of (nth orthonormal polynomial) x (weight).
@@ -227,9 +222,10 @@ def cauchy_pn(spec: WeightSpec, n: int, z, resolution: Resolution = Resolution()
     The polynomials are orthonormal for the unit-mass normalization of the
     weight with p_0 = 1; the transform integrates against the raw weight.  The
     n-fold product of 1/(b_j c) is accumulated in log space, so b_0..b_{n-1}
-    must be finite and positive (DomainError otherwise).
+    must be finite and positive (DomainError otherwise).  context and ppi as
+    in recurrence_range.
     """
-    ctx = context if context is not None else SolveContext(spec, resolution)
+    ctx = _context(spec, ppi, context)
     zc = complex(z)
     for band in spec.bands:
         if abs(zc.imag) < 1e-8 and band.a - 1e-8 <= zc.real <= band.b + 1e-8:
@@ -240,7 +236,7 @@ def cauchy_pn(spec: WeightSpec, n: int, z, resolution: Resolution = Resolution()
             raise DomainError("provided Jacobi segment does not cover 0..n-1")
         bs = jacobi.b[: n]
     elif n > 0:
-        seg = recurrence_range(spec, 0, n - 1, resolution, context=ctx)
+        seg = recurrence_range(spec, 0, n - 1, context=ctx)
         if seg.meta["failures"]:
             raise SolverError(f"coefficient computation failed: {seg.meta['failures']}")
         bs = seg.b
@@ -249,15 +245,14 @@ def cauchy_pn(spec: WeightSpec, n: int, z, resolution: Resolution = Resolution()
     bad = np.flatnonzero(~(np.isfinite(bs) & (bs > 0.0)))
     if bad.size:
         raise DomainError(f"b_{bad[0]} = {bs[bad[0]]} is not finite and positive")
-    R, transforms, g = ctx._point_values(zc)
-    expo = (complex(combine_h(ctx.aux(n), R, transforms)[0]) - n * g
+    R, transforms, g = ctx.jump_values.point(zc)
+    expo = (complex(combine_h(ctx.aux(n), R, transforms)[0]) - n * g[0]
             - np.sum(np.log(bs.astype(complex) * ctx.green.cap_const)))
     s12 = ctx.solution(n).eval(zc)[0, 1]
     return complex(s12 * np.exp(expo))
 
 
-def toda_evolve(spec0: WeightSpec, k: int, times,
-                resolution: Resolution = Resolution()) -> TodaTrajectory:
+def toda_evolve(spec0: WeightSpec, k: int, times, ppi: int = DEFAULT_PPI) -> TodaTrajectory:
     """First k coefficient pairs of the weight scaled by exp(t x), per time.
 
     The Green's function, moment system, and contours depend only on the bands
@@ -270,12 +265,12 @@ def toda_evolve(spec0: WeightSpec, k: int, times,
     times = np.asarray(times, dtype=float)
     if not np.all(np.isfinite(times)):
         raise DomainError("times must be finite")
-    base = SolveContext(spec0, resolution)
+    base = SolveContext(spec0, ppi)
     segments = []
     warns = []
     for t in times:
         ctx = base.with_jump_spec(spec0.with_exp_factor(float(t)))
-        seg = recurrence_range(spec0, 0, k - 1, resolution, context=ctx)
+        seg = recurrence_range(spec0, 0, k - 1, context=ctx)
         dev = seg.meta["circle_deviation"][0]
         if dev > JUMP_MAGNITUDE_HORIZON:
             warns.append((float(t), dev))
@@ -315,16 +310,16 @@ def orthonormal_eval(segment: JacobiSegment, count: int, x) -> np.ndarray:
     return out
 
 
-def recip_approx(spec: WeightSpec, n_terms: int, grid=None,
-                 resolution: Resolution = Resolution(), *,
+def recip_approx(spec: WeightSpec, n_terms: int, grid=None, ppi: int = DEFAULT_PPI, *,
                  context: SolveContext | None = None) -> RecipApproximation:
-    """Coefficients and partial-sum errors of the expansion of 1/x on the support."""
+    """Coefficients and partial-sum errors of the expansion of 1/x on the
+    support; context and ppi as in recurrence_range."""
     if n_terms < 1:
         raise DomainError("need at least one term")
     for band in spec.bands:
         if band.a <= 0.0 <= band.b:
             raise DomainError("0 lies inside the support; the expansion is undefined")
-    ctx = context if context is not None else SolveContext(spec, resolution)
+    ctx = _context(spec, ppi, context)
     for circ in ctx.contours.circles:
         if abs(circ.center) <= circ.radius:
             raise DomainError("0 lies inside a deformation disk; enlarge clearances")
@@ -333,11 +328,11 @@ def recip_approx(spec: WeightSpec, n_terms: int, grid=None,
         grid = np.concatenate([np.arange(b.a, b.b + 1e-12, 0.01) for b in spec.bands])
     grid = np.asarray(grid, dtype=float)
 
-    segment = recurrence_range(spec, 0, max(n_terms - 1, 0), resolution, context=ctx)
+    segment = recurrence_range(spec, 0, max(n_terms - 1, 0), context=ctx)
     if segment.meta["failures"]:
         raise SolverError(f"coefficient computation failed: {segment.meta['failures']}")
     eta = sum(adaptive_gauss_mass(spec, j) for j in range(len(spec.bands)))
-    g0 = eval_g(ctx.green, 0.0, Side.PLUS)
+    g0 = ctx.jump_values.point(0.0)[2][0]
 
     coeffs = np.empty(n_terms)
     for j in range(n_terms):

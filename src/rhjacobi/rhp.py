@@ -22,9 +22,9 @@ What is computed how often:
   nodes of every piece, in one pass over all those points: three tables per
   band and column.  The first solve on a contour set builds it, and the
   contour set keeps it for every later solve.  g and the h basis at the
-  circle nodes and test nodes depend on the bands only too; the first solve
-  evaluates them at all circle points at once, one call per side
-  (JumpValues).
+  circle nodes and test nodes depend on the bands only too; JumpValues
+  evaluates them at all circle points at once, one call per side, when the
+  first solve asks for a circle jump.
 - per kept circle: its Laurent tables at the band nodes and at the other
   pieces' test nodes, truncated to the powers that reach LAURENT_CUT there.
   The first solve that keeps the circle builds them and the operator keeps
@@ -61,6 +61,9 @@ _I2PI = 1j / (2.0 * np.pi)
 # the 2x2 solver drops the circle.  On two bands, n = 50..85, this and 1e-3 of
 # it both agree with the solve on every circle to 6e-15.
 IDENTITY_JUMP = np.finfo(float).eps
+
+# Collocation points on each circle per point on a band.
+CIRCLE_POINTS_PER_PPI = 10
 
 # Smallest |power| a Laurent table keeps.  At points whose distance ratio to
 # the circle is rho, the powers dropped below it add at most
@@ -257,17 +260,18 @@ def _band_kernels(bands: tuple, bases: tuple, m: int, z) -> np.ndarray:
                            for q, bp in enumerate(bands)], axis=-1)
 
 
-def build_contours(spec: WeightSpec, ppi: int, circle_ratio: int) -> ContourSet:
-    """Per-band circles plus the bands themselves as collocation pieces.
+def build_contours(spec: WeightSpec, ppi: int) -> ContourSet:
+    """Per-band circles plus the bands themselves as collocation pieces: ppi
+    points on each band, CIRCLE_POINTS_PER_PPI * ppi on each circle.
 
     Circle j is centered at the band midpoint with radius 5/8 of the band
     length (below that the deformed jumps misbehave).  GeometryError if two
-    circles meet or a circle reaches another band.  DomainError unless ppi is
-    an integer >= 2 and circle_ratio one >= 1.
+    circles meet or a circle reaches another band, WeightError if h_j has a
+    zero or a pole on circle j's closed disk.  DomainError unless ppi is an
+    integer >= 2.
     """
-    for name, value, least in (("ppi", ppi, 2), ("circle_ratio", circle_ratio, 1)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    if isinstance(ppi, bool) or not isinstance(ppi, (int, np.integer)) or ppi < 2:
+        raise DomainError(f"ppi must be an integer >= 2, got {ppi!r}")
     bands = spec.bands
     centers = np.array([b.mid for b in bands])
     radii = np.array([0.625 * b.length for b in bands])
@@ -297,7 +301,7 @@ def build_contours(spec: WeightSpec, ppi: int, circle_ratio: int) -> ContourSet:
                 dist = min(dist, max(other.a - centers[j], centers[j] - other.b))
         for zero in np.atleast_1d(spec.h[j].zero_locations()):
             dist = min(dist, abs(zero - centers[j]))
-        npts = int(circle_ratio * ppi)
+        npts = int(CIRCLE_POINTS_PER_PPI * ppi)
         if np.isfinite(dist) and dist > radii[j]:
             pos = int(np.ceil(37.0 / np.log(dist / radii[j])))
             pos = max(12, min(pos, npts // 2))
@@ -309,17 +313,12 @@ def build_contours(spec: WeightSpec, ppi: int, circle_ratio: int) -> ContourSet:
 
 
 def _validate_h_on_disk(spec: WeightSpec, j: int, center: float, radius: float) -> None:
-    """h_j must be finite and zero-free on the closed disk: 1/w enters the jump."""
-    zeros = np.atleast_1d(spec.h[j].zero_locations())
-    if np.any(np.abs(zeros - center) <= radius):
-        raise WeightError(f"h on band {j} vanishes inside its deformation disk")
-    angles = np.exp(2j * np.pi * np.arange(64) / 64)
-    pts = [np.array([center + 0j])]
-    for frac in (0.35, 0.7, 0.9, 1.0):
-        pts.append(center + frac * radius * angles)
-    vals = np.asarray(spec.h[j](np.concatenate(pts)), dtype=complex)
-    if np.any(~np.isfinite(vals)):
-        raise WeightError(f"h on band {j} is not finite on its deformation disk")
+    """h_j must be analytic and zero-free on the closed disk: w and 1/w enter
+    the jump."""
+    h = spec.h[j]
+    for what, points in (("vanishes", h.zero_locations()), ("has a pole", h.pole_locations())):
+        if np.any(np.abs(np.atleast_1d(points) - center) <= radius):
+            raise WeightError(f"h on band {j} {what} inside its deformation disk")
 
 
 def _fill(memo: dict, point_sets: dict, evaluate) -> None:
@@ -346,43 +345,37 @@ def _fill(memo: dict, point_sets: dict, evaluate) -> None:
 
 
 class JumpValues:
-    """The n-independent factors of the jumps, at the points they are asked for.
+    """The n-independent factors of the jumps on one contour set.
 
-    g and the h basis (auxiliary.h_basis) depend on the bands only, so every
-    jump spec on them shares them (for_spec).  The weight values belong to
-    one jump spec.  Both are memos keyed by the points' bytes.  fill evaluates
-    them at many point sets in one pass: a solve hands it every circle node
-    and test node, so a SolveContext's first solve computes g and the h basis
-    at all circle points in one call per side, each circle's weight in one
-    weight_value call per side, and every later index reads them.  A request
-    at a point set the memos lack (circle) fills that set alone; as each
-    point's value depends on that point only, it is the value the whole
-    cloud gives.
+    circle_jump's sign, g and the h basis (auxiliary.h_basis) depend on the
+    bands only, so every jump spec on them shares them (for_spec).  The
+    weight values belong to one jump spec.  Both are memos keyed by the
+    points' bytes, each point taken as the jumps take it: off the real axis
+    with Side.OFF, on it from above.  The first circle request evaluates them
+    at every circle node and test node of the contour set: g and the h basis
+    in one call per side, each circle's weight in one weight_value call per
+    side, and every later index reads them.  A request at other points fills
+    that point set alone; as each point's value depends on that point only,
+    it is the value the whole cloud gives.  point serves one point off the
+    circles, such as cauchy_pn's, and keeps the last point only.
     """
 
-    def __init__(self, spec: WeightSpec, green: GreenData, hsys: HSystem):
+    def __init__(self, spec: WeightSpec, green: GreenData, hsys: HSystem, contours: ContourSet):
         self.spec = spec
         self.green = green
         self.hsys = hsys
+        self.contours = contours
         self._geometry: dict = {}
         self._weights: dict = {}
+        self._cold = True
+        self._point: tuple = (None,)
 
     def for_spec(self, spec: WeightSpec) -> JumpValues:
         """These values for a weight on the same bands: the g and h-basis memo
         is shared, the weight memo starts empty."""
-        out = JumpValues(spec, self.green, self.hsys)
+        out = JumpValues(spec, self.green, self.hsys, self.contours)
         out._geometry = self._geometry
         return out
-
-    def fill(self, point_sets: list) -> None:
-        """Evaluate the memos at every (j, z) of point_sets, points z of
-        circle j, where they lack it: g and the h basis in one call per side
-        over all those points, circle j's weight in one weight_value call per
-        side over its own."""
-        _fill(self._geometry, {z.tobytes(): z for _, z in point_sets}, self._geometry_at)
-        for j in dict.fromkeys(j for j, _ in point_sets):
-            _fill(self._weights, {("circle", j, z.tobytes()): z for i, z in point_sets if i == j},
-                  partial(self.spec.weight_value, j))
 
     def _geometry_at(self, z: np.ndarray, side: Side) -> np.ndarray:
         """circle_jump's sign, R, the h basis and g at points z, stacked."""
@@ -391,9 +384,18 @@ class JumpValues:
                           eval_g(self.green, z, side)])
 
     def circle(self, j: int, z: np.ndarray) -> tuple:
-        """(sign, R, transforms, g, weight) at points z of circle j, each side
-        taken as circle_jump takes it; R and transforms as h_basis gives them."""
-        self.fill([(j, z)])
+        """(sign, R, transforms, g, weight) at points z of circle j; R and
+        transforms as h_basis gives them."""
+        point_sets = [(j, z)]
+        if self._cold:
+            self._cold = False
+            circles = self.contours.circles
+            point_sets = [*((i, c.nodes()) for i, c in enumerate(circles)),
+                          *((i, c.test_nodes()) for i, c in enumerate(circles)), (j, z)]
+        _fill(self._geometry, {w.tobytes(): w for _, w in point_sets}, self._geometry_at)
+        for i in dict.fromkeys(i for i, _ in point_sets):
+            _fill(self._weights, {("circle", i, w.tobytes()): w for k, w in point_sets if k == i},
+                  partial(self.spec.weight_value, i))
         values = self._geometry[z.tobytes()]
         weight = self._weights[("circle", j, z.tobytes())]
         return values[0], values[1], values[2:-1], values[-1], weight
@@ -403,6 +405,16 @@ class JumpValues:
         key = ("band", j, x.tobytes())
         _fill(self._weights, {key: x}, partial(self.spec.weight_value, j))
         return self._weights[key]
+
+    def point(self, z: complex) -> tuple:
+        """(R, transforms, g) at the single point z, each of length 1 in its
+        last axis; rebuilt only when z differs from the last point asked for."""
+        if self._point[0] != z:
+            memo: dict = {}
+            _fill(memo, {z: np.array([z], dtype=complex)}, self._geometry_at)
+            self._point = (z, memo[z])
+        values = self._point[1]
+        return values[1], values[2:-1], values[-1]
 
 
 class JumpAssembly:
@@ -415,19 +427,15 @@ class JumpAssembly:
     modulo 2 pi i.  On the bands the jump is the constant-twisted off-diagonal
     involution.
 
-    Per geometry: g and the h basis at each point set; per jump spec: the
-    weight values there.  Both come from `values`, which solve_matrix_rhp
-    fills at every circle point at once and a SolveContext shares between all
-    its indices; without one the assembly starts its own.
-    Per n: aux, from which each call forms the 2g+1 weights of the h basis,
-    the exponentials and e^(+-A_j).
+    The n-independent factors come from `values`, which a SolveContext shares
+    between all its indices.  Per n: aux, from which each call forms the 2g+1
+    weights of the h basis, the exponentials and e^(+-A_j).
     """
 
-    def __init__(self, spec: WeightSpec, green: GreenData, hsys: HSystem, aux: AuxData,
-                 values: JumpValues | None = None):
+    def __init__(self, aux: AuxData, values: JumpValues):
         self.aux = aux
         self.n = aux.n
-        self.values = values if values is not None else JumpValues(spec, green, hsys)
+        self.values = values
 
     def circle_jump(self, j: int, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -451,10 +459,13 @@ class JumpAssembly:
 
 @dataclass
 class ResidualReport:
-    """Off-collocation jump defect over every piece; the LU-based condition
-    estimate of the band system that remains after the circles are eliminated;
-    and circle_deviation, the largest |F - I| (the (1, 0) entry) over the
-    collocation nodes of every circle, a precision proxy (0 without circles)."""
+    """Off-collocation jump defect over every piece; rcond, LAPACK zgecon's
+    estimate of the reciprocal 1-norm condition number of the band system that
+    remains after the circles are eliminated, which moves by up to about 1e-3
+    relative when the system changes only by rounding (compare it across
+    versions to 2-3 digits); and circle_deviation, the largest |F - I| (the
+    (1, 0) entry) over the collocation nodes of every circle, a precision proxy
+    (0 without circles)."""
 
     off_collocation: float
     rcond: float
@@ -569,9 +580,11 @@ def default_bases(spec: WeightSpec) -> tuple:
     return tuple((kind.flipped, kind) for kind in spec.kinds)
 
 
-def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly) -> RHSolution:
+def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolution:
     """Solve the block collocation system for both rows at once, in the kernel
-    bases default_bases(spec).
+    bases default_bases(spec).  jumps gives the index n and the jump matrices
+    at a piece's points: circle_jump(j, z) on circle j, band_jump(j, x) on
+    band j.
 
     Every circle jump must be unit lower-triangular at the circle's nodes,
     F = [[1, 0], [v, 1]]; SolverError otherwise.  Circle j is dropped when
@@ -581,6 +594,7 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     the bands are factored.  The returned solution's contours list the bands
     and the kept circles.  The off-collocation residual checks every piece of
     `contours`, the dropped circles included; above RESIDUAL_WARN it warns.
+    SolverError if the band solution or the residual is not finite.
     The kernel tables come from contours.operator, which the first solve on
     `contours` builds, and a kept circle's Laurent tables from the operator,
     which the first solve that keeps the circle builds (the "tables" stage).
@@ -596,8 +610,6 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     op = contours.operator(bases)
     lap("tables")
 
-    if isinstance(jumps, JumpAssembly):
-        jumps.values.fill([*enumerate(op.circle_nodes), *enumerate(op.circle_test_nodes)])
     circle_F = [jumps.circle_jump(j, z) for j, z in enumerate(op.circle_nodes)]
     for j, Fj in enumerate(circle_F):
         if np.any(Fj[:, 0, 0] != 1.0) or np.any(Fj[:, 1, 1] != 1.0) or np.any(Fj[:, 0, 1] != 0.0):
@@ -645,13 +657,14 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
     lap("assembly")
 
     anorm = np.linalg.norm(A, 1)
-    try:
-        lu, piv = lu_factor(A, overwrite_a=True, check_finite=False)
-    except Exception as exc:
-        raise SolverError(f"collocation system factorization failed: {exc}") from exc
+    # Without checks lu_factor raises only for bad arguments; a singular
+    # system shows as a zero pivot and a non-finite one in X.
+    lu, piv = lu_factor(A, overwrite_a=True, check_finite=False)
     if np.any(np.abs(np.diagonal(lu)) == 0.0):
         raise SolverError("collocation system is numerically singular")
     X = lu_solve((lu, piv), rhs, check_finite=False)
+    if not np.all(np.isfinite(X)):
+        raise SolverError("collocation solution is not finite")
     rcond, _ = _lapack.zgecon(lu, anorm)
     lap("lu")
 
@@ -667,6 +680,8 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps: JumpAssembly
         circle_coeffs.append(coeff)
     used = ContourSet(circles=tuple(contours.circles[j] for j in kept), bands=contours.bands)
     residual = _off_collocation_residual(op, kept, circle_coeffs, X, test_F)
+    if not np.isfinite(residual):
+        raise SolverError(f"off-collocation jump residual is {residual}")
     lap("residual")
 
     sol = RHSolution(contours=used, bases=bases, circle_coeffs=circle_coeffs,
@@ -707,15 +722,15 @@ def _off_collocation_residual(op: CollocationOperator, kept: list, circle_coeffs
             part = table @ u0[span]
             plus[i][:, :, 0] += part
             minus[i][:, :, 0] += part
-    worst = 0.0
+    worst = []
     for (tp, tm), above, below, Ft in zip(tables, plus, minus, test_F):
         for m in range(2):
             value = tp[m] @ cols[m]
             above[:, :, m] += value
             below[:, :, m] += value if tm is tp else tm[m] @ cols[m]
         defect = above - below @ Ft + (np.eye(2) - Ft)
-        worst = max(worst, float(np.max(np.abs(defect))))
-    return worst
+        worst.append(np.max(np.abs(defect)))
+    return float(np.max(worst))
 
 
 def first_order(sol: RHSolution) -> np.ndarray:

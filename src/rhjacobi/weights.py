@@ -34,6 +34,10 @@ class HFunction:
         representative subset for families with infinitely many."""
         return np.empty(0, dtype=complex)
 
+    def pole_locations(self) -> np.ndarray:
+        """Complex poles; none for an entire function."""
+        return np.empty(0, dtype=complex)
+
 
 @dataclass(frozen=True)
 class HOne(HFunction):
@@ -102,9 +106,10 @@ class HRational(HFunction):
         return f"rational({list(self.num_coeffs)}/{list(self.den_coeffs)})"
 
     def zero_locations(self) -> np.ndarray:
-        if len(self.num_coeffs) < 2:
-            return np.empty(0, dtype=complex)
-        return np.polynomial.polynomial.polyroots(np.asarray(self.num_coeffs)).astype(complex)
+        return HPoly(self.num_coeffs).zero_locations()
+
+    def pole_locations(self) -> np.ndarray:
+        return HPoly(self.den_coeffs).zero_locations()
 
 
 @dataclass(frozen=True)
@@ -122,6 +127,10 @@ class HProduct(HFunction):
 
     def zero_locations(self) -> np.ndarray:
         locs = [f.zero_locations() for f in self.factors]
+        return np.concatenate(locs) if locs else np.empty(0, dtype=complex)
+
+    def pole_locations(self) -> np.ndarray:
+        locs = [f.pole_locations() for f in self.factors]
         return np.concatenate(locs) if locs else np.empty(0, dtype=complex)
 
 

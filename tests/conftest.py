@@ -3,8 +3,8 @@ import sys
 import numpy as np
 import pytest
 
-from rhjacobi import (ChebKind, HExpScale, HPoly, HProduct, HRational, Resolution,
-                      SolveContext, WeightSpec, build_green, build_hsystem)
+from rhjacobi import (ChebKind, HExpScale, HPoly, HProduct, HRational, SolveContext,
+                      WeightSpec, build_green, build_hsystem)
 
 SEED = 20240817
 
@@ -60,12 +60,12 @@ def hsys_two_band(spec_two_band, green_two_band):
 
 @pytest.fixture(scope="session")
 def ctx_two_band(spec_two_band):
-    return SolveContext(spec_two_band, Resolution(16, 10))
+    return SolveContext(spec_two_band, 16)
 
 
 @pytest.fixture(scope="session")
 def ctx_u(spec_u):
-    return SolveContext(spec_u, Resolution(16, 10))
+    return SolveContext(spec_u, 16)
 
 
 @pytest.fixture

@@ -144,7 +144,7 @@ class TestEvalH:
 
     def test_bounded_on_contours(self, spec_two_band, green_two_band, hsys_two_band):
         from rhjacobi.rhp import build_contours
-        ct = build_contours(spec_two_band, 8, 10)
+        ct = build_contours(spec_two_band, 8)
         for n in (1, 10, 100, 1000):
             aux = solve_aux(hsys_two_band, green_two_band, n)
             for circ in ct.circles:

@@ -9,7 +9,7 @@ from rhjacobi.errors import PrecisionWarning
 def _config(tmp_path, intervals, kinds):
     path = tmp_path / "weight.json"
     path.write_text(json.dumps({"intervals": intervals, "kinds": kinds,
-                                "resolution": {"ppi": 8, "circle_ratio": 10}}))
+                                "resolution": {"ppi": 8}}))
     return str(path)
 
 
@@ -75,15 +75,30 @@ def test_toda_warning_reaches_caller_and_csv(single_u, tmp_path):
     assert any(line.startswith("# warning:") for line in out.read_text().splitlines())
 
 
+def test_toda_overflow_exits_2(tmp_path, capsys):
+    # the solves at t = 200 are not finite: failed rows, not NaN rows
+    config = _config(tmp_path, [[-1.8, -1.0], [2.0, 3.0]], ["T", "T"])
+    assert main(["toda", config, "--t0", "200", "--steps", "1", "--k", "2"]) == 2
+    assert "nan" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("command", ["coeffs", "toda"])
 @pytest.mark.parametrize("flags,message", [
-    (["--circle-ratio", "0"], "circle_ratio must be an integer >= 1, got 0"),
-    (["--circle-ratio", "-1"], "circle_ratio must be an integer >= 1, got -1"),
+    (["--ppi", "0"], "ppi must be an integer >= 2, got 0"),
+    (["--ppi", "-1"], "ppi must be an integer >= 2, got -1"),
     (["--ppi", "1"], "ppi must be an integer >= 2, got 1"),
 ])
 def test_bad_resolution_exits_1(single_u, capsys, command, flags, message):
     assert main([command, single_u, *flags]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["coeffs", "toda"])
+def test_circle_ratio_flag_rejected(single_u, capsys, command):
+    # ppi is the only resolution setting; circles take a fixed multiple of it
+    with pytest.raises(SystemExit):
+        main([command, single_u, "--circle-ratio", "10"])
+    assert "unrecognized arguments: --circle-ratio 10" in capsys.readouterr().err
 
 
 _VALID = {"intervals": [[-1.0, 1.0]], "kinds": ["U"]}
@@ -105,10 +120,8 @@ _VALID = {"intervals": [[-1.0, 1.0]], "kinds": ["U"]}
      "invalid weight specification"),
     (json.dumps({**_VALID, "resolution": 8}), "field 'resolution' must be an object"),
     (json.dumps({**_VALID, "resolution": {"ppi": "x"}}), "field 'resolution.ppi' must be an integer"),
-    (json.dumps({**_VALID, "resolution": {"circle_ratio": 8.9}}),
-     "field 'resolution.circle_ratio' must be an integer"),
-    (json.dumps({**_VALID, "resolution": {"circle_ratio": 0}}),
-     "circle_ratio must be an integer >= 1"),
+    (json.dumps({**_VALID, "resolution": {"ppi": 8, "circle_ratio": 10}}),
+     "unknown field 'resolution.circle_ratio'"),
     (json.dumps({**_VALID, "resolution": {"margin": 0.1}}), "unknown field 'resolution.margin'"),
     (json.dumps({**_VALID, "circle_radii": [3.0]}), "unknown field 'circle_radii'"),
 ])

@@ -123,7 +123,7 @@ class TestEvalG:
 
     def test_positive_real_part_on_circles(self, spec_two_band, green_two_band):
         from rhjacobi.rhp import build_contours
-        ct = build_contours(spec_two_band, 8, 10)
+        ct = build_contours(spec_two_band, 8)
         for circ in ct.circles:
             z = circ.nodes()
             mask = np.abs(z.imag) > 0

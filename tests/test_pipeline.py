@@ -7,13 +7,10 @@ from rhjacobi.cauchy import cauchy_cheb
 from rhjacobi.chebyshev import SQRT2, ChebKind, UNIT
 from rhjacobi.errors import DomainError, ImagPartWarning, PrecisionWarning, SolverError
 from rhjacobi.oracle import adaptive_oracle, discretize
-from rhjacobi.pipeline import (Resolution, SolveContext, _realify, cauchy_pn,
-                               orthonormal_eval, recip_approx, recurrence_range,
-                               toda_evolve)
+from rhjacobi.pipeline import (SolveContext, _realify, cauchy_pn, orthonormal_eval,
+                               recip_approx, recurrence_range, toda_evolve)
 from rhjacobi.rhp import JumpAssembly
 from rhjacobi.weights import WeightSpec
-
-RES8 = Resolution(8, 10)
 
 
 class TestRecurrencePair:
@@ -25,7 +22,7 @@ class TestRecurrencePair:
     ])
     def test_classical_kinds(self, kind, a0, b0):
         spec = WeightSpec.single(kind)
-        ctx = SolveContext(spec, Resolution(16, 10))
+        ctx = SolveContext(spec, 16)
         seg = recurrence_range(spec, 0, 0, context=ctx)
         assert seg.a[0] == pytest.approx(a0, abs=1e-11)
         assert seg.b[0] == pytest.approx(b0, abs=1e-11)
@@ -33,7 +30,7 @@ class TestRecurrencePair:
     def test_mapped_interval_scaling(self):
         # entries scale affinely with the interval: a -> mid, b -> half/2
         spec = WeightSpec.single(ChebKind.U, (2.0, 5.0))
-        ctx = SolveContext(spec, Resolution(16, 10))
+        ctx = SolveContext(spec, 16)
         seg = recurrence_range(spec, 2, 2, context=ctx)
         assert seg.a[0] == pytest.approx(3.5, abs=1e-11)
         assert seg.b[0] == pytest.approx(0.75, abs=1e-11)
@@ -86,8 +83,7 @@ class TestRecurrenceRange:
     def test_circle_deviation_recorded(self, spec_two_band, ctx_two_band):
         seg = recurrence_range(spec_two_band, 18, 20, context=ctx_two_band)
         for i, n in enumerate(seg.ns):
-            jumps = JumpAssembly(spec_two_band, ctx_two_band.green, ctx_two_band.hsys,
-                                 ctx_two_band.aux(n))
+            jumps = JumpAssembly(ctx_two_band.aux(n), ctx_two_band.jump_values)
             dev = max(np.max(np.abs(jumps.circle_jump(j, c.nodes())[:, 1, 0]))
                       for j, c in enumerate(ctx_two_band.contours.circles))
             assert seg.meta["circle_deviation"][i] == dev
@@ -95,6 +91,25 @@ class TestRecurrenceRange:
     def test_bad_range_rejected(self, spec_u):
         with pytest.raises(DomainError):
             recurrence_range(spec_u, 5, 3)
+
+    def test_context_for_another_weight_rejected(self, spec_two_band, spec_symmetric):
+        # its solves would be the other weight's, under this weight's name
+        ctx = SolveContext(spec_symmetric, 8)
+        with pytest.raises(DomainError):
+            recurrence_range(spec_two_band, 0, 2, context=ctx)
+        with pytest.raises(DomainError):
+            cauchy_pn(spec_two_band, 1, 0.5j, context=ctx)
+        with pytest.raises(DomainError):
+            recip_approx(spec_two_band, 2, context=ctx)
+
+    def test_programming_errors_propagate(self, spec_u, monkeypatch):
+        # only numerical failures are recorded per index
+        def broken(*args, **kwargs):
+            raise TypeError("broken call")
+
+        monkeypatch.setattr(rhp, "lu_factor", broken)
+        with pytest.raises(TypeError):
+            recurrence_range(spec_u, 0, 1, 8)
 
 
 class TestSharedOperator:
@@ -148,6 +163,12 @@ class TestRealifyPolicy:
         with pytest.raises(SolverError):
             _realify(1.0 + 1e-5j, "a", 0)
 
+    @pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                       complex(1.0, np.nan)])
+    def test_non_finite_errors(self, value):
+        with pytest.raises(SolverError):
+            _realify(value, "a", 0)
+
 
 class TestCauchyPn:
     def test_n0_matches_quadrature(self, spec_two_band, ctx_two_band):
@@ -161,7 +182,7 @@ class TestCauchyPn:
         # raw U weight = (pi/2) normalized one, and p_3 = U_3, so the transform
         # is (pi/2) times the closed-form kernel
         spec = WeightSpec.single(ChebKind.U)
-        ctx = SolveContext(spec, Resolution(16, 10))
+        ctx = SolveContext(spec, 16)
         z = 0.8 + 1.1j
         got = cauchy_pn(spec, 3, z, context=ctx)
         ref = (np.pi / 2) * cauchy_cheb(ChebKind.U, 3, UNIT, z)
@@ -226,7 +247,7 @@ class TestOracle:
 
 class TestToda:
     def test_jump_spec_context_shares_geometry(self, spec_u):
-        ctx = SolveContext(spec_u, Resolution(8, 10))
+        ctx = SolveContext(spec_u, 8)
         scaled = ctx.with_jump_spec(spec_u.with_exp_factor(0.5))
         assert scaled.green is ctx.green and scaled.contours is ctx.contours
         assert scaled.aux(3) is ctx.aux(3)
@@ -234,13 +255,13 @@ class TestToda:
         assert scaled.solution(1) is not ctx.solution(1)
 
     def test_t0_identical_to_static(self, spec_u, ctx_u):
-        traj = toda_evolve(spec_u, 5, [0.0], Resolution(16, 10))
-        seg = recurrence_range(spec_u, 0, 4, Resolution(16, 10))
+        traj = toda_evolve(spec_u, 5, [0.0], 16)
+        seg = recurrence_range(spec_u, 0, 4, 16)
         np.testing.assert_array_equal(traj.segments[0].a, seg.a)
         np.testing.assert_array_equal(traj.segments[0].b, seg.b)
 
     def test_matches_scaled_oracle(self, spec_u):
-        traj = toda_evolve(spec_u, 6, [0.5, 2.0], Resolution(20, 6))
+        traj = toda_evolve(spec_u, 6, [0.5, 2.0], 20)
         for t, seg in zip(traj.times, traj.segments):
             ref = adaptive_oracle(spec_u.with_exp_factor(t), 6, 1e-12)
             np.testing.assert_allclose(seg.a, ref.a, atol=1e-9)
@@ -249,7 +270,7 @@ class TestToda:
     def test_halfspeed_flow_identities(self, spec_u):
         # d/dt of J(w e^{tx}) equals half the tridiagonal commutator flow
         dt = 1e-4
-        traj = toda_evolve(spec_u, 8, [1.0 - dt, 1.0, 1.0 + dt], Resolution(20, 6))
+        traj = toda_evolve(spec_u, 8, [1.0 - dt, 1.0, 1.0 + dt], 20)
         am, a0, ap = (s.a for s in traj.segments)
         bm, b0, bp = (s.b for s in traj.segments)
         adot = (ap - am) / (2 * dt)
@@ -260,13 +281,18 @@ class TestToda:
 
     def test_horizon_warning(self, spec_u):
         with pytest.warns(PrecisionWarning):
-            toda_evolve(spec_u, 2, [15.0], Resolution(20, 6))
+            toda_evolve(spec_u, 2, [15.0], 20)
+
+    def test_overflowing_jumps_recorded_as_failures(self, spec_two_band):
+        # at t = 200 the circle jumps overflow: both pairs fail, none is NaN
+        traj = toda_evolve(spec_two_band, 2, [200.0])
+        assert [n for n, _ in traj.segments[0].meta["failures"]] == [0, 1]
 
     def test_no_warning_at_moderate_time(self, spec_u, recwarn):
         import warnings as _w
         with _w.catch_warnings():
             _w.simplefilter("error", PrecisionWarning)
-            toda_evolve(spec_u, 2, [2.0], Resolution(20, 6))
+            toda_evolve(spec_u, 2, [2.0], 20)
 
 
 class TestRecip:
@@ -282,7 +308,7 @@ class TestRecip:
     def test_zero_inside_support_rejected(self):
         spec = WeightSpec.single(ChebKind.U)
         with pytest.raises(DomainError):
-            recip_approx(spec, 3, resolution=RES8)
+            recip_approx(spec, 3, ppi=8)
 
     def test_error_decreases(self, spec_two_band, ctx_two_band):
         approx = recip_approx(spec_two_band, 12, context=ctx_two_band)

@@ -7,15 +7,15 @@ from rhjacobi.cauchy import Side, cauchy_cheb, cauchy_cheb_table
 from rhjacobi.chebyshev import ChebKind, UNIT
 from rhjacobi.errors import DomainError, GeometryError, ResidualWarning, SolverError, WeightError
 from rhjacobi.green import build_green
-from rhjacobi.pipeline import Resolution, SolveContext, recip_approx, recurrence_range, toda_evolve
-from rhjacobi.rhp import (JumpAssembly, _circle_table, build_contours, default_bases,
-                          first_order, solve_matrix_rhp)
-from rhjacobi.weights import HPoly, WeightSpec
+from rhjacobi.pipeline import SolveContext, recip_approx, recurrence_range, toda_evolve
+from rhjacobi.rhp import (ContourSet, JumpAssembly, JumpValues, _circle_table, build_contours,
+                          default_bases, first_order, solve_matrix_rhp)
+from rhjacobi.weights import HPoly, HRational, WeightSpec
 
 
 class TestBuildContours:
     def test_single_interval_default(self, spec_u):
-        ct = build_contours(spec_u, 16, 10)
+        ct = build_contours(spec_u, 16)
         circ = ct.circles[0]
         assert circ.center == 0.0
         assert circ.radius == 1.25
@@ -23,7 +23,7 @@ class TestBuildContours:
         assert ct.bands[0].n_points == 16
 
     def test_two_band_disjoint(self, spec_two_band):
-        ct = build_contours(spec_two_band, 8, 10)
+        ct = build_contours(spec_two_band, 8)
         (c0, c1) = ct.circles
         gap = abs(c1.center - c0.center) - c0.radius - c1.radius
         assert gap > 0
@@ -33,24 +33,36 @@ class TestBuildContours:
     def test_impossible_geometry_raises(self):
         spec = WeightSpec.build([(0.0, 1.0), (1.1, 2.1)], ["T", "T"])
         with pytest.raises(GeometryError):
-            build_contours(spec, 8, 10)
+            build_contours(spec, 8)
 
     def test_h_zero_inside_disk_raises(self):
         # positive on the band but vanishing at +-0.1i inside the 5/4 disk
         spec = WeightSpec.single(ChebKind.U, h=HPoly((0.01, 0.0, 1.0)))
         with pytest.raises(WeightError):
-            build_contours(spec, 8, 10)
+            build_contours(spec, 8)
 
-    @pytest.mark.parametrize("ppi, circle_ratio", [(16, 0), (16, -1), (1, 10), (0, 10),
-                                                   (8.0, 10), (16, 2.5), (16, True)])
-    def test_invalid_resolution_rejected(self, spec_u, ppi, circle_ratio):
+    @pytest.mark.parametrize("den", [(0.25, 0.0, 1.0), (0.01, 0.0, 1.0)])
+    def test_h_pole_inside_disk_raises(self, den):
+        # positive on the band but with poles at +-0.5i or +-0.1i inside the
+        # 5/4 disk
+        spec = WeightSpec.single(ChebKind.U, h=HRational((1.0,), den))
+        with pytest.raises(WeightError):
+            build_contours(spec, 8)
+
+    def test_h_poles_outside_disks_accepted(self, spec_modified_u, spec_genus3):
+        # poles at +-2i outside the 5/4 disk; the genus-3 h are entire
+        for spec in (spec_modified_u, spec_genus3):
+            build_contours(spec, 8)
+
+    @pytest.mark.parametrize("ppi", [1, 0, -1, 8.0, 2.5, True])
+    def test_invalid_resolution_rejected(self, spec_u, ppi):
         with pytest.raises(DomainError):
-            build_contours(spec_u, ppi, circle_ratio)
+            build_contours(spec_u, ppi)
         with pytest.raises(DomainError):
-            recurrence_range(spec_u, 0, 1, Resolution(ppi, circle_ratio))
+            recurrence_range(spec_u, 0, 1, ppi)
 
     def test_nodes_shapes(self, spec_two_band):
-        ct = build_contours(spec_two_band, 8, 10)
+        ct = build_contours(spec_two_band, 8)
         for circ in ct.circles:
             assert circ.nodes().shape == (80,)
             assert -1 in circ.exponents and 0 in circ.exponents
@@ -95,7 +107,7 @@ class _UpperEntryOnCircles(JumpAssembly):
 
 class TestMatrixSolve:
     def test_identity_jumps_give_zero(self, spec_u):
-        ct = build_contours(spec_u, 8, 10)
+        ct = build_contours(spec_u, 8)
         sol = solve_matrix_rhp(spec_u, ct, _IdentityJumps())
         for cc in sol.circle_coeffs + sol.band_coeffs:
             np.testing.assert_allclose(cc, 0.0, atol=1e-13)
@@ -120,12 +132,11 @@ class TestMatrixSolve:
 
     def test_residual_decay_under_doubling(self, spec_two_band):
         import warnings as _w
-        from rhjacobi.pipeline import Resolution, SolveContext
         res = []
         for ppi in (2, 4, 8):
             with _w.catch_warnings():
                 _w.simplefilter("ignore")
-                ctx = SolveContext(spec_two_band, Resolution(ppi, 10))
+                ctx = SolveContext(spec_two_band, ppi)
                 res.append(ctx.solution(5).residual.off_collocation)
         assert res[1] < res[0] / 10 or res[1] < 1e-12
         assert res[2] < res[1] / 10 or res[2] < 1e-12
@@ -133,8 +144,8 @@ class TestMatrixSolve:
     def test_row_decoupling_bitwise(self, spec_u):
         gd = build_green(spec_u)
         hs = build_hsystem(spec_u, gd)
-        ct = build_contours(spec_u, 8, 10)
-        jumps = JumpAssembly(spec_u, gd, hs, solve_aux(hs, gd, 1))
+        ct = build_contours(spec_u, 8)
+        jumps = JumpAssembly(solve_aux(hs, gd, 1), JumpValues(spec_u, gd, hs, ct))
         s1 = solve_matrix_rhp(spec_u, ct, jumps)
         s2 = solve_matrix_rhp(spec_u, ct, jumps)
         for a, b in zip(s1.circle_coeffs + s1.band_coeffs,
@@ -163,8 +174,8 @@ class TestMatrixSolve:
     def test_dropped_circles_still_checked(self, ctx_two_band, spec_two_band):
         # every circle is dropped (identity at its nodes), yet the residual at
         # the test nodes between them must see the 0.1 jump entry
-        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, spec_two_band, ctx_two_band.green,
-                                     ctx_two_band.hsys, ctx_two_band.aux(300))
+        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, ctx_two_band.aux(300),
+                                     ctx_two_band.jump_values)
         with pytest.warns(ResidualWarning):
             sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
         assert sol.contours.circles == ()
@@ -176,8 +187,8 @@ class TestMatrixSolve:
         # endpoint behavior needs (T, U): the residual stays O(1) as ppi grows
         gd = build_green(spec_u)
         hs = build_hsystem(spec_u, gd)
-        ct = build_contours(spec_u, ppi, 10)
-        jumps = JumpAssembly(spec_u, gd, hs, solve_aux(hs, gd, 1))
+        ct = build_contours(spec_u, ppi)
+        jumps = JumpAssembly(solve_aux(hs, gd, 1), JumpValues(spec_u, gd, hs, ct))
         with pytest.warns(ResidualWarning):
             wrong = solve_matrix_rhp(WeightSpec.single(ChebKind.T), ct, jumps)
         assert wrong.residual.off_collocation > 1.0
@@ -185,16 +196,14 @@ class TestMatrixSolve:
         assert right.residual.off_collocation < 1e-6
 
     def test_circle_jump_must_be_unit_lower_triangular(self, ctx_two_band, spec_two_band):
-        jumps = _UpperEntryOnCircles(spec_two_band, ctx_two_band.green, ctx_two_band.hsys,
-                                     ctx_two_band.aux(3))
+        jumps = _UpperEntryOnCircles(ctx_two_band.aux(3), ctx_two_band.jump_values)
         with pytest.raises(SolverError):
             solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
 
 
 class TestJumpAssembly:
     def test_band_jump_involution(self, ctx_two_band, spec_two_band):
-        jumps = JumpAssembly(spec_two_band, ctx_two_band.green, ctx_two_band.hsys,
-                             ctx_two_band.aux(3))
+        jumps = JumpAssembly(ctx_two_band.aux(3), ctx_two_band.jump_values)
         x = np.linspace(2.1, 2.9, 7)
         F = jumps.band_jump(1, x)
         dets = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
@@ -202,8 +211,7 @@ class TestJumpAssembly:
         np.testing.assert_allclose(F[:, 0, 0], 0.0, atol=1e-15)
 
     def test_circle_jump_structure(self, ctx_two_band, spec_two_band):
-        jumps = JumpAssembly(spec_two_band, ctx_two_band.green, ctx_two_band.hsys,
-                             ctx_two_band.aux(3))
+        jumps = JumpAssembly(ctx_two_band.aux(3), ctx_two_band.jump_values)
         z = ctx_two_band.contours.circles[0].nodes()
         F = jumps.circle_jump(0, z)
         np.testing.assert_allclose(F[:, 0, 0], 1.0, atol=1e-15)
@@ -215,7 +223,7 @@ class TestJumpAssembly:
         z = ctx_u.contours.circles[0].nodes()
         devs = []
         for n in range(8, 20):
-            jumps = JumpAssembly(spec_u, ctx_u.green, ctx_u.hsys, ctx_u.aux(n))
+            jumps = JumpAssembly(ctx_u.aux(n), ctx_u.jump_values)
             devs.append(np.max(np.abs(jumps.circle_jump(0, z)[:, 1, 0])))
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
@@ -328,13 +336,16 @@ class TestColdPath:
 
     def test_toda_times_share_g_at_the_circles(self, spec_two_band, count_calls):
         g_calls = count_calls(green.eval_g)
-        toda_evolve(spec_two_band, 3, [0.0, 0.5, 1.0], Resolution(8, 10))
+        toda_evolve(spec_two_band, 3, [0.0, 0.5, 1.0], 8)
         assert len(g_calls) == 2
 
     def test_cloud_values_match_a_lone_point_set(self, spec_genus3):
         ctx = SolveContext(spec_genus3)
         ctx.solution(0)
+        # Without circles the values have no cloud to fill: each request is
+        # evaluated at its own points only.
+        no_cloud = ContourSet(circles=(), bands=ctx.contours.bands)
         for j, z in enumerate(_operator(ctx).circle_test_nodes):
-            lone = JumpAssembly(spec_genus3, ctx.green, ctx.hsys, ctx.aux(0)).values.circle(j, z)
+            lone = JumpValues(spec_genus3, ctx.green, ctx.hsys, no_cloud).circle(j, z)
             for got, want in zip(ctx.jump_values.circle(j, z), lone):
                 np.testing.assert_array_equal(got, want)

@@ -33,10 +33,17 @@ class TestHFunctions:
         r = HRational((1.0,), (4.0, 0.0, 1.0))
         assert r(2.0) == pytest.approx(1.0 / 8.0)
         assert r.zero_locations().size == 0
+        np.testing.assert_allclose(sorted(r.pole_locations(), key=lambda z: z.imag),
+                                   [-2j, 2j], atol=1e-12)
+        assert p.pole_locations().size == 0
 
     def test_product(self):
         h = HProduct((HExpScale(1.0), HPoly((1.0, 1.0))))
         assert h(1.0) == pytest.approx(2 * np.e)
+        assert h.pole_locations().size == 0
+        h = HProduct((HRational((1.0,), (1.0, 2.0)), HRational((1.0,), (3.0, 1.0))))
+        np.testing.assert_allclose(sorted(h.pole_locations(), key=lambda z: z.real),
+                                   [-3.0, -0.5])
 
     def test_from_config_variants(self):
         assert isinstance(h_from_config({"type": "one"}), HOne)
