@@ -157,19 +157,19 @@ def cmd_toda(args) -> int:
         times = np.linspace(args.t0, args.t1, args.steps)
     traj = toda_evolve(spec, args.k, times, _ppi(args, ppi))
     lines = ["t,n,a,b"]
-    failed = False
+    failed = []
     for t, seg in zip(traj.times, traj.segments):
         failures = dict(seg.meta["failures"])
         for i, n in enumerate(seg.ns):
             if n in failures:
                 lines.append(f"{_fmt(t)},{n},,")
-                failed = True
+                failed.append(f"# failure: t={_fmt(t)} n={n}: {failures[n]}")
             else:
                 lines.append(f"{_fmt(t)},{n},{_fmt(seg.a[i])},{_fmt(seg.b[i])}")
     for t, dev in traj.warnings_:
         lines.append(f"# warning: circle jump magnitude {dev:.3e} at t={_fmt(t)} "
                      f"exceeds the precision horizon")
-    _write(args.out, lines)
+    _write(args.out, lines + failed)
     return 2 if failed else 0
 
 
@@ -185,8 +185,15 @@ def cmd_recip(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit with 1, not argparse's 2."""
+
+    def error(self, message):
+        self.exit(1, f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rhjacobi",
         description="Recurrence coefficients and Cauchy transforms of multi-interval "
                     "Chebyshev-like orthogonal polynomials.")

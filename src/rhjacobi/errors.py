@@ -26,7 +26,12 @@ class WeightError(RHJacobiError, ValueError):
 
 
 class SolverError(RHJacobiError):
-    """A linear system arising in the method is numerically singular."""
+    """A linear system arising in the method is numerically singular;
+    circle_deviation is the failed solve's, NaN if it failed before its jumps."""
+
+    def __init__(self, message: str, circle_deviation: float = float("nan")):
+        super().__init__(message)
+        self.circle_deviation = circle_deviation
 
 
 class ResidualWarning(UserWarning):

@@ -162,8 +162,9 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int = DEFAULT_PPI,
     circles_used, the number of circles the solve for n kept (circles whose
     jump is the identity are dropped); circle_deviation, the largest |F - I|
     over the circle nodes of the solve for n.  circle_deviation is kept where
-    only the pair failed (NaN only if the solve for n did), since large jump
-    data makes pairs fail.
+    the pair or the solve for n failed after its jumps were evaluated (NaN
+    only if that solve failed before), since large jump data makes pairs
+    fail.
     meta["stages"] holds the seconds this call's solves spent per stage of
     rhp.STAGES ("tables" is the collocation operator's build, paid by the
     first solve on a context, and each circle's Laurent tables, paid by the
@@ -199,6 +200,8 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int = DEFAULT_PPI,
             circles_used[i] = len(pair[0].contours.circles)
         except (RHJacobiError, np.linalg.LinAlgError, FloatingPointError) as exc:
             failures.append((n, str(exc)))
+            if np.isnan(circle_deviation[i]):  # the solve for n failed
+                circle_deviation[i] = getattr(exc, "circle_deviation", np.nan)
     meta = {
         "method": "rh",
         "ppi": ctx.ppi,

@@ -18,23 +18,22 @@ are solved; the off-collocation residual still checks every circle.
 
 What is computed how often:
 - per geometry, that is per ContourSet and choice of band kernel bases: the
-  CollocationOperator, every band kernel table at the collocation and test
-  nodes of every piece, in one pass over all those points: three tables per
-  band and column.  The first solve on a contour set builds it, and the
-  contour set keeps it for every later solve.  g and the h basis at the
-  circle nodes and test nodes depend on the bands only too; JumpValues
-  evaluates them at all circle points at once, one call per side, when the
-  first solve asks for a circle jump.
-- per kept circle: its Laurent tables at the band nodes and at the other
-  pieces' test nodes, truncated to the powers that reach LAURENT_CUT there.
-  The first solve that keeps the circle builds them and the operator keeps
-  them; a circle no solve keeps never gets any.
+  CollocationOperator, the band kernel tables at every band node and test
+  node and, for column 1, every circle point, in one pass over those points.
+  The first solve on a contour set builds it, and the contour set keeps it
+  for every later solve.  g and the h basis at the circle nodes and test
+  nodes depend on the bands only too; JumpValues evaluates them at all
+  circle points at once, one call per side, when the first solve asks for a
+  circle jump.
+- per kept circle: its coupling operator G at the band nodes and its Laurent
+  table at the band test nodes, built by the first solve that keeps it.
 - per jump spec: the weight values at the nodes and test nodes, in one call
   per circle and side (JumpValues).
-- per n: the jump values, which are exponentials of those cached factors; one
-  FFT per kept circle; the band system's assembly and LU; and the residual as
-  matrix products, where a circle's series on its own test nodes is an inverse
-  FFT.
+- per n: the jump values, exponentials of those cached factors, in one
+  circle_jump call per circle; the band system's assembly, with one product
+  G v K per kept circle, and LU; one FFT per kept circle for its
+  coefficients; and the residual, one-sided on the circles (one inverse FFT
+  each) and by matrix products on the bands.
 """
 
 from __future__ import annotations
@@ -107,6 +106,10 @@ class Circle:
         k = np.arange(self.n_points) + 0.5
         return self.center + self.radius * np.exp(2j * np.pi * k / self.n_points)
 
+    def points(self) -> np.ndarray:
+        """The nodes, then the test nodes, where a solve takes the jump."""
+        return np.concatenate([self.nodes(), self.test_nodes()])
+
 
 @dataclass(frozen=True)
 class BandPiece:
@@ -155,21 +158,17 @@ class CollocationOperator:
       from above and below; every other entry is the off-contour value, the
       same in both.
     - test_plus[m], test_minus[m]: the same at all band test nodes.
-    - circle_K[j]: the column-1 kernels at circle j's nodes, then a column of
+    - circle_points[j]: circle j's nodes, then its test nodes (Circle.points).
+    - circle_K[j]: the column-1 kernels at circle_points[j], then a column of
       ones for the identity's share of the jump.
-    - circle_test[j][m]: the column-m kernels at circle j's test nodes.
-    - test_points: the residual's point sets, each circle's test nodes and
-      then all band test nodes at once.
     The kernel tables come from one pass over the point cloud of column m:
-    band p's nodes and test nodes for every p, so that each band's own points
-    are one slice, then every circle's test nodes and, for column 1, its
-    nodes.  Per band q and column m there are three cauchy_cheb_table calls,
-    off the band at every other point of the cloud and from above and below
-    at its own, and their rows are copied straight into the arrays above.
-    Circle j's Laurent tables (circle_tables) are built the first time a solve
-    keeps circle j, and kept; each is truncated to the exponents whose powers
-    reach LAURENT_CUT at its points.  The tables at one point set off the
-    contours (kernels_at, circle_at) are kept for the last point set only.
+    every band's nodes and test nodes, one slice per band, and for column 1
+    every circle's points.  Per band q and column m there are at most three
+    cauchy_cheb_table calls, off the band at every other point and from above
+    and below at its own, whose rows are copied into the arrays above.
+    Circle j's tables (circle_tables) are built the first time a solve keeps
+    circle j, and kept.  The tables at one point set off the contours
+    (kernels_at, circle_at) are kept for the last point set only.
     """
 
     def __init__(self, contours: ContourSet, bases: tuple):
@@ -179,17 +178,13 @@ class CollocationOperator:
         self.circles = contours.circles
         self.band_nodes = [bp.nodes() for bp in bands]
         self.band_test_nodes = [bp.test_nodes() for bp in bands]
-        self.circle_nodes = [c.nodes() for c in contours.circles]
-        self.circle_test_nodes = [c.test_nodes() for c in contours.circles]
-        self.test_points = self.circle_test_nodes + [np.concatenate(self.band_test_nodes)]
+        self.circle_points = [c.points() for c in contours.circles]
         ends = np.cumsum([bp.n_points for bp in bands]).tolist()
         self.spans = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
         T = ends[-1]
         self.plus, self.minus, self.test_plus, self.test_minus = (
             [np.empty((T, T), dtype=complex) for _ in range(2)] for _ in range(4))
-        self.circle_K = [np.ones((len(z), T + 1), dtype=complex) for z in self.circle_nodes]
-        self.circle_test = [[np.empty((len(z), T), dtype=complex) for _ in range(2)]
-                            for z in self.circle_test_nodes]
+        self.circle_K = [np.ones((len(z), T + 1), dtype=complex) for z in self.circle_points]
         for m in range(2):
             # Column m's cloud as (points, the row blocks they fill); a band's
             # points fill its rows above and below, band q's are pieces 2q
@@ -199,14 +194,15 @@ class CollocationOperator:
                 cloud.append((self.band_nodes[p], (self.plus[m][span], self.minus[m][span])))
                 cloud.append((self.band_test_nodes[p],
                               (self.test_plus[m][span], self.test_minus[m][span])))
-            cloud += [(z, (t[m],)) for z, t in zip(self.circle_test_nodes, self.circle_test)]
             if m == 1:
-                cloud += [(z, (K[:, :T],)) for z, K in zip(self.circle_nodes, self.circle_K)]
+                cloud += [(z, (K[:, :T],)) for z, K in zip(self.circle_points, self.circle_K)]
             for q, (bp, cols) in enumerate(zip(bands, self.spans)):
                 own, off = cloud[2 * q:2 * q + 2], cloud[:2 * q] + cloud[2 * q + 2:]
                 for side, pieces, which in ((Side.PLUS, own, slice(0, 1)),
                                             (Side.MINUS, own, slice(1, 2)),
                                             (Side.OFF, off, slice(None))):
+                    if not pieces:
+                        continue
                     rows = cauchy_cheb_table(bases[q][m], bp.n_points, bp.interval,
                                              np.concatenate([z for z, _ in pieces]), side)
                     start = 0
@@ -218,16 +214,20 @@ class CollocationOperator:
         self._last_points: tuple = (None, [], {})
 
     def circle_tables(self, j: int) -> tuple:
-        """(coupling, residual) for circle j, built on first request and kept:
-        coupling is _circle_table at all band nodes, and residual lists
-        (i, span, table) for every point set i of test_points but circle j's
-        own."""
+        """(G, span, table) for circle j, built on first request and kept.
+
+        G maps data at circle j's nodes to the Cauchy transform at all band
+        nodes of the density that interpolates it: _circle_table there times
+        W^-1 = W^H / n_j, W the Laurent table at the nodes, as a DFT.  (span,
+        table) is _circle_table at all band test nodes."""
         if j not in self._circle_tables:
             circ = self.circles[j]
-            coupling = _circle_table(circ, np.concatenate(self.band_nodes))
-            residual = [(i, *_circle_table(circ, z))
-                        for i, z in enumerate(self.test_points) if i != j]
-            self._circle_tables[j] = (coupling, residual)
+            n = circ.n_points
+            span, table = _circle_table(circ, np.concatenate(self.band_nodes))
+            spectrum = np.zeros((len(table), n), dtype=complex)
+            spectrum[:, circ.exponents[span] % n] = table
+            G = np.fft.fft(spectrum, axis=1) / n
+            self._circle_tables[j] = (G, *_circle_table(circ, np.concatenate(self.band_test_nodes)))
         return self._circle_tables[j]
 
     def kernels_at(self, z: np.ndarray) -> list:
@@ -248,16 +248,10 @@ class CollocationOperator:
         terms of recip_approx, builds them once, and the memo cannot grow."""
         key = z.tobytes()
         if self._last_points[0] != key:
-            kernels = [_band_kernels(self.bands, self.bases, m, z) for m in range(2)]
+            kernels = [np.hstack([cauchy_cheb_table(self.bases[q][m], bp.n_points, bp.interval, z)
+                                  for q, bp in enumerate(self.bands)]) for m in range(2)]
             self._last_points = (key, kernels, {})
         return self._last_points
-
-
-def _band_kernels(bands: tuple, bases: tuple, m: int, z) -> np.ndarray:
-    """Column-m kernel tables of every band at points z off the contours, side
-    by side."""
-    return np.concatenate([cauchy_cheb_table(bases[q][m], bp.n_points, bp.interval, z)
-                           for q, bp in enumerate(bands)], axis=-1)
 
 
 def build_contours(spec: WeightSpec, ppi: int) -> ContourSet:
@@ -389,9 +383,7 @@ class JumpValues:
         point_sets = [(j, z)]
         if self._cold:
             self._cold = False
-            circles = self.contours.circles
-            point_sets = [*((i, c.nodes()) for i, c in enumerate(circles)),
-                          *((i, c.test_nodes()) for i, c in enumerate(circles)), (j, z)]
+            point_sets = [*enumerate(c.points() for c in self.contours.circles), (j, z)]
         _fill(self._geometry, {w.tobytes(): w for _, w in point_sets}, self._geometry_at)
         for i in dict.fromkeys(i for i, _ in point_sets):
             _fill(self._weights, {("circle", i, w.tobytes()): w for k, w in point_sets if k == i},
@@ -442,8 +434,7 @@ class JumpAssembly:
         sign, R, transforms, g, w = self.values.circle(j, z)
         expo = 2.0 * combine_h(self.aux, R, transforms) - 2.0 * self.n * g
         out = np.zeros(z.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = 1.0
-        out[..., 1, 1] = 1.0
+        out[..., 0, 0] = out[..., 1, 1] = 1.0
         out[..., 1, 0] = sign * np.exp(expo) / w
         return out
 
@@ -460,12 +451,10 @@ class JumpAssembly:
 @dataclass
 class ResidualReport:
     """Off-collocation jump defect over every piece; rcond, LAPACK zgecon's
-    estimate of the reciprocal 1-norm condition number of the band system that
-    remains after the circles are eliminated, which moves by up to about 1e-3
-    relative when the system changes only by rounding (compare it across
-    versions to 2-3 digits); and circle_deviation, the largest |F - I| (the
-    (1, 0) entry) over the collocation nodes of every circle, a precision proxy
-    (0 without circles)."""
+    estimate of the reciprocal 1-norm condition number of the band system
+    (it moves by up to 1e-3 relative under rounding: compare to 2-3 digits);
+    and circle_deviation, the largest |F - I| over every circle's nodes, a
+    precision proxy (0 without circles)."""
 
     off_collocation: float
     rcond: float
@@ -557,21 +546,15 @@ def _powers(x: np.ndarray, out: np.ndarray) -> None:
     np.multiply.accumulate(np.broadcast_to(x, out.shape), axis=0, out=out)
 
 
-def _circle_on_test_nodes(circ: Circle, u: np.ndarray):
-    """(plus, minus) boundary values at circ's own test nodes of the Laurent
-    series whose coefficients on circ.exponents are the rows of u.
-
-    The test nodes are the roots of unity turned by half a step, so each half
-    of the series is an inverse DFT of the coefficients times that phase."""
+def _series_on_test_nodes(circ: Circle, u: np.ndarray) -> np.ndarray:
+    """The Laurent series with coefficients u (rows on circ.exponents) at
+    circ's test nodes, the nodes turned by half a step: an inverse DFT of u
+    times that phase.  It is the jump of its Cauchy transform there."""
     n = circ.n_points
     exps = circ.exponents
-    shifted = u * np.exp(1j * np.pi * exps / n)[:, None]
-    halves = []
-    for part in (exps >= 0, exps < 0):
-        spectrum = np.zeros((n,) + u.shape[1:], dtype=complex)
-        spectrum[exps[part] % n] = shifted[part]
-        halves.append(n * np.fft.ifft(spectrum, axis=0))
-    return halves[0], -halves[1]
+    spectrum = np.empty((n,) + u.shape[1:], dtype=complex)
+    spectrum[exps % n] = u * np.exp(1j * np.pi * exps / n)[:, None]
+    return n * np.fft.ifft(spectrum, axis=0)
 
 
 def default_bases(spec: WeightSpec) -> tuple:
@@ -586,19 +569,31 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolutio
     at a piece's points: circle_jump(j, z) on circle j, band_jump(j, x) on
     band j.
 
-    Every circle jump must be unit lower-triangular at the circle's nodes,
-    F = [[1, 0], [v, 1]]; SolverError otherwise.  Circle j is dropped when
-    max |v| is below IDENTITY_JUMP: it then carries no density to double
-    precision.  On a kept circle the column-1 density vanishes and the
-    column-0 density is an explicit function of the band unknowns, so only
-    the bands are factored.  The returned solution's contours list the bands
-    and the kept circles.  The off-collocation residual checks every piece of
-    `contours`, the dropped circles included; above RESIDUAL_WARN it warns.
-    SolverError if the band solution or the residual is not finite.
-    The kernel tables come from contours.operator, which the first solve on
-    `contours` builds, and a kept circle's Laurent tables from the operator,
-    which the first solve that keeps the circle builds (the "tables" stage).
+    Every circle jump must be unit lower-triangular at the circle's nodes and
+    test nodes, F = [[1, 0], [v, 1]]; SolverError otherwise.  Circle j is
+    dropped when max |v| over its nodes is below IDENTITY_JUMP: it then
+    carries no density to double precision.  On a kept circle the column-1
+    density vanishes and the column-0 density is an explicit function of the
+    band unknowns, so only the bands are factored.  The returned solution's
+    contours list the bands and the kept circles.  The off-collocation
+    residual checks every piece of `contours`, the dropped circles included;
+    above RESIDUAL_WARN it warns.  SolverError, carrying circle_deviation, if
+    the band system is singular or the solution or the residual is not
+    finite, which is also how an overflow shows.  The operator's tables are
+    built by the first solve that needs them (the "tables" stage).
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = _solve(spec, contours, jumps)
+    if sol.residual.off_collocation > RESIDUAL_WARN:
+        warnings.warn(
+            f"off-collocation jump residual {sol.residual.off_collocation:.2e} exceeds "
+            f"{RESIDUAL_WARN:.1e} (n={jumps.n}); increase resolution or check the basis",
+            ResidualWarning, stacklevel=2)
+    return sol
+
+
+def _solve(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolution:
+    """solve_matrix_rhp's solution, without its warning."""
     stages = dict.fromkeys(STAGES, 0.0)
     clock = [time.perf_counter()]
 
@@ -610,17 +605,21 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolutio
     op = contours.operator(bases)
     lap("tables")
 
-    circle_F = [jumps.circle_jump(j, z) for j, z in enumerate(op.circle_nodes)]
-    for j, Fj in enumerate(circle_F):
+    # v[j]: circle j's jump entry F_10 at its nodes, then at its test nodes.
+    v = []
+    for j, z in enumerate(op.circle_points):
+        Fj = jumps.circle_jump(j, z)
         if np.any(Fj[:, 0, 0] != 1.0) or np.any(Fj[:, 1, 1] != 1.0) or np.any(Fj[:, 0, 1] != 0.0):
-            raise SolverError(f"jump on circle {j} is not unit lower-triangular at its nodes")
-    deviation = [float(np.max(np.abs(Fj[:, 1, 0]))) for Fj in circle_F]
+            raise SolverError(f"jump on circle {j} is not unit lower-triangular "
+                              "at its nodes and test nodes")
+        v.append(Fj[:, 1, 0])
+    deviation = [float(np.max(np.abs(vj[:c.n_points]))) for vj, c in zip(v, contours.circles)]
+    circle_deviation = max(deviation, default=0.0)
     kept = [j for j, dev in enumerate(deviation) if not dev < IDENTITY_JUMP]
     F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_nodes)])
-    test_F = [jumps.circle_jump(j, z) for j, z in enumerate(op.circle_test_nodes)]
-    test_F.append(np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_test_nodes)]))
+    test_F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_test_nodes)])
     lap("jumps")
-    circle_tables = [op.circle_tables(j) for j in kept]
+    tables = {j: op.circle_tables(j) for j in kept}
     lap("tables")
 
     T = len(F)
@@ -641,19 +640,18 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolutio
     # On a kept circle c the column-1 rows read W u_c1 = 0 with W the Laurent
     # table at c's own nodes, so u_c1 = 0, and the column-0 rows give
     # u_c0 = W^-1 v (K u_B1 + [r == 1]) with K the bands' column-1 tables at
-    # c's nodes.  W^-1 = W^H / n_c (consecutive exponents at the n_c-th roots
-    # of unity) is a DFT.  Z_c maps (u_B1, 1) to u_c0; substituting u_c0 into
-    # the band rows leaves a system in the band unknowns only.
-    scale = [eye[0, m] - F[:, 0, m] for m in range(2)]
-    Z = []
-    for j, ((span, table), _) in zip(kept, circle_tables):
-        circ = contours.circles[j]
-        Zc = np.fft.fft(circle_F[j][:, 1, 0, None] * op.circle_K[j], axis=0)
-        Z.append(Zc[circ.exponents % circ.n_points] / circ.n_points)
-        coupling = table @ Z[-1][span]
+    # c's nodes (and a column of ones).  Its Cauchy transform at the band
+    # nodes is G_c v K (u_B1, [r == 1]); substituting it into the band rows
+    # leaves a system in the band unknowns only.
+    if kept:
+        coupling = 0.0
+        for j in kept:
+            n = contours.circles[j].n_points
+            coupling = coupling + tables[j][0] @ (v[j][:n, None] * op.circle_K[j][:n])
         for m in range(2):
-            A[m * T:(m + 1) * T, T:] += scale[m][:, None] * coupling[:, :T]
-            rhs[m * T:(m + 1) * T, 1] -= scale[m] * coupling[:, T]
+            scale = eye[0, m] - F[:, 0, m]
+            A[m * T:(m + 1) * T, T:] += scale[:, None] * coupling[:, :T]
+            rhs[m * T:(m + 1) * T, 1] -= scale * coupling[:, T]
     lap("assembly")
 
     anorm = np.linalg.norm(A, 1)
@@ -661,75 +659,67 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolutio
     # system shows as a zero pivot and a non-finite one in X.
     lu, piv = lu_factor(A, overwrite_a=True, check_finite=False)
     if np.any(np.abs(np.diagonal(lu)) == 0.0):
-        raise SolverError("collocation system is numerically singular")
+        raise SolverError("collocation system is numerically singular", circle_deviation)
     X = lu_solve((lu, piv), rhs, check_finite=False)
     if not np.all(np.isfinite(X)):
-        raise SolverError("collocation solution is not finite")
+        raise SolverError("collocation solution is not finite", circle_deviation)
     rcond, _ = _lapack.zgecon(lu, anorm)
     lap("lu")
 
     # X rows: column m of the unknown on band q; X columns: the row r.
-    band_coeffs = [np.stack([X[m * T:(m + 1) * T][span].T for m in range(2)], axis=1)
-                   for span in op.spans]
-    circle_coeffs = []
-    for Zc in Z:
-        u0 = Zc[:, :T] @ X[T:]
-        u0[:, 1] += Zc[:, T]
-        coeff = np.zeros((2, 2, len(Zc)), dtype=complex)
-        coeff[:, 0, :] = u0.T
-        circle_coeffs.append(coeff)
+    band_coeffs = [np.stack([X[span].T, X[T:][span].T], axis=1) for span in op.spans]
+    # Per circle, v (K u_B1 + [r == 1]) at its nodes and test nodes, by row r.
+    Xe = np.vstack([X[T:], [0.0, 1.0]])
+    vKX = [vj[:, None] * (K @ Xe) for vj, K in zip(v, op.circle_K)]
+    # u0[c]: u_c0 by row r, W^-1 as a DFT.
+    u0 = {}
+    for j in kept:
+        circ = contours.circles[j]
+        n = circ.n_points
+        u0[j] = np.fft.fft(vKX[j][:n], axis=0)[circ.exponents % n] / n
+    circle_coeffs = [np.stack([u.T, np.zeros_like(u.T)], axis=1) for u in u0.values()]
     used = ContourSet(circles=tuple(contours.circles[j] for j in kept), bands=contours.bands)
-    residual = _off_collocation_residual(op, kept, circle_coeffs, X, test_F)
+    residual = _off_collocation_residual(op, tables, u0, vKX, X, test_F)
     if not np.isfinite(residual):
-        raise SolverError(f"off-collocation jump residual is {residual}")
+        raise SolverError(f"off-collocation jump residual is {residual}", circle_deviation)
     lap("residual")
 
-    sol = RHSolution(contours=used, bases=bases, circle_coeffs=circle_coeffs,
-                     band_coeffs=band_coeffs,
-                     residual=ResidualReport(residual, float(rcond), max(deviation, default=0.0)),
-                     stages=stages, operator=op)
-    if residual > RESIDUAL_WARN:
-        warnings.warn(
-            f"off-collocation jump residual {residual:.2e} exceeds "
-            f"{RESIDUAL_WARN:.1e} (n={jumps.n}); increase resolution or check the basis",
-            ResidualWarning, stacklevel=2)
-    return sol
+    return RHSolution(contours=used, bases=bases, circle_coeffs=circle_coeffs,
+                      band_coeffs=band_coeffs,
+                      residual=ResidualReport(residual, float(rcond), circle_deviation),
+                      stages=stages, operator=op)
 
 
-def _off_collocation_residual(op: CollocationOperator, kept: list, circle_coeffs: list,
-                              X: np.ndarray, test_F: list) -> float:
-    """Max jump defect at points interleaved with the collocation nodes.
+def _off_collocation_residual(op: CollocationOperator, tables: dict, u0: dict,
+                              vKX: list, X: np.ndarray, test_F: np.ndarray) -> float:
+    """Max jump defect |Phi_+ - Phi_- F| at every test node of every piece,
+    the dropped circles' included.
 
-    Every point set of op.test_points is checked, the dropped circles' test
-    nodes included, with test_F the jumps there.  X holds the band unknowns
-    and circle_coeffs[i] the coefficients of circle kept[i], whose column 1 is
-    zero.  On a circle the solve dropped there is no density, so the two
-    boundary values agree and the defect is Phi (I - F).
+    tables and u0 hold each kept circle's tables and column-0 coefficients,
+    vKX[j] circle j's v Phi_-,r1 at its nodes and test nodes, X the band
+    unknowns and test_F the band jumps at the band test nodes.  On circle j
+    F = [[1, 0], [v, 1]] and only circle j's own density jumps, so the defect
+    there is J - v Phi_-,r1 in column 0, with J circle j's series (0 if
+    dropped), and exactly 0 in column 1.
     """
     T = len(X) // 2
-    cols = (X[:T], X[T:])
-    tables = [(t, t) for t in op.circle_test] + [(op.test_plus, op.test_minus)]
-    # Per point set, [point, row, column] of the two boundary values of
-    # Phi - I: the circles first, then all bands in one product per column.
-    plus = [np.zeros((len(z), 2, 2), dtype=complex) for z in op.test_points]
-    minus = [np.zeros_like(p) for p in plus]
-    for j, coeff in zip(kept, circle_coeffs):
-        u0 = coeff[:, 0, :].T
-        above, below = _circle_on_test_nodes(op.circles[j], u0)
-        plus[j][:, :, 0] += above
-        minus[j][:, :, 0] += below
-        for i, span, table in op.circle_tables(j)[1]:
-            part = table @ u0[span]
-            plus[i][:, :, 0] += part
-            minus[i][:, :, 0] += part
     worst = []
-    for (tp, tm), above, below, Ft in zip(tables, plus, minus, test_F):
-        for m in range(2):
-            value = tp[m] @ cols[m]
-            above[:, :, m] += value
-            below[:, :, m] += value if tm is tp else tm[m] @ cols[m]
-        defect = above - below @ Ft + (np.eye(2) - Ft)
+    for j, (circ, values) in enumerate(zip(op.circles, vKX)):
+        defect = -values[circ.n_points:]
+        if j in u0:
+            defect += _series_on_test_nodes(circ, u0[j])
         worst.append(np.max(np.abs(defect)))
+    # [point, row, column] of the two boundary values of Phi - I at the band
+    # test nodes, the bands in one product per column.
+    above, below = (np.stack([t[0] @ X[:T], t[1] @ X[T:]], axis=-1)
+                    for t in (op.test_plus, op.test_minus))
+    for j, u in u0.items():
+        _, span, table = tables[j]
+        part = table @ u[span]
+        above[:, :, 0] += part
+        below[:, :, 0] += part
+    defect = above - below @ test_F + (np.eye(2) - test_F)
+    worst.append(np.max(np.abs(defect)))
     return float(np.max(worst))
 
 

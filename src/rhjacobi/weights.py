@@ -245,8 +245,3 @@ class WeightSpec:
         out = out * (sa if alpha > 0 else 1.0 / sa)
         out = out * (sb if beta > 0 else 1.0 / sb)
         return out if out.shape else complex(out)
-
-    def describe(self) -> str:
-        parts = [f"[{b.a:g},{b.b:g}]:{k.value}:h={hj.describe()}"
-                 for b, k, hj in zip(self.bands, self.kinds, self.h)]
-        return " + ".join(parts)

@@ -76,10 +76,25 @@ def test_toda_warning_reaches_caller_and_csv(single_u, tmp_path):
 
 
 def test_toda_overflow_exits_2(tmp_path, capsys):
-    # the solves at t = 200 are not finite: failed rows, not NaN rows
+    # the solves at t = 200 are not finite: failed rows, not NaN rows, each
+    # failure's message in a comment line, and the horizon warning of the
+    # jump magnitude the failed solve at n = 0 computed
     config = _config(tmp_path, [[-1.8, -1.0], [2.0, 3.0]], ["T", "T"])
-    assert main(["toda", config, "--t0", "200", "--steps", "1", "--k", "2"]) == 2
-    assert "nan" not in capsys.readouterr().out
+    with pytest.warns(PrecisionWarning):
+        assert main(["toda", config, "--t0", "200", "--steps", "1", "--k", "2"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert "nan" not in "\n".join(lines)
+    assert lines[1:3] == ["200,0,,", "200,1,,"]
+    assert sum(line.startswith("# warning: circle jump magnitude") for line in lines) == 1
+    for n in (0, 1):
+        assert f"# failure: t=200 n={n}: collocation solution is not finite" in lines
+
+
+def test_toda_success_has_no_comment_lines(single_u, capsys):
+    assert main(["toda", single_u, "--t0", "0", "--t1", "0.5", "--steps", "2", "--k", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,n,a,b" and len(lines) == 5
+    assert not any(line.startswith("#") for line in lines)
 
 
 @pytest.mark.parametrize("command", ["coeffs", "toda"])
@@ -96,9 +111,32 @@ def test_bad_resolution_exits_1(single_u, capsys, command, flags, message):
 @pytest.mark.parametrize("command", ["coeffs", "toda"])
 def test_circle_ratio_flag_rejected(single_u, capsys, command):
     # ppi is the only resolution setting; circles take a fixed multiple of it
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main([command, single_u, "--circle-ratio", "10"])
+    assert exc.value.code == 1
     assert "unrecognized arguments: --circle-ratio 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--bogus"], "error:"),
+    ([], "required: command"),
+    (["coeffs", "weight.json", "--ppi", "x"], "invalid int value: 'x'"),
+    (["toda", "weight.json", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_usage_error_exits_1(capsys, argv, message):
+    # 2 is the code of numerical failures
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["coeffs", "--help"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 _VALID = {"intervals": [[-1.0, 1.0]], "kinds": ["U"]}

@@ -284,9 +284,19 @@ class TestToda:
             toda_evolve(spec_u, 2, [15.0], 20)
 
     def test_overflowing_jumps_recorded_as_failures(self, spec_two_band):
-        # at t = 200 the circle jumps overflow: both pairs fail, none is NaN
-        traj = toda_evolve(spec_two_band, 2, [200.0])
-        assert [n for n, _ in traj.segments[0].meta["failures"]] == [0, 1]
+        # at t = 200 the solves overflow: both pairs fail, none is NaN, and the
+        # jump magnitude of the failed solve at n = 0 still sets the horizon
+        # warning; no NumPy warning escapes the solves
+        import warnings as _w
+        with _w.catch_warnings(record=True) as caught:
+            _w.simplefilter("always")
+            traj = toda_evolve(spec_two_band, 2, [200.0])
+        meta = traj.segments[0].meta
+        assert [n for n, _ in meta["failures"]] == [0, 1]
+        dev = meta["circle_deviation"][0]
+        assert 1e160 < dev < np.inf
+        assert traj.warnings_ == [(200.0, dev)]
+        assert [w.category for w in caught] == [PrecisionWarning]
 
     def test_no_warning_at_moderate_time(self, spec_u, recwarn):
         import warnings as _w

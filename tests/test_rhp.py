@@ -105,6 +105,16 @@ class _UpperEntryOnCircles(JumpAssembly):
         return out
 
 
+class _UpperEntryAtTestNodes(_IdentityAtNodesOnly):
+    """Circle jumps that are unit lower-triangular at the nodes but not at the
+    test nodes between them."""
+
+    def circle_jump(self, j, z):
+        out = JumpAssembly.circle_jump(self, j, z)
+        out[..., 0, 1] = np.where(np.isin(z, self.contours.circles[j].test_nodes()), 0.1, 0.0)
+        return out
+
+
 class TestMatrixSolve:
     def test_identity_jumps_give_zero(self, spec_u):
         ct = build_contours(spec_u, 8)
@@ -200,6 +210,15 @@ class TestMatrixSolve:
         with pytest.raises(SolverError):
             solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
 
+    def test_circle_jump_checked_at_test_nodes(self, ctx_two_band, spec_two_band):
+        # the residual on a circle assumes the triangular form there too
+        jumps = _UpperEntryAtTestNodes(ctx_two_band.contours, ctx_two_band.aux(3),
+                                       ctx_two_band.jump_values)
+        F = jumps.circle_jump(0, ctx_two_band.contours.circles[0].nodes())
+        assert np.all(F[:, 0, 1] == 0.0)
+        with pytest.raises(SolverError, match="test nodes"):
+            solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
+
 
 class TestJumpAssembly:
     def test_band_jump_involution(self, ctx_two_band, spec_two_band):
@@ -263,9 +282,8 @@ class TestCircleTables:
         off_contour = np.array([0.1 + 2.0j, -0.05 + 0.0j, 4.5 - 0.3j])
         for j, circ in enumerate(ctx.contours.circles):
             u = np.exp(2j * np.pi * rng.random((circ.n_points, 3)))
-            point_sets = [np.concatenate(op.band_nodes), off_contour]
-            point_sets += [z for i, z in enumerate(op.test_points) if i != j]
-            for z in point_sets:
+            for z in (np.concatenate(op.band_nodes), np.concatenate(op.band_test_nodes),
+                      off_contour):
                 span, table = _circle_table(circ, z)
                 assert table.shape == (len(z), len(circ.exponents[span]))
                 full = _full_circle_table(circ, z)
@@ -315,9 +333,8 @@ class TestColdPath:
                     want_plus, want_minus = _reference_kernels(op, m, z, own=p)
                     _assert_close(above[span], want_plus)
                     _assert_close(below[span], want_minus)
-            for z, tables in zip(op.circle_test_nodes, op.circle_test):
-                np.testing.assert_array_equal(tables[m], _reference_kernels(op, m, z)[0])
-        for z, K in zip(op.circle_nodes, op.circle_K):
+        for circ, z, K in zip(op.circles, op.circle_points, op.circle_K):
+            np.testing.assert_array_equal(z, np.concatenate([circ.nodes(), circ.test_nodes()]))
             np.testing.assert_array_equal(K[:, :-1], _reference_kernels(op, 1, z)[0])
             np.testing.assert_array_equal(K[:, -1], 1.0)
 
@@ -345,7 +362,87 @@ class TestColdPath:
         # Without circles the values have no cloud to fill: each request is
         # evaluated at its own points only.
         no_cloud = ContourSet(circles=(), bands=ctx.contours.bands)
-        for j, z in enumerate(_operator(ctx).circle_test_nodes):
+        for j, z in enumerate(_operator(ctx).circle_points):
             lone = JumpValues(spec_genus3, ctx.green, ctx.hsys, no_cloud).circle(j, z)
             for got, want in zip(ctx.jump_values.circle(j, z), lone):
                 np.testing.assert_array_equal(got, want)
+
+
+def _two_sided_residual(sol, contours, jumps):
+    """Max |Phi_+ - Phi_- F| over the test nodes of every piece of contours,
+    with both boundary values summed from every density of sol: the defect
+    that the residual of solve_matrix_rhp reports."""
+    op = sol.operator
+    kept = dict(zip(sol.contours.circles, sol.circle_coeffs))
+    band_u = [np.concatenate([c[:, m, :] for c in sol.band_coeffs], axis=1) for m in range(2)]
+    pieces = [(c.test_nodes(), jumps.circle_jump(j, c.test_nodes()), c, None)
+              for j, c in enumerate(contours.circles)]
+    pieces += [(bp.test_nodes(), jumps.band_jump(p, bp.test_nodes()), None, p)
+               for p, bp in enumerate(contours.bands)]
+    worst = 0.0
+    for z, F, own_circle, own_band in pieces:
+        plus = np.zeros((len(z), 2, 2), dtype=complex)
+        plus[:, 0, 0] = plus[:, 1, 1] = 1.0
+        minus = plus.copy()
+        for m in range(2):
+            above, below = _reference_kernels(op, m, z, own=own_band)
+            plus[:, :, m] += above @ band_u[m].T
+            minus[:, :, m] += below @ band_u[m].T
+            for circ, coeff in kept.items():
+                if circ == own_circle:
+                    # the nonnegative powers inside, the negated negative ones outside
+                    powers = ((z - circ.center) / circ.radius)[:, None] ** circ.exponents
+                    inside = circ.exponents >= 0
+                    plus[:, :, m] += powers[:, inside] @ coeff[:, m, inside].T
+                    minus[:, :, m] -= powers[:, ~inside] @ coeff[:, m, ~inside].T
+                else:
+                    part = _full_circle_table(circ, z) @ coeff[:, m, :].T
+                    plus[:, :, m] += part
+                    minus[:, :, m] += part
+        worst = max(worst, np.max(np.abs(plus - minus @ F)))
+    return worst
+
+
+class TestOneSidedResidual:
+    def test_coupling_matches_fft_reference(self, spec_genus3, rng):
+        ctx = SolveContext(spec_genus3)
+        ctx.solution(0)
+        op = _operator(ctx)
+        band_nodes = np.concatenate(op.band_nodes)
+        for j, circ in enumerate(ctx.contours.circles):
+            n = circ.n_points
+            G, _, _ = op.circle_tables(j)
+            K = op.circle_K[j][:n]
+            jump = JumpAssembly(ctx.aux(0), ctx.jump_values).circle_jump(j, circ.nodes())
+            for v in (jump[:, 1, 0], rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+                Z = np.fft.fft(v[:, None] * K, axis=0)[circ.exponents % n] / n
+                want = _full_circle_table(circ, band_nodes) @ Z
+                got = G @ (v[:, None] * K)
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_genus3_small_n(self, spec_genus3):
+        ctx = SolveContext(spec_genus3)
+        for n in range(9):
+            sol = ctx.solution(n)
+            assert len(sol.contours.circles) == 4
+            want = _two_sided_residual(sol, ctx.contours, JumpAssembly(ctx.aux(n), ctx.jump_values))
+            assert abs(sol.residual.off_collocation - want) <= 1e-13
+
+    def test_two_bands_while_circles_drop(self, ctx_two_band):
+        used = set()
+        for n in range(50, 86):
+            sol = ctx_two_band.solution(n)
+            used.add(len(sol.contours.circles))
+            jumps = JumpAssembly(ctx_two_band.aux(n), ctx_two_band.jump_values)
+            want = _two_sided_residual(sol, ctx_two_band.contours, jumps)
+            assert abs(sol.residual.off_collocation - want) <= 1e-13
+        assert used == {0, 1, 2}
+
+    def test_dropped_circles(self, ctx_two_band, spec_two_band):
+        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, ctx_two_band.aux(300),
+                                     ctx_two_band.jump_values)
+        with pytest.warns(ResidualWarning):
+            sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
+        want = _two_sided_residual(sol, ctx_two_band.contours, jumps)
+        assert want > 0.05
+        assert abs(sol.residual.off_collocation - want) <= 1e-13
