@@ -29,14 +29,11 @@ GAP_FACTOR = np.pi
 
 @dataclass
 class HSystem:
-    """Moment matrices, the reusable inverse, and the density series they use."""
+    """Moments of GreenData's band and gap series, and the reusable inverse."""
 
-    bands: tuple
     H: np.ndarray           # (g+2, g+1): band moments, rows k = 1..g+2
     G: np.ndarray           # (g+2, g): gap moments
     H_inv: np.ndarray       # inverse of the top (g+1) x (g+1) block
-    band_beta: list         # per band: first-kind series of i sqrt sqrt / R_plus
-    gap_beta: list          # per gap: first-kind series of sqrt sqrt / R
 
 
 @dataclass
@@ -81,13 +78,12 @@ def build_hsystem(spec: WeightSpec, green: GreenData) -> HSystem:
         H_inv = np.linalg.inv(H[: g + 1, :])
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"moment matrix is singular (g={g}): {exc}") from exc
-    return HSystem(bands=spec.bands, H=H, G=G, H_inv=H_inv,
-                   band_beta=green.band_beta, gap_beta=green.gap_beta)
+    return HSystem(H=H, G=G, H_inv=H_inv)
 
 
 def solve_aux(hsys: HSystem, green: GreenData, n: int) -> AuxData:
     """Wrapped gap phases, band constants, and the 1/z coefficient for index n."""
-    g = len(hsys.bands) - 1
+    g = len(green.deltas)
     nu = np.array([1j * wrap_angle(n * d.imag) for d in green.deltas], dtype=complex)
     rhs = -(hsys.G[: g + 1, :] @ nu)
     A = hsys.H_inv @ rhs
@@ -103,14 +99,15 @@ def solve_aux(hsys: HSystem, green: GreenData, n: int) -> AuxData:
     return AuxData(n=n, A=A, nu=nu, h1=complex(h1))
 
 
-def h_basis(spec: WeightSpec, hsys: HSystem, z, side: Side = Side.OFF) -> tuple:
-    """(R(z), transforms): the first-kind Cauchy transform of each band series,
-    then of each gap series, stacked to shape (2g+1,) + z.shape.  Neither
-    depends on n, so values at fixed points serve every index (combine_h)."""
+def h_basis(green: GreenData, z, side: Side = Side.OFF) -> tuple:
+    """(R(z), transforms): the first-kind Cauchy transform of each of green's
+    band series, then of each gap series, stacked to shape (2g+1,) + z.shape.
+    Both depend on the bands only, not on n or the weight, so values at fixed
+    points serve every index and every weight on these bands (combine_h)."""
     zz = np.atleast_1d(z)
     transforms = np.array([cauchy_cheb_series(ChebKind.T, ser.coeffs, ser.interval, zz, side)
-                           for ser in hsys.band_beta + hsys.gap_beta])
-    return eval_R(spec, zz, side), transforms
+                           for ser in green.band_beta + green.gap_beta])
+    return eval_R(green.bands, zz, side), transforms
 
 
 def combine_h(aux: AuxData, R: np.ndarray, transforms: np.ndarray) -> np.ndarray:
@@ -124,7 +121,8 @@ def combine_h(aux: AuxData, R: np.ndarray, transforms: np.ndarray) -> np.ndarray
     return R * acc
 
 
-def eval_h(spec: WeightSpec, hsys: HSystem, aux: AuxData, z, side: Side = Side.OFF):
-    """Evaluate the auxiliary function; boundary values via kernel variants."""
-    out = combine_h(aux, *h_basis(spec, hsys, z, side))
+def eval_h(green: GreenData, aux: AuxData, z, side: Side = Side.OFF):
+    """Evaluate the auxiliary function for aux's index from green's series;
+    boundary values via kernel variants."""
+    out = combine_h(aux, *h_basis(green, z, side))
     return complex(out[0]) if np.ndim(z) == 0 else out

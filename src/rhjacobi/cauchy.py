@@ -27,6 +27,22 @@ class Side(enum.Enum):
     MINUS = "-"
     OFF = "off"
 
+    @property
+    def mirrored(self) -> Side:
+        """The side of -z for z on this side."""
+        return {Side.PLUS: Side.MINUS, Side.MINUS: Side.PLUS}.get(self, self)
+
+
+def side_root(u, side: Side):
+    """sqrt(u) for a linear factor u of z: the principal branch off the real
+    axis; on it, for real u, the limit as u approaches the axis from the side
+    (PLUS from above), so +-i sqrt(-u) for u < 0.  Exactly zero at u = 0."""
+    if side is Side.OFF:
+        return np.sqrt(u)
+    sgn = 1.0 if side is Side.PLUS else -1.0
+    return np.where(u >= 0.0, np.sqrt(np.maximum(u, 0.0)) + 0j,
+                    sgn * 1j * np.sqrt(np.maximum(-u, 0.0)))
+
 
 def sqrt_cut(z, interval: Interval = UNIT, side: Side = Side.OFF):
     """sqrt(z - a) * sqrt(z - b) with its cut exactly on [a, b] and ~ z at infinity.
@@ -35,18 +51,8 @@ def sqrt_cut(z, interval: Interval = UNIT, side: Side = Side.OFF):
     outside [a, b] the function is continuous: positive right of b, negative
     left of a.  Exactly zero at the endpoints.
     """
-    a, b = interval.a, interval.b
-    if side is Side.OFF:
-        zc = np.asarray(z, dtype=complex)
-        out = np.sqrt(zc - a) * np.sqrt(zc - b)
-        return out if out.shape else complex(out)
-    x = np.asarray(z, dtype=float)
-    inner = np.sqrt(np.maximum(x - a, 0.0)) * np.sqrt(np.maximum(b - x, 0.0))
-    outer_right = np.sqrt(np.maximum(x - a, 0.0)) * np.sqrt(np.maximum(x - b, 0.0))
-    outer_left = -np.sqrt(np.maximum(a - x, 0.0)) * np.sqrt(np.maximum(b - x, 0.0))
-    sgn = 1.0 if side is Side.PLUS else -1.0
-    out = np.where(x >= b, outer_right + 0j,
-                   np.where(x <= a, outer_left + 0j, sgn * 1j * inner))
+    u = np.asarray(z, dtype=complex if side is Side.OFF else float)
+    out = side_root(u - interval.a, side) * side_root(u - interval.b, side)
     return out if out.shape else complex(out)
 
 
@@ -76,12 +82,11 @@ def log_joukowsky_inv(z, side: Side = Side.OFF):
         return out if np.ndim(out) else complex(out)
     x = np.asarray(z, dtype=float)
     sgn = 1.0 if side is Side.PLUS else -1.0
-    theta = np.arccos(np.clip(x, -1.0, 1.0))
-    inner = -sgn * 1j * theta
+    inner = -sgn * 1j * np.arccos(np.clip(x, -1.0, 1.0))
     with np.errstate(invalid="ignore", divide="ignore"):
-        right = np.log(np.abs(joukowsky_inv(np.maximum(x, 1.0), Side.PLUS))) + 0j
-        left = np.log(np.abs(joukowsky_inv(np.minimum(x, -1.0), Side.PLUS))) - sgn * 1j * np.pi
-    out = np.where(x >= 1.0, right, np.where(x <= -1.0, left, inner))
+        magnitude = np.log(np.abs(joukowsky_inv(x, Side.PLUS)))
+    out = np.where(x >= 1.0, magnitude + 0j,
+                   np.where(x <= -1.0, magnitude - sgn * 1j * np.pi, inner))
     return out if out.shape else complex(out)
 
 

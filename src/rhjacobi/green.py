@@ -32,19 +32,18 @@ class GreenData:
     q_coeffs: np.ndarray          # ascending, monic, length g+1
     band_beta: list               # per band: first-kind series of band_density
     gap_beta: list                # per gap: first-kind series of gap_density
-    band_series: list             # per band: first-kind series of Q times band_density
-    alpha0: np.ndarray            # per band: equilibrium mass, band_series[j].coeffs[0]
+    band_series: list             # per band: series of Q times band_density; coeffs[0]: mass
     deltas: np.ndarray            # per gap: the (purely imaginary) jump across the gap
     cap_const: complex            # leading coefficient of exp(g) ~ c z at infinity
     g1: complex                   # 1/z coefficient of g at infinity
     phi_ref: float                # the normalization constant (branch-invariant real part)
 
 
-def eval_R(spec: WeightSpec, z, side: Side = Side.OFF):
+def eval_R(bands: tuple, z, side: Side = Side.OFF):
     """Product over bands of sqrt(z-a_j) sqrt(z-b_j); cuts exactly on the bands,
     ~ z^(g+1) at infinity.  On gaps the PLUS side is the continuous real value."""
     out = None
-    for band in spec.bands:
+    for band in bands:
         factor = sqrt_cut(z, band, side)
         out = factor if out is None else out * factor
     return out
@@ -52,12 +51,12 @@ def eval_R(spec: WeightSpec, z, side: Side = Side.OFF):
 
 def band_density(spec: WeightSpec, band: Interval):
     """i sqrt(x-a) sqrt(b-x) / R_plus(x) on a band: smooth and real."""
-    return lambda x: 1j * np.sqrt(x - band.a) * np.sqrt(band.b - x) / eval_R(spec, x, Side.PLUS)
+    return lambda x: 1j * np.sqrt(x - band.a) * np.sqrt(band.b - x) / eval_R(spec.bands, x, Side.PLUS)
 
 
 def gap_density(spec: WeightSpec, gap: Interval):
     """sqrt(x-a) sqrt(b-x) / R(x) on a gap: smooth and real."""
-    return lambda x: np.sqrt(x - gap.a) * np.sqrt(gap.b - x) / np.real(eval_R(spec, x, Side.PLUS))
+    return lambda x: np.sqrt(x - gap.a) * np.sqrt(gap.b - x) / np.real(eval_R(spec.bands, x, Side.PLUS))
 
 
 def solve_Q(gap_beta: list) -> np.ndarray:
@@ -90,10 +89,9 @@ def build_green(spec: WeightSpec) -> GreenData:
         dens = band_density(spec, band)
         band_series.append(adaptive_dct(
             lambda x: np.polynomial.polynomial.polyval(x, q_coeffs) * dens(x), band))
-    alpha0 = np.array([ser.coeffs[0] for ser in band_series])
 
     # Jump of g across gap ell: 2 pi i times the equilibrium mass to the right.
-    prefix = np.cumsum(alpha0)
+    prefix = np.cumsum([ser.coeffs[0] for ser in band_series])
     deltas = 2j * np.pi * (1.0 - prefix[:g])
 
     phi_ref = _phi_ref(spec.bands, band_series)
@@ -109,9 +107,8 @@ def build_green(spec: WeightSpec) -> GreenData:
     cap_const = np.exp(log_cap)
 
     return GreenData(bands=spec.bands, q_coeffs=q_coeffs, band_beta=band_beta,
-                     gap_beta=gap_beta, band_series=band_series, alpha0=alpha0,
-                     deltas=deltas, cap_const=complex(cap_const), g1=complex(g1),
-                     phi_ref=phi_ref)
+                     gap_beta=gap_beta, band_series=band_series, deltas=deltas,
+                     cap_const=complex(cap_const), g1=complex(g1), phi_ref=phi_ref)
 
 
 def _phi_ref(bands, band_series) -> float:

@@ -64,15 +64,16 @@ class TodaTrajectory:
 class SolveContext:
     """Everything the solves for one weight share, and a cache of the solves.
 
-    Per geometry (the bands and ppi, the collocation points per band): the
-    Green's function, the moment system and the contours, built here; the
-    contours' collocation operator and g and the h basis at the circle points
-    (jump_values), built inside the first solve.  Per jump spec: the weight
-    values at the nodes, also built inside the first solve.  with_jump_spec
-    replaces the jump spec by another weight on the same bands (e.g.
-    exponentially scaled) and shares everything per geometry.  Per n: the
-    auxiliary data (aux) and the solve (solution), both cached.  stages adds
-    up the seconds of every solve made here, per stage of rhp.STAGES.
+    Per geometry (the bands and ppi, the collocation points per band): green,
+    hsys and the contours, built here; the contours' collocation operator and
+    g and the h basis at the circle points (read from green by jump_values),
+    built inside the first solve.  Per jump spec, jump_values: its spec, the
+    weight the jumps are taken from, and the weight values at the nodes, also
+    built inside the first solve.  with_jump_spec replaces it by a weight of
+    the same kinds on the same bands (e.g. exponentially scaled) and shares
+    everything per geometry.  Per n: the auxiliary data (aux) and the solve
+    (solution), both cached.  stages adds up the seconds of every solve made
+    here, per stage of rhp.STAGES.
     """
 
     def __init__(self, spec: WeightSpec, ppi: int = DEFAULT_PPI):
@@ -81,8 +82,7 @@ class SolveContext:
         self.green = build_green(spec)
         self.hsys = build_hsystem(spec, self.green)
         self.contours = build_contours(spec, ppi)
-        self.jump_spec = spec
-        self.jump_values = JumpValues(spec, self.green, self.hsys, self.contours)
+        self.jump_values = JumpValues(spec, self.green, self.contours)
         self.stages = dict.fromkeys(STAGES, 0.0)
         self._aux: dict = {}
         self._solutions: dict = {}
@@ -95,7 +95,7 @@ class SolveContext:
     def solution(self, n: int) -> RHSolution:
         if n not in self._solutions:
             jumps = JumpAssembly(self.aux(n), self.jump_values)
-            sol = solve_matrix_rhp(self.jump_spec, self.contours, jumps)
+            sol = solve_matrix_rhp(self.jump_values.spec, self.contours, jumps)
             for stage, seconds in sol.stages.items():
                 self.stages[stage] += seconds
             self._solutions[n] = sol
@@ -103,22 +103,26 @@ class SolveContext:
 
     def with_jump_spec(self, jump_spec: WeightSpec) -> "SolveContext":
         """This context with jump_spec's jump data, an empty solution cache and
-        zeroed stages."""
+        zeroed stages; DomainError unless jump_spec has spec's bands and kinds."""
+        if (jump_spec.bands, jump_spec.kinds) != (self.spec.bands, self.spec.kinds):
+            raise DomainError("a jump spec must have the context's bands and kinds")
         ctx = copy.copy(self)
-        ctx.jump_spec = jump_spec
         ctx.jump_values = self.jump_values.for_spec(jump_spec)
         ctx.stages = dict.fromkeys(STAGES, 0.0)
         ctx._solutions = {}
         return ctx
 
 
-def _context(spec: WeightSpec, ppi: int, context: SolveContext | None) -> SolveContext:
-    """context, or a new one for spec at ppi; DomainError if context was
-    built for another weight."""
+def _context(spec: WeightSpec, ppi: int | None, context: SolveContext | None) -> SolveContext:
+    """context, or a new one for spec at ppi (DEFAULT_PPI if None);
+    DomainError if context was built for another weight, or if ppi is given
+    and differs from the context's."""
     if context is None:
-        return SolveContext(spec, ppi)
+        return SolveContext(spec, DEFAULT_PPI if ppi is None else ppi)
     if context.spec != spec:
         raise DomainError("the context was built for another weight")
+    if ppi is not None and ppi != context.ppi:
+        raise DomainError(f"ppi {ppi!r} differs from the context's {context.ppi}")
     return context
 
 
@@ -146,12 +150,13 @@ def _pair_from_orders(ctx: SolveContext, n: int, S1_n: np.ndarray, S1_n1: np.nda
     return _realify(a_c, "a", n), _realify(b_c, "b", n)
 
 
-def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int = DEFAULT_PPI, *,
+def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None, *,
                      context: SolveContext | None = None) -> JacobiSegment:
     """Pairs (a_n, b_n) for n0 <= n <= n1; one solve per index, shared between
     neighbors.  Numerical failures of one index are recorded as (n, message) in
     meta["failures"] and the computation continues.  A context must be built
-    for spec (DomainError otherwise); without one a new one at ppi is used.
+    for spec, and at ppi where ppi is given (DomainError otherwise); without
+    one a new one at ppi, or DEFAULT_PPI, is used.
 
     Per-index arrays in meta, NaN (or -1 for counts) where the pair failed:
     residuals, the larger off-collocation residual of the pair's two solves;
@@ -197,7 +202,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int = DEFAULT_PPI,
             pair = (ctx.solution(n), ctx.solution(n + 1))
             residuals[i] = max(s.residual.off_collocation for s in pair)
             rcond[i] = min(s.residual.rcond for s in pair)
-            circles_used[i] = len(pair[0].contours.circles)
+            circles_used[i] = len(pair[0].circle_coeffs)
         except (RHJacobiError, np.linalg.LinAlgError, FloatingPointError) as exc:
             failures.append((n, str(exc)))
             if np.isnan(circle_deviation[i]):  # the solve for n failed
@@ -217,7 +222,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int = DEFAULT_PPI,
     return JacobiSegment(n0=n0, n1=n1, a=a, b=b, meta=meta)
 
 
-def cauchy_pn(spec: WeightSpec, n: int, z, ppi: int = DEFAULT_PPI, *,
+def cauchy_pn(spec: WeightSpec, n: int, z, ppi: int | None = None, *,
               context: SolveContext | None = None,
               jacobi: JacobiSegment | None = None) -> complex:
     """Cauchy transform at z of (nth orthonormal polynomial) x (weight).
@@ -256,7 +261,8 @@ def cauchy_pn(spec: WeightSpec, n: int, z, ppi: int = DEFAULT_PPI, *,
 
 
 def toda_evolve(spec0: WeightSpec, k: int, times, ppi: int = DEFAULT_PPI) -> TodaTrajectory:
-    """First k coefficient pairs of the weight scaled by exp(t x), per time.
+    """First k coefficient pairs of the weight scaled by exp(t x), per time;
+    times is one time or a 1-d sequence of them (DomainError otherwise).
 
     The Green's function, moment system, and contours depend only on the bands
     and are computed once; only the jump data and solves are per-time.  A time
@@ -265,9 +271,9 @@ def toda_evolve(spec0: WeightSpec, k: int, times, ppi: int = DEFAULT_PPI) -> Tod
     """
     if k < 1:
         raise DomainError("need at least one coefficient pair")
-    times = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(times)):
-        raise DomainError("times must be finite")
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if times.ndim > 1 or not np.all(np.isfinite(times)):
+        raise DomainError(f"times must be finite and at most 1-d, got shape {times.shape}")
     base = SolveContext(spec0, ppi)
     segments = []
     warns = []
@@ -313,19 +319,19 @@ def orthonormal_eval(segment: JacobiSegment, count: int, x) -> np.ndarray:
     return out
 
 
-def recip_approx(spec: WeightSpec, n_terms: int, grid=None, ppi: int = DEFAULT_PPI, *,
+def recip_approx(spec: WeightSpec, n_terms: int, grid=None, ppi: int | None = None, *,
                  context: SolveContext | None = None) -> RecipApproximation:
     """Coefficients and partial-sum errors of the expansion of 1/x on the
-    support; context and ppi as in recurrence_range."""
+    support; context and ppi as in recurrence_range.  0 may lie inside a
+    deformation disk: the circle jumps, unit lower-triangular, leave the (1, 2)
+    entry that cauchy_pn reads unchanged.  The context's jump values hold g
+    and the h basis at 0, evaluated once for every term."""
     if n_terms < 1:
         raise DomainError("need at least one term")
     for band in spec.bands:
         if band.a <= 0.0 <= band.b:
             raise DomainError("0 lies inside the support; the expansion is undefined")
     ctx = _context(spec, ppi, context)
-    for circ in ctx.contours.circles:
-        if abs(circ.center) <= circ.radius:
-            raise DomainError("0 lies inside a deformation disk; enlarge clearances")
 
     if grid is None:
         grid = np.concatenate([np.arange(b.a, b.b + 1e-12, 0.01) for b in spec.bands])

@@ -16,24 +16,26 @@ IDENTITY_JUMP at all of its collocation nodes carries no density to double
 precision.  The solver drops it for that solve, so at large n only the bands
 are solved; the off-collocation residual still checks every circle.
 
-What is computed how often:
-- per geometry, that is per ContourSet and choice of band kernel bases: the
+What is computed how often, and who owns it:
+- per geometry, the ContourSet: its circles, bands and kernel bases (the
+  default_bases of the weight it was built for), and its one
   CollocationOperator, the band kernel tables at every band node and test
-  node and, for column 1, every circle point, in one pass over those points.
-  The first solve on a contour set builds it, and the contour set keeps it
-  for every later solve.  g and the h basis at the circle nodes and test
-  nodes depend on the bands only too; JumpValues evaluates them at all
-  circle points at once, one call per side, when the first solve asks for a
-  circle jump.
-- per kept circle: its coupling operator G at the band nodes and its Laurent
-  table at the band test nodes, built by the first solve that keeps it.
-- per jump spec: the weight values at the nodes and test nodes, in one call
-  per circle and side (JumpValues).
-- per n: the jump values, exponentials of those cached factors, in one
-  circle_jump call per circle; the band system's assembly, with one product
-  G v K per kept circle, and LU; one FFT per kept circle for its
-  coefficients; and the residual, one-sided on the circles (one inverse FFT
-  each) and by matrix products on the bands.
+  node and, for column 1, every circle point, in one pass over those points,
+  built by the first solve on the contour set and kept for every later one.
+  g and the h basis depend on the bands only too: JumpValues reads them from
+  the GreenData at all circle points at once, one call per side, when the
+  first solve asks for a circle jump.
+- per kept circle, in the operator: its coupling operator G at the band
+  nodes and its Laurent table at the band test nodes, built by the first
+  solve that keeps it.
+- per jump spec, in JumpValues: the weight values at the nodes and test
+  nodes, in one call per circle and side.
+- per n, in the solve: the jump values, exponentials of those cached
+  factors, in one circle_jump call per circle; the band system's assembly,
+  with one product G v K per kept circle, and LU; one FFT per kept circle
+  for its coefficients (RHSolution.circle_coeffs); and the residual,
+  one-sided on the circles (one inverse FFT each) and by matrix products on
+  the bands.
 """
 
 from __future__ import annotations
@@ -41,13 +43,13 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
 from scipy.linalg import lu_factor, lu_solve
 
-from .auxiliary import AuxData, HSystem, combine_h, h_basis
+from .auxiliary import AuxData, combine_h, h_basis
 from .cauchy import Side, cauchy_cheb_table
 from .chebyshev import Interval, cheb_t_nodes
 from .errors import DomainError, GeometryError, ResidualWarning, SolverError, WeightError
@@ -129,29 +131,27 @@ class BandPiece:
 
 @dataclass(frozen=True)
 class ContourSet:
-    """The circles and bands of one geometry, with its collocation operators.
+    """The circles and bands of one geometry, the kernel bases of the weight
+    it was built for, and its one collocation operator.
 
-    Everything here is per geometry.  operator(bases) builds the
-    CollocationOperator for one choice of band kernel bases on first use and
-    keeps it, so every solve on this contour set shares it, whatever its jump
-    spec and n.  The weight values per jump spec are JumpValues'; the jump
-    values, the band system and its solution per n are the solve's.
+    Everything here is per geometry.  operator is built on first use and
+    kept, so every solve on this contour set shares it, whatever its jump
+    spec and n; solve_matrix_rhp refuses a weight of other kinds.
     """
 
     circles: tuple
     bands: tuple
-    _operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    bases: tuple                  # per band: (column-0 kind, column-1 kind)
 
-    def operator(self, bases: tuple) -> CollocationOperator:
-        if bases not in self._operators:
-            self._operators[bases] = CollocationOperator(self, bases)
-        return self._operators[bases]
+    @cached_property
+    def operator(self) -> CollocationOperator:
+        return CollocationOperator(self)
 
 
 class CollocationOperator:
-    """The kernel tables of one contour set in one choice of band bases.
+    """The kernel tables of one contour set in its band bases.
 
-    Nothing here depends on n or on the weight.  Column m of the unknown is
+    Nothing here depends on n or on the jump data.  Column m of the unknown is
     expanded on every band q in the kernel bases[q][m]:
     - plus[m], minus[m]: the column-m kernels of all bands side by side, at
       all band nodes.  A band's rows at its own nodes hold its boundary values
@@ -171,10 +171,10 @@ class CollocationOperator:
     (kernels_at, circle_at) are kept for the last point set only.
     """
 
-    def __init__(self, contours: ContourSet, bases: tuple):
+    def __init__(self, contours: ContourSet):
         bands = contours.bands
         self.bands = bands
-        self.bases = bases
+        self.bases = bases = contours.bases
         self.circles = contours.circles
         self.band_nodes = [bp.nodes() for bp in bands]
         self.band_test_nodes = [bp.test_nodes() for bp in bands]
@@ -259,7 +259,8 @@ def build_contours(spec: WeightSpec, ppi: int) -> ContourSet:
     points on each band, CIRCLE_POINTS_PER_PPI * ppi on each circle.
 
     Circle j is centered at the band midpoint with radius 5/8 of the band
-    length (below that the deformed jumps misbehave).  GeometryError if two
+    length (below that the deformed jumps misbehave).  The contour set keeps
+    default_bases(spec), the kernel bases of its operator.  GeometryError if two
     circles meet or a circle reaches another band, WeightError if h_j has a
     zero or a pole on circle j's closed disk.  DomainError unless ppi is an
     integer >= 2.
@@ -288,7 +289,8 @@ def build_contours(spec: WeightSpec, ppi: int) -> ContourSet:
         # Positive-mode budget from the nearest singularity of the continued
         # jump data outside the circle (other bands and zeros of h, where 1/w
         # blows up): coefficients decay like (r/dist)^k, so ~37/log(dist/r)
-        # modes reach double precision.
+        # modes reach double precision, and 12 when nothing bounds the circle
+        # (dist = inf).  The checks above keep dist > r.
         dist = np.inf
         for k, other in enumerate(bands):
             if k != j:
@@ -296,14 +298,10 @@ def build_contours(spec: WeightSpec, ppi: int) -> ContourSet:
         for zero in np.atleast_1d(spec.h[j].zero_locations()):
             dist = min(dist, abs(zero - centers[j]))
         npts = int(CIRCLE_POINTS_PER_PPI * ppi)
-        if np.isfinite(dist) and dist > radii[j]:
-            pos = int(np.ceil(37.0 / np.log(dist / radii[j])))
-            pos = max(12, min(pos, npts // 2))
-        else:
-            pos = 12 if np.isinf(dist) else npts // 2
+        pos = max(12, min(int(np.ceil(37.0 / np.log(dist / radii[j]))), npts // 2))
         circles.append(Circle(float(centers[j]), float(radii[j]), npts, pos))
     band_pieces = tuple(BandPiece(band, int(ppi)) for band in bands)
-    return ContourSet(circles=tuple(circles), bands=band_pieces)
+    return ContourSet(circles=tuple(circles), bands=band_pieces, bases=default_bases(spec))
 
 
 def _validate_h_on_disk(spec: WeightSpec, j: int, center: float, radius: float) -> None:
@@ -339,25 +337,25 @@ def _fill(memo: dict, point_sets: dict, evaluate) -> None:
 
 
 class JumpValues:
-    """The n-independent factors of the jumps on one contour set.
+    """The n-independent factors of the jumps of spec on one contour set.
 
-    circle_jump's sign, g and the h basis (auxiliary.h_basis) depend on the
-    bands only, so every jump spec on them shares them (for_spec).  The
-    weight values belong to one jump spec.  Both are memos keyed by the
-    points' bytes, each point taken as the jumps take it: off the real axis
-    with Side.OFF, on it from above.  The first circle request evaluates them
-    at every circle node and test node of the contour set: g and the h basis
-    in one call per side, each circle's weight in one weight_value call per
-    side, and every later index reads them.  A request at other points fills
-    that point set alone; as each point's value depends on that point only,
-    it is the value the whole cloud gives.  point serves one point off the
-    circles, such as cauchy_pn's, and keeps the last point only.
+    circle_jump's sign, g and the h basis (auxiliary.h_basis), all read from
+    the bands' GreenData green, depend on the bands only, so every jump spec
+    on them shares them (for_spec).  The weight values belong to the jump
+    spec.  Both are memos keyed by the points' bytes, each point taken as the
+    jumps take it: off the real axis with Side.OFF, on it from above.  The
+    first circle request evaluates them at every circle node and test node of
+    the contour set: g and the h basis in one call per side, each circle's
+    weight in one weight_value call per side, and every later index reads
+    them.  A request at other points fills that point set alone; as each
+    point's value depends on that point only, it is the value the whole cloud
+    gives.  point serves one point off the circles, such as cauchy_pn's, and
+    keeps the last point only.
     """
 
-    def __init__(self, spec: WeightSpec, green: GreenData, hsys: HSystem, contours: ContourSet):
+    def __init__(self, spec: WeightSpec, green: GreenData, contours: ContourSet):
         self.spec = spec
         self.green = green
-        self.hsys = hsys
         self.contours = contours
         self._geometry: dict = {}
         self._weights: dict = {}
@@ -367,13 +365,13 @@ class JumpValues:
     def for_spec(self, spec: WeightSpec) -> JumpValues:
         """These values for a weight on the same bands: the g and h-basis memo
         is shared, the weight memo starts empty."""
-        out = JumpValues(spec, self.green, self.hsys, self.contours)
+        out = JumpValues(spec, self.green, self.contours)
         out._geometry = self._geometry
         return out
 
     def _geometry_at(self, z: np.ndarray, side: Side) -> np.ndarray:
         """circle_jump's sign, R, the h basis and g at points z, stacked."""
-        R, transforms = h_basis(self.spec, self.hsys, z, side)
+        R, transforms = h_basis(self.green, z, side)
         return np.vstack([np.where(np.imag(z) < 0.0, 1.0, -1.0), R, transforms,
                           eval_g(self.green, z, side)])
 
@@ -465,17 +463,16 @@ class ResidualReport:
 class RHSolution:
     """Solved coefficients of the 2x2 unknown, piece by piece.
 
-    contours lists the pieces that carry a density: every band, and the
-    circles the solve kept.  A circle whose jump is the identity to within
-    IDENTITY_JUMP is left out, so contours can hold fewer circles than the
-    contour set the problem was posed on.  stages holds the seconds the solve
-    spent in each of STAGES.  operator is the collocation operator of the
-    contour set the problem was posed on; eval takes its tables from there.
+    Every band carries a density, and so does every circle the solve kept:
+    circle_coeffs has an entry for kept circle j of the contour set the
+    problem was posed on, none for a circle whose jump is the identity to
+    within IDENTITY_JUMP.  stages holds the seconds the solve spent in each
+    of STAGES.  operator is that contour set's collocation operator; its
+    circles and bases are the solution's, and eval takes its tables from
+    there.
     """
 
-    contours: ContourSet
-    bases: tuple                  # per band: (column-1 kind, column-2 kind)
-    circle_coeffs: list           # per circle of contours: array (2, 2, n_points), [row, col, k]
+    circle_coeffs: dict           # kept circle j -> array (2, 2, n_points), [row, col, k]
     band_coeffs: list             # per band: array (2, 2, n_points)
     residual: ResidualReport
     stages: dict
@@ -495,8 +492,8 @@ class RHSolution:
         scalar = np.ndim(z) == 0
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         out = np.zeros(zz.shape + (2, 2), dtype=complex)
-        for circ, coeff in zip(self.contours.circles, self.circle_coeffs):
-            span, table = self.operator.circle_at(circ, zz)
+        for j, coeff in self.circle_coeffs.items():
+            span, table = self.operator.circle_at(self.operator.circles[j], zz)
             for m in range(2):
                 out[..., m] += table @ coeff[:, m, span].T
         for m, kernels in enumerate(self.operator.kernels_at(zz)):
@@ -565,9 +562,10 @@ def default_bases(spec: WeightSpec) -> tuple:
 
 def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolution:
     """Solve the block collocation system for both rows at once, in the kernel
-    bases default_bases(spec).  jumps gives the index n and the jump matrices
-    at a piece's points: circle_jump(j, z) on circle j, band_jump(j, x) on
-    band j.
+    bases default_bases(spec), which must be the contour set's (DomainError
+    otherwise: contours built for a weight of the same kinds).  jumps gives
+    the index n and the jump matrices at a piece's points: circle_jump(j, z)
+    on circle j, band_jump(j, x) on band j.
 
     Every circle jump must be unit lower-triangular at the circle's nodes and
     test nodes, F = [[1, 0], [v, 1]]; SolverError otherwise.  Circle j is
@@ -575,24 +573,26 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolutio
     carries no density to double precision.  On a kept circle the column-1
     density vanishes and the column-0 density is an explicit function of the
     band unknowns, so only the bands are factored.  The returned solution's
-    contours list the bands and the kept circles.  The off-collocation
-    residual checks every piece of `contours`, the dropped circles included;
-    above RESIDUAL_WARN it warns.  SolverError, carrying circle_deviation, if
+    circle_coeffs hold the kept circles.  The off-collocation residual checks
+    every piece of `contours`, the dropped circles included; above
+    RESIDUAL_WARN it warns.  SolverError, carrying circle_deviation, if
     the band system is singular or the solution or the residual is not
     finite, which is also how an overflow shows.  The operator's tables are
     built by the first solve that needs them (the "tables" stage).
     """
+    if default_bases(spec) != contours.bases:
+        raise DomainError("the contour set was built for a weight of other kinds")
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = _solve(spec, contours, jumps)
+        sol = _solve(contours, jumps)
     if sol.residual.off_collocation > RESIDUAL_WARN:
         warnings.warn(
             f"off-collocation jump residual {sol.residual.off_collocation:.2e} exceeds "
-            f"{RESIDUAL_WARN:.1e} (n={jumps.n}); increase resolution or check the basis",
+            f"{RESIDUAL_WARN:.1e} (n={jumps.n}); increase resolution",
             ResidualWarning, stacklevel=2)
     return sol
 
 
-def _solve(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolution:
+def _solve(contours: ContourSet, jumps) -> RHSolution:
     """solve_matrix_rhp's solution, without its warning."""
     stages = dict.fromkeys(STAGES, 0.0)
     clock = [time.perf_counter()]
@@ -601,8 +601,7 @@ def _solve(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolution:
         clock.append(time.perf_counter())
         stages[stage] += clock[-1] - clock[-2]
 
-    bases = default_bases(spec)
-    op = contours.operator(bases)
+    op = contours.operator
     lap("tables")
 
     # v[j]: circle j's jump entry F_10 at its nodes, then at its test nodes.
@@ -677,15 +676,13 @@ def _solve(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolution:
         circ = contours.circles[j]
         n = circ.n_points
         u0[j] = np.fft.fft(vKX[j][:n], axis=0)[circ.exponents % n] / n
-    circle_coeffs = [np.stack([u.T, np.zeros_like(u.T)], axis=1) for u in u0.values()]
-    used = ContourSet(circles=tuple(contours.circles[j] for j in kept), bands=contours.bands)
+    circle_coeffs = {j: np.stack([u.T, np.zeros_like(u.T)], axis=1) for j, u in u0.items()}
     residual = _off_collocation_residual(op, tables, u0, vKX, X, test_F)
     if not np.isfinite(residual):
         raise SolverError(f"off-collocation jump residual is {residual}", circle_deviation)
     lap("residual")
 
-    return RHSolution(contours=used, bases=bases, circle_coeffs=circle_coeffs,
-                      band_coeffs=band_coeffs,
+    return RHSolution(circle_coeffs=circle_coeffs, band_coeffs=band_coeffs,
                       residual=ResidualReport(residual, float(rcond), circle_deviation),
                       stages=stages, operator=op)
 
@@ -731,7 +728,8 @@ def first_order(sol: RHSolution) -> np.ndarray:
     coefficient (only the degree-0 kernel carries a 1/z term).
     """
     out = np.zeros((2, 2), dtype=complex)
-    for circ, coeff in zip(sol.contours.circles, sol.circle_coeffs):
+    for j, coeff in sol.circle_coeffs.items():
+        circ = sol.operator.circles[j]
         idx = int(np.nonzero(circ.exponents == -1)[0][0])
         out -= circ.radius * coeff[:, :, idx]
     for coeff in sol.band_coeffs:

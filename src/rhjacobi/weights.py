@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cauchy import Side
+from .cauchy import Side, side_root
 from .chebyshev import ChebKind, Interval
 from .errors import WeightError
 
@@ -228,19 +228,8 @@ class WeightSpec:
         """
         band = self.bands[j]
         alpha, beta = self.kinds[j].exponents
-        if side is Side.OFF:
-            zc = np.asarray(z, dtype=complex)
-            sa = np.sqrt(zc - band.a)
-            sb = np.sqrt(band.b - zc)
-        else:
-            x = np.asarray(z, dtype=float)
-            sgn = 1.0 if side is Side.PLUS else -1.0
-            # sqrt(z - a): cut on (-inf, a]; upper limit is +i sqrt(a - x).
-            sa = np.where(x >= band.a, np.sqrt(np.maximum(x - band.a, 0.0)) + 0j,
-                          sgn * 1j * np.sqrt(np.maximum(band.a - x, 0.0)))
-            # sqrt(b - z): cut on [b, inf); upper limit is -i sqrt(x - b).
-            sb = np.where(x <= band.b, np.sqrt(np.maximum(band.b - x, 0.0)) + 0j,
-                          -sgn * 1j * np.sqrt(np.maximum(x - band.b, 0.0)))
+        u = np.asarray(z, dtype=complex if side is Side.OFF else float)
+        sa, sb = side_root(u - band.a, side), side_root(band.b - u, side.mirrored)
         out = np.asarray(self.h[j](z), dtype=complex)
         out = out * (sa if alpha > 0 else 1.0 / sa)
         out = out * (sb if beta > 0 else 1.0 / sb)

@@ -7,7 +7,7 @@ from rhjacobi.cauchy import cauchy_cheb
 from rhjacobi.chebyshev import SQRT2, ChebKind, UNIT
 from rhjacobi.errors import DomainError, ImagPartWarning, PrecisionWarning, SolverError
 from rhjacobi.oracle import adaptive_oracle, discretize
-from rhjacobi.pipeline import (SolveContext, _realify, cauchy_pn, orthonormal_eval,
+from rhjacobi.pipeline import (DEFAULT_PPI, SolveContext, _realify, cauchy_pn, orthonormal_eval,
                                recip_approx, recurrence_range, toda_evolve)
 from rhjacobi.rhp import JumpAssembly
 from rhjacobi.weights import WeightSpec
@@ -102,6 +102,19 @@ class TestRecurrenceRange:
         with pytest.raises(DomainError):
             recip_approx(spec_two_band, 2, context=ctx)
 
+    def test_ppi_must_match_context(self, spec_two_band):
+        # a ppi given with a context was silently replaced by the context's
+        ctx = SolveContext(spec_two_band, 8)
+        with pytest.raises(DomainError):
+            recurrence_range(spec_two_band, 0, 2, 32, context=ctx)
+        with pytest.raises(DomainError):
+            cauchy_pn(spec_two_band, 1, 0.5j, 32, context=ctx)
+        with pytest.raises(DomainError):
+            recip_approx(spec_two_band, 2, ppi=32, context=ctx)
+        assert recurrence_range(spec_two_band, 0, 2, 8, context=ctx).meta["ppi"] == 8
+        assert recurrence_range(spec_two_band, 0, 2, context=ctx).meta["ppi"] == 8
+        assert recurrence_range(spec_two_band, 0, 0).meta["ppi"] == DEFAULT_PPI
+
     def test_programming_errors_propagate(self, spec_u, monkeypatch):
         # only numerical failures are recorded per index
         def broken(*args, **kwargs):
@@ -129,7 +142,9 @@ class TestSharedOperator:
         for n in range(5):
             shared.solution(n)
         got, want = shared.solution(5), SolveContext(spec_genus3).solution(5)
-        for x, y in zip(got.circle_coeffs + got.band_coeffs, want.circle_coeffs + want.band_coeffs):
+        assert got.circle_coeffs.keys() == want.circle_coeffs.keys()
+        for x, y in zip(list(got.circle_coeffs.values()) + got.band_coeffs,
+                        list(want.circle_coeffs.values()) + want.band_coeffs):
             np.testing.assert_array_equal(x, y)
         assert got.residual == want.residual
 
@@ -251,8 +266,12 @@ class TestToda:
         scaled = ctx.with_jump_spec(spec_u.with_exp_factor(0.5))
         assert scaled.green is ctx.green and scaled.contours is ctx.contours
         assert scaled.aux(3) is ctx.aux(3)
-        assert scaled.jump_spec is not ctx.jump_spec
+        assert scaled.jump_values.spec is not ctx.jump_values.spec
         assert scaled.solution(1) is not ctx.solution(1)
+        # the contours and g belong to the context's bands, the operator to its kinds
+        for other in (WeightSpec.single(ChebKind.T), WeightSpec.single(ChebKind.U, (-1.0, 2.0))):
+            with pytest.raises(DomainError):
+                ctx.with_jump_spec(other)
 
     def test_t0_identical_to_static(self, spec_u, ctx_u):
         traj = toda_evolve(spec_u, 5, [0.0], 16)
@@ -278,6 +297,14 @@ class TestToda:
         bsq_prev = np.concatenate([[0.0], b0[:-1] ** 2])
         np.testing.assert_allclose(adot, b0 ** 2 - bsq_prev, atol=1e-6)
         np.testing.assert_allclose(bdot[:-1], 0.5 * b0[:-1] * (a0[1:] - a0[:-1]), atol=1e-6)
+
+    def test_scalar_time_is_one_time(self, spec_u):
+        one, seq = toda_evolve(spec_u, 2, 0.5, 8), toda_evolve(spec_u, 2, [0.5], 8)
+        assert one.times.shape == (1,) and len(one.segments) == 1
+        np.testing.assert_array_equal(one.segments[0].a, seq.segments[0].a)
+        np.testing.assert_array_equal(one.segments[0].b, seq.segments[0].b)
+        with pytest.raises(DomainError):
+            toda_evolve(spec_u, 2, [[0.5, 1.0]], 8)
 
     def test_horizon_warning(self, spec_u):
         with pytest.warns(PrecisionWarning):
@@ -319,6 +346,22 @@ class TestRecip:
         spec = WeightSpec.single(ChebKind.U)
         with pytest.raises(DomainError):
             recip_approx(spec, 3, ppi=8)
+
+    def test_zero_inside_a_deformation_disk(self):
+        # 0 lies off the support but inside circle 0 (centre 0.55, radius
+        # 0.5625); reference by Gauss quadrature of p_j(x)/x on the oracle's
+        # nodes, exact far below the bound since 1/x is analytic on the bands
+        spec = WeightSpec.build([(0.1, 1.0), (2.0, 3.0)], "TU")
+        terms = 8
+        approx = recip_approx(spec, terms)
+        jac = adaptive_oracle(spec, terms, 1e-12)
+        measure = discretize(spec, jac.meta["m_per_band"])
+        P = orthonormal_eval(jac, terms, measure.nodes)
+        coeffs = P @ (measure.weights / measure.nodes) / measure.mass
+        partial = np.cumsum(coeffs[:, None] * orthonormal_eval(jac, terms, approx.grid), axis=0)
+        max_errors = np.max(np.abs(partial - 1.0 / approx.grid), axis=1)
+        np.testing.assert_allclose(approx.coeffs, coeffs, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(approx.max_errors, max_errors, rtol=0, atol=1e-11)
 
     def test_error_decreases(self, spec_two_band, ctx_two_band):
         approx = recip_approx(spec_two_band, 12, context=ctx_two_band)

@@ -119,7 +119,7 @@ class TestMatrixSolve:
     def test_identity_jumps_give_zero(self, spec_u):
         ct = build_contours(spec_u, 8)
         sol = solve_matrix_rhp(spec_u, ct, _IdentityJumps())
-        for cc in sol.circle_coeffs + sol.band_coeffs:
+        for cc in list(sol.circle_coeffs.values()) + sol.band_coeffs:
             np.testing.assert_allclose(cc, 0.0, atol=1e-13)
         np.testing.assert_allclose(first_order(sol), 0.0, atol=1e-13)
         np.testing.assert_allclose(sol.eval(0.2 + 3.4j), np.eye(2), atol=1e-13)
@@ -155,11 +155,12 @@ class TestMatrixSolve:
         gd = build_green(spec_u)
         hs = build_hsystem(spec_u, gd)
         ct = build_contours(spec_u, 8)
-        jumps = JumpAssembly(solve_aux(hs, gd, 1), JumpValues(spec_u, gd, hs, ct))
+        jumps = JumpAssembly(solve_aux(hs, gd, 1), JumpValues(spec_u, gd, ct))
         s1 = solve_matrix_rhp(spec_u, ct, jumps)
         s2 = solve_matrix_rhp(spec_u, ct, jumps)
-        for a, b in zip(s1.circle_coeffs + s1.band_coeffs,
-                        s2.circle_coeffs + s2.band_coeffs):
+        assert s1.circle_coeffs.keys() == s2.circle_coeffs.keys()
+        for a, b in zip(list(s1.circle_coeffs.values()) + s1.band_coeffs,
+                        list(s2.circle_coeffs.values()) + s2.band_coeffs):
             np.testing.assert_array_equal(a, b)
 
     def test_schwarz_symmetry_of_solution(self, ctx_two_band, rng):
@@ -188,7 +189,7 @@ class TestMatrixSolve:
                                      ctx_two_band.jump_values)
         with pytest.warns(ResidualWarning):
             sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
-        assert sol.contours.circles == ()
+        assert sol.circle_coeffs == {}
         assert sol.residual.off_collocation > 0.05
 
     @pytest.mark.parametrize("ppi", [8, 16, 32])
@@ -197,13 +198,19 @@ class TestMatrixSolve:
         # endpoint behavior needs (T, U): the residual stays O(1) as ppi grows
         gd = build_green(spec_u)
         hs = build_hsystem(spec_u, gd)
-        ct = build_contours(spec_u, ppi)
-        jumps = JumpAssembly(solve_aux(hs, gd, 1), JumpValues(spec_u, gd, hs, ct))
+        spec_t = WeightSpec.single(ChebKind.T)
+        aux = solve_aux(hs, gd, 1)
+        ct_t = build_contours(spec_t, ppi)
         with pytest.warns(ResidualWarning):
-            wrong = solve_matrix_rhp(WeightSpec.single(ChebKind.T), ct, jumps)
+            wrong = solve_matrix_rhp(spec_t, ct_t, JumpAssembly(aux, JumpValues(spec_u, gd, ct_t)))
         assert wrong.residual.off_collocation > 1.0
+        ct = build_contours(spec_u, ppi)
+        jumps = JumpAssembly(aux, JumpValues(spec_u, gd, ct))
         right = solve_matrix_rhp(spec_u, ct, jumps)
         assert right.residual.off_collocation < 1e-6
+        # the contour set's operator is in the U weight's bases
+        with pytest.raises(DomainError):
+            solve_matrix_rhp(spec_t, ct, jumps)
 
     def test_circle_jump_must_be_unit_lower_triangular(self, ctx_two_band, spec_two_band):
         jumps = _UpperEntryOnCircles(ctx_two_band.aux(3), ctx_two_band.jump_values)
@@ -272,7 +279,7 @@ def _full_circle_table(circ, z):
 
 
 def _operator(ctx):
-    return ctx.contours.operator(default_bases(ctx.spec))
+    return ctx.contours.operator
 
 
 class TestCircleTables:
@@ -301,7 +308,7 @@ class TestCircleTables:
         calls = count_calls(auxiliary.h_basis)
         approx = recip_approx(spec_genus3, 12)
         assert len(approx.coeffs) == 12
-        assert sum(np.all(np.atleast_1d(args[2]) == 0.0) for args in calls) == 1
+        assert sum(np.all(np.atleast_1d(args[1]) == 0.0) for args in calls) == 1
 
 
 def _reference_kernels(op, m, z, own=None):
@@ -361,9 +368,9 @@ class TestColdPath:
         ctx.solution(0)
         # Without circles the values have no cloud to fill: each request is
         # evaluated at its own points only.
-        no_cloud = ContourSet(circles=(), bands=ctx.contours.bands)
+        no_cloud = ContourSet(circles=(), bands=ctx.contours.bands, bases=ctx.contours.bases)
         for j, z in enumerate(_operator(ctx).circle_points):
-            lone = JumpValues(spec_genus3, ctx.green, ctx.hsys, no_cloud).circle(j, z)
+            lone = JumpValues(spec_genus3, ctx.green, no_cloud).circle(j, z)
             for got, want in zip(ctx.jump_values.circle(j, z), lone):
                 np.testing.assert_array_equal(got, want)
 
@@ -373,7 +380,7 @@ def _two_sided_residual(sol, contours, jumps):
     with both boundary values summed from every density of sol: the defect
     that the residual of solve_matrix_rhp reports."""
     op = sol.operator
-    kept = dict(zip(sol.contours.circles, sol.circle_coeffs))
+    kept = {op.circles[j]: coeff for j, coeff in sol.circle_coeffs.items()}
     band_u = [np.concatenate([c[:, m, :] for c in sol.band_coeffs], axis=1) for m in range(2)]
     pieces = [(c.test_nodes(), jumps.circle_jump(j, c.test_nodes()), c, None)
               for j, c in enumerate(contours.circles)]
@@ -424,7 +431,7 @@ class TestOneSidedResidual:
         ctx = SolveContext(spec_genus3)
         for n in range(9):
             sol = ctx.solution(n)
-            assert len(sol.contours.circles) == 4
+            assert len(sol.circle_coeffs) == 4
             want = _two_sided_residual(sol, ctx.contours, JumpAssembly(ctx.aux(n), ctx.jump_values))
             assert abs(sol.residual.off_collocation - want) <= 1e-13
 
@@ -432,7 +439,7 @@ class TestOneSidedResidual:
         used = set()
         for n in range(50, 86):
             sol = ctx_two_band.solution(n)
-            used.add(len(sol.contours.circles))
+            used.add(len(sol.circle_coeffs))
             jumps = JumpAssembly(ctx_two_band.aux(n), ctx_two_band.jump_values)
             want = _two_sided_residual(sol, ctx_two_band.contours, jumps)
             assert abs(sol.residual.off_collocation - want) <= 1e-13
