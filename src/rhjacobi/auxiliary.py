@@ -110,19 +110,27 @@ def h_basis(green: GreenData, z, side: Side = Side.OFF) -> tuple:
     return eval_R(green.bands, zz, side), transforms
 
 
-def combine_h(aux: AuxData, R: np.ndarray, transforms: np.ndarray) -> np.ndarray:
-    """The auxiliary function for index n from h_basis: R times the combination
-    of the transforms with weights A_j BAND_FACTOR and nu_l GAP_FACTOR."""
-    acc = np.zeros(R.shape, dtype=complex)
-    weights = np.concatenate([aux.A * BAND_FACTOR, aux.nu * GAP_FACTOR])
-    for weight, transform in zip(weights, transforms):
-        if weight != 0.0:
-            acc = acc + weight * transform
+def h_weights(aux: AuxData) -> np.ndarray:
+    """The 2g+1 weights of the h basis for aux's index: A_j BAND_FACTOR, then
+    nu_l GAP_FACTOR."""
+    return np.concatenate([aux.A * BAND_FACTOR, aux.nu * GAP_FACTOR])
+
+
+def combine_h(weights: np.ndarray, R: np.ndarray, transforms: np.ndarray) -> np.ndarray:
+    """The auxiliary function from h_basis: R times the combination of the
+    transforms with the h_weights of one index, shape (2g+1,), or of several
+    stacked, shape (K, 2g+1), which adds a leading axis over them.  The sum
+    runs term by term, so an index's values do not depend on which others are
+    stacked with it; a term whose weights are all zero is skipped."""
+    acc = np.zeros(weights.shape[:-1] + R.shape, dtype=complex)
+    for weight, transform in zip(np.moveaxis(weights, -1, 0), transforms):
+        if np.any(weight != 0.0):
+            acc += np.reshape(weight, weight.shape + (1,) * R.ndim) * transform
     return R * acc
 
 
 def eval_h(green: GreenData, aux: AuxData, z, side: Side = Side.OFF):
     """Evaluate the auxiliary function for aux's index from green's series;
     boundary values via kernel variants."""
-    out = combine_h(aux, *h_basis(green, z, side))
+    out = combine_h(h_weights(aux), *h_basis(green, z, side))
     return complex(out[0]) if np.ndim(z) == 0 else out

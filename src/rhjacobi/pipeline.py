@@ -2,9 +2,12 @@
 Toda-lattice evolution, and series approximation of 1/x on disconnected domains.
 
 One Riemann-Hilbert solve per index n, reused between consecutive coefficient
-pairs; the Green's function, moment system, contours and collocation operator
-are built once per weight geometry and shared across n (and across Toda times,
-whose exponential factor changes only the jump data).
+pairs.  The indices a call needs are asked for up front and solved in blocks:
+one solve_matrix_rhp call per block stacks the jump data, the assembly and the
+residual of all its indices and factors one band system per index.  The
+Green's function, moment system, contours and collocation operator are built
+once per weight geometry and shared across n (and across Toda times, whose
+exponential factor changes only the jump data).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import AuxData, build_hsystem, combine_h, solve_aux
+from .auxiliary import AuxData, build_hsystem, combine_h, h_weights, solve_aux
 from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
 from .green import build_green
 from .oracle import adaptive_gauss_mass
@@ -33,6 +36,10 @@ DEFAULT_PPI = 16
 
 # Largest |F - I| on circles before double precision degrades visibly.
 JUMP_MAGNITUDE_HORIZON = 1e7
+
+# Bytes of stacked band systems (16 bytes per complex entry) that one block
+# solve may hold: 16 indices of 64 unknowns, 4 of 128.
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -71,9 +78,12 @@ class SolveContext:
     weight the jumps are taken from, and the weight values at the nodes, also
     built inside the first solve.  with_jump_spec replaces it by a weight of
     the same kinds on the same bands (e.g. exponentially scaled) and shares
-    everything per geometry.  Per n: the auxiliary data (aux) and the solve
-    (solution), both cached.  stages adds up the seconds of every solve made
-    here, per stage of rhp.STAGES.
+    everything per geometry.  Per index n: the auxiliary data (aux) and the
+    block that solved n, both cached; the block holds n's RHSolution or the
+    SolverError its solve failed with.  solve(ns) solves the indices of ns
+    that are not cached in blocks, one solve_matrix_rhp call each;
+    solution(n) is a block of one where n is not cached yet.  stages adds up
+    the seconds of every block solved here, per stage of rhp.STAGES.
     """
 
     def __init__(self, spec: WeightSpec, ppi: int = DEFAULT_PPI):
@@ -92,14 +102,30 @@ class SolveContext:
             self._aux[n] = solve_aux(self.hsys, self.green, n)
         return self._aux[n]
 
-    def solution(self, n: int) -> RHSolution:
-        if n not in self._solutions:
-            jumps = JumpAssembly(self.aux(n), self.jump_values)
-            sol = solve_matrix_rhp(self.jump_values.spec, self.contours, jumps)
-            for stage, seconds in sol.stages.items():
+    def solve(self, ns) -> None:
+        """Solve every index of ns that is not cached yet, in order, in blocks
+        of as many indices as fit BLOCK_BYTES of band systems (at least one);
+        DomainError, before any solve, unless every index is a non-negative
+        integer."""
+        for n in ns:
+            _check_index(n, "an index")
+        missing = [n for n in dict.fromkeys(ns) if n not in self._solutions]
+        unknowns = 2 * sum(bp.n_points for bp in self.contours.bands)
+        size = max(1, BLOCK_BYTES // (16 * unknowns ** 2))
+        for start in range(0, len(missing), size):
+            jumps = JumpAssembly([self.aux(n) for n in missing[start:start + size]],
+                                 self.jump_values)
+            block = solve_matrix_rhp(self.jump_values.spec, self.contours, jumps)
+            for stage, seconds in block.stages.items():
                 self.stages[stage] += seconds
-            self._solutions[n] = sol
-        return self._solutions[n]
+            self._solutions.update(dict.fromkeys(block.solutions, block))
+
+    def solution(self, n: int) -> RHSolution:
+        """The solve for index n; the SolverError it failed with is raised."""
+        _check_index(n, "an index")
+        if n not in self._solutions:
+            self.solve([n])
+        return self._solutions[n][n]
 
     def with_jump_spec(self, jump_spec: WeightSpec) -> "SolveContext":
         """This context with jump_spec's jump data, an empty solution cache and
@@ -111,6 +137,13 @@ class SolveContext:
         ctx.stages = dict.fromkeys(STAGES, 0.0)
         ctx._solutions = {}
         return ctx
+
+
+def _check_index(value, what: str) -> None:
+    """DomainError unless value is a non-negative int or NumPy integer (not a
+    bool): the rule for every index and count of indices."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 0:
+        raise DomainError(f"{what} must be a non-negative integer, got {value!r}")
 
 
 def _context(spec: WeightSpec, ppi: int | None, context: SolveContext | None) -> SolveContext:
@@ -153,10 +186,13 @@ def _pair_from_orders(ctx: SolveContext, n: int, S1_n: np.ndarray, S1_n1: np.nda
 def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None, *,
                      context: SolveContext | None = None) -> JacobiSegment:
     """Pairs (a_n, b_n) for n0 <= n <= n1; one solve per index, shared between
-    neighbors.  Numerical failures of one index are recorded as (n, message) in
-    meta["failures"] and the computation continues.  A context must be built
-    for spec, and at ppi where ppi is given (DomainError otherwise); without
-    one a new one at ppi, or DEFAULT_PPI, is used.
+    neighbors, the solves for n0..n1+1 asked of the context up front, which
+    makes them in blocks (SolveContext.solve).  n0 and n1 are non-negative
+    integers (DomainError otherwise).  Numerical failures of one index are
+    recorded as (n, message) in meta["failures"] and the computation
+    continues; a failed index does not change the others in its block.  A
+    context must be built for spec, and at ppi where ppi is given (DomainError
+    otherwise); without one a new one at ppi, or DEFAULT_PPI, is used.
 
     Per-index arrays in meta, NaN (or -1 for counts) where the pair failed:
     residuals, the larger off-collocation residual of the pair's two solves;
@@ -170,12 +206,15 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None,
     the pair or the solve for n failed after its jumps were evaluated (NaN
     only if that solve failed before), since large jump data makes pairs
     fail.
-    meta["stages"] holds the seconds this call's solves spent per stage of
-    rhp.STAGES ("tables" is the collocation operator's build, paid by the
-    first solve on a context, and each circle's Laurent tables, paid by the
-    first solve that keeps the circle).
+    meta["stages"] holds the seconds this call's block solves spent per stage
+    of rhp.STAGES, summed over the blocks ("tables" is the collocation
+    operator's build, paid by the first block on a context, and each circle's
+    Laurent tables, paid by the first block with an index that keeps the
+    circle).
     """
-    if not (0 <= n0 <= n1):
+    _check_index(n0, "n0")
+    _check_index(n1, "n1")
+    if n0 > n1:
         raise DomainError(f"need 0 <= n0 <= n1, got ({n0}, {n1})")
     ctx = _context(spec, ppi, context)
     t_start = time.perf_counter()
@@ -189,6 +228,11 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None,
     failures = []
     orders: dict = {}
     stages_before = dict(ctx.stages)
+
+    try:
+        ctx.solve(range(n0, n1 + 2))
+    except (RHJacobiError, np.linalg.LinAlgError, FloatingPointError):
+        pass  # a block failed as a whole: each index below is solved alone
 
     def order_of(n):
         if n not in orders:
@@ -230,11 +274,15 @@ def cauchy_pn(spec: WeightSpec, n: int, z, ppi: int | None = None, *,
     The polynomials are orthonormal for the unit-mass normalization of the
     weight with p_0 = 1; the transform integrates against the raw weight.  The
     n-fold product of 1/(b_j c) is accumulated in log space, so b_0..b_{n-1}
-    must be finite and positive (DomainError otherwise).  context and ppi as
-    in recurrence_range.
+    must be finite and positive (DomainError otherwise).  n is a non-negative
+    integer and z finite (DomainError otherwise).  context and ppi as in
+    recurrence_range.
     """
-    ctx = _context(spec, ppi, context)
+    _check_index(n, "n")
     zc = complex(z)
+    if not np.isfinite(zc):
+        raise DomainError(f"evaluation point {zc} is not finite")
+    ctx = _context(spec, ppi, context)
     for band in spec.bands:
         if abs(zc.imag) < 1e-8 and band.a - 1e-8 <= zc.real <= band.b + 1e-8:
             warnings.warn(f"evaluation point {zc} is within 1e-8 of the support",
@@ -254,7 +302,7 @@ def cauchy_pn(spec: WeightSpec, n: int, z, ppi: int | None = None, *,
     if bad.size:
         raise DomainError(f"b_{bad[0]} = {bs[bad[0]]} is not finite and positive")
     R, transforms, g = ctx.jump_values.point(zc)
-    expo = (complex(combine_h(ctx.aux(n), R, transforms)[0]) - n * g[0]
+    expo = (complex(combine_h(h_weights(ctx.aux(n)), R, transforms)[0]) - n * g[0]
             - np.sum(np.log(bs.astype(complex) * ctx.green.cap_const)))
     s12 = ctx.solution(n).eval(zc)[0, 1]
     return complex(s12 * np.exp(expo))
@@ -269,6 +317,7 @@ def toda_evolve(spec0: WeightSpec, k: int, times, ppi: int = DEFAULT_PPI) -> Tod
     whose circle-jump deviation at n = 0 exceeds JUMP_MAGNITUDE_HORIZON is
     recorded in warnings_ and raises a PrecisionWarning.
     """
+    _check_index(k, "k")
     if k < 1:
         raise DomainError("need at least one coefficient pair")
     times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -326,6 +375,7 @@ def recip_approx(spec: WeightSpec, n_terms: int, grid=None, ppi: int | None = No
     deformation disk: the circle jumps, unit lower-triangular, leave the (1, 2)
     entry that cauchy_pn reads unchanged.  The context's jump values hold g
     and the h basis at 0, evaluated once for every term."""
+    _check_index(n_terms, "n_terms")
     if n_terms < 1:
         raise DomainError("need at least one term")
     for band in spec.bands:

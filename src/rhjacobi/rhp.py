@@ -30,12 +30,16 @@ What is computed how often, and who owns it:
   solve that keeps it.
 - per jump spec, in JumpValues: the weight values at the nodes and test
   nodes, in one call per circle and side.
-- per n, in the solve: the jump values, exponentials of those cached
-  factors, in one circle_jump call per circle; the band system's assembly,
-  with one product G v K per kept circle, and LU; one FFT per kept circle
-  for its coefficients (RHSolution.circle_coeffs); and the residual,
-  one-sided on the circles (one inverse FFT each) and by matrix products on
-  the bands.
+- per block of indices, in one solve_matrix_rhp call, one NumPy call per
+  step over all its indices: the jump values (one exponential per circle
+  over indices x points), the stacked band systems (row scaling of the
+  operator's tables, and one stacked product G v K per kept circle over the
+  indices that keep it), the kept circles' coefficients (one stacked FFT
+  each) and the residual (one stacked inverse FFT per circle, stacked
+  products on the bands); per index, one lu_factor, lu_solve and zgecon
+  call and its RHSolution.  Each stacked step acts on every index alone, so
+  an index's solution does not depend on its block, and an index whose
+  solve fails fails alone.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import numpy as np
 from scipy.linalg import lapack as _lapack
 from scipy.linalg import lu_factor, lu_solve
 
-from .auxiliary import AuxData, combine_h, h_basis
+from .auxiliary import combine_h, h_basis, h_weights
 from .cauchy import Side, cauchy_cheb_table
 from .chebyshev import Interval, cheb_t_nodes
 from .errors import DomainError, GeometryError, ResidualWarning, SolverError, WeightError
@@ -75,7 +79,7 @@ LAURENT_CUT = np.finfo(float).eps / 100
 # Off-collocation residual above which a solve warns.
 RESIDUAL_WARN = 1e-6
 
-# The stages of one solve that RHSolution.stages times, in this order.
+# The stages of one block solve that BlockSolution.stages times, in this order.
 STAGES = ("tables", "jumps", "assembly", "lu", "residual")
 
 
@@ -182,8 +186,11 @@ class CollocationOperator:
         ends = np.cumsum([bp.n_points for bp in bands]).tolist()
         self.spans = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
         T = ends[-1]
+        # plus and minus in Fortran order, as the band systems they are
+        # scaled into, so the assembly runs over contiguous columns.
         self.plus, self.minus, self.test_plus, self.test_minus = (
-            [np.empty((T, T), dtype=complex) for _ in range(2)] for _ in range(4))
+            [np.empty((T, T), dtype=complex, order=order) for _ in range(2)]
+            for order in "FFCC")
         self.circle_K = [np.ones((len(z), T + 1), dtype=complex) for z in self.circle_points]
         for m in range(2):
             # Column m's cloud as (points, the row blocks they fill); a band's
@@ -408,7 +415,7 @@ class JumpValues:
 
 
 class JumpAssembly:
-    """Jump matrices of the deformed problem for one index n.
+    """Jump matrices of the deformed problem for a block of indices ns.
 
     On the circles only the (2,1) entry differs from the identity: minus (upper
     half) or plus (lower half) of exp(2 h_n - 2n g)/w_j.  The two real-axis
@@ -418,20 +425,23 @@ class JumpAssembly:
     involution.
 
     The n-independent factors come from `values`, which a SolveContext shares
-    between all its indices.  Per n: aux, from which each call forms the 2g+1
-    weights of the h basis, the exponentials and e^(+-A_j).
+    between all its indices.  auxes is a sequence of AuxData, one per index
+    of the block, from which the 2g+1 weights of the h basis and e^(+-A_j)
+    are formed.  Each call returns the jumps of every index of the block,
+    shape (len(ns), len(points), 2, 2).
     """
 
-    def __init__(self, aux: AuxData, values: JumpValues):
-        self.aux = aux
-        self.n = aux.n
+    def __init__(self, auxes, values: JumpValues):
+        self.ns = np.array([aux.n for aux in auxes])
         self.values = values
+        self._h_weights = np.array([h_weights(aux) for aux in auxes])
+        self._A = np.array([aux.A for aux in auxes])
 
     def circle_jump(self, j: int, z) -> np.ndarray:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         sign, R, transforms, g, w = self.values.circle(j, z)
-        expo = 2.0 * combine_h(self.aux, R, transforms) - 2.0 * self.n * g
-        out = np.zeros(z.shape + (2, 2), dtype=complex)
+        expo = 2.0 * combine_h(self._h_weights, R, transforms) - 2.0 * self.ns[:, None] * g
+        out = np.zeros((len(self.ns),) + z.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = out[..., 1, 1] = 1.0
         out[..., 1, 0] = sign * np.exp(expo) / w
         return out
@@ -439,8 +449,8 @@ class JumpAssembly:
     def band_jump(self, j: int, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         w = self.values.band_weight(j, x)
-        a_j = self.aux.A[j]
-        out = np.zeros(x.shape + (2, 2), dtype=complex)
+        a_j = self._A[:, j, None]
+        out = np.zeros((len(self.ns),) + x.shape + (2, 2), dtype=complex)
         out[..., 0, 1] = w * np.exp(-a_j)
         out[..., 1, 0] = -np.exp(a_j) / w
         return out
@@ -466,16 +476,14 @@ class RHSolution:
     Every band carries a density, and so does every circle the solve kept:
     circle_coeffs has an entry for kept circle j of the contour set the
     problem was posed on, none for a circle whose jump is the identity to
-    within IDENTITY_JUMP.  stages holds the seconds the solve spent in each
-    of STAGES.  operator is that contour set's collocation operator; its
-    circles and bases are the solution's, and eval takes its tables from
-    there.
+    within IDENTITY_JUMP.  operator is that contour set's collocation
+    operator; its circles and bases are the solution's, and eval takes its
+    tables from there.
     """
 
     circle_coeffs: dict           # kept circle j -> array (2, 2, n_points), [row, col, k]
     band_coeffs: list             # per band: array (2, 2, n_points)
     residual: ResidualReport
-    stages: dict
     operator: CollocationOperator = field(repr=False, compare=False)
 
     def eval(self, z) -> np.ndarray:
@@ -499,6 +507,29 @@ class RHSolution:
         for m, kernels in enumerate(self.operator.kernels_at(zz)):
             out[..., m] += kernels @ np.concatenate([c[:, m, :] for c in self.band_coeffs], axis=1).T
         return out[0] if scalar else out
+
+
+@dataclass
+class BlockSolution:
+    """The solves of one block of indices.
+
+    solutions maps each index of the block to its RHSolution, or to the
+    SolverError its solve failed with; block[n] returns the one or raises the
+    other.  residual is the block's worst: the largest off-collocation
+    residual and the smallest rcond over the indices that were solved (NaN if
+    none was), the largest circle deviation over all of them.  stages holds
+    the seconds the block spent in each of STAGES.
+    """
+
+    solutions: dict
+    residual: ResidualReport
+    stages: dict
+
+    def __getitem__(self, n: int) -> RHSolution:
+        outcome = self.solutions[n]
+        if isinstance(outcome, SolverError):
+            raise outcome.with_traceback(None)
+        return outcome
 
 
 def _circle_table(circ: Circle, z) -> tuple:
@@ -544,14 +575,14 @@ def _powers(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _series_on_test_nodes(circ: Circle, u: np.ndarray) -> np.ndarray:
-    """The Laurent series with coefficients u (rows on circ.exponents) at
+    """The Laurent series with coefficients u (axis -2 on circ.exponents) at
     circ's test nodes, the nodes turned by half a step: an inverse DFT of u
     times that phase.  It is the jump of its Cauchy transform there."""
     n = circ.n_points
     exps = circ.exponents
-    spectrum = np.empty((n,) + u.shape[1:], dtype=complex)
-    spectrum[exps % n] = u * np.exp(1j * np.pi * exps / n)[:, None]
-    return n * np.fft.ifft(spectrum, axis=0)
+    spectrum = np.empty(u.shape[:-2] + (n,) + u.shape[-1:], dtype=complex)
+    spectrum[..., exps % n, :] = u * np.exp(1j * np.pi * exps / n)[:, None]
+    return n * np.fft.ifft(spectrum, axis=-2)
 
 
 def default_bases(spec: WeightSpec) -> tuple:
@@ -560,40 +591,45 @@ def default_bases(spec: WeightSpec) -> tuple:
     return tuple((kind.flipped, kind) for kind in spec.kinds)
 
 
-def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> RHSolution:
-    """Solve the block collocation system for both rows at once, in the kernel
-    bases default_bases(spec), which must be the contour set's (DomainError
-    otherwise: contours built for a weight of the same kinds).  jumps gives
-    the index n and the jump matrices at a piece's points: circle_jump(j, z)
-    on circle j, band_jump(j, x) on band j.
+def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> BlockSolution:
+    """Solve the block collocation system of every index of jumps.ns, both
+    rows at once, in the kernel bases default_bases(spec), which must be the
+    contour set's (DomainError otherwise: contours built for a weight of the
+    same kinds).  jumps gives the indices ns and, stacked over them, the jump
+    matrices at a piece's points: circle_jump(j, z) on circle j, band_jump(j,
+    x) on band j, each of shape (len(ns), len(points), 2, 2).
 
     Every circle jump must be unit lower-triangular at the circle's nodes and
-    test nodes, F = [[1, 0], [v, 1]]; SolverError otherwise.  Circle j is
-    dropped when max |v| over its nodes is below IDENTITY_JUMP: it then
-    carries no density to double precision.  On a kept circle the column-1
-    density vanishes and the column-0 density is an explicit function of the
-    band unknowns, so only the bands are factored.  The returned solution's
-    circle_coeffs hold the kept circles.  The off-collocation residual checks
-    every piece of `contours`, the dropped circles included; above
-    RESIDUAL_WARN it warns.  SolverError, carrying circle_deviation, if
-    the band system is singular or the solution or the residual is not
-    finite, which is also how an overflow shows.  The operator's tables are
-    built by the first solve that needs them (the "tables" stage).
+    test nodes, F = [[1, 0], [v, 1]].  Circle j is dropped for index n when
+    max |v| over its nodes is below IDENTITY_JUMP: it then carries no density
+    to double precision.  On a kept circle the column-1 density vanishes and
+    the column-0 density is an explicit function of the band unknowns, so only
+    the bands are factored, one system per index.  Each solution's
+    circle_coeffs hold the circles its index kept.  The off-collocation
+    residual checks every piece of `contours`, the dropped circles included;
+    above RESIDUAL_WARN it warns, naming the index.  An index fails alone,
+    with a SolverError carrying its circle_deviation, if its circle jump is
+    not unit lower-triangular, its band system is singular, or its solution
+    or residual is not finite, which is also how an overflow shows.  The
+    operator's tables are built by the first solve that needs them (the
+    "tables" stage).
     """
     if default_bases(spec) != contours.bases:
         raise DomainError("the contour set was built for a weight of other kinds")
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = _solve(contours, jumps)
-    if sol.residual.off_collocation > RESIDUAL_WARN:
-        warnings.warn(
-            f"off-collocation jump residual {sol.residual.off_collocation:.2e} exceeds "
-            f"{RESIDUAL_WARN:.1e} (n={jumps.n}); increase resolution",
-            ResidualWarning, stacklevel=2)
-    return sol
+        block = _solve(contours, jumps)
+    for n, sol in block.solutions.items():
+        if isinstance(sol, RHSolution) and sol.residual.off_collocation > RESIDUAL_WARN:
+            warnings.warn(
+                f"off-collocation jump residual {sol.residual.off_collocation:.2e} exceeds "
+                f"{RESIDUAL_WARN:.1e} (n={n}); increase resolution",
+                ResidualWarning, stacklevel=2)
+    return block
 
 
-def _solve(contours: ContourSet, jumps) -> RHSolution:
-    """solve_matrix_rhp's solution, without its warning."""
+def _solve(contours: ContourSet, jumps) -> BlockSolution:
+    """solve_matrix_rhp's block, without its warnings.  Arrays carry the
+    block's indices in their leading axis."""
     stages = dict.fromkeys(STAGES, 0.0)
     clock = [time.perf_counter()]
 
@@ -604,120 +640,166 @@ def _solve(contours: ContourSet, jumps) -> RHSolution:
     op = contours.operator
     lap("tables")
 
-    # v[j]: circle j's jump entry F_10 at its nodes, then at its test nodes.
-    v = []
-    for j, z in enumerate(op.circle_points):
-        Fj = jumps.circle_jump(j, z)
-        if np.any(Fj[:, 0, 0] != 1.0) or np.any(Fj[:, 1, 1] != 1.0) or np.any(Fj[:, 0, 1] != 0.0):
-            raise SolverError(f"jump on circle {j} is not unit lower-triangular "
-                              "at its nodes and test nodes")
-        v.append(Fj[:, 1, 0])
-    deviation = [float(np.max(np.abs(vj[:c.n_points]))) for vj, c in zip(v, contours.circles)]
-    circle_deviation = max(deviation, default=0.0)
-    kept = [j for j, dev in enumerate(deviation) if not dev < IDENTITY_JUMP]
-    F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_nodes)])
-    test_F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_test_nodes)])
+    ns = [int(n) for n in jumps.ns]
+    count = len(ns)
+    errors = [""] * count
+    v = _circle_entries(jumps, op, errors)
+    # deviation[j, k]: max |v| of circle j at its nodes for index k.
+    deviation = np.array([np.max(np.abs(vj[:, :c.n_points]), axis=1)
+                          for vj, c in zip(v, contours.circles)]).reshape(-1, count)
+    circle_deviation = np.max(deviation, axis=0, initial=0.0)
+    keeps = ~(deviation < IDENTITY_JUMP)
+    F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_nodes)], axis=1)
+    test_F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_test_nodes)],
+                            axis=1)
     lap("jumps")
-    tables = {j: op.circle_tables(j) for j in kept}
+    tables = {j: op.circle_tables(j) for j in np.flatnonzero(np.any(keeps, axis=1)).tolist()}
     lap("tables")
 
-    T = len(F)
-    # Fortran order lets LAPACK factor A in place instead of copying it.
-    A = np.empty((2 * T, 2 * T), dtype=complex, order="F")
-    rhs = np.empty((2 * T, 2), dtype=complex)
-    eye = np.eye(2)
-    for m in range(2):
-        rows = slice(m * T, (m + 1) * T)
-        for m2 in range(2):
-            block = -F[:, m2, m, None] * op.minus[m2]
-            if m2 == m:
-                block += op.plus[m2]
-            A[rows, m2 * T:(m2 + 1) * T] = block
-        for r in range(2):
-            rhs[rows, r] = F[:, r, m] - eye[r, m]
-
+    T = F.shape[1]
     # On a kept circle c the column-1 rows read W u_c1 = 0 with W the Laurent
     # table at c's own nodes, so u_c1 = 0, and the column-0 rows give
     # u_c0 = W^-1 v (K u_B1 + [r == 1]) with K the bands' column-1 tables at
     # c's nodes (and a column of ones).  Its Cauchy transform at the band
     # nodes is G_c v K (u_B1, [r == 1]); substituting it into the band rows
-    # leaves a system in the band unknowns only.
-    if kept:
-        coupling = 0.0
-        for j in kept:
+    # leaves a system in the band unknowns only.  The coupling is made before
+    # the systems, so its temporaries and the systems are not held at once.
+    if tables:
+        coupling = np.zeros((count, T, T + 1), dtype=complex)
+        for j, (G, _, _) in tables.items():
             n = contours.circles[j].n_points
-            coupling = coupling + tables[j][0] @ (v[j][:n, None] * op.circle_K[j][:n])
-        for m in range(2):
-            scale = eye[0, m] - F[:, 0, m]
-            A[m * T:(m + 1) * T, T:] += scale[:, None] * coupling[:, :T]
-            rhs[m * T:(m + 1) * T, 1] -= scale * coupling[:, T]
+            coupling[keeps[j]] += G @ (v[j][keeps[j], :n, None] * op.circle_K[j][:n])
+    # Each system is the transpose of a C-ordered slice, so it is in Fortran
+    # order and LAPACK factors it in place instead of copying it.
+    A = np.empty((count, 2 * T, 2 * T), dtype=complex).transpose(0, 2, 1)
+    rhs = np.empty((count, 2 * T, 2), dtype=complex)
+    eye = np.eye(2)
+    for m in range(2):
+        rows = slice(m * T, (m + 1) * T)
+        for m2 in range(2):
+            cols = slice(m2 * T, (m2 + 1) * T)
+            np.multiply(-F[:, :, m2, m, None], op.minus[m2], out=A[:, rows, cols])
+            if m2 == m:
+                A[:, rows, cols] += op.plus[m2]
+        for r in range(2):
+            rhs[:, rows, r] = F[:, :, r, m] - eye[r, m]
+        if tables:
+            scale = eye[0, m] - F[:, :, 0, m]
+            A[:, rows, T:] += scale[:, :, None] * coupling[:, :, :T]
+            rhs[:, rows, 1] -= scale * coupling[:, :, T]
     lap("assembly")
 
-    anorm = np.linalg.norm(A, 1)
-    # Without checks lu_factor raises only for bad arguments; a singular
-    # system shows as a zero pivot and a non-finite one in X.
-    lu, piv = lu_factor(A, overwrite_a=True, check_finite=False)
-    if np.any(np.abs(np.diagonal(lu)) == 0.0):
-        raise SolverError("collocation system is numerically singular", circle_deviation)
-    X = lu_solve((lu, piv), rhs, check_finite=False)
-    if not np.all(np.isfinite(X)):
-        raise SolverError("collocation solution is not finite", circle_deviation)
-    rcond, _ = _lapack.zgecon(lu, anorm)
+    X, rcond = _factor(A, rhs, errors)
+    del A  # freed, factored, before the residual's arrays are made
     lap("lu")
 
-    # X rows: column m of the unknown on band q; X columns: the row r.
-    band_coeffs = [np.stack([X[span].T, X[T:][span].T], axis=1) for span in op.spans]
-    # Per circle, v (K u_B1 + [r == 1]) at its nodes and test nodes, by row r.
-    Xe = np.vstack([X[T:], [0.0, 1.0]])
-    vKX = [vj[:, None] * (K @ Xe) for vj, K in zip(v, op.circle_K)]
-    # u0[c]: u_c0 by row r, W^-1 as a DFT.
+    # Per circle, v (K u_B1 + [r == 1]) at its nodes and test nodes, by index
+    # and row r.
+    Xe = np.concatenate([X[:, T:], np.broadcast_to([[0.0, 1.0]], (count, 1, 2))], axis=1)
+    vKX = [vj[:, :, None] * (K @ Xe) for vj, K in zip(v, op.circle_K)]
+    # u0[j]: u_c0 by row r of the indices that keep circle j, W^-1 as a DFT.
     u0 = {}
-    for j in kept:
+    for j in tables:
         circ = contours.circles[j]
         n = circ.n_points
-        u0[j] = np.fft.fft(vKX[j][:n], axis=0)[circ.exponents % n] / n
-    circle_coeffs = {j: np.stack([u.T, np.zeros_like(u.T)], axis=1) for j, u in u0.items()}
-    residual = _off_collocation_residual(op, tables, u0, vKX, X, test_F)
-    if not np.isfinite(residual):
-        raise SolverError(f"off-collocation jump residual is {residual}", circle_deviation)
+        u0[j] = np.fft.fft(vKX[j][keeps[j], :n], axis=1)[:, circ.exponents % n] / n
+    residual = _off_collocation_residual(op, keeps, tables, u0, vKX, X, test_F)
+    for k in np.flatnonzero(~np.isfinite(residual)):
+        errors[k] = errors[k] or f"off-collocation jump residual is {residual[k]}"
+
+    solutions = {}
+    for k, n in enumerate(ns):
+        if errors[k]:
+            solutions[n] = SolverError(errors[k], float(circle_deviation[k]))
+            continue
+        # X rows: column m of the unknown on band q; X columns: the row r.
+        band_coeffs = [np.stack([X[k, span].T, X[k, T:][span].T], axis=1) for span in op.spans]
+        report = ResidualReport(float(residual[k]), float(rcond[k]), float(circle_deviation[k]))
+        solutions[n] = RHSolution(circle_coeffs={}, band_coeffs=band_coeffs, residual=report,
+                                  operator=op)
+    for j, u in u0.items():
+        for k, coeff in zip(np.flatnonzero(keeps[j]), u):
+            sol = solutions[ns[k]]
+            if isinstance(sol, RHSolution):
+                sol.circle_coeffs[j] = np.stack([coeff.T, np.zeros_like(coeff.T)], axis=1)
+    solved = np.array([not error for error in errors])
+    worst = (float(np.max(residual[solved])), float(np.min(rcond[solved]))) if solved.any() \
+        else (np.nan, np.nan)
+    report = ResidualReport(*worst, float(np.max(circle_deviation)))
     lap("residual")
-
-    return RHSolution(circle_coeffs=circle_coeffs, band_coeffs=band_coeffs,
-                      residual=ResidualReport(residual, float(rcond), circle_deviation),
-                      stages=stages, operator=op)
+    return BlockSolution(solutions=solutions, residual=report, stages=stages)
 
 
-def _off_collocation_residual(op: CollocationOperator, tables: dict, u0: dict,
-                              vKX: list, X: np.ndarray, test_F: np.ndarray) -> float:
-    """Max jump defect |Phi_+ - Phi_- F| at every test node of every piece,
-    the dropped circles' included.
+def _circle_entries(jumps, op: CollocationOperator, errors: list) -> list:
+    """Per circle j, the jump entry F_10 at its nodes, then at its test nodes,
+    one row per index of the block, copied out of the 2x2 jumps so that those
+    are freed; errors[k] names the first circle whose jump for index k is not
+    unit lower-triangular."""
+    v = []
+    for j, z in enumerate(op.circle_points):
+        F = jumps.circle_jump(j, z)
+        upper = (F[..., 0, 0] != 1.0) | (F[..., 1, 1] != 1.0) | (F[..., 0, 1] != 0.0)
+        for k in np.flatnonzero(np.any(upper, axis=1)):
+            errors[k] = errors[k] or (f"jump on circle {j} is not unit lower-triangular "
+                                      "at its nodes and test nodes")
+        v.append(F[..., 1, 0].copy())
+    return v
 
-    tables and u0 hold each kept circle's tables and column-0 coefficients,
+
+def _factor(A: np.ndarray, rhs: np.ndarray, errors: list) -> tuple:
+    """(X, rcond): per index k, the LU factorization of A[k] in place, the
+    solution for rhs[k] and zgecon's condition estimate; errors[k] names a
+    singular or non-finite system (X[k] is then 0 or not finite)."""
+    X = np.zeros_like(rhs)
+    rcond = np.full(len(A), np.nan)
+    for k in range(len(A)):
+        anorm = np.linalg.norm(A[k], 1)
+        # Without checks lu_factor raises only for bad arguments; a singular
+        # system shows as a zero pivot and a non-finite one in X.
+        lu, piv = lu_factor(A[k], overwrite_a=True, check_finite=False)
+        if np.any(np.diagonal(lu) == 0.0):
+            errors[k] = errors[k] or "collocation system is numerically singular"
+            continue
+        X[k] = lu_solve((lu, piv), rhs[k], check_finite=False)
+        rcond[k] = _lapack.zgecon(lu, anorm)[0]
+    for k in np.flatnonzero(~np.all(np.isfinite(X), axis=(1, 2))):
+        errors[k] = errors[k] or "collocation solution is not finite"
+    return X, rcond
+
+
+def _off_collocation_residual(op: CollocationOperator, keeps: np.ndarray, tables: dict,
+                              u0: dict, vKX: list, X: np.ndarray,
+                              test_F: np.ndarray) -> np.ndarray:
+    """Per index of the block, the max jump defect |Phi_+ - Phi_- F| at every
+    test node of every piece, the dropped circles' included.
+
+    keeps[j] marks the indices that keep circle j, tables and u0 hold each
+    kept circle's tables and the column-0 coefficients of those indices,
     vKX[j] circle j's v Phi_-,r1 at its nodes and test nodes, X the band
     unknowns and test_F the band jumps at the band test nodes.  On circle j
     F = [[1, 0], [v, 1]] and only circle j's own density jumps, so the defect
     there is J - v Phi_-,r1 in column 0, with J circle j's series (0 if
     dropped), and exactly 0 in column 1.
     """
-    T = len(X) // 2
+    T = X.shape[1] // 2
     worst = []
     for j, (circ, values) in enumerate(zip(op.circles, vKX)):
-        defect = -values[circ.n_points:]
+        defect = -values[:, circ.n_points:]
         if j in u0:
-            defect += _series_on_test_nodes(circ, u0[j])
-        worst.append(np.max(np.abs(defect)))
-    # [point, row, column] of the two boundary values of Phi - I at the band
-    # test nodes, the bands in one product per column.
-    above, below = (np.stack([t[0] @ X[:T], t[1] @ X[T:]], axis=-1)
+            defect[keeps[j]] += _series_on_test_nodes(circ, u0[j])
+        worst.append(np.max(np.abs(defect), axis=(1, 2)))
+    # [index, point, row, column] of the two boundary values of Phi - I at the
+    # band test nodes, the bands in one product per column.
+    above, below = (np.stack([t[0] @ X[:, :T], t[1] @ X[:, T:]], axis=-1)
                     for t in (op.test_plus, op.test_minus))
     for j, u in u0.items():
         _, span, table = tables[j]
-        part = table @ u[span]
-        above[:, :, 0] += part
-        below[:, :, 0] += part
+        part = table @ u[:, span]
+        above[keeps[j], :, :, 0] += part
+        below[keeps[j], :, :, 0] += part
     defect = above - below @ test_F + (np.eye(2) - test_F)
-    worst.append(np.max(np.abs(defect)))
-    return float(np.max(worst))
+    worst.append(np.max(np.abs(defect), axis=(1, 2, 3)))
+    return np.max(worst, axis=0)
 
 
 def first_order(sol: RHSolution) -> np.ndarray:

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +10,8 @@ from rhjacobi.cauchy import cauchy_cheb
 from rhjacobi.chebyshev import SQRT2, ChebKind, UNIT
 from rhjacobi.errors import DomainError, ImagPartWarning, PrecisionWarning, SolverError
 from rhjacobi.oracle import adaptive_oracle, discretize
-from rhjacobi.pipeline import (DEFAULT_PPI, SolveContext, _realify, cauchy_pn, orthonormal_eval,
-                               recip_approx, recurrence_range, toda_evolve)
+from rhjacobi.pipeline import (BLOCK_BYTES, DEFAULT_PPI, SolveContext, _realify, cauchy_pn,
+                               orthonormal_eval, recip_approx, recurrence_range, toda_evolve)
 from rhjacobi.rhp import JumpAssembly
 from rhjacobi.weights import WeightSpec
 
@@ -38,6 +41,30 @@ class TestRecurrencePair:
     def test_negative_index_rejected(self, ctx_u, spec_u):
         with pytest.raises(DomainError):
             recurrence_range(spec_u, -1, -1, context=ctx_u)
+
+    @pytest.mark.parametrize("call", [
+        lambda spec, ctx: cauchy_pn(spec, -1, 0.5j, context=ctx),
+        lambda spec, ctx: ctx.solution(-1),
+        lambda spec, ctx: ctx.solve([3, 4.0]),
+        lambda spec, ctx: recurrence_range(spec, 0, 2.0, context=ctx),
+        lambda spec, ctx: recurrence_range(spec, False, True, context=ctx),
+        lambda spec, ctx: toda_evolve(spec, 2.5, [0.0], 8),
+        lambda spec, ctx: recip_approx(spec, 2.5, context=ctx),
+        lambda spec, ctx: cauchy_pn(spec, 1.5, 0.5j, context=ctx),
+        lambda spec, ctx: cauchy_pn(spec, 1, np.nan, context=ctx),
+        lambda spec, ctx: cauchy_pn(spec, 1, np.inf, context=ctx),
+        lambda spec, ctx: cauchy_pn(spec, 1, complex(0.5, -np.inf), context=ctx),
+    ], ids=["cauchy_pn n=-1", "solution n=-1", "solve n=4.0", "n1=2.0", "bool n0, n1",
+            "toda k=2.5", "recip n_terms=2.5", "cauchy_pn n=1.5", "z=nan", "z=inf",
+            "z=0.5-inf j"])
+    def test_bad_index_or_point_rejected(self, spec_two_band, call):
+        # a negative index used to solve a meaningless problem, a float one
+        # raised TypeError from range, a bool was taken for 0 or 1, and a
+        # non-finite z returned nan+nanj with RuntimeWarnings
+        ctx = SolveContext(spec_two_band, 8)
+        with pytest.raises(DomainError):
+            call(spec_two_band, ctx)
+        assert ctx._solutions == {}
 
 
 class TestRecurrenceRange:
@@ -83,8 +110,8 @@ class TestRecurrenceRange:
     def test_circle_deviation_recorded(self, spec_two_band, ctx_two_band):
         seg = recurrence_range(spec_two_band, 18, 20, context=ctx_two_band)
         for i, n in enumerate(seg.ns):
-            jumps = JumpAssembly(ctx_two_band.aux(n), ctx_two_band.jump_values)
-            dev = max(np.max(np.abs(jumps.circle_jump(j, c.nodes())[:, 1, 0]))
+            jumps = JumpAssembly([ctx_two_band.aux(n)], ctx_two_band.jump_values)
+            dev = max(np.max(np.abs(jumps.circle_jump(j, c.nodes())[0, :, 1, 0]))
                       for j, c in enumerate(ctx_two_band.contours.circles))
             assert seg.meta["circle_deviation"][i] == dev
 
@@ -123,6 +150,107 @@ class TestRecurrenceRange:
         monkeypatch.setattr(rhp, "lu_factor", broken)
         with pytest.raises(TypeError):
             recurrence_range(spec_u, 0, 1, 8)
+
+
+def _assert_same_solution(got, want):
+    assert got.circle_coeffs.keys() == want.circle_coeffs.keys()
+    for x, y in zip(list(got.circle_coeffs.values()) + got.band_coeffs,
+                    list(want.circle_coeffs.values()) + want.band_coeffs):
+        np.testing.assert_array_equal(x, y)
+    assert got.residual == want.residual
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("workload", ["two bands while circles drop", "genus 3"])
+    def test_index_bit_identical_in_any_block(self, workload, spec_two_band, spec_genus3,
+                                              count_calls):
+        # each index alone, in blocks from the first index on, and in blocks
+        # whose boundaries are moved by three; a block holds as many systems
+        # as fit BLOCK_BYTES (16 here, 4 on genus 3)
+        spec, ns = ((spec_two_band, range(50, 86)) if workload == "two bands while circles drop"
+                    else (spec_genus3, range(0, 13)))
+        alone, blocks, shifted = (SolveContext(spec) for _ in range(3))
+        calls = count_calls(rhp.solve_matrix_rhp)
+        blocks.solve(ns)
+        unknowns = 2 * sum(bp.n_points for bp in blocks.contours.bands)
+        size = BLOCK_BYTES // (16 * unknowns ** 2)
+        assert [len(args[2].ns) for args in calls] == [min(size, len(ns) - start)
+                                                      for start in range(0, len(ns), size)]
+        assert 1 < size < len(ns)
+        shifted.solve(ns[3:])
+        shifted.solve(ns[:3])
+        used = set()
+        for n in ns:
+            want = alone.solution(n)
+            used.add(len(want.circle_coeffs))
+            for ctx in (blocks, shifted):
+                _assert_same_solution(ctx.solution(n), want)
+        assert used >= ({0, 1, 2} if workload == "two bands while circles drop" else {4})
+
+    @pytest.mark.parametrize("poison,message", [
+        ("nan band jump", "not finite"),
+        ("overflowing band jump", "not finite"),
+        ("upper entry on circles", "not unit lower-triangular"),
+    ])
+    def test_failed_index_leaves_its_block_alone(self, spec_two_band, monkeypatch, poison,
+                                                 message):
+        # n = 60 fails inside its block of 16; only the pairs that read its
+        # solve (59 and 60) fail, and every other pair is bit-identical
+        clean = recurrence_range(spec_two_band, 50, 85)
+        method = "circle_jump" if poison == "upper entry on circles" else "band_jump"
+        original = getattr(JumpAssembly, method)
+        value = {"nan band jump": np.nan, "overflowing band jump": np.inf}.get(poison, 0.1)
+
+        def poisoned(self, j, z):
+            out = original(self, j, z)
+            out[self.ns == 60, ..., 0, 1] = value
+            return out
+
+        monkeypatch.setattr(JumpAssembly, method, poisoned)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = recurrence_range(spec_two_band, 50, 85)
+        assert caught == []
+        assert [n for n, _ in got.meta["failures"]] == [59, 60]
+        assert all(message in msg for _, msg in got.meta["failures"])
+        ok = ~np.isin(got.ns, [59, 60])
+        for want, have in ((clean.a, got.a), (clean.b, got.b)):
+            np.testing.assert_array_equal(have[ok], want[ok])
+            assert np.all(np.isnan(have[~ok]))
+        for key in ("residuals", "rcond", "circles_used"):
+            np.testing.assert_array_equal(got.meta[key][ok], clean.meta[key][ok])
+        # each failed pair carries the circle deviation of n's solve
+        np.testing.assert_array_equal(got.meta["circle_deviation"],
+                                      clean.meta["circle_deviation"])
+
+    def test_error_of_a_whole_block_recorded_per_index(self, spec_two_band):
+        # an error the whole block raises (an underflow made fatal) is
+        # recorded for each index, as when every index was its own solve
+        with np.errstate(under="raise"):
+            seg = recurrence_range(spec_two_band, 1000, 1002)
+        assert [n for n, _ in seg.meta["failures"]] == [1000, 1001, 1002]
+        assert np.all(np.isnan(seg.a))
+
+    def test_first_300_match_oracle(self, spec_two_band, ctx_two_band):
+        seg = recurrence_range(spec_two_band, 0, 299, context=ctx_two_band)
+        ref = adaptive_oracle(spec_two_band, 300, 1e-12)
+        np.testing.assert_allclose(seg.a, ref.a, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(seg.b, ref.b, rtol=0, atol=1e-11)
+        assert not seg.meta["failures"]
+
+    def test_memory_flat_over_first_1000(self, spec_two_band):
+        # unchunked, the stacked band systems of the 1001 solves alone would
+        # take 1001 x 64 KiB = 66 MB; chunked, the peak is the cache of
+        # solutions (about 5.6 MB) plus one block
+        ctx = SolveContext(spec_two_band)
+        tracemalloc.start()
+        try:
+            seg = recurrence_range(spec_two_band, 0, 999, context=ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not seg.meta["failures"]
+        assert peak < 16e6
 
 
 class TestSharedOperator:

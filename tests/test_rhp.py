@@ -73,11 +73,11 @@ class TestBuildContours:
 
 
 class _IdentityJumps:
-    n = 0
+    ns = (0,)
 
     def circle_jump(self, j, z):
-        out = np.zeros((len(np.atleast_1d(z)), 2, 2), dtype=complex)
-        out[:, 0, 0] = out[:, 1, 1] = 1.0
+        out = np.zeros((1, len(np.atleast_1d(z)), 2, 2), dtype=complex)
+        out[..., 0, 0] = out[..., 1, 1] = 1.0
         return out
 
     band_jump = circle_jump
@@ -118,7 +118,7 @@ class _UpperEntryAtTestNodes(_IdentityAtNodesOnly):
 class TestMatrixSolve:
     def test_identity_jumps_give_zero(self, spec_u):
         ct = build_contours(spec_u, 8)
-        sol = solve_matrix_rhp(spec_u, ct, _IdentityJumps())
+        sol = solve_matrix_rhp(spec_u, ct, _IdentityJumps())[0]
         for cc in list(sol.circle_coeffs.values()) + sol.band_coeffs:
             np.testing.assert_allclose(cc, 0.0, atol=1e-13)
         np.testing.assert_allclose(first_order(sol), 0.0, atol=1e-13)
@@ -155,9 +155,9 @@ class TestMatrixSolve:
         gd = build_green(spec_u)
         hs = build_hsystem(spec_u, gd)
         ct = build_contours(spec_u, 8)
-        jumps = JumpAssembly(solve_aux(hs, gd, 1), JumpValues(spec_u, gd, ct))
-        s1 = solve_matrix_rhp(spec_u, ct, jumps)
-        s2 = solve_matrix_rhp(spec_u, ct, jumps)
+        jumps = JumpAssembly([solve_aux(hs, gd, 1)], JumpValues(spec_u, gd, ct))
+        s1 = solve_matrix_rhp(spec_u, ct, jumps)[1]
+        s2 = solve_matrix_rhp(spec_u, ct, jumps)[1]
         assert s1.circle_coeffs.keys() == s2.circle_coeffs.keys()
         for a, b in zip(list(s1.circle_coeffs.values()) + s1.band_coeffs,
                         list(s2.circle_coeffs.values()) + s2.band_coeffs):
@@ -185,10 +185,10 @@ class TestMatrixSolve:
     def test_dropped_circles_still_checked(self, ctx_two_band, spec_two_band):
         # every circle is dropped (identity at its nodes), yet the residual at
         # the test nodes between them must see the 0.1 jump entry
-        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, ctx_two_band.aux(300),
+        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, [ctx_two_band.aux(300)],
                                      ctx_two_band.jump_values)
         with pytest.warns(ResidualWarning):
-            sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
+            sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[300]
         assert sol.circle_coeffs == {}
         assert sol.residual.off_collocation > 0.05
 
@@ -202,44 +202,45 @@ class TestMatrixSolve:
         aux = solve_aux(hs, gd, 1)
         ct_t = build_contours(spec_t, ppi)
         with pytest.warns(ResidualWarning):
-            wrong = solve_matrix_rhp(spec_t, ct_t, JumpAssembly(aux, JumpValues(spec_u, gd, ct_t)))
+            wrong = solve_matrix_rhp(spec_t, ct_t,
+                                     JumpAssembly([aux], JumpValues(spec_u, gd, ct_t)))[1]
         assert wrong.residual.off_collocation > 1.0
         ct = build_contours(spec_u, ppi)
-        jumps = JumpAssembly(aux, JumpValues(spec_u, gd, ct))
-        right = solve_matrix_rhp(spec_u, ct, jumps)
+        jumps = JumpAssembly([aux], JumpValues(spec_u, gd, ct))
+        right = solve_matrix_rhp(spec_u, ct, jumps)[1]
         assert right.residual.off_collocation < 1e-6
         # the contour set's operator is in the U weight's bases
         with pytest.raises(DomainError):
             solve_matrix_rhp(spec_t, ct, jumps)
 
     def test_circle_jump_must_be_unit_lower_triangular(self, ctx_two_band, spec_two_band):
-        jumps = _UpperEntryOnCircles(ctx_two_band.aux(3), ctx_two_band.jump_values)
+        jumps = _UpperEntryOnCircles([ctx_two_band.aux(3)], ctx_two_band.jump_values)
         with pytest.raises(SolverError):
-            solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
+            solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[3]
 
     def test_circle_jump_checked_at_test_nodes(self, ctx_two_band, spec_two_band):
         # the residual on a circle assumes the triangular form there too
-        jumps = _UpperEntryAtTestNodes(ctx_two_band.contours, ctx_two_band.aux(3),
+        jumps = _UpperEntryAtTestNodes(ctx_two_band.contours, [ctx_two_band.aux(3)],
                                        ctx_two_band.jump_values)
         F = jumps.circle_jump(0, ctx_two_band.contours.circles[0].nodes())
-        assert np.all(F[:, 0, 1] == 0.0)
+        assert np.all(F[..., 0, 1] == 0.0)
         with pytest.raises(SolverError, match="test nodes"):
-            solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
+            solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[3]
 
 
 class TestJumpAssembly:
     def test_band_jump_involution(self, ctx_two_band, spec_two_band):
-        jumps = JumpAssembly(ctx_two_band.aux(3), ctx_two_band.jump_values)
+        jumps = JumpAssembly([ctx_two_band.aux(3)], ctx_two_band.jump_values)
         x = np.linspace(2.1, 2.9, 7)
-        F = jumps.band_jump(1, x)
+        F = jumps.band_jump(1, x)[0]
         dets = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
         np.testing.assert_allclose(dets, 1.0, atol=1e-12)
         np.testing.assert_allclose(F[:, 0, 0], 0.0, atol=1e-15)
 
     def test_circle_jump_structure(self, ctx_two_band, spec_two_band):
-        jumps = JumpAssembly(ctx_two_band.aux(3), ctx_two_band.jump_values)
+        jumps = JumpAssembly([ctx_two_band.aux(3)], ctx_two_band.jump_values)
         z = ctx_two_band.contours.circles[0].nodes()
-        F = jumps.circle_jump(0, z)
+        F = jumps.circle_jump(0, z)[0]
         np.testing.assert_allclose(F[:, 0, 0], 1.0, atol=1e-15)
         np.testing.assert_allclose(F[:, 1, 1], 1.0, atol=1e-15)
         np.testing.assert_allclose(F[:, 0, 1], 0.0, atol=1e-15)
@@ -247,10 +248,8 @@ class TestJumpAssembly:
 
     def test_circle_jump_decays_in_n(self, ctx_u, spec_u):
         z = ctx_u.contours.circles[0].nodes()
-        devs = []
-        for n in range(8, 20):
-            jumps = JumpAssembly(ctx_u.aux(n), ctx_u.jump_values)
-            devs.append(np.max(np.abs(jumps.circle_jump(0, z)[:, 1, 0])))
+        jumps = JumpAssembly([ctx_u.aux(n) for n in range(8, 20)], ctx_u.jump_values)
+        devs = np.max(np.abs(jumps.circle_jump(0, z)[..., 1, 0]), axis=1)
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
     def test_default_bases_flip(self, spec_two_band):
@@ -382,9 +381,9 @@ def _two_sided_residual(sol, contours, jumps):
     op = sol.operator
     kept = {op.circles[j]: coeff for j, coeff in sol.circle_coeffs.items()}
     band_u = [np.concatenate([c[:, m, :] for c in sol.band_coeffs], axis=1) for m in range(2)]
-    pieces = [(c.test_nodes(), jumps.circle_jump(j, c.test_nodes()), c, None)
+    pieces = [(c.test_nodes(), jumps.circle_jump(j, c.test_nodes())[0], c, None)
               for j, c in enumerate(contours.circles)]
-    pieces += [(bp.test_nodes(), jumps.band_jump(p, bp.test_nodes()), None, p)
+    pieces += [(bp.test_nodes(), jumps.band_jump(p, bp.test_nodes())[0], None, p)
                for p, bp in enumerate(contours.bands)]
     worst = 0.0
     for z, F, own_circle, own_band in pieces:
@@ -420,8 +419,8 @@ class TestOneSidedResidual:
             n = circ.n_points
             G, _, _ = op.circle_tables(j)
             K = op.circle_K[j][:n]
-            jump = JumpAssembly(ctx.aux(0), ctx.jump_values).circle_jump(j, circ.nodes())
-            for v in (jump[:, 1, 0], rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            jump = JumpAssembly([ctx.aux(0)], ctx.jump_values).circle_jump(j, circ.nodes())
+            for v in (jump[0, :, 1, 0], rng.standard_normal(n) + 1j * rng.standard_normal(n)):
                 Z = np.fft.fft(v[:, None] * K, axis=0)[circ.exponents % n] / n
                 want = _full_circle_table(circ, band_nodes) @ Z
                 got = G @ (v[:, None] * K)
@@ -432,7 +431,8 @@ class TestOneSidedResidual:
         for n in range(9):
             sol = ctx.solution(n)
             assert len(sol.circle_coeffs) == 4
-            want = _two_sided_residual(sol, ctx.contours, JumpAssembly(ctx.aux(n), ctx.jump_values))
+            jumps = JumpAssembly([ctx.aux(n)], ctx.jump_values)
+            want = _two_sided_residual(sol, ctx.contours, jumps)
             assert abs(sol.residual.off_collocation - want) <= 1e-13
 
     def test_two_bands_while_circles_drop(self, ctx_two_band):
@@ -440,16 +440,16 @@ class TestOneSidedResidual:
         for n in range(50, 86):
             sol = ctx_two_band.solution(n)
             used.add(len(sol.circle_coeffs))
-            jumps = JumpAssembly(ctx_two_band.aux(n), ctx_two_band.jump_values)
+            jumps = JumpAssembly([ctx_two_band.aux(n)], ctx_two_band.jump_values)
             want = _two_sided_residual(sol, ctx_two_band.contours, jumps)
             assert abs(sol.residual.off_collocation - want) <= 1e-13
         assert used == {0, 1, 2}
 
     def test_dropped_circles(self, ctx_two_band, spec_two_band):
-        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, ctx_two_band.aux(300),
+        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, [ctx_two_band.aux(300)],
                                      ctx_two_band.jump_values)
         with pytest.warns(ResidualWarning):
-            sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)
+            sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[300]
         want = _two_sided_residual(sol, ctx_two_band.contours, jumps)
         assert want > 0.05
         assert abs(sol.residual.off_collocation - want) <= 1e-13
