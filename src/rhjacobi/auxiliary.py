@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cauchy import Side, cauchy_cheb_series
+from .cauchy import CutGeometry, Side, series_at
 from .chebyshev import ChebKind
 from .errors import ImagPartWarning, SolverError
-from .green import GreenData, eval_R
+from .green import GreenData, band_product
 from .weights import WeightSpec
 import warnings
 
@@ -103,11 +103,14 @@ def h_basis(green: GreenData, z, side: Side = Side.OFF) -> tuple:
     """(R(z), transforms): the first-kind Cauchy transform of each of green's
     band series, then of each gap series, stacked to shape (2g+1,) + z.shape.
     Both depend on the bands only, not on n or the weight, so values at fixed
-    points serve every index and every weight on these bands (combine_h)."""
+    points serve every index and every weight on these bands (combine_h).
+    One pass over every band and gap at once (green.h_series): the bands'
+    sqrt_cut rows of the transforms' geometry also make R."""
     zz = np.atleast_1d(z)
-    transforms = np.array([cauchy_cheb_series(ChebKind.T, ser.coeffs, ser.interval, zz, side)
-                           for ser in green.band_beta + green.gap_beta])
-    return eval_R(green.bands, zz, side), transforms
+    intervals, coeffs = green.h_series
+    geo = CutGeometry(intervals, zz.ravel(), side)
+    transforms = series_at(ChebKind.T, coeffs, geo).reshape((len(coeffs),) + zz.shape)
+    return band_product(geo.S[:len(green.bands)]).reshape(zz.shape), transforms
 
 
 def h_weights(aux: AuxData) -> np.ndarray:

@@ -3,13 +3,20 @@
 Branch policy: every multivalued expression is assembled from principal-branch
 square roots of *linear* factors, never the square root of a product, so the
 cut sits exactly on the interval.  Boundary values on the cut are explicit
-one-sided formulas, never eps-offsets.
+one-sided formulas, never eps-offsets.  The values from below are the
+conjugates of those from above, computed by conjugated operations; a kernel
+is such values times real constants and the imaginary i/(2 pi), so on an
+interval its table from below is -conj of its table from above, bit for bit.
+
+The kernels of one interval, or of a stack of them (chebyshev.Intervals), at
+one point set share the point set's CutGeometry.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -79,15 +86,23 @@ def log_joukowsky_inv(z, side: Side = Side.OFF):
     """
     if side is Side.OFF:
         out = np.log(joukowsky_inv(z, side))
-        return out if np.ndim(out) else complex(out)
-    x = np.asarray(z, dtype=float)
+    else:
+        x = np.asarray(z, dtype=float)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = _log_of_inverse(x, joukowsky_inv(x, side), side)
+    return out if np.ndim(out) else complex(out)
+
+
+def _log_of_inverse(x, J, side: Side):
+    """log_joukowsky_inv(x, side) on the axis from J = joukowsky_inv(x, side).
+    From below, J is the conjugate of its value from above, by conjugated
+    operations, so its modulus is the same to the bit."""
     sgn = 1.0 if side is Side.PLUS else -1.0
     inner = -sgn * 1j * np.arccos(np.clip(x, -1.0, 1.0))
     with np.errstate(invalid="ignore", divide="ignore"):
-        magnitude = np.log(np.abs(joukowsky_inv(x, Side.PLUS)))
-    out = np.where(x >= 1.0, magnitude + 0j,
-                   np.where(x <= -1.0, magnitude - sgn * 1j * np.pi, inner))
-    return out if out.shape else complex(out)
+        magnitude = np.log(np.abs(J))
+    return np.where(x >= 1.0, magnitude + 0j,
+                    np.where(x <= -1.0, magnitude - sgn * 1j * np.pi, inner))
 
 
 def unit_variable(interval: Interval, z: np.ndarray, side: Side) -> np.ndarray:
@@ -102,12 +117,46 @@ def unit_variable(interval: Interval, z: np.ndarray, side: Side) -> np.ndarray:
     return np.where(x == interval.a, -1.0, np.where(x == interval.b, 1.0, t))
 
 
-def _check_endpoints(kind: ChebKind, interval: Interval, z) -> None:
+class CutGeometry:
+    """Points z as an Interval, or each interval of an Intervals stack, sees
+    them from one side: the unit variable t, J = joukowsky_inv(t) and S =
+    sqrt_cut(z), each computed on first use and kept, so that every kernel
+    kind and degree at these points shares them.  For one interval the arrays
+    have z's shape (at least 1-d); for a stack z must be 1-d and they are
+    (intervals, points).
+    """
+
+    def __init__(self, interval, z, side: Side = Side.OFF):
+        self.interval = interval
+        self.z = np.atleast_1d(z)
+        self.side = side
+
+    @cached_property
+    def t(self) -> np.ndarray:
+        return unit_variable(self.interval, self.z, self.side)
+
+    @cached_property
+    def J(self) -> np.ndarray:
+        return np.atleast_1d(joukowsky_inv(self.t, self.side))
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return np.atleast_1d(sqrt_cut(self.z, self.interval, self.side))
+
+    def log_J(self) -> np.ndarray:
+        """log_joukowsky_inv(t), from J."""
+        if self.side is Side.OFF:
+            return np.log(self.J)
+        return _log_of_inverse(self.t, self.J, self.side)
+
+
+def _check_endpoints(kind: ChebKind, interval, z) -> None:
     zc = np.asarray(z, dtype=complex)
-    if kind.alpha < 0 and np.any(zc == interval.a):
-        raise EndpointError(f"{kind.value}-kind Cauchy transform is unbounded at {interval.a}")
-    if kind.beta < 0 and np.any(zc == interval.b):
-        raise EndpointError(f"{kind.value}-kind Cauchy transform is unbounded at {interval.b}")
+    for exponent, ends in ((kind.alpha, interval.a), (kind.beta, interval.b)):
+        if exponent < 0 and np.any(zc == ends):
+            hits = np.reshape(zc == ends, (np.size(ends), -1))
+            end = float(np.ravel(ends)[np.any(hits, axis=1)][0])
+            raise EndpointError(f"{kind.value}-kind Cauchy transform is unbounded at {end}")
 
 
 def cauchy_cheb(kind: ChebKind, k: int, interval: Interval, z, side: Side = Side.OFF):
@@ -127,19 +176,21 @@ def cauchy_cheb_table(kind: ChebKind, n: int, interval: Interval, z, side: Side 
     """Stacked transforms for degrees 0..n-1: shape z.shape + (n,).
 
     Shares the J-power recursion across degrees; used heavily by the collocation
-    assembly.
+    assembly.  On the interval itself the table from below is -conj of the
+    table from above, bit for bit (see the module docstring).
     """
     if n < 1:
         raise DomainError("need at least one degree")
     scalar = np.ndim(z) == 0
-    J, first, factor = _kernel_factors(kind, interval, z, side)
+    J, first, factor = _kernel_factors(kind, CutGeometry(interval, z, side))
 
-    # powers[..., k] = J^k
-    powers = np.empty(J.shape + (n,), dtype=complex)
-    powers[..., 0] = 1.0
+    # powers[k] = J^k, each a contiguous row
+    powers = np.empty((n,) + J.shape, dtype=complex)
+    powers[0] = 1.0
     for k in range(1, n):
-        powers[..., k] = powers[..., k - 1] * J
-    table = powers * factor[..., None]
+        np.multiply(powers[k - 1], J, out=powers[k])
+    table = np.multiply(np.moveaxis(powers, 0, -1), factor[..., None],
+                        out=np.empty(J.shape + (n,), dtype=complex))
     table[..., 0] = first
     return table[0] if scalar else table
 
@@ -154,36 +205,44 @@ def cauchy_cheb_series(kind: ChebKind, coeffs, interval: Interval, z, side: Side
     c = np.atleast_1d(np.asarray(coeffs))
     if len(c) < 1:
         raise DomainError("need at least one coefficient")
-    J, first, factor = _kernel_factors(kind, interval, z, side)
-    out = first * c[0]
-    if len(c) > 1:
-        acc = np.full(J.shape, c[-1], dtype=complex)
-        for ck in c[-2:0:-1]:
-            acc = acc * J + ck
-        out = out + factor * J * acc
+    out = series_at(kind, c, CutGeometry(interval, z, side))
     return out if np.ndim(z) else complex(out[0])
 
 
-def _kernel_factors(kind: ChebKind, interval: Interval, z, side: Side) -> tuple:
-    """(J, first, factor) at points z, at least 1-d: the degree-k transform is
-    factor J^k for k >= 1 and first for k = 0."""
-    _check_endpoints(kind, interval, z)
-    zz = np.atleast_1d(z)
-    J = np.atleast_1d(joukowsky_inv(unit_variable(interval, zz, side), side))
-    L = interval.length
+def series_at(kind: ChebKind, coeffs: np.ndarray, geo: CutGeometry) -> np.ndarray:
+    """cauchy_cheb_series at geo's points.  For a stack of intervals, row i of
+    coeffs holds interval i's series, padded with trailing zeros to a common
+    length; the padding adds exact zeros, so each row has the value its own
+    series gives."""
+    J, first, factor = _kernel_factors(kind, geo)
+    out = first * coeffs[..., 0, None]
+    if coeffs.shape[-1] > 1:
+        acc = np.empty(J.shape, dtype=complex)
+        acc[...] = coeffs[..., -1, None]
+        for k in range(coeffs.shape[-1] - 2, 0, -1):
+            acc *= J
+            acc += coeffs[..., k, None]
+        out = out + factor * J * acc
+    return out
 
+
+def _kernel_factors(kind: ChebKind, geo: CutGeometry) -> tuple:
+    """(J, first, factor) at geo's points: the degree-k transform is factor
+    J^k for k >= 1 and first for k = 0."""
+    interval = geo.interval
+    _check_endpoints(kind, interval, geo.z)
+    J = geo.J
     if kind is ChebKind.T:
-        S = np.atleast_1d(sqrt_cut(zz, interval, side))
-        base = _I2PI / S
+        base = _I2PI / geo.S
         return J, base, SQRT2 * base
+    L = interval.length
     if kind is ChebKind.U:
         factor = J * (2.0 * _I2PI) * (2.0 / L)
         return J, factor, factor
     # V: sqrt(z-a)/sqrt(z-b) - 1; W: 1 - sqrt(z-b)/sqrt(z-a); side-aware.
-    S = np.atleast_1d(sqrt_cut(zz, interval, side))
-    num, sign = (zz - interval.a, 1.0) if kind is ChebKind.V else (zz - interval.b, -1.0)
+    num, sign = (geo.z - interval.a, 1.0) if kind is ChebKind.V else (geo.z - interval.b, -1.0)
     with np.errstate(invalid="ignore"):
-        ratio = num / S
+        ratio = num / geo.S
     ratio = np.where(num == 0.0, 0.0, ratio)  # bounded endpoint: exact limit
     factor = sign * (ratio - 1.0) * _I2PI * (2.0 / L)
     return J, factor, factor

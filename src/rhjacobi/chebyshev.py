@@ -123,6 +123,24 @@ class Interval:
 UNIT = Interval(-1.0, 1.0)
 
 
+class Intervals:
+    """Intervals stacked on a leading axis.
+
+    a, b, mid, half and length are (k, 1) columns, so a formula written for
+    one Interval and 1-d points z gives (k, len(z)) values in one pass, each
+    row by the same operations, and so with the same values, as its own
+    interval gives.
+    """
+
+    def __init__(self, intervals):
+        columns = np.array([[iv.a, iv.b, iv.mid, iv.half, iv.length] for iv in intervals])
+        self.a, self.b, self.mid, self.half, self.length = columns.T[:, :, None]
+
+    def to_unit(self, x):
+        """Interval.to_unit, one row per interval."""
+        return (np.asarray(x) - self.mid) / self.half
+
+
 def cheb_eval(kind: ChebKind, k: int, x):
     """Evaluate the degree-k polynomial of the given kind at x in [-1, 1].
 

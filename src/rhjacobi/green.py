@@ -9,17 +9,22 @@ the intrinsic i pi phase) at the leftmost band endpoint, which pins the
 capacity-type constant and the 1/z coefficient.  build_green expands each
 band and gap density of 1/R once; Q_g, the equilibrium masses and the
 auxiliary function's moment system are all read from those series.
+
+eval_R, eval_g and auxiliary.h_basis take every band (and gap) in one pass,
+as (intervals x points) arrays (cauchy.CutGeometry), with the series padded
+with trailing zeros to one length (GreenData.g_series and h_series); each
+value is bit for bit the one its own interval's formulas give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .cauchy import (Side, cauchy_cheb_series, joukowsky_inv, log_joukowsky_inv, sqrt_cut,
-                     unit_variable)
-from .chebyshev import SQRT2, ChebKind, Interval, adaptive_dct
+from .cauchy import CutGeometry, Side, joukowsky_inv, series_at, sqrt_cut
+from .chebyshev import SQRT2, ChebKind, Interval, Intervals, adaptive_dct
 from .errors import SolverError
 from .weights import WeightSpec
 
@@ -38,14 +43,51 @@ class GreenData:
     g1: complex                   # 1/z coefficient of g at infinity
     phi_ref: float                # the normalization constant (branch-invariant real part)
 
+    @cached_property
+    def g_series(self) -> tuple:
+        """(the bands as Intervals, each band's mass as a column, each band's
+        second-kind series of eval_g as a row, padded with zeros), built by
+        the first evaluation, like h_series, not by build_green."""
+        masses, rows = [], []
+        for band, ser in zip(self.bands, self.band_series):
+            c = ser.coeffs
+            ks = np.arange(1, len(c))
+            masses.append(c[:1])
+            rows.append(c[1:] * (np.pi * 1j / ks) * (band.length / SQRT2))
+        return Intervals(self.bands), np.array(masses), _padded(rows)
+
+    @cached_property
+    def h_series(self) -> tuple:
+        """(the bands, then the gaps, as Intervals, and band_beta then gap_beta
+        as rows, padded with zeros)."""
+        series = self.band_beta + self.gap_beta
+        return Intervals(ser.interval for ser in series), _padded([s.coeffs for s in series])
+
+
+def _padded(rows: list) -> np.ndarray:
+    """The coefficient rows, padded with trailing zeros to one length (at
+    least 1)."""
+    out = np.zeros((len(rows), max(1, *map(len, rows))), dtype=complex)
+    for row, c in zip(out, rows):
+        row[:len(c)] = c
+    return out
+
 
 def eval_R(bands: tuple, z, side: Side = Side.OFF):
     """Product over bands of sqrt(z-a_j) sqrt(z-b_j); cuts exactly on the bands,
     ~ z^(g+1) at infinity.  On gaps the PLUS side is the continuous real value."""
-    out = None
-    for band in bands:
-        factor = sqrt_cut(z, band, side)
-        out = factor if out is None else out * factor
+    if np.ndim(z) == 0:  # scalar products, which round apart from the arrays'
+        return band_product([sqrt_cut(z, band, side) for band in bands])
+    S = CutGeometry(Intervals(bands), np.ravel(z), side).S
+    return band_product(S).reshape(np.shape(z))
+
+
+def band_product(S: np.ndarray) -> np.ndarray:
+    """The product of the rows of S, in row order: R from the bands' sqrt_cut
+    values."""
+    out = S[0]
+    for factor in S[1:]:
+        out = out * factor
     return out
 
 
@@ -143,19 +185,19 @@ def eval_g(green: GreenData, z, side: Side = Side.OFF):
     """Evaluate the Green's function.
 
     Boundary values on bands and gaps come from the kernel boundary variants;
-    z strictly off the real axis uses the principal branches.  Vectorized in z.
+    z strictly off the real axis uses the principal branches.  Vectorized in z:
+    one pass over every band at once (green.g_series), the bands' terms added
+    in band order.
     """
     scalar = np.ndim(z) == 0
     zz = np.atleast_1d(z)
-    total = np.zeros(zz.shape, dtype=complex)
-    for band, ser in zip(green.bands, green.band_series):
-        c = ser.coeffs
-        t = unit_variable(band, zz, side)
-        total = total - c[0] * np.atleast_1d(log_joukowsky_inv(t, side))
-        if len(c) > 1:
-            ks = np.arange(1, len(c))
-            wts = c[1:] * (np.pi * 1j / ks) * (band.length / SQRT2)
-            total = total + cauchy_cheb_series(ChebKind.U, wts, band, zz, side)
-    total = total - green.phi_ref
+    bands, masses, weights = green.g_series
+    geo = CutGeometry(bands, zz.ravel(), side)
+    logs = masses * geo.log_J()
+    series = series_at(ChebKind.U, weights, geo)
+    total = np.zeros(zz.size, dtype=complex)
+    for log_term, series_term in zip(logs, series):
+        total = total - log_term
+        total = total + series_term
+    total = (total - green.phi_ref).reshape(zz.shape)
     return complex(total[0]) if scalar else total
-

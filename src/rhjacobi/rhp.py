@@ -20,11 +20,14 @@ What is computed how often, and who owns it:
 - per geometry, the ContourSet: its circles, bands and kernel bases (the
   default_bases of the weight it was built for), and its one
   CollocationOperator, the band kernel tables at every band node and test
-  node and, for column 1, every circle point, in one pass over those points,
-  built by the first solve on the contour set and kept for every later one.
-  g and the h basis depend on the bands only too: JumpValues reads them from
-  the GreenData at all circle points at once, one call per side, when the
-  first solve asks for a circle jump.
+  node and, for column 1, every circle point, in one pass over those points:
+  per band and column one table off the band and one from above at its own
+  points, whose reflection (-conj) is the table from below.  It is built by
+  the first solve on the contour set and kept for every later one.  g and
+  the h basis depend on the bands only too: JumpValues reads them from the
+  GreenData at all circle points at once, one call per side, each one pass
+  over every band and gap at once, when the first solve asks for a circle
+  jump.
 - per kept circle, in the operator: its coupling operator G at the band
   nodes and its Laurent table at the band test nodes, built by the first
   solve that keeps it.
@@ -32,14 +35,15 @@ What is computed how often, and who owns it:
   nodes, in one call per circle and side.
 - per block of indices, in one solve_matrix_rhp call, one NumPy call per
   step over all its indices: the jump values (one exponential per circle
-  over indices x points), the stacked band systems (row scaling of the
-  operator's tables, and one stacked product G v K per kept circle over the
-  indices that keep it), the kept circles' coefficients (one stacked FFT
-  each) and the residual (one stacked inverse FFT per circle, stacked
-  products on the bands); per index, one lu_factor, lu_solve and zgecon
-  call and its RHSolution.  Each stacked step acts on every index alone, so
-  an index's solution does not depend on its block, and an index whose
-  solve fails fails alone.
+  over indices x points, taken only where it does not underflow to 0), the
+  stacked band systems (row scaling of the operator's tables, and one
+  stacked product G v K per kept circle over the indices that keep it) and
+  their 1-norms, the kept circles' coefficients (one stacked FFT each) and
+  the residual (one stacked inverse FFT per circle, stacked products on the
+  bands); per index, one lu_factor and lu_solve (LAPACK zgetrf and zgetrs)
+  and one zgecon call, and its RHSolution.  Each stacked step acts on every
+  index alone, so an index's solution does not depend on its block, and an
+  index whose solve fails fails alone.
 """
 
 from __future__ import annotations
@@ -51,7 +55,6 @@ from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
-from scipy.linalg import lu_factor, lu_solve
 
 from .auxiliary import combine_h, h_basis, h_weights
 from .cauchy import Side, cauchy_cheb_table
@@ -75,6 +78,10 @@ CIRCLE_POINTS_PER_PPI = 10
 # LAURENT_CUT / (1 - rho) times the largest coefficient, far below the
 # rounding of the kept terms.
 LAURENT_CUT = np.finfo(float).eps / 100
+
+# Real part of an exponent below which exp(exponent) is exactly 0 in double
+# precision (exp(-745.2) already rounds to 0).
+UNDERFLOW_EXPONENT = -746.0
 
 # Off-collocation residual above which a solve warns.
 RESIDUAL_WARN = 1e-6
@@ -167,9 +174,11 @@ class CollocationOperator:
       ones for the identity's share of the jump.
     The kernel tables come from one pass over the point cloud of column m:
     every band's nodes and test nodes, one slice per band, and for column 1
-    every circle's points.  Per band q and column m there are at most three
+    every circle's points.  Per band q and column m there are at most two
     cauchy_cheb_table calls, off the band at every other point and from above
-    and below at its own, whose rows are copied into the arrays above.
+    at its own, whose rows are copied into the arrays above; from below, a
+    band's values at its own points are -conj of those from above, bit for
+    bit (cauchy_cheb_table).
     Circle j's tables (circle_tables) are built the first time a solve keeps
     circle j, and kept.  The tables at one point set off the contours
     (kernels_at, circle_at) are kept for the last point set only.
@@ -205,17 +214,18 @@ class CollocationOperator:
                 cloud += [(z, (K[:, :T],)) for z, K in zip(self.circle_points, self.circle_K)]
             for q, (bp, cols) in enumerate(zip(bands, self.spans)):
                 own, off = cloud[2 * q:2 * q + 2], cloud[:2 * q] + cloud[2 * q + 2:]
-                for side, pieces, which in ((Side.PLUS, own, slice(0, 1)),
-                                            (Side.MINUS, own, slice(1, 2)),
-                                            (Side.OFF, off, slice(None))):
+                for side, pieces in ((Side.PLUS, own), (Side.OFF, off)):
                     if not pieces:
                         continue
                     rows = cauchy_cheb_table(bases[q][m], bp.n_points, bp.interval,
                                              np.concatenate([z for z, _ in pieces]), side)
+                    # From below its own points, a band's table is -conj of
+                    # the table from above (cauchy_cheb_table), bit for bit.
+                    tables = (rows, -np.conj(rows) if side is Side.PLUS else rows)
                     start = 0
                     for z, blocks in pieces:
-                        for block in blocks[which]:
-                            block[:, cols] = rows[start:start + len(z)]
+                        for block, table in zip(blocks, tables):
+                            block[:, cols] = table[start:start + len(z)]
                         start += len(z)
         self._circle_tables: dict = {}
         self._last_points: tuple = (None, [], {})
@@ -441,9 +451,13 @@ class JumpAssembly:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         sign, R, transforms, g, w = self.values.circle(j, z)
         expo = 2.0 * combine_h(self._h_weights, R, transforms) - 2.0 * self.ns[:, None] * g
+        # exp underflows to exactly 0 below UNDERFLOW_EXPONENT, so it is taken
+        # only elsewhere; a NaN or infinite exponent still goes through it.
+        scale = np.zeros_like(expo)
+        np.exp(expo, out=scale, where=~(expo.real < UNDERFLOW_EXPONENT))
         out = np.zeros((len(self.ns),) + z.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = out[..., 1, 1] = 1.0
-        out[..., 1, 0] = sign * np.exp(expo) / w
+        out[..., 1, 0] = sign * scale / w
         return out
 
     def band_jump(self, j: int, x) -> np.ndarray:
@@ -746,22 +760,34 @@ def _circle_entries(jumps, op: CollocationOperator, errors: list) -> list:
     return v
 
 
+def lu_factor(a: np.ndarray) -> tuple:
+    """(lu, piv): LAPACK zgetrf's LU factorization of the complex square
+    matrix a, in place where a is Fortran-ordered complex128.  A singular a
+    shows as a zero on lu's diagonal."""
+    lu, piv, _ = _lapack.zgetrf(a, overwrite_a=True)
+    return lu, piv
+
+
+def lu_solve(lu_piv: tuple, b: np.ndarray) -> np.ndarray:
+    """The solution x of a x = b from lu_factor(a), by LAPACK zgetrs."""
+    return _lapack.zgetrs(*lu_piv, b)[0]
+
+
 def _factor(A: np.ndarray, rhs: np.ndarray, errors: list) -> tuple:
     """(X, rcond): per index k, the LU factorization of A[k] in place, the
     solution for rhs[k] and zgecon's condition estimate; errors[k] names a
     singular or non-finite system (X[k] is then 0 or not finite)."""
     X = np.zeros_like(rhs)
     rcond = np.full(len(A), np.nan)
+    # The 1-norms of every system, taken before they are factored.
+    anorms = np.max(np.sum(np.abs(A), axis=1), axis=1)
     for k in range(len(A)):
-        anorm = np.linalg.norm(A[k], 1)
-        # Without checks lu_factor raises only for bad arguments; a singular
-        # system shows as a zero pivot and a non-finite one in X.
-        lu, piv = lu_factor(A[k], overwrite_a=True, check_finite=False)
+        lu, piv = lu_factor(A[k])
         if np.any(np.diagonal(lu) == 0.0):
             errors[k] = errors[k] or "collocation system is numerically singular"
             continue
-        X[k] = lu_solve((lu, piv), rhs[k], check_finite=False)
-        rcond[k] = _lapack.zgecon(lu, anorm)[0]
+        X[k] = lu_solve((lu, piv), rhs[k])
+        rcond[k] = _lapack.zgecon(lu, anorms[k])[0]
     for k in np.flatnonzero(~np.all(np.isfinite(X), axis=(1, 2))):
         errors[k] = errors[k] or "collocation solution is not finite"
     return X, rcond

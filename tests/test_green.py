@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from rhjacobi.cauchy import Side
-from rhjacobi.chebyshev import ChebKind, Interval, adaptive_dct
+from rhjacobi.auxiliary import h_basis
+from rhjacobi.cauchy import Side, cauchy_cheb_series, log_joukowsky_inv, sqrt_cut, unit_variable
+from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, adaptive_dct
 from rhjacobi.green import build_green, eval_R, eval_g, gap_density
+from rhjacobi.rhp import build_contours
 from rhjacobi.weights import WeightSpec
 
 
@@ -155,3 +157,69 @@ class TestEvalG:
 @pytest.fixture(scope="module")
 def green_symmetric(spec_symmetric):
     return build_green(spec_symmetric)
+
+
+def _reference_R(bands, z, side):
+    out = None
+    for band in bands:
+        factor = sqrt_cut(z, band, side)
+        out = factor if out is None else out * factor
+    return out
+
+
+def _reference_h(green, z, side):
+    """h_basis one interval at a time, from the per-interval formulas."""
+    transforms = np.array([cauchy_cheb_series(ChebKind.T, ser.coeffs, ser.interval, z, side)
+                           for ser in green.band_beta + green.gap_beta])
+    return _reference_R(green.bands, z, side), transforms
+
+
+def _reference_g(green, z, side):
+    """eval_g one band at a time, from the per-interval formulas."""
+    total = np.zeros(z.shape, dtype=complex)
+    for band, ser in zip(green.bands, green.band_series):
+        c = ser.coeffs
+        total = total - c[0] * log_joukowsky_inv(unit_variable(band, z, side), side)
+        if len(c) > 1:
+            ks = np.arange(1, len(c))
+            wts = c[1:] * (np.pi * 1j / ks) * (band.length / SQRT2)
+            total = total + cauchy_cheb_series(ChebKind.U, wts, band, z, side)
+    return total - green.phi_ref
+
+
+class TestStackedGeometry:
+    """h_basis, eval_R and eval_g take every band and gap in one pass; each
+    value must be the one the per-interval formulas give, bit for bit."""
+
+    @pytest.fixture(params=["two bands", "genus 3"])
+    def cloud(self, request, spec_two_band, spec_genus3):
+        spec = spec_two_band if request.param == "two bands" else spec_genus3
+        z = np.concatenate([c.points() for c in build_contours(spec, 16).circles])
+        # the circle points off the axis, and on the axis the real parts of
+        # every circle point: bands, gaps and beyond
+        return build_green(spec), {Side.OFF: z[z.imag != 0.0], Side.PLUS: np.real(z),
+                                   Side.MINUS: np.real(z)}
+
+    @pytest.mark.parametrize("side", [Side.OFF, Side.PLUS, Side.MINUS])
+    def test_bitwise_at_circle_cloud(self, cloud, side):
+        gd, points = cloud
+        z = points[side]
+        R, transforms = h_basis(gd, z, side)
+        want_R, want_transforms = _reference_h(gd, z, side)
+        assert transforms.shape == (2 * len(gd.bands) - 1, len(z))
+        assert np.array_equal(R, want_R) and np.array_equal(transforms, want_transforms)
+        assert np.array_equal(eval_R(gd.bands, z, side), want_R)
+        assert np.array_equal(eval_g(gd, z, side), _reference_g(gd, z, side))
+
+    @pytest.mark.parametrize("side", [Side.OFF, Side.PLUS, Side.MINUS])
+    def test_bitwise_at_a_scalar(self, cloud, side):
+        gd, points = cloud
+        z = points[side][len(points[side]) // 3]
+        zz = np.atleast_1d(z)
+        R, transforms = h_basis(gd, z, side)
+        want_R, want_transforms = _reference_h(gd, zz, side)
+        assert np.array_equal(R, want_R) and np.array_equal(transforms, want_transforms)
+        got = eval_R(gd.bands, z, side)
+        assert isinstance(got, complex) and got == _reference_R(gd.bands, z, side)
+        got = eval_g(gd, z, side)
+        assert isinstance(got, complex) and got == _reference_g(gd, zz, side)[0]

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from rhjacobi import auxiliary, cauchy, green
-from rhjacobi.auxiliary import build_hsystem, solve_aux
+from rhjacobi import auxiliary, cauchy, green, rhp
+from rhjacobi.auxiliary import build_hsystem, combine_h, h_weights, solve_aux
 from rhjacobi.cauchy import Side, cauchy_cheb, cauchy_cheb_table
 from rhjacobi.chebyshev import ChebKind, UNIT
 from rhjacobi.errors import DomainError, GeometryError, ResidualWarning, SolverError, WeightError
@@ -344,15 +344,31 @@ class TestColdPath:
             np.testing.assert_array_equal(K[:, :-1], _reference_kernels(op, 1, z)[0])
             np.testing.assert_array_equal(K[:, -1], 1.0)
 
+    @pytest.mark.parametrize("spec_name", ["spec_two_band", "spec_genus3"])
+    def test_tables_from_below_reflect_those_from_above(self, spec_name, request):
+        # on a band's own points the table from below is -conj of the one
+        # from above, bit for bit, for every kind (T, U, V, W on genus 3)
+        op = _operator(SolveContext(request.getfixturevalue(spec_name)))
+        for m in range(2):
+            for p, (bp, span) in enumerate(zip(op.bands, op.spans)):
+                for z, above, below in ((op.band_nodes[p], op.plus[m], op.minus[m]),
+                                        (op.band_test_nodes[p], op.test_plus[m], op.test_minus[m])):
+                    own_below = below[span, span]
+                    assert np.array_equal(own_below, -np.conj(above[span, span]))
+                    assert np.array_equal(own_below, cauchy_cheb_table(
+                        op.bases[p][m], bp.n_points, bp.interval, z, Side.MINUS))
+
     @pytest.mark.parametrize("workload", ["genus3", "window"])
     def test_first_solve_makes_one_pass(self, workload, spec_genus3, spec_two_band, count_calls):
-        spec, n, most = (spec_genus3, 0, 24) if workload == "genus3" else (spec_two_band, 1000, 12)
+        # two table calls per band and column: off the band, and from above
+        # at its own points
+        spec, n, most = (spec_genus3, 0, 16) if workload == "genus3" else (spec_two_band, 1000, 8)
         ctx = SolveContext(spec)
         tables = count_calls(cauchy.cauchy_cheb_table)
         h_calls = count_calls(auxiliary.h_basis)
         g_calls = count_calls(green.eval_g)
         ctx.solution(n)
-        assert 0 < len(tables) <= most
+        assert len(tables) == most
         for calls in (h_calls, g_calls):
             sides = [args[-1] for args in calls]
             assert len(sides) == len(set(sides)) and set(sides) <= {Side.OFF, Side.PLUS}
@@ -453,3 +469,84 @@ class TestOneSidedResidual:
         want = _two_sided_residual(sol, ctx_two_band.contours, jumps)
         assert want > 0.05
         assert abs(sol.residual.off_collocation - want) <= 1e-13
+
+
+class TestLU:
+    def test_one_factorization_per_system(self, spec_two_band, count_calls):
+        calls = count_calls(rhp.lu_factor)
+        solves = count_calls(rhp.lu_solve)
+        seg = recurrence_range(spec_two_band, 1000, 1010)
+        assert not seg.meta["failures"]
+        assert [args[0].shape for args in calls] == [(64, 64)] * 12
+        assert len(solves) == 12
+
+    def test_singular_system_fails_alone(self, spec_two_band, monkeypatch):
+        # At n = 1005 the band jump is diag(1, -1) on band 0 and the identity
+        # on band 1.  Band 0's degree-0 first-kind kernel is real on its own
+        # points and reflects to its negative, and the other bands' kernels
+        # are the same from both sides, so its column of the system cancels
+        # to exact zeros.
+        clean = recurrence_range(spec_two_band, 1000, 1010)
+        original = JumpAssembly.band_jump
+
+        def singular(self, j, x):
+            out = original(self, j, x)
+            out[self.ns == 1005] = np.diag([1.0, -1.0 if j == 0 else 1.0])
+            return out
+
+        monkeypatch.setattr(JumpAssembly, "band_jump", singular)
+        got = recurrence_range(spec_two_band, 1000, 1010)
+        assert got.meta["failures"] == [(n, "collocation system is numerically singular")
+                                        for n in (1004, 1005)]
+        ok = ~np.isin(got.ns, [1004, 1005])
+        for key in ("residuals", "rcond", "circles_used", "circle_deviation"):
+            assert np.array_equal(got.meta[key][ok], clean.meta[key][ok])
+        assert np.array_equal(got.a[ok], clean.a[ok]) and np.array_equal(got.b[ok], clean.b[ok])
+
+
+class TestExponentialScreen:
+    def test_matches_unscreened_exponential(self, spec_two_band):
+        ctx = SolveContext(spec_two_band)
+        auxes = [ctx.aux(n) for n in range(1000, 1012)]
+        jumps = JumpAssembly(auxes, ctx.jump_values)
+        weights = np.array([h_weights(aux) for aux in auxes])
+        for j, z in enumerate(_operator(ctx).circle_points):
+            sign, R, transforms, g, w = ctx.jump_values.circle(j, z)
+            expo = 2.0 * combine_h(weights, R, transforms) - 2.0 * jumps.ns[:, None] * g
+            with np.errstate(under="ignore"):
+                want = sign * np.exp(expo) / w
+            got = jumps.circle_jump(j, z)[..., 1, 0]
+            assert np.all(got == want)
+            low = expo.real < -746.0
+            assert 0.5 < np.mean(low) < 1.0 and np.all(got[low] == 0.0)
+
+    def test_nan_exponent_fails_its_index_alone(self, spec_two_band):
+        # a NaN in g at one circle point, for n = 1005 only, must reach the
+        # exponential and fail that index, as not finite
+        ns = list(range(1000, 1012))
+        ctx = SolveContext(spec_two_band)
+        clean = solve_matrix_rhp(spec_two_band, ctx.contours,
+                                 JumpAssembly([ctx.aux(n) for n in ns], ctx.jump_values))
+
+        class PoisonedG:
+            def circle(self, j, z):
+                sign, R, transforms, g, w = ctx.jump_values.circle(j, z)
+                g = np.repeat(g[None], len(ns), axis=0)
+                if j == 0:
+                    g[ns.index(1005), 7] = np.nan
+                return sign, R, transforms, g, w
+
+            def band_weight(self, j, x):
+                return ctx.jump_values.band_weight(j, x)
+
+        block = solve_matrix_rhp(spec_two_band, ctx.contours,
+                                 JumpAssembly([ctx.aux(n) for n in ns], PoisonedG()))
+        failed = block.solutions[1005]
+        assert isinstance(failed, SolverError) and "not finite" in str(failed)
+        for n in ns:
+            if n != 1005:
+                want = clean[n]
+                got = block[n]
+                assert got.residual == want.residual and not got.circle_coeffs
+                for x, y in zip(got.band_coeffs, want.band_coeffs):
+                    assert np.array_equal(x, y)
