@@ -37,8 +37,8 @@ DEFAULT_PPI = 16
 # Largest |F - I| on circles before double precision degrades visibly.
 JUMP_MAGNITUDE_HORIZON = 1e7
 
-# Bytes of stacked band systems (16 bytes per complex entry) that one block
-# solve may hold: 16 indices of 64 unknowns, 4 of 128.
+# Bytes of stacked band systems (8 bytes per entry of the real systems) that
+# one block solve may hold: 32 indices of 64 unknowns, 8 of 128.
 BLOCK_BYTES = 1 << 20
 
 
@@ -111,7 +111,7 @@ class SolveContext:
             _check_index(n, "an index")
         missing = [n for n in dict.fromkeys(ns) if n not in self._solutions]
         unknowns = 2 * sum(bp.n_points for bp in self.contours.bands)
-        size = max(1, BLOCK_BYTES // (16 * unknowns ** 2))
+        size = max(1, BLOCK_BYTES // (8 * unknowns ** 2))
         for start in range(0, len(missing), size):
             jumps = JumpAssembly([self.aux(n) for n in missing[start:start + size]],
                                  self.jump_values)
@@ -197,9 +197,12 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None,
     Per-index arrays in meta, NaN (or -1 for counts) where the pair failed:
     residuals, the larger off-collocation residual of the pair's two solves;
     rcond, the smaller of the two solves' condition estimates, each taken for
-    the band system left after the circles are eliminated (LAPACK zgecon's
-    1-norm estimate: it moves by up to about 1e-3 relative when the system
-    changes only by rounding, so compare it across versions to 2-3 digits);
+    the real band system left after the circles are eliminated (LAPACK
+    dgecon's 1-norm estimate, about 10 times the estimate for the complex
+    system of both columns' equations that earlier versions solved: the real
+    system is better conditioned; it moves by up to about 1e-3 relative when
+    the system changes only by rounding, so compare it across versions to 2-3
+    digits);
     circles_used, the number of circles the solve for n kept (circles whose
     jump is the identity are dropped); circle_deviation, the largest |F - I|
     over the circle nodes of the solve for n.  circle_deviation is kept where

@@ -11,6 +11,23 @@ unknowns are factored.  Every solve reports an off-collocation residual, a
 condition estimate of the band system and the largest circle-jump deviation;
 a kernel basis that does not match the jump shows up in the residual.
 
+The band system is real.  For a real weight the problem is Schwarz-symmetric,
+Y(conj z) = conj Y(z) (Deift, Orthogonal Polynomials and Random Matrices: A
+Riemann-Hilbert Approach, 1999), and so is its discretization: on a band the
+jump is [[0, f], [-1/f, 0]] with f real, each column-1 equation is
+conj(the column-0 equation at the same node) / F_10, and the band
+coefficients are fixed phases times real numbers.  Row 0's band unknowns are
+D y_0 and row 1's i D y_1, with D = diag(i I_T, I_T) and y_0, y_1 real (T band
+unknowns per column).  Column 0's T complex equations, split into real and
+imaginary parts, are one real 2T x 2T system for both rows, with right-hand
+sides -1 (row 0) and -i (F_10 - c) (row 1), c the identity's share of the
+circle coupling; the column-1 equations are never assembled.  On the circles
+the lower nodes are the exact conjugates of the upper ones, and the coupling
+is made from the upper half-circle (CollocationOperator.coupling).  The
+off-collocation residual takes the complex solution, both columns, at every
+test node of every piece: it checks the column-1 equations, and any jump that
+is not of this form shows there.
+
 A circle whose jump matrix differs from the identity by less than
 IDENTITY_JUMP at all of its collocation nodes carries no density to double
 precision.  The solver drops it for that solve, so at large n only the bands
@@ -23,27 +40,27 @@ What is computed how often, and who owns it:
   node and, for column 1, every circle point, in one pass over those points:
   per band and column one table off the band and one from above at its own
   points, whose reflection (-conj) is the table from below.  It is built by
-  the first solve on the contour set and kept for every later one.  g and
-  the h basis depend on the bands only too: JumpValues reads them from the
-  GreenData at all circle points at once, one call per side, each one pass
-  over every band and gap at once, when the first solve asks for a circle
-  jump.
-- per kept circle, in the operator: its coupling operator G at the band
-  nodes and its Laurent table at the band test nodes, built by the first
-  solve that keeps it.
+  the first solve on the contour set and kept for every later one, and so
+  are the real tables of the band system (real_halves).  g and the h basis
+  depend on the bands only too: JumpValues reads them from the GreenData at
+  all circle points at once, one call per side, each one pass over every
+  band and gap at once, when the first solve asks for a circle jump.
+- per kept circle, in the operator: its coupling operands at the band nodes
+  (G over the upper half-circle) and its Laurent table at the band test
+  nodes, built by the first solve that keeps it.
 - per jump spec, in JumpValues: the weight values at the nodes and test
   nodes, in one call per circle and side.
 - per block of indices, in one solve_matrix_rhp call, one NumPy call per
   step over all its indices: the jump values (one exponential per circle
   over indices x points, taken only where it does not underflow to 0), the
-  stacked band systems (row scaling of the operator's tables, and one
-  stacked product G v K per kept circle over the indices that keep it) and
-  their 1-norms, the kept circles' coefficients (one stacked FFT each) and
-  the residual (one stacked inverse FFT per circle, stacked products on the
-  bands); per index, one lu_factor and lu_solve (LAPACK zgetrf and zgetrs)
-  and one zgecon call, and its RHSolution.  Each stacked step acts on every
-  index alone, so an index's solution does not depend on its block, and an
-  index whose solve fails fails alone.
+  stacked real band systems (the operator's left half, and its right half
+  scaled by -F_10) and their 1-norms, the kept circles' coefficients (one
+  stacked FFT each) and the residual (one stacked inverse FFT per circle,
+  stacked products on the bands); per index, one coupling product per kept
+  circle, one lu_factor and lu_solve (LAPACK dgetrf and dgetrs) and one
+  dgecon call, and its RHSolution.  Each step acts on every index alone, so
+  an index's solution does not depend on its block, and an index whose solve
+  fails fails alone.
 """
 
 from __future__ import annotations
@@ -89,6 +106,11 @@ RESIDUAL_WARN = 1e-6
 # The stages of one block solve that BlockSolution.stages times, in this order.
 STAGES = ("tables", "jumps", "assembly", "lu", "residual")
 
+# Per column block of the band unknowns (column 0, column 1) and row r of the
+# unknown, the fixed phase of the real solution: the band coefficients are
+# these times y (module docstring).
+_PHASES = np.array([[1j, -1.0], [1.0, 1j]])
+
 
 @dataclass(frozen=True)
 class Circle:
@@ -112,12 +134,25 @@ class Circle:
         return np.arange(-(c - 1 - p), p + 1)
 
     def nodes(self) -> np.ndarray:
-        k = np.arange(self.n_points)
-        return self.center + self.radius * np.exp(2j * np.pi * k / self.n_points)
+        """The equispaced collocation nodes, node k at angle 2 pi k / n_points.
+        A node below the real axis is the exact conjugate of its mirror
+        image, nodes()[n_points - k] == conj(nodes()[k]); the nodes at
+        k = 0 and k = n_points / 2 are taken as computed."""
+        return self._turned(0.0)
 
     def test_nodes(self) -> np.ndarray:
-        k = np.arange(self.n_points) + 0.5
-        return self.center + self.radius * np.exp(2j * np.pi * k / self.n_points)
+        """The nodes turned by half a step, test node k at angle
+        2 pi (k + 1/2) / n_points; those below the real axis are exact
+        conjugates, test_nodes()[n_points - 1 - k] == conj(test_nodes()[k])."""
+        return self._turned(0.5)
+
+    def _turned(self, shift: float) -> np.ndarray:
+        t = np.arange(self.n_points) + shift
+        unit = np.exp(2j * np.pi * t / self.n_points)
+        lower = np.flatnonzero(2.0 * t > self.n_points)
+        # t's mirror image is n_points - t, at index n_points - 2 shift - k.
+        unit[lower] = np.conj(unit[(self.n_points - 2 * shift - lower).astype(int)])
+        return self.center + self.radius * unit
 
     def points(self) -> np.ndarray:
         """The nodes, then the test nodes, where a solve takes the jump."""
@@ -230,22 +265,61 @@ class CollocationOperator:
         self._circle_tables: dict = {}
         self._last_points: tuple = (None, [], {})
 
+    @cached_property
+    def real_halves(self) -> tuple:
+        """(left, right), the real tables of column 0's band equations in the
+        real unknowns y (module docstring), each of shape (2T, T), real parts
+        above imaginary parts: left = [-Im plus[0]; Re plus[0]], the columns
+        of i plus[0] (the band jump's (0, 0) entry is 0), and right =
+        [Re minus[1]; Im minus[1]], which an index scales by -F_10.  Built by
+        the first solve and kept."""
+        plus, minus = self.plus[0], self.minus[1]
+        return (np.asfortranarray(np.vstack([-plus.imag, plus.real])),
+                np.asfortranarray(np.vstack([minus.real, minus.imag])))
+
     def circle_tables(self, j: int) -> tuple:
-        """(G, span, table) for circle j, built on first request and kept.
+        """(G, K, span, table) for circle j, built on first request and kept.
 
         G maps data at circle j's nodes to the Cauchy transform at all band
         nodes of the density that interpolates it: _circle_table there times
-        W^-1 = W^H / n_j, W the Laurent table at the nodes, as a DFT.  (span,
-        table) is _circle_table at all band test nodes."""
+        W^-1 = W^H / n_j, W the Laurent table at the nodes, as a DFT.  Only its
+        columns at the upper nodes k = 0..n_j // 2 are kept, each doubled but
+        the two axis nodes' (k = 0 and n_j / 2), as the real [Re G, -Im G].
+        K is circle_K[j] at those nodes with -i for its column of ones: the
+        operands of coupling.  (span, table) is _circle_table at all band
+        test nodes."""
         if j not in self._circle_tables:
             circ = self.circles[j]
             n = circ.n_points
             span, table = _circle_table(circ, np.concatenate(self.band_nodes))
             spectrum = np.zeros((len(table), n), dtype=complex)
             spectrum[:, circ.exponents[span] % n] = table
-            G = np.fft.fft(spectrum, axis=1) / n
-            self._circle_tables[j] = (G, *_circle_table(circ, np.concatenate(self.band_test_nodes)))
+            upper = np.arange(n // 2 + 1)
+            G = np.fft.fft(spectrum, axis=1)[:, upper] / n
+            G[:, (upper > 0) & (2 * upper < n)] *= 2.0
+            K = self.circle_K[j][upper]
+            K[:, -1] = -1j
+            self._circle_tables[j] = (np.hstack([G.real, -G.imag]), K,
+                                      *_circle_table(circ, np.concatenate(self.band_test_nodes)))
         return self._circle_tables[j]
+
+    def coupling(self, j: int, v: np.ndarray) -> np.ndarray:
+        """The coupling of circle j into column 0's band equations for one
+        index, v its jump entry F_10 at circle j's nodes: the real (T, T + 1)
+        matrix whose columns :T are G diag(v) K, K the bands' column-1 tables
+        at the nodes (circle_K), and whose column T holds Im(G v), the
+        identity's share.
+
+        By the Schwarz symmetry G, v and K at a node below the real axis are
+        conj G, -conj v and -conj K at its mirror image, so G diag(v) K is
+        twice the real part of its sum over the nodes above the axis, plus
+        the two axis nodes, and G v is i times the imaginary part of that
+        sum.  It is made from the upper nodes alone as Re(G diag(v) K) with
+        circle_tables' G and K (whose -i turns Re into Im for the column of
+        ones), one real product [Re G, -Im G] @ [Re(v K); Im(v K)]."""
+        G, K, _, _ = self.circle_tables(j)
+        vK = v[:len(K), None] * K
+        return G @ np.concatenate([vK.real, vK.imag])
 
     def kernels_at(self, z: np.ndarray) -> list:
         """Per column m, the column-m kernels of all bands side by side at
@@ -472,9 +546,10 @@ class JumpAssembly:
 
 @dataclass
 class ResidualReport:
-    """Off-collocation jump defect over every piece; rcond, LAPACK zgecon's
-    estimate of the reciprocal 1-norm condition number of the band system
-    (it moves by up to 1e-3 relative under rounding: compare to 2-3 digits);
+    """Off-collocation jump defect over every piece; rcond, LAPACK dgecon's
+    estimate of the reciprocal 1-norm condition number of the real band
+    system (it moves by up to 1e-3 relative under rounding: compare to 2-3
+    digits);
     and circle_deviation, the largest |F - I| over every circle's nodes, a
     precision proxy (0 without circles)."""
 
@@ -619,14 +694,21 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> BlockSolu
     to double precision.  On a kept circle the column-1 density vanishes and
     the column-0 density is an explicit function of the band unknowns, so only
     the bands are factored, one system per index.  Each solution's
-    circle_coeffs hold the circles its index kept.  The off-collocation
-    residual checks every piece of `contours`, the dropped circles included;
-    above RESIDUAL_WARN it warns, naming the index.  An index fails alone,
-    with a SolverError carrying its circle_deviation, if its circle jump is
-    not unit lower-triangular, its band system is singular, or its solution
-    or residual is not finite, which is also how an overflow shows.  The
-    operator's tables are built by the first solve that needs them (the
-    "tables" stage).
+    circle_coeffs hold the circles its index kept.
+
+    The band jumps are collocated in the form [[0, f], [-1/f, 0]], f real,
+    that a real weight gives: the real band system (module docstring) reads
+    only Re F_10 at the band nodes, where a band jump of this form is fixed
+    by it.  The off-collocation residual takes the full jumps at every test
+    node of every piece of `contours`, the dropped circles included, so a
+    band jump of another form shows there; above RESIDUAL_WARN it warns,
+    naming the index.  An index fails alone, with a SolverError carrying its
+    circle_deviation, if its circle jump is not unit lower-triangular, its
+    band jump is not finite at a band node or test node (both before its
+    system is factored), its band system is singular (as for F_10 = 0), or
+    its solution or residual is not finite, which is also how an overflow
+    shows.  The operator's tables are built by the first solve that needs
+    them (the "tables" stage).
     """
     if default_bases(spec) != contours.bases:
         raise DomainError("the contour set was built for a weight of other kinds")
@@ -652,6 +734,7 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
         stages[stage] += clock[-1] - clock[-2]
 
     op = contours.operator
+    left, right = op.real_halves
     lap("tables")
 
     ns = [int(n) for n in jumps.ns]
@@ -666,45 +749,46 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
     F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_nodes)], axis=1)
     test_F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_test_nodes)],
                             axis=1)
+    finite = np.all(np.isfinite(F), axis=(1, 2, 3)) & np.all(np.isfinite(test_F), axis=(1, 2, 3))
+    for k in np.flatnonzero(~finite):
+        errors[k] = errors[k] or "band jump is not finite at its nodes and test nodes"
+    # F_10 at the band nodes, with its copy for the imaginary parts' rows.
+    f = np.tile(F[:, :, 1, 0].real, 2)
+    del F
     lap("jumps")
     tables = {j: op.circle_tables(j) for j in np.flatnonzero(np.any(keeps, axis=1)).tolist()}
     lap("tables")
 
-    T = F.shape[1]
+    T = left.shape[1]
+    # Column 0's equations in y, real parts above imaginary parts, with the
+    # right-hand sides -1 (row 0) and -i F_10 (row 1).  Each system is the
+    # transpose of a C-ordered slice, so it is in Fortran order and LAPACK
+    # factors it in place instead of copying it.
+    A = np.empty((count, 2 * T, 2 * T)).transpose(0, 2, 1)
+    A[:, :, :T] = left
+    np.multiply(-f[:, :, None], right, out=A[:, :, T:])
+    rhs = np.zeros((count, 2 * T, 2))
+    rhs[:, :T, 0] = -1.0
+    rhs[:, T:, 1] = -f[:, T:]
     # On a kept circle c the column-1 rows read W u_c1 = 0 with W the Laurent
     # table at c's own nodes, so u_c1 = 0, and the column-0 rows give
     # u_c0 = W^-1 v (K u_B1 + [r == 1]) with K the bands' column-1 tables at
     # c's nodes (and a column of ones).  Its Cauchy transform at the band
     # nodes is G_c v K (u_B1, [r == 1]); substituting it into the band rows
-    # leaves a system in the band unknowns only.  The coupling is made before
-    # the systems, so its temporaries and the systems are not held at once.
-    if tables:
-        coupling = np.zeros((count, T, T + 1), dtype=complex)
-        for j, (G, _, _) in tables.items():
-            n = contours.circles[j].n_points
-            coupling[keeps[j]] += G @ (v[j][keeps[j], :n, None] * op.circle_K[j][:n])
-    # Each system is the transpose of a C-ordered slice, so it is in Fortran
-    # order and LAPACK factors it in place instead of copying it.
-    A = np.empty((count, 2 * T, 2 * T), dtype=complex).transpose(0, 2, 1)
-    rhs = np.empty((count, 2 * T, 2), dtype=complex)
-    eye = np.eye(2)
-    for m in range(2):
-        rows = slice(m * T, (m + 1) * T)
-        for m2 in range(2):
-            cols = slice(m2 * T, (m2 + 1) * T)
-            np.multiply(-F[:, :, m2, m, None], op.minus[m2], out=A[:, rows, cols])
-            if m2 == m:
-                A[:, rows, cols] += op.plus[m2]
-        for r in range(2):
-            rhs[:, rows, r] = F[:, :, r, m] - eye[r, m]
-        if tables:
-            scale = eye[0, m] - F[:, :, 0, m]
-            A[:, rows, T:] += scale[:, :, None] * coupling[:, :, :T]
-            rhs[:, rows, 1] -= scale * coupling[:, :, T]
+    # leaves a system in the band unknowns only.  op.coupling's real columns
+    # :T add to the real parts' rows, and its column T is the imaginary part
+    # of the identity's share, which row 1's right-hand side -i (F_10 - i C)
+    # takes as -C in its real parts' rows.
+    for j in tables:
+        for k in np.flatnonzero(keeps[j]):
+            coupling = op.coupling(j, v[j][k])
+            A[k, :T, T:] += coupling[:, :T]
+            rhs[k, :T, 1] -= coupling[:, T]
     lap("assembly")
 
-    X, rcond = _factor(A, rhs, errors)
+    y, rcond = _factor(A, rhs, errors)
     del A  # freed, factored, before the residual's arrays are made
+    X = y * _PHASES[np.repeat([0, 1], T)]
     lap("lu")
 
     # Per circle, v (K u_B1 + [r == 1]) at its nodes and test nodes, by index
@@ -719,7 +803,7 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
         u0[j] = np.fft.fft(vKX[j][keeps[j], :n], axis=1)[:, circ.exponents % n] / n
     residual = _off_collocation_residual(op, keeps, tables, u0, vKX, X, test_F)
     for k in np.flatnonzero(~np.isfinite(residual)):
-        errors[k] = errors[k] or f"off-collocation jump residual is {residual[k]}"
+        errors[k] = errors[k] or "off-collocation jump residual is not finite"
 
     solutions = {}
     for k, n in enumerate(ns):
@@ -761,36 +845,39 @@ def _circle_entries(jumps, op: CollocationOperator, errors: list) -> list:
 
 
 def lu_factor(a: np.ndarray) -> tuple:
-    """(lu, piv): LAPACK zgetrf's LU factorization of the complex square
-    matrix a, in place where a is Fortran-ordered complex128.  A singular a
-    shows as a zero on lu's diagonal."""
-    lu, piv, _ = _lapack.zgetrf(a, overwrite_a=True)
+    """(lu, piv): LAPACK dgetrf's LU factorization of the real square matrix
+    a, in place where a is Fortran-ordered float64.  A singular a shows as a
+    zero on lu's diagonal."""
+    lu, piv, _ = _lapack.dgetrf(a, overwrite_a=True)
     return lu, piv
 
 
 def lu_solve(lu_piv: tuple, b: np.ndarray) -> np.ndarray:
-    """The solution x of a x = b from lu_factor(a), by LAPACK zgetrs."""
-    return _lapack.zgetrs(*lu_piv, b)[0]
+    """The solution x of a x = b from lu_factor(a), by LAPACK dgetrs."""
+    return _lapack.dgetrs(*lu_piv, b)[0]
 
 
 def _factor(A: np.ndarray, rhs: np.ndarray, errors: list) -> tuple:
-    """(X, rcond): per index k, the LU factorization of A[k] in place, the
-    solution for rhs[k] and zgecon's condition estimate; errors[k] names a
-    singular or non-finite system (X[k] is then 0 or not finite)."""
-    X = np.zeros_like(rhs)
+    """(y, rcond): per index k, the LU factorization of A[k] in place, the
+    solution for rhs[k] and dgecon's condition estimate; errors[k] names a
+    singular or non-finite system (y[k] is then 0 or not finite).  An index
+    whose error is named already is not factored, and its y[k] stays 0."""
+    y = np.zeros_like(rhs)
     rcond = np.full(len(A), np.nan)
     # The 1-norms of every system, taken before they are factored.
     anorms = np.max(np.sum(np.abs(A), axis=1), axis=1)
     for k in range(len(A)):
+        if errors[k]:
+            continue
         lu, piv = lu_factor(A[k])
         if np.any(np.diagonal(lu) == 0.0):
-            errors[k] = errors[k] or "collocation system is numerically singular"
+            errors[k] = "collocation system is numerically singular"
             continue
-        X[k] = lu_solve((lu, piv), rhs[k])
-        rcond[k] = _lapack.zgecon(lu, anorms[k])[0]
-    for k in np.flatnonzero(~np.all(np.isfinite(X), axis=(1, 2))):
+        y[k] = lu_solve((lu, piv), rhs[k])
+        rcond[k] = _lapack.dgecon(lu, anorms[k])[0]
+    for k in np.flatnonzero(~np.all(np.isfinite(y), axis=(1, 2))):
         errors[k] = errors[k] or "collocation solution is not finite"
-    return X, rcond
+    return y, rcond
 
 
 def _off_collocation_residual(op: CollocationOperator, keeps: np.ndarray, tables: dict,
@@ -819,7 +906,7 @@ def _off_collocation_residual(op: CollocationOperator, keeps: np.ndarray, tables
     above, below = (np.stack([t[0] @ X[:, :T], t[1] @ X[:, T:]], axis=-1)
                     for t in (op.test_plus, op.test_minus))
     for j, u in u0.items():
-        _, span, table = tables[j]
+        *_, span, table = tables[j]
         part = table @ u[:, span]
         above[keeps[j], :, :, 0] += part
         below[keeps[j], :, :, 0] += part

@@ -76,9 +76,9 @@ def test_toda_warning_reaches_caller_and_csv(single_u, tmp_path):
 
 
 def test_toda_overflow_exits_2(tmp_path, capsys):
-    # the solves at t = 200 are not finite: failed rows, not NaN rows, each
-    # failure's message in a comment line, and the horizon warning of the
-    # jump magnitude the failed solve at n = 0 computed
+    # the residuals of the solves at t = 200 are not finite: failed rows, not
+    # NaN rows, each failure's message in a comment line, and the horizon
+    # warning of the jump magnitude the failed solve at n = 0 computed
     config = _config(tmp_path, [[-1.8, -1.0], [2.0, 3.0]], ["T", "T"])
     with pytest.warns(PrecisionWarning):
         assert main(["toda", config, "--t0", "200", "--steps", "1", "--k", "2"]) == 2
@@ -87,7 +87,7 @@ def test_toda_overflow_exits_2(tmp_path, capsys):
     assert lines[1:3] == ["200,0,,", "200,1,,"]
     assert sum(line.startswith("# warning: circle jump magnitude") for line in lines) == 1
     for n in (0, 1):
-        assert f"# failure: t=200 n={n}: collocation solution is not finite" in lines
+        assert f"# failure: t=200 n={n}: off-collocation jump residual is not finite" in lines
 
 
 def test_toda_success_has_no_comment_lines(single_u, capsys):

@@ -166,14 +166,15 @@ class TestBlocks:
                                               count_calls):
         # each index alone, in blocks from the first index on, and in blocks
         # whose boundaries are moved by three; a block holds as many systems
-        # as fit BLOCK_BYTES (16 here, 4 on genus 3)
+        # as fit BLOCK_BYTES at 8 bytes per entry of the real systems (32
+        # here, 8 on genus 3)
         spec, ns = ((spec_two_band, range(50, 86)) if workload == "two bands while circles drop"
                     else (spec_genus3, range(0, 13)))
         alone, blocks, shifted = (SolveContext(spec) for _ in range(3))
         calls = count_calls(rhp.solve_matrix_rhp)
         blocks.solve(ns)
         unknowns = 2 * sum(bp.n_points for bp in blocks.contours.bands)
-        size = BLOCK_BYTES // (16 * unknowns ** 2)
+        size = BLOCK_BYTES // (8 * unknowns ** 2)
         assert [len(args[2].ns) for args in calls] == [min(size, len(ns) - start)
                                                       for start in range(0, len(ns), size)]
         assert 1 < size < len(ns)

@@ -117,12 +117,16 @@ class _UpperEntryAtTestNodes(_IdentityAtNodesOnly):
 
 class TestMatrixSolve:
     def test_identity_jumps_give_zero(self, spec_u):
+        # an identity band jump has F_10 = 0, so the band system, made of
+        # column 0's equations only, has an exact zero right half: the index
+        # fails alone as singular (test_single_band_n0_exact_solution checks
+        # a known solution)
         ct = build_contours(spec_u, 8)
-        sol = solve_matrix_rhp(spec_u, ct, _IdentityJumps())[0]
-        for cc in list(sol.circle_coeffs.values()) + sol.band_coeffs:
-            np.testing.assert_allclose(cc, 0.0, atol=1e-13)
-        np.testing.assert_allclose(first_order(sol), 0.0, atol=1e-13)
-        np.testing.assert_allclose(sol.eval(0.2 + 3.4j), np.eye(2), atol=1e-13)
+        block = solve_matrix_rhp(spec_u, ct, _IdentityJumps())
+        failed = block.solutions[0]
+        assert isinstance(failed, SolverError)
+        assert str(failed) == "collocation system is numerically singular"
+        assert np.isnan(block.residual.off_collocation) and np.isnan(block.residual.rcond)
 
     def test_single_band_n0_exact_solution(self, ctx_u, spec_u):
         # At n = 0 the transformed unknown coincides with the untransformed one
@@ -427,20 +431,29 @@ def _two_sided_residual(sol, contours, jumps):
 
 class TestOneSidedResidual:
     def test_coupling_matches_fft_reference(self, spec_genus3, rng):
+        # the coupling from the upper half-circle against the full complex
+        # product over every node: its real part in the band columns, its
+        # imaginary part in the column of ones
         ctx = SolveContext(spec_genus3)
         ctx.solution(0)
         op = _operator(ctx)
-        band_nodes = np.concatenate(op.band_nodes)
         for j, circ in enumerate(ctx.contours.circles):
             n = circ.n_points
-            G, _, _ = op.circle_tables(j)
-            K = op.circle_K[j][:n]
             jump = JumpAssembly([ctx.aux(0)], ctx.jump_values).circle_jump(j, circ.nodes())
-            for v in (jump[0, :, 1, 0], rng.standard_normal(n) + 1j * rng.standard_normal(n)):
-                Z = np.fft.fft(v[:, None] * K, axis=0)[circ.exponents % n] / n
-                want = _full_circle_table(circ, band_nodes) @ Z
-                got = G @ (v[:, None] * K)
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            # and a random jump entry of the symmetric form, -conj of the
+            # upper one at the mirror node, imaginary on the axis
+            upper = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
+            upper[[0, -1]] = 1j * upper[[0, -1]].imag
+            w = np.concatenate([upper, -np.conj(upper[1:-1][::-1])])
+            for data in (jump[0, :, 1, 0], w):
+                want = _full_coupling(op, j, data)
+                got = op.coupling(j, data)
+                scale = np.max(np.abs(want))
+                assert np.max(np.abs(got[:, :-1] - want[:, :-1].real)) <= 1e-14 * scale
+                assert np.max(np.abs(got[:, -1] - want[:, -1].imag)) <= 1e-14 * scale
+                # what the real parts leave out is rounding
+                assert np.max(np.abs(want[:, :-1].imag)) <= 1e-13 * scale
+                assert np.max(np.abs(want[:, -1].real)) <= 1e-13 * scale
 
     def test_genus3_small_n(self, spec_genus3):
         ctx = SolveContext(spec_genus3)
@@ -482,10 +495,9 @@ class TestLU:
 
     def test_singular_system_fails_alone(self, spec_two_band, monkeypatch):
         # At n = 1005 the band jump is diag(1, -1) on band 0 and the identity
-        # on band 1.  Band 0's degree-0 first-kind kernel is real on its own
-        # points and reflects to its negative, and the other bands' kernels
-        # are the same from both sides, so its column of the system cancels
-        # to exact zeros.
+        # on band 1, so F_10 = 0 on every band node: the right half of the
+        # real system, -F_10 times the column-1 tables, is exactly zero (no
+        # circle is kept at these n), and the system is singular.
         clean = recurrence_range(spec_two_band, 1000, 1010)
         original = JumpAssembly.band_jump
 
@@ -550,3 +562,148 @@ class TestExponentialScreen:
                 assert got.residual == want.residual and not got.circle_coeffs
                 for x, y in zip(got.band_coeffs, want.band_coeffs):
                     assert np.array_equal(x, y)
+
+
+def _real_solve_case(name, spec_two_band, spec_genus3):
+    """(context, indices) of the three geometries the real solve is checked on:
+    circles kept and dropped on two bands, every circle kept on genus 3, and
+    one U band under e^(2x) (whose solve at n = 0 is under-resolved at any
+    ppi: its circle keeps 12 positive modes)."""
+    if name == "two bands":
+        return SolveContext(spec_two_band), (3, 60, 1000)
+    if name == "genus 3":
+        return SolveContext(spec_genus3), (0, 5)
+    return SolveContext(WeightSpec.single(ChebKind.U).with_exp_factor(2.0)), (1, 4)
+
+
+def _full_coupling(op, j, v):
+    """G diag(v) K over every node of circle j, in complex arithmetic: the
+    untruncated Laurent table at the band nodes times the DFT of v K."""
+    circ = op.circles[j]
+    n = circ.n_points
+    Z = np.fft.fft(v[:, None] * op.circle_K[j][:n], axis=0)[circ.exponents % n] / n
+    return _full_circle_table(circ, np.concatenate(op.band_nodes)) @ Z
+
+
+def _complex_system(op, F, v, kept):
+    """The complex 2T x 2T collocation system in the band unknowns of one
+    index, both columns' equations, with the circles of `kept` eliminated
+    (their full complex coupling); F the band jumps at the band nodes, v[j]
+    circle j's jump entry F_10 at its nodes."""
+    T = F.shape[0]
+    coupling = np.zeros((T, T + 1), dtype=complex)
+    for j in kept:
+        coupling += _full_coupling(op, j, v[j])
+    A = np.zeros((2 * T, 2 * T), dtype=complex)
+    rhs = np.zeros((2 * T, 2), dtype=complex)
+    eye = np.eye(2)
+    for m in range(2):
+        rows = slice(m * T, (m + 1) * T)
+        for m2 in range(2):
+            cols = slice(m2 * T, (m2 + 1) * T)
+            A[rows, cols] = -F[:, m2, m, None] * op.minus[m2] + eye[m, m2] * op.plus[m2]
+        rhs[rows] = F[:, :, m] - eye[:, m]
+        scale = eye[0, m] - F[:, 0, m]
+        A[rows, T:] += scale[:, None] * coupling[:, :T]
+        rhs[rows, 1] -= scale * coupling[:, T]
+    return A, rhs
+
+
+class TestRealSolve:
+    @pytest.fixture(scope="class", params=["two bands", "genus 3", "U band under exp(2x)"])
+    def case(self, request, spec_two_band, spec_genus3):
+        """(context, [(index, solution, F, v)]): F the band jumps at the band
+        nodes, v[j] circle j's jump entry F_10 at its nodes."""
+        ctx, ns = _real_solve_case(request.param, spec_two_band, spec_genus3)
+        op = _operator(ctx)
+        solves = []
+        for n in ns:
+            jumps = JumpAssembly([ctx.aux(n)], ctx.jump_values)
+            F = np.concatenate([jumps.band_jump(q, x)[0] for q, x in enumerate(op.band_nodes)])
+            v = [jumps.circle_jump(j, c.nodes())[0, :, 1, 0] for j, c in enumerate(op.circles)]
+            solves.append((n, ctx.solution(n), F, v))
+        return ctx, solves
+
+    def test_matches_complex_collocation_solve(self, case):
+        ctx, solves = case
+        for _, sol, F, v in solves:
+            A, rhs = _complex_system(_operator(ctx), F, v, sol.circle_coeffs)
+            want = np.linalg.solve(A, rhs)
+            got = np.concatenate([np.concatenate([c[:, m, :].T for c in sol.band_coeffs])
+                                  for m in range(2)])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_column_1_rows_are_conjugates_of_column_0_rows(self, case):
+        # with column 0's unknowns taken times i (and row 1's right-hand
+        # side times -i), as in the real system, column 1's equation at a
+        # band node is conj(column 0's) / F_10 there
+        ctx, solves = case
+        for _, sol, F, v in solves:
+            A, rhs = _complex_system(_operator(ctx), F, v, sol.circle_coeffs)
+            T = len(F)
+            rows = np.hstack([A * np.repeat([1j, 1.0], T), rhs * [1.0, -1j]])
+            col0, col1 = rows[:T], rows[T:]
+            want = np.conj(col0) / F[:, 1, 0, None]
+            assert np.all(np.abs(col1 - want) <= 1e-15 * np.max(np.abs(col1), axis=1)[:, None])
+
+    def test_half_circle_coupling_matches_full_product(self, case):
+        # to rounding for a jump entry of the symmetric form, the lower half
+        # -conj of the upper: the sum cancels (at n = 60 on two bands the
+        # result is 1e-4 of the sum of |G| |v| |K|), so each entry is held
+        # to that sum's rounding.  The computed entry departs from the
+        # symmetric form by its own rounding, amplified by n in the
+        # exponent, and moves the full product by that departure times
+        # |G| |K|.
+        ctx, solves = case
+        op = _operator(ctx)
+        kept = 0
+        for _, sol, _, v in solves:
+            for j in sol.circle_coeffs:
+                kept += 1
+                circ = op.circles[j]
+                n = circ.n_points
+                G = _full_circle_table(circ, np.concatenate(op.band_nodes)) \
+                    @ np.fft.fft(np.eye(n), axis=0)[circ.exponents % n] / n
+                K = op.circle_K[j][:n]
+                mirrored = v[j].copy()
+                mirrored[n // 2 + 1:] = -np.conj(v[j][1:n // 2][::-1])
+                got = op.coupling(j, v[j])
+                assert np.array_equal(got, op.coupling(j, mirrored))
+                departure = np.abs(G) @ (np.abs(v[j] - mirrored)[:, None] * np.abs(K))
+                for data, slack in ((mirrored, 0.0), (v[j], departure)):
+                    want = _full_coupling(op, j, data)
+                    want = np.column_stack([want[:, :-1].real, want[:, -1].imag])
+                    bound = 1e-14 * (np.abs(G) @ (np.abs(data)[:, None] * np.abs(K))) + slack
+                    assert np.all(np.abs(got - want) <= bound)
+        assert kept
+
+    def test_lower_nodes_are_exact_conjugates(self, case):
+        ctx, _ = case
+        for circ in ctx.contours.circles:
+            n = circ.n_points
+            k = np.arange(n)
+            nodes, test_nodes = circ.nodes(), circ.test_nodes()
+            off_axis = k[(k > 0) & (2 * k != n)]
+            assert np.array_equal(nodes[n - off_axis], np.conj(nodes[off_axis]))
+            assert np.array_equal(test_nodes[n - 1 - k], np.conj(test_nodes[k]))
+
+    @pytest.mark.parametrize("where", ["test nodes", "nodes and test nodes"])
+    def test_band_jump_with_a_diagonal_shows_in_residual(self, case, where):
+        # the real system reads only F_10 at the band nodes; a band jump of
+        # another form shows in the residual, never as a silent success
+        ctx, solves = case
+        op = _operator(ctx)
+        points = np.concatenate(op.band_test_nodes if where == "test nodes"
+                                else op.band_nodes + op.band_test_nodes)
+
+        class DiagonalOnBands(JumpAssembly):
+            def band_jump(self, j, x):
+                out = super().band_jump(j, x)
+                out[:, np.isin(x, points), 0, 0] = 0.1
+                return out
+
+        for n, _, _, _ in solves:
+            jumps = DiagonalOnBands([ctx.aux(n)], ctx.jump_values)
+            with pytest.warns(ResidualWarning, match=f"n={n}"):
+                sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps)[n]
+            assert sol.residual.off_collocation > 1e-3
