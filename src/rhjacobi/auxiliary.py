@@ -46,20 +46,20 @@ class AuxData:
     h1: complex
 
 
-def wrap_angle(theta: float) -> float:
-    """Reduce an angle into (-pi, pi].
+def wrap_angle(theta):
+    """Reduce angles into (-pi, pi], elementwise; a float for a float.
 
     Angles within 1e-8 of an integer multiple of pi are snapped to the exact
     principal value (0 or +pi) so that weights with rational phase ratios wrap
     deterministically instead of straddling the branch boundary by rounding.
     """
+    theta = np.asarray(theta, dtype=float)
     q = theta / np.pi
-    if abs(q - round(q)) < 1e-8:
-        return 0.0 if round(q) % 2 == 0 else np.pi
+    k = np.rint(q)
     w = np.remainder(theta + np.pi, 2.0 * np.pi)
-    if w <= 0.0:
-        w += 2.0 * np.pi
-    return float(w - np.pi)
+    w = np.where(w <= 0.0, w + 2.0 * np.pi, w) - np.pi
+    out = np.where(np.abs(q - k) < 1e-8, np.where(np.remainder(k, 2.0) == 0.0, 0.0, np.pi), w)
+    return float(out) if out.ndim == 0 else out
 
 
 def build_hsystem(spec: WeightSpec, green: GreenData) -> HSystem:
@@ -83,20 +83,27 @@ def build_hsystem(spec: WeightSpec, green: GreenData) -> HSystem:
 
 def solve_aux(hsys: HSystem, green: GreenData, n: int) -> AuxData:
     """Wrapped gap phases, band constants, and the 1/z coefficient for index n."""
+    return solve_aux_block(hsys, green, [n])[0]
+
+
+def solve_aux_block(hsys: HSystem, green: GreenData, ns) -> list:
+    """solve_aux for every index of ns at once, one AuxData per index.  Each
+    product is a sum along the last axis, per index and in a fixed order, so
+    an index's AuxData does not depend on the other indices of ns."""
     g = len(green.deltas)
-    nu = np.array([1j * wrap_angle(n * d.imag) for d in green.deltas], dtype=complex)
-    rhs = -(hsys.G[: g + 1, :] @ nu)
-    A = hsys.H_inv @ rhs
-    drift = np.max(np.abs(A.imag))
-    if drift > 1e-10:
-        warnings.warn(f"band constants carry imaginary part {drift:.2e} at n={n}",
-                      ImagPartWarning, stacklevel=2)
+    nu = 1j * wrap_angle(np.array(ns, dtype=float)[:, None] * green.deltas.imag)
+    rhs = -np.sum(hsys.G[: g + 1] * nu[:, None, :], axis=-1)
+    A = np.sum(hsys.H_inv * rhs[:, None, :], axis=-1)
+    for n, drift in zip(ns, np.max(np.abs(A.imag), axis=-1)):
+        if drift > 1e-10:
+            warnings.warn(f"band constants carry imaginary part {drift:.2e} at n={n}",
+                          ImagPartWarning, stacklevel=2)
     A = A.real
     # 1/z coefficient: the first unbalanced moment, scaled by the Cauchy kernel's
     # own -1/(2 pi i); the jump identities fix this normalization.
-    moment = hsys.H[g + 1, :] @ A + hsys.G[g + 1, :] @ nu
+    moment = np.sum(hsys.H[g + 1] * A, axis=-1) + np.sum(hsys.G[g + 1] * nu, axis=-1)
     h1 = -moment / (2j * np.pi)
-    return AuxData(n=n, A=A, nu=nu, h1=complex(h1))
+    return [AuxData(n=n, A=A[k], nu=nu[k], h1=complex(h1[k])) for k, n in enumerate(ns)]
 
 
 def h_basis(green: GreenData, z, side: Side = Side.OFF) -> tuple:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import AuxData, build_hsystem, combine_h, h_weights, solve_aux
+from .auxiliary import AuxData, build_hsystem, combine_h, h_weights, solve_aux, solve_aux_block
 from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
 from .green import build_green
 from .oracle import adaptive_gauss_mass
@@ -81,7 +81,8 @@ class SolveContext:
     everything per geometry.  Per index n: the auxiliary data (aux) and the
     block that solved n, both cached; the block holds n's RHSolution or the
     SolverError its solve failed with.  solve(ns) solves the indices of ns
-    that are not cached in blocks, one solve_matrix_rhp call each;
+    that are not cached in blocks, one solve_matrix_rhp call each, after
+    one solve_aux_block call for the auxiliary data of all of them;
     solution(n) is a block of one where n is not cached yet.  stages adds up
     the seconds of every block solved here, per stage of rhp.STAGES.
     """
@@ -110,6 +111,8 @@ class SolveContext:
         for n in ns:
             _check_index(n, "an index")
         missing = [n for n in dict.fromkeys(ns) if n not in self._solutions]
+        new = [n for n in missing if n not in self._aux]
+        self._aux.update(zip(new, solve_aux_block(self.hsys, self.green, new)))
         unknowns = 2 * sum(bp.n_points for bp in self.contours.bands)
         size = max(1, BLOCK_BYTES // (8 * unknowns ** 2))
         for start in range(0, len(missing), size):

@@ -21,12 +21,20 @@ D y_0 and row 1's i D y_1, with D = diag(i I_T, I_T) and y_0, y_1 real (T band
 unknowns per column).  Column 0's T complex equations, split into real and
 imaginary parts, are one real 2T x 2T system for both rows, with right-hand
 sides -1 (row 0) and -i (F_10 - c) (row 1), c the identity's share of the
-circle coupling; the column-1 equations are never assembled.  On the circles
-the lower nodes are the exact conjugates of the upper ones, and the coupling
-is made from the upper half-circle (CollocationOperator.coupling).  The
-off-collocation residual takes the complex solution, both columns, at every
-test node of every piece: it checks the column-1 equations, and any jump that
-is not of this form shows there.
+circle coupling; the column-1 equations are never assembled.
+
+Every circle computation runs on the upper half-circle only (Circle.upper):
+the nodes at angles 0..pi and the test nodes strictly above the real axis.
+Each lower node is the exact conjugate of its mirror node, and there the
+circle jump's entry v, the column-1 kernels K and the column-0 data
+v (K u_B1 + [r == 1]) of row 0 (row 1) are -conj, -conj and conj (-conj) of
+their mirror values, so the lower half is never formed.  The solver reads a
+circle's jump as v at the upper points (JumpAssembly.circle_entry): a circle
+jump that is not unit lower-triangular, or not Schwarz-symmetric, cannot be
+expressed.  The off-collocation residual takes the complex solution, both
+columns, at every band test node and at every upper circle test node: it
+checks the column-1 equations, and a band jump not of the form above shows
+there.
 
 A circle whose jump matrix differs from the identity by less than
 IDENTITY_JUMP at all of its collocation nodes carries no density to double
@@ -34,33 +42,36 @@ precision.  The solver drops it for that solve, so at large n only the bands
 are solved; the off-collocation residual still checks every circle.
 
 What is computed how often, and who owns it:
+- per circle: its upper points (Circle.upper), computed once.
 - per geometry, the ContourSet: its circles, bands and kernel bases (the
   default_bases of the weight it was built for), and its one
   CollocationOperator, the band kernel tables at every band node and test
-  node and, for column 1, every circle point, in one pass over those points:
-  per band and column one table off the band and one from above at its own
-  points, whose reflection (-conj) is the table from below.  It is built by
-  the first solve on the contour set and kept for every later one, and so
-  are the real tables of the band system (real_halves).  g and the h basis
-  depend on the bands only too: JumpValues reads them from the GreenData at
-  all circle points at once, one call per side, each one pass over every
-  band and gap at once, when the first solve asks for a circle jump.
+  node and, for column 1, every upper circle point, in one pass over those
+  points: per band and column one table off the band and one from above at
+  its own points, whose reflection (-conj) is the table from below.  It is
+  built by the first solve on the contour set and kept for every later one,
+  and so are the real tables of the band system (real_halves).  g and the h
+  basis depend on the bands only too: JumpValues reads them from the
+  GreenData at every upper circle point at once, one call per side, each one
+  pass over every band and gap at once, when the first solve asks for a
+  circle jump.
 - per kept circle, in the operator: its coupling operands at the band nodes
   (G over the upper half-circle) and its Laurent table at the band test
   nodes, built by the first solve that keeps it.
-- per jump spec, in JumpValues: the weight values at the nodes and test
-  nodes, in one call per circle and side.
+- per jump spec, in JumpValues: the weight values at the upper circle points,
+  in one call per circle and side.
 - per block of indices, in one solve_matrix_rhp call, one NumPy call per
-  step over all its indices: the jump values (one exponential per circle
-  over indices x points, taken only where it does not underflow to 0), the
-  stacked real band systems (the operator's left half, and its right half
-  scaled by -F_10) and their 1-norms, the kept circles' coefficients (one
-  stacked FFT each) and the residual (one stacked inverse FFT per circle,
-  stacked products on the bands); per index, one coupling product per kept
-  circle, one lu_factor and lu_solve (LAPACK dgetrf and dgetrs) and one
-  dgecon call, and its RHSolution.  Each step acts on every index alone, so
-  an index's solution does not depend on its block, and an index whose solve
-  fails fails alone.
+  step over all its indices: the circle jump entries (one exponential per
+  circle over indices x upper points, taken only where it does not underflow
+  to 0), the stacked real band systems (the operator's left half, and its
+  right half scaled by -F_10) and their 1-norms, per circle one product of
+  its kernels with the band unknowns of every index, the kept circles'
+  coefficients (two Hermitian FFTs each) and the residual (one stacked
+  inverse FFT per circle, stacked products on the bands); per index, one
+  coupling product per kept circle, one lu_factor and lu_solve (LAPACK
+  dgetrf and dgetrs) and one dgecon call, and its RHSolution.  Each step
+  acts on every index alone, so an index's solution does not depend on its
+  block, and an index whose solve fails fails alone.
 """
 
 from __future__ import annotations
@@ -114,18 +125,35 @@ _PHASES = np.array([[1j, -1.0], [1.0, 1j]])
 
 @dataclass(frozen=True)
 class Circle:
-    """A deformation circle with its collocation resolution.
+    """A deformation circle with its collocation resolution, n_points even
+    (DomainError otherwise).
 
     pos_modes caps the nonnegative Laurent exponents.  The solved density's
     positive modes decay at the rate set by the exterior clearance while its
     negative modes decay at the (slower) rate set by the enclosed band, so a
     lopsided consecutive range spends the unknowns where the density lives.
+    A solve computes at the upper points only (upper; module docstring).
     """
 
     center: float
     radius: float
     n_points: int
     pos_modes: int
+
+    def __post_init__(self):
+        if self.n_points % 2:
+            raise DomainError(f"a circle needs an even number of nodes, got {self.n_points}")
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """The points of the upper half-circle where a solve takes the jump,
+        computed once and read-only: the nodes k = 0..n_points / 2, at angles
+        0..pi, then the test nodes strictly above the real axis,
+        k = 0..n_points / 2 - 1."""
+        half = self.n_points // 2
+        out = np.concatenate([self.nodes()[:half + 1], self.test_nodes()[:half]])
+        out.flags.writeable = False
+        return out
 
     @property
     def exponents(self) -> np.ndarray:
@@ -153,10 +181,6 @@ class Circle:
         # t's mirror image is n_points - t, at index n_points - 2 shift - k.
         unit[lower] = np.conj(unit[(self.n_points - 2 * shift - lower).astype(int)])
         return self.center + self.radius * unit
-
-    def points(self) -> np.ndarray:
-        """The nodes, then the test nodes, where a solve takes the jump."""
-        return np.concatenate([self.nodes(), self.test_nodes()])
 
 
 @dataclass(frozen=True)
@@ -204,12 +228,15 @@ class CollocationOperator:
       from above and below; every other entry is the off-contour value, the
       same in both.
     - test_plus[m], test_minus[m]: the same at all band test nodes.
-    - circle_points[j]: circle j's nodes, then its test nodes (Circle.points).
+    - circle_points[j]: circle j's upper half (Circle.upper), its nodes at
+      angles 0..pi, then its test nodes above the real axis.  The kernels at
+      a lower point are -conj of those at its mirror point and are never
+      formed (module docstring).
     - circle_K[j]: the column-1 kernels at circle_points[j], then a column of
       ones for the identity's share of the jump.
     The kernel tables come from one pass over the point cloud of column m:
     every band's nodes and test nodes, one slice per band, and for column 1
-    every circle's points.  Per band q and column m there are at most two
+    every circle's upper points.  Per band q and column m there are at most two
     cauchy_cheb_table calls, off the band at every other point and from above
     at its own, whose rows are copied into the arrays above; from below, a
     band's values at its own points are -conj of those from above, bit for
@@ -226,7 +253,7 @@ class CollocationOperator:
         self.circles = contours.circles
         self.band_nodes = [bp.nodes() for bp in bands]
         self.band_test_nodes = [bp.test_nodes() for bp in bands]
-        self.circle_points = [c.points() for c in contours.circles]
+        self.circle_points = [c.upper for c in contours.circles]
         ends = np.cumsum([bp.n_points for bp in bands]).tolist()
         self.spans = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
         T = ends[-1]
@@ -283,7 +310,7 @@ class CollocationOperator:
         G maps data at circle j's nodes to the Cauchy transform at all band
         nodes of the density that interpolates it: _circle_table there times
         W^-1 = W^H / n_j, W the Laurent table at the nodes, as a DFT.  Only its
-        columns at the upper nodes k = 0..n_j // 2 are kept, each doubled but
+        columns at the upper nodes k = 0..n_j / 2 are kept, each doubled but
         the two axis nodes' (k = 0 and n_j / 2), as the real [Re G, -Im G].
         K is circle_K[j] at those nodes with -i for its column of ones: the
         operands of coupling.  (span, table) is _circle_table at all band
@@ -294,10 +321,9 @@ class CollocationOperator:
             span, table = _circle_table(circ, np.concatenate(self.band_nodes))
             spectrum = np.zeros((len(table), n), dtype=complex)
             spectrum[:, circ.exponents[span] % n] = table
-            upper = np.arange(n // 2 + 1)
-            G = np.fft.fft(spectrum, axis=1)[:, upper] / n
-            G[:, (upper > 0) & (2 * upper < n)] *= 2.0
-            K = self.circle_K[j][upper]
+            G = np.fft.fft(spectrum, axis=1)[:, :n // 2 + 1] / n
+            G[:, 1:-1] *= 2.0
+            K = self.circle_K[j][:n // 2 + 1].copy()
             K[:, -1] = -1j
             self._circle_tables[j] = (np.hstack([G.real, -G.imag]), K,
                                       *_circle_table(circ, np.concatenate(self.band_test_nodes)))
@@ -305,10 +331,11 @@ class CollocationOperator:
 
     def coupling(self, j: int, v: np.ndarray) -> np.ndarray:
         """The coupling of circle j into column 0's band equations for one
-        index, v its jump entry F_10 at circle j's nodes: the real (T, T + 1)
-        matrix whose columns :T are G diag(v) K, K the bands' column-1 tables
-        at the nodes (circle_K), and whose column T holds Im(G v), the
-        identity's share.
+        index, v its jump entry F_10 at circle j's upper points (of which
+        the upper nodes, its first n_j / 2 + 1 entries, are read): the real
+        (T, T + 1) matrix whose columns :T are G diag(v) K, K the bands'
+        column-1 tables at the nodes (circle_K), and whose column T holds
+        Im(G v), the identity's share.
 
         By the Schwarz symmetry G, v and K at a node below the real axis are
         conj G, -conj v and -conj K at its mirror image, so G diag(v) K is
@@ -430,17 +457,17 @@ def _fill(memo: dict, point_sets: dict, evaluate) -> None:
 class JumpValues:
     """The n-independent factors of the jumps of spec on one contour set.
 
-    circle_jump's sign, g and the h basis (auxiliary.h_basis), all read from
-    the bands' GreenData green, depend on the bands only, so every jump spec
-    on them shares them (for_spec).  The weight values belong to the jump
-    spec.  Both are memos keyed by the points' bytes, each point taken as the
-    jumps take it: off the real axis with Side.OFF, on it from above.  The
-    first circle request evaluates them at every circle node and test node of
-    the contour set: g and the h basis in one call per side, each circle's
-    weight in one weight_value call per side, and every later index reads
-    them.  A request at other points fills that point set alone; as each
-    point's value depends on that point only, it is the value the whole cloud
-    gives.  point serves one point off the circles, such as cauchy_pn's, and
+    The circle entry's sign, g and the h basis (auxiliary.h_basis), all read
+    from the bands' GreenData green, depend on the bands only, so every jump
+    spec on them shares them (for_spec).  The weight values belong to the
+    jump spec.  Both are memos keyed by the points' bytes, each point taken as
+    the jumps take it: off the real axis with Side.OFF, on it from above.  The
+    first circle request evaluates them at every circle's upper points
+    (Circle.upper), where the solver reads them: g and the h basis in one call
+    per side, each circle's weight in one weight_value call per side, and
+    every later index reads them.  A request at other points fills that point
+    set alone; as each point's value depends on that point only, it is the
+    value the whole cloud gives.  point serves one point off the circles, such as cauchy_pn's, and
     keeps the last point only.
     """
 
@@ -472,7 +499,7 @@ class JumpValues:
         point_sets = [(j, z)]
         if self._cold:
             self._cold = False
-            point_sets = [*enumerate(c.points() for c in self.contours.circles), (j, z)]
+            point_sets = [*enumerate(c.upper for c in self.contours.circles), (j, z)]
         _fill(self._geometry, {w.tobytes(): w for _, w in point_sets}, self._geometry_at)
         for i in dict.fromkeys(i for i, _ in point_sets):
             _fill(self._weights, {("circle", i, w.tobytes()): w for k, w in point_sets if k == i},
@@ -501,18 +528,20 @@ class JumpValues:
 class JumpAssembly:
     """Jump matrices of the deformed problem for a block of indices ns.
 
-    On the circles only the (2,1) entry differs from the identity: minus (upper
-    half) or plus (lower half) of exp(2 h_n - 2n g)/w_j.  The two real-axis
+    On the circles only the (2,1) entry v differs from the identity: minus
+    (upper half) or plus (lower half) of exp(2 h_n - 2n g)/w_j.  circle_entry
+    gives v, shape (len(ns), len(points)), and circle_jump the 2x2 view
+    [[1, 0], [v, 1]] built from it.  The solver reads circle_entry at the
+    upper points of each circle only (module docstring).  The two real-axis
     crossing points take the upper limit; the glued function is continuous
     there because the wrapped gap phases agree with n times the gap jumps
-    modulo 2 pi i.  On the bands the jump is the constant-twisted off-diagonal
-    involution.
+    modulo 2 pi i.  On the bands the jump is the constant-twisted
+    off-diagonal involution, band_jump, shape (len(ns), len(points), 2, 2).
 
     The n-independent factors come from `values`, which a SolveContext shares
     between all its indices.  auxes is a sequence of AuxData, one per index
     of the block, from which the 2g+1 weights of the h basis and e^(+-A_j)
-    are formed.  Each call returns the jumps of every index of the block,
-    shape (len(ns), len(points), 2, 2).
+    are formed.
     """
 
     def __init__(self, auxes, values: JumpValues):
@@ -521,7 +550,8 @@ class JumpAssembly:
         self._h_weights = np.array([h_weights(aux) for aux in auxes])
         self._A = np.array([aux.A for aux in auxes])
 
-    def circle_jump(self, j: int, z) -> np.ndarray:
+    def circle_entry(self, j: int, z) -> np.ndarray:
+        """v at points z of circle j, shape (len(ns), len(z))."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         sign, R, transforms, g, w = self.values.circle(j, z)
         expo = 2.0 * combine_h(self._h_weights, R, transforms) - 2.0 * self.ns[:, None] * g
@@ -529,9 +559,15 @@ class JumpAssembly:
         # only elsewhere; a NaN or infinite exponent still goes through it.
         scale = np.zeros_like(expo)
         np.exp(expo, out=scale, where=~(expo.real < UNDERFLOW_EXPONENT))
-        out = np.zeros((len(self.ns),) + z.shape + (2, 2), dtype=complex)
+        return sign * scale / w
+
+    def circle_jump(self, j: int, z) -> np.ndarray:
+        """The jump [[1, 0], [v, 1]] at points z of circle j, shape
+        (len(ns), len(z), 2, 2); the solver reads circle_entry instead."""
+        v = self.circle_entry(j, z)
+        out = np.zeros(v.shape + (2, 2), dtype=complex)
         out[..., 0, 0] = out[..., 1, 1] = 1.0
-        out[..., 1, 0] = sign * scale / w
+        out[..., 1, 0] = v
         return out
 
     def band_jump(self, j: int, x) -> np.ndarray:
@@ -663,15 +699,31 @@ def _powers(x: np.ndarray, out: np.ndarray) -> None:
     np.multiply.accumulate(np.broadcast_to(x, out.shape), axis=0, out=out)
 
 
+def _coefficients(circ: Circle, d: np.ndarray) -> np.ndarray:
+    """The Laurent coefficients, on circ.exponents along the last axis, of the
+    column-0 density whose values d (..., row r, upper point) are given at
+    circ's upper points: W^-1 d over every node, W the Laurent table at the
+    nodes, as a DFT.  Below the real axis row 0's values are conj, row 1's
+    -conj of those at the mirror node (module docstring), so the DFT of row 0
+    is real and that of row 1 imaginary: each is a Hermitian FFT of the upper
+    nodes' values."""
+    n = circ.n_points
+    upper = d[..., :n // 2 + 1]
+    spectrum = np.stack([np.fft.hfft(upper[..., 0, :], n),
+                         -1j * np.fft.hfft(1j * upper[..., 1, :], n)], axis=-2)
+    return spectrum[..., circ.exponents % n] / n
+
+
 def _series_on_test_nodes(circ: Circle, u: np.ndarray) -> np.ndarray:
-    """The Laurent series with coefficients u (axis -2 on circ.exponents) at
-    circ's test nodes, the nodes turned by half a step: an inverse DFT of u
-    times that phase.  It is the jump of its Cauchy transform there."""
+    """The Laurent series with coefficients u (last axis on circ.exponents)
+    at circ's upper test nodes, the nodes turned by half a step: an inverse
+    DFT of u times that phase.  It is the jump of its Cauchy transform
+    there."""
     n = circ.n_points
     exps = circ.exponents
-    spectrum = np.empty(u.shape[:-2] + (n,) + u.shape[-1:], dtype=complex)
-    spectrum[..., exps % n, :] = u * np.exp(1j * np.pi * exps / n)[:, None]
-    return n * np.fft.ifft(spectrum, axis=-2)
+    spectrum = np.empty(u.shape[:-1] + (n,), dtype=complex)
+    spectrum[..., exps % n] = u * np.exp(1j * np.pi * exps / n)
+    return n * np.fft.ifft(spectrum, axis=-1)[..., :n // 2]
 
 
 def default_bases(spec: WeightSpec) -> tuple:
@@ -685,30 +737,34 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> BlockSolu
     rows at once, in the kernel bases default_bases(spec), which must be the
     contour set's (DomainError otherwise: contours built for a weight of the
     same kinds).  jumps gives the indices ns and, stacked over them, the jump
-    matrices at a piece's points: circle_jump(j, z) on circle j, band_jump(j,
-    x) on band j, each of shape (len(ns), len(points), 2, 2).
+    data at a piece's points: circle_entry(j, z) on circle j, the entry v of
+    its jump [[1, 0], [v, 1]], shape (len(ns), len(z)), and band_jump(j, x)
+    on band j, the jump matrices, shape (len(ns), len(x), 2, 2).
 
-    Every circle jump must be unit lower-triangular at the circle's nodes and
-    test nodes, F = [[1, 0], [v, 1]].  Circle j is dropped for index n when
-    max |v| over its nodes is below IDENTITY_JUMP: it then carries no density
-    to double precision.  On a kept circle the column-1 density vanishes and
-    the column-0 density is an explicit function of the band unknowns, so only
-    the bands are factored, one system per index.  Each solution's
-    circle_coeffs hold the circles its index kept.
+    A circle's jump is read as v at its upper points only (Circle.upper): by
+    the Schwarz symmetry v at a lower point is -conj of v at its mirror
+    point, so a circle jump that is not unit lower-triangular, or not
+    Schwarz-symmetric, cannot be expressed.  Circle j is dropped for index n
+    when max |v| over its nodes is below IDENTITY_JUMP: it then carries no
+    density to double precision.  On a kept circle the column-1 density
+    vanishes and the column-0 density is an explicit function of the band
+    unknowns, so only the bands are factored, one system per index.  Each
+    solution's circle_coeffs hold the circles its index kept.
 
     The band jumps are collocated in the form [[0, f], [-1/f, 0]], f real,
     that a real weight gives: the real band system (module docstring) reads
     only Re F_10 at the band nodes, where a band jump of this form is fixed
-    by it.  The off-collocation residual takes the full jumps at every test
-    node of every piece of `contours`, the dropped circles included, so a
-    band jump of another form shows there; above RESIDUAL_WARN it warns,
-    naming the index.  An index fails alone, with a SolverError carrying its
-    circle_deviation, if its circle jump is not unit lower-triangular, its
-    band jump is not finite at a band node or test node (both before its
-    system is factored), its band system is singular (as for F_10 = 0), or
-    its solution or residual is not finite, which is also how an overflow
-    shows.  The operator's tables are built by the first solve that needs
-    them (the "tables" stage).
+    by it.  The off-collocation residual takes the full band jumps at every
+    band test node and v at every upper circle test node, the dropped
+    circles' included, so a band jump of another form, or a circle entry off
+    the density's, shows there; above RESIDUAL_WARN it warns, naming the
+    index.  An index fails alone, with a SolverError carrying its
+    circle_deviation, if its band jump is not finite at a band node or test
+    node (before its system is factored), its band system is singular (as
+    for F_10 = 0), or its solution or residual is not finite, which is also
+    how an overflow or a circle entry that is not finite shows.  The
+    operator's tables are built by the first solve that needs them (the
+    "tables" stage).
     """
     if default_bases(spec) != contours.bases:
         raise DomainError("the contour set was built for a weight of other kinds")
@@ -740,9 +796,11 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
     ns = [int(n) for n in jumps.ns]
     count = len(ns)
     errors = [""] * count
-    v = _circle_entries(jumps, op, errors)
-    # deviation[j, k]: max |v| of circle j at its nodes for index k.
-    deviation = np.array([np.max(np.abs(vj[:, :c.n_points]), axis=1)
+    # v[j]: circle j's jump entry F_10 at its upper points, one row per index.
+    v = [jumps.circle_entry(j, z) for j, z in enumerate(op.circle_points)]
+    # deviation[j, k]: max |v| of circle j at its nodes for index k, read at
+    # the upper nodes, whose |v| the lower ones repeat.
+    deviation = np.array([np.max(np.abs(vj[:, :c.n_points // 2 + 1]), axis=1)
                           for vj, c in zip(v, contours.circles)]).reshape(-1, count)
     circle_deviation = np.max(deviation, axis=0, initial=0.0)
     keeps = ~(deviation < IDENTITY_JUMP)
@@ -791,16 +849,17 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
     X = y * _PHASES[np.repeat([0, 1], T)]
     lap("lu")
 
-    # Per circle, v (K u_B1 + [r == 1]) at its nodes and test nodes, by index
-    # and row r.
-    Xe = np.concatenate([X[:, T:], np.broadcast_to([[0.0, 1.0]], (count, 1, 2))], axis=1)
-    vKX = [vj[:, :, None] * (K @ Xe) for vj, K in zip(v, op.circle_K)]
-    # u0[j]: u_c0 by row r of the indices that keep circle j, W^-1 as a DFT.
-    u0 = {}
-    for j in tables:
-        circ = contours.circles[j]
-        n = circ.n_points
-        u0[j] = np.fft.fft(vKX[j][keeps[j], :n], axis=1)[:, circ.exponents % n] / n
+    # Per circle, v (K u_B1 + [r == 1]) at its upper points by index and row
+    # r, from one product per circle over the block with the indices and rows
+    # in Xe's rows: a row of a matrix product does not depend on the others,
+    # so an index's values do not depend on its block.
+    Xe = np.zeros((count, 2, T + 1), dtype=complex)
+    Xe[..., :T] = X[:, T:].transpose(0, 2, 1)
+    Xe[:, 1, T] = 1.0
+    Xe = Xe.reshape(2 * count, T + 1)
+    vKX = [vj[:, None] * (Xe @ K.T).reshape(count, 2, -1) for vj, K in zip(v, op.circle_K)]
+    # u0[j]: u_c0 by row r of the indices that keep circle j.
+    u0 = {j: _coefficients(contours.circles[j], vKX[j][keeps[j]]) for j in tables}
     residual = _off_collocation_residual(op, keeps, tables, u0, vKX, X, test_F)
     for k in np.flatnonzero(~np.isfinite(residual)):
         errors[k] = errors[k] or "off-collocation jump residual is not finite"
@@ -819,29 +878,13 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
         for k, coeff in zip(np.flatnonzero(keeps[j]), u):
             sol = solutions[ns[k]]
             if isinstance(sol, RHSolution):
-                sol.circle_coeffs[j] = np.stack([coeff.T, np.zeros_like(coeff.T)], axis=1)
+                sol.circle_coeffs[j] = np.stack([coeff, np.zeros_like(coeff)], axis=1)
     solved = np.array([not error for error in errors])
     worst = (float(np.max(residual[solved])), float(np.min(rcond[solved]))) if solved.any() \
         else (np.nan, np.nan)
     report = ResidualReport(*worst, float(np.max(circle_deviation)))
     lap("residual")
     return BlockSolution(solutions=solutions, residual=report, stages=stages)
-
-
-def _circle_entries(jumps, op: CollocationOperator, errors: list) -> list:
-    """Per circle j, the jump entry F_10 at its nodes, then at its test nodes,
-    one row per index of the block, copied out of the 2x2 jumps so that those
-    are freed; errors[k] names the first circle whose jump for index k is not
-    unit lower-triangular."""
-    v = []
-    for j, z in enumerate(op.circle_points):
-        F = jumps.circle_jump(j, z)
-        upper = (F[..., 0, 0] != 1.0) | (F[..., 1, 1] != 1.0) | (F[..., 0, 1] != 0.0)
-        for k in np.flatnonzero(np.any(upper, axis=1)):
-            errors[k] = errors[k] or (f"jump on circle {j} is not unit lower-triangular "
-                                      "at its nodes and test nodes")
-        v.append(F[..., 1, 0].copy())
-    return v
 
 
 def lu_factor(a: np.ndarray) -> tuple:
@@ -884,20 +927,22 @@ def _off_collocation_residual(op: CollocationOperator, keeps: np.ndarray, tables
                               u0: dict, vKX: list, X: np.ndarray,
                               test_F: np.ndarray) -> np.ndarray:
     """Per index of the block, the max jump defect |Phi_+ - Phi_- F| at every
-    test node of every piece, the dropped circles' included.
+    band test node and every upper circle test node, the dropped circles'
+    included.
 
     keeps[j] marks the indices that keep circle j, tables and u0 hold each
     kept circle's tables and the column-0 coefficients of those indices,
-    vKX[j] circle j's v Phi_-,r1 at its nodes and test nodes, X the band
-    unknowns and test_F the band jumps at the band test nodes.  On circle j
-    F = [[1, 0], [v, 1]] and only circle j's own density jumps, so the defect
-    there is J - v Phi_-,r1 in column 0, with J circle j's series (0 if
-    dropped), and exactly 0 in column 1.
+    vKX[j] circle j's v Phi_-,r1 at its upper points by index and row, X the
+    band unknowns and test_F the band jumps at the band test nodes.  On
+    circle j F = [[1, 0], [v, 1]] and only circle j's own density jumps, so
+    the defect there is J - v Phi_-,r1 in column 0, with J circle j's series
+    (0 if dropped), and exactly 0 in column 1.  At a lower test node it is
+    +-conj of the defect at the mirror node, which it therefore repeats.
     """
     T = X.shape[1] // 2
     worst = []
     for j, (circ, values) in enumerate(zip(op.circles, vKX)):
-        defect = -values[:, circ.n_points:]
+        defect = -values[..., circ.n_points // 2 + 1:]
         if j in u0:
             defect[keeps[j]] += _series_on_test_nodes(circ, u0[j])
         worst.append(np.max(np.abs(defect), axis=(1, 2)))
@@ -907,7 +952,7 @@ def _off_collocation_residual(op: CollocationOperator, keeps: np.ndarray, tables
                     for t in (op.test_plus, op.test_minus))
     for j, u in u0.items():
         *_, span, table = tables[j]
-        part = table @ u[:, span]
+        part = table @ u[..., span].transpose(0, 2, 1)
         above[keeps[j], :, :, 0] += part
         below[keeps[j], :, :, 0] += part
     defect = above - below @ test_F + (np.eye(2) - test_F)

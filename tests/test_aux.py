@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from rhjacobi.auxiliary import build_hsystem, eval_h, solve_aux, wrap_angle
+from rhjacobi.auxiliary import build_hsystem, eval_h, solve_aux, solve_aux_block, wrap_angle
 from rhjacobi.cauchy import Side
 from rhjacobi.chebyshev import ChebKind
 from rhjacobi.green import build_green, eval_R
@@ -17,7 +17,34 @@ def sym(spec_symmetric):
     return spec_symmetric, gd, hs
 
 
+def _wrap_reference(theta: float) -> float:
+    """wrap_angle's definition for one angle, in scalar arithmetic: the
+    reference its elementwise form is checked against."""
+    q = theta / np.pi
+    if abs(q - round(q)) < 1e-8:
+        return 0.0 if round(q) % 2 == 0 else np.pi
+    w = np.remainder(theta + np.pi, 2.0 * np.pi)
+    if w <= 0.0:
+        w += 2.0 * np.pi
+    return float(w - np.pi)
+
+
 class TestWrapAngle:
+    def test_elementwise_matches_scalar_definition(self, green_two_band, rng):
+        # bit for bit: at exact multiples of pi, within 1e-8 of one and just
+        # outside, at negative n delta, at n = 1e5, and at random angles
+        k = np.arange(-12.0, 13.0)
+        delta = green_two_band.deltas[0].imag
+        near = (1e-13, -0.9e-8, 0.9e-8, -1.1e-8, 1.1e-8)
+        theta = np.concatenate([k * np.pi, *[(k + e) * np.pi for e in near],
+                                -np.arange(60) * delta,
+                                np.arange(100_000, 100_012) * delta,
+                                rng.uniform(-1e4, 1e4, 200)])
+        got = wrap_angle(theta)
+        assert got.shape == theta.shape
+        assert np.array_equal(got, [_wrap_reference(float(t)) for t in theta])
+        assert isinstance(wrap_angle(float(theta[-1])), float)
+
     def test_principal_interval(self):
         assert wrap_angle(0.0) == 0.0
         assert wrap_angle(np.pi) == np.pi
@@ -103,6 +130,18 @@ class TestSolveAux:
             a1 = solve_aux(hs, gd, n).A
             a2 = solve_aux(hs, gd, n + 2).A
             np.testing.assert_allclose(a1, a2, atol=1e-12)
+
+    def test_block_matches_one_index_at_a_time(self, spec_genus3):
+        # an index's AuxData does not depend on the other indices of the
+        # block (per-index sums in a fixed order), bit for bit
+        gd = build_green(spec_genus3)
+        hs = build_hsystem(spec_genus3, gd)
+        ns = [0, 1, 2, 7, 60, 1000, 100_000]
+        for n, aux in zip(ns, solve_aux_block(hs, gd, ns)):
+            one = solve_aux(hs, gd, n)
+            assert aux.n == one.n == n and aux.h1 == one.h1
+            assert np.array_equal(aux.A, one.A) and np.array_equal(aux.nu, one.nu)
+        assert solve_aux_block(hs, gd, []) == []
 
     def test_nu_is_wrapped_phase(self, spec_two_band, green_two_band, hsys_two_band):
         n = 37

@@ -194,7 +194,8 @@ class TestStackedGeometry:
     @pytest.fixture(params=["two bands", "genus 3"])
     def cloud(self, request, spec_two_band, spec_genus3):
         spec = spec_two_band if request.param == "two bands" else spec_genus3
-        z = np.concatenate([c.points() for c in build_contours(spec, 16).circles])
+        z = np.concatenate([p for c in build_contours(spec, 16).circles
+                            for p in (c.nodes(), c.test_nodes())])
         # the circle points off the axis, and on the axis the real parts of
         # every circle point: bands, gaps and beyond
         return build_green(spec), {Side.OFF: z[z.imag != 0.0], Side.PLUS: np.real(z),

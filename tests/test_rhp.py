@@ -10,7 +10,7 @@ from rhjacobi.green import build_green
 from rhjacobi.pipeline import SolveContext, recip_approx, recurrence_range, toda_evolve
 from rhjacobi.rhp import (ContourSet, JumpAssembly, JumpValues, _circle_table, build_contours,
                           default_bases, first_order, solve_matrix_rhp)
-from rhjacobi.weights import HPoly, HRational, WeightSpec
+from rhjacobi.weights import HPoly, HRational, WeightSpec, h_from_config
 
 
 class TestBuildContours:
@@ -75,29 +75,31 @@ class TestBuildContours:
 class _IdentityJumps:
     ns = (0,)
 
-    def circle_jump(self, j, z):
-        out = np.zeros((1, len(np.atleast_1d(z)), 2, 2), dtype=complex)
+    def circle_entry(self, j, z):
+        return np.zeros((1, len(np.atleast_1d(z))), dtype=complex)
+
+    def band_jump(self, j, x):
+        out = np.zeros((1, len(np.atleast_1d(x)), 2, 2), dtype=complex)
         out[..., 0, 0] = out[..., 1, 1] = 1.0
         return out
 
-    band_jump = circle_jump
-
 
 class _IdentityAtNodesOnly(JumpAssembly):
-    """Circle jumps that are I at the collocation nodes and not between them."""
+    """Circle jumps that are I at the collocation nodes and not between them:
+    the entry 0.1i at every test node, of the Schwarz-symmetric form."""
 
     def __init__(self, contours, *args):
         super().__init__(*args)
         self.contours = contours
 
-    def circle_jump(self, j, z):
-        out = super().circle_jump(j, z)
-        out[..., 1, 0] = np.where(np.isin(z, self.contours.circles[j].nodes()), 0.0, 0.1)
+    def circle_entry(self, j, z):
+        out = super().circle_entry(j, z)
+        out[:] = np.where(np.isin(z, self.contours.circles[j].nodes()), 0.0, 0.1j)
         return out
 
 
 class _UpperEntryOnCircles(JumpAssembly):
-    """Circle jumps with a nonzero (0, 1) entry: no longer unit lower-triangular."""
+    """Circle jumps with a nonzero (0, 1) entry, patched into circle_jump."""
 
     def circle_jump(self, j, z):
         out = super().circle_jump(j, z)
@@ -105,13 +107,17 @@ class _UpperEntryOnCircles(JumpAssembly):
         return out
 
 
-class _UpperEntryAtTestNodes(_IdentityAtNodesOnly):
-    """Circle jumps that are unit lower-triangular at the nodes but not at the
-    test nodes between them."""
+class _PoisonedAtATestNode(JumpAssembly):
+    """Circle entries off by 0.1 at circle 0's upper test node k = 7."""
 
-    def circle_jump(self, j, z):
-        out = JumpAssembly.circle_jump(self, j, z)
-        out[..., 0, 1] = np.where(np.isin(z, self.contours.circles[j].test_nodes()), 0.1, 0.0)
+    def __init__(self, contours, *args):
+        super().__init__(*args)
+        self.point = contours.circles[0].test_nodes()[7]
+
+    def circle_entry(self, j, z):
+        out = super().circle_entry(j, z)
+        if j == 0:
+            out[:, z == self.point] += 0.1
         return out
 
 
@@ -218,18 +224,35 @@ class TestMatrixSolve:
             solve_matrix_rhp(spec_t, ct, jumps)
 
     def test_circle_jump_must_be_unit_lower_triangular(self, ctx_two_band, spec_two_band):
+        # the solver reads a circle's jump as its entry v (circle_entry), and
+        # circle_jump is the unit lower-triangular view of v: a jump with an
+        # upper entry cannot be expressed, and one patched into circle_jump
+        # never reaches the solve
+        clean = JumpAssembly([ctx_two_band.aux(3)], ctx_two_band.jump_values)
         jumps = _UpperEntryOnCircles([ctx_two_band.aux(3)], ctx_two_band.jump_values)
-        with pytest.raises(SolverError):
-            solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[3]
+        z = ctx_two_band.contours.circles[0].nodes()
+        F = clean.circle_jump(0, z)
+        assert np.all(F[..., 0, 0] == 1.0) and np.all(F[..., 1, 1] == 1.0)
+        assert np.all(F[..., 0, 1] == 0.0)
+        assert np.array_equal(F[..., 1, 0], clean.circle_entry(0, z))
+        want = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, clean)[3]
+        got = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[3]
+        assert got.circle_coeffs.keys() == want.circle_coeffs.keys() == {0, 1}
+        for x, y in zip(list(got.circle_coeffs.values()) + got.band_coeffs,
+                        list(want.circle_coeffs.values()) + want.band_coeffs):
+            assert np.array_equal(x, y)
+        assert got.residual == want.residual
 
     def test_circle_jump_checked_at_test_nodes(self, ctx_two_band, spec_two_band):
-        # the residual on a circle assumes the triangular form there too
-        jumps = _UpperEntryAtTestNodes(ctx_two_band.contours, [ctx_two_band.aux(3)],
-                                       ctx_two_band.jump_values)
-        F = jumps.circle_jump(0, ctx_two_band.contours.circles[0].nodes())
-        assert np.all(F[..., 0, 1] == 0.0)
-        with pytest.raises(SolverError, match="test nodes"):
-            solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[3]
+        # v off by 0.1 at one upper test node, on a kept (n = 3) and on a
+        # dropped circle (n = 300): the residual sees it, never a success
+        for n, kept in ((3, 2), (300, 0)):
+            jumps = _PoisonedAtATestNode(ctx_two_band.contours, [ctx_two_band.aux(n)],
+                                         ctx_two_band.jump_values)
+            with pytest.warns(ResidualWarning, match=f"n={n}"):
+                sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[n]
+            assert sol.residual.off_collocation > 1e-3
+            assert len(sol.circle_coeffs) == kept
 
 
 class TestJumpAssembly:
@@ -344,7 +367,12 @@ class TestColdPath:
                     _assert_close(above[span], want_plus)
                     _assert_close(below[span], want_minus)
         for circ, z, K in zip(op.circles, op.circle_points, op.circle_K):
-            np.testing.assert_array_equal(z, np.concatenate([circ.nodes(), circ.test_nodes()]))
+            # the upper half-circle: the nodes at angles 0..pi, then the test
+            # nodes above the real axis
+            half = circ.n_points // 2
+            np.testing.assert_array_equal(z, np.concatenate([circ.nodes()[:half + 1],
+                                                             circ.test_nodes()[:half]]))
+            assert np.all(z.imag >= 0.0) and np.all(z[half + 1:].imag > 0.0)
             np.testing.assert_array_equal(K[:, :-1], _reference_kernels(op, 1, z)[0])
             np.testing.assert_array_equal(K[:, -1], 1.0)
 
@@ -576,12 +604,19 @@ def _real_solve_case(name, spec_two_band, spec_genus3):
     return SolveContext(WeightSpec.single(ChebKind.U).with_exp_factor(2.0)), (1, 4)
 
 
+def _full_kernels(op, circ):
+    """The bands' column-1 kernels at every node of circ, lower ones included,
+    then a column of ones: the operator's circle_K over the whole circle."""
+    kernels = _reference_kernels(op, 1, circ.nodes())[0]
+    return np.column_stack([kernels, np.ones(len(kernels))])
+
+
 def _full_coupling(op, j, v):
     """G diag(v) K over every node of circle j, in complex arithmetic: the
     untruncated Laurent table at the band nodes times the DFT of v K."""
     circ = op.circles[j]
     n = circ.n_points
-    Z = np.fft.fft(v[:, None] * op.circle_K[j][:n], axis=0)[circ.exponents % n] / n
+    Z = np.fft.fft(v[:, None] * _full_kernels(op, circ), axis=0)[circ.exponents % n] / n
     return _full_circle_table(circ, np.concatenate(op.band_nodes)) @ Z
 
 
@@ -620,7 +655,7 @@ class TestRealSolve:
         for n in ns:
             jumps = JumpAssembly([ctx.aux(n)], ctx.jump_values)
             F = np.concatenate([jumps.band_jump(q, x)[0] for q, x in enumerate(op.band_nodes)])
-            v = [jumps.circle_jump(j, c.nodes())[0, :, 1, 0] for j, c in enumerate(op.circles)]
+            v = [jumps.circle_entry(j, c.nodes())[0] for j, c in enumerate(op.circles)]
             solves.append((n, ctx.solution(n), F, v))
         return ctx, solves
 
@@ -664,7 +699,7 @@ class TestRealSolve:
                 n = circ.n_points
                 G = _full_circle_table(circ, np.concatenate(op.band_nodes)) \
                     @ np.fft.fft(np.eye(n), axis=0)[circ.exponents % n] / n
-                K = op.circle_K[j][:n]
+                K = _full_kernels(op, circ)
                 mirrored = v[j].copy()
                 mirrored[n // 2 + 1:] = -np.conj(v[j][1:n // 2][::-1])
                 got = op.coupling(j, v[j])
@@ -707,3 +742,108 @@ class TestRealSolve:
             with pytest.warns(ResidualWarning, match=f"n={n}"):
                 sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps)[n]
             assert sol.residual.off_collocation > 1e-3
+
+
+# Every h type of the config grammar, each positive on (0.5, 1.3) and without
+# a zero or pole in that band's deformation disk.
+_H_CONFIGS = {
+    "one": {"type": "one"},
+    "exp_scale": {"type": "exp_scale", "c": 0.7, "offset": 0.2},
+    "poly": {"type": "poly", "coeffs": [2.0, 0.5, 0.3]},
+    "rational": {"type": "rational", "num_coeffs": [1.0, 0.1], "den_coeffs": [4.0, 0.0, 1.0]},
+    "product": [{"type": "exp_scale", "c": -0.4}, {"type": "poly", "coeffs": [3.0, 1.0]}],
+}
+
+
+def _off_axis_upper(circ):
+    """circ's upper points strictly above the real axis."""
+    return circ.upper[circ.upper.imag > 0.0]
+
+
+def _assert_reflects(at_conj, reflected):
+    """at_conj equals reflected to 1e-14 relative, point by point."""
+    assert np.all(np.abs(at_conj - reflected) <= 1e-14 * np.abs(reflected))
+
+
+@pytest.mark.parametrize("kind", "TUVW")
+@pytest.mark.parametrize("h", _H_CONFIGS)
+def test_weight_value_reflects(kind, h):
+    # w(conj z) = conj w(z) for every kind and h: the circle entry's weight
+    # below the axis is the conjugate of the one above
+    spec = WeightSpec.single(ChebKind(kind), (0.5, 1.3), h_from_config(_H_CONFIGS[h]))
+    z = _off_axis_upper(build_contours(spec, 16).circles[0])
+    _assert_reflects(spec.weight_value(0, np.conj(z)), np.conj(spec.weight_value(0, z)))
+
+
+class TestSchwarzSymmetry:
+    """What computing on the upper half-circle only relies on, checked on the
+    recip4 weight (genus 3, kinds T/U/V/W), one U band under e^(2x) and three
+    T bands, against values computed directly at the lower points."""
+
+    @pytest.fixture(scope="class", params=["genus 3", "U band under exp(2x)", "three T bands"])
+    def ctx(self, request, spec_genus3):
+        if request.param == "genus 3":
+            return SolveContext(spec_genus3)
+        if request.param == "three T bands":
+            # at ppi 16 its residual, 2.7e-6 at n = 1, warns
+            bands = [(-3.0, -1.0), (-0.5, 0.5), (1.0, 3.0)]
+            return SolveContext(WeightSpec.build(bands, "TTT"), 24)
+        return SolveContext(WeightSpec.single(ChebKind.U).with_exp_factor(2.0))
+
+    def test_geometry_reflects(self, ctx):
+        # R and g conjugate, the h basis (Cauchy transforms of real
+        # densities) anti-conjugates
+        z = np.concatenate([_off_axis_upper(c) for c in ctx.contours.circles])
+        R, transforms = auxiliary.h_basis(ctx.green, z)
+        R_below, transforms_below = auxiliary.h_basis(ctx.green, np.conj(z))
+        _assert_reflects(R_below, np.conj(R))
+        _assert_reflects(transforms_below, -np.conj(transforms))
+        _assert_reflects(green.eval_g(ctx.green, np.conj(z)), np.conj(green.eval_g(ctx.green, z)))
+
+    def test_circle_entry_below_is_minus_conj_above(self, ctx):
+        # at small n, where every circle is kept; the exponent's rounding
+        # grows with n
+        for n in (0, 1, 4):
+            jumps = JumpAssembly([ctx.aux(n)], ctx.jump_values)
+            for j, circ in enumerate(ctx.contours.circles):
+                m = circ.n_points
+                k = np.arange(m // 2)
+                v = jumps.circle_entry(j, circ.nodes())[0]
+                _assert_reflects(v[m - k[1:]], -np.conj(v[k[1:]]))
+                v = jumps.circle_entry(j, circ.test_nodes())[0]
+                _assert_reflects(v[m - 1 - k], -np.conj(v[k]))
+
+    def test_halved_residual_matches_full_circle(self, ctx):
+        # the residual from the upper test nodes against the two-sided defect
+        # from circle_jump at every test node of every piece
+        for n in (1, 4):
+            sol = ctx.solution(n)
+            want = _two_sided_residual(sol, ctx.contours,
+                                       JumpAssembly([ctx.aux(n)], ctx.jump_values))
+            assert abs(sol.residual.off_collocation - want) <= 1e-13
+
+    def test_coefficients_match_full_fft(self, ctx):
+        # each kept circle's column-0 coefficients, from Hermitian FFTs of
+        # the upper nodes' data, against the full DFT of v (K u_B1 + [r == 1])
+        # made at every node, lower ones included
+        op = _operator(ctx)
+        for n in (1, 4):
+            sol = ctx.solution(n)
+            jumps = JumpAssembly([ctx.aux(n)], ctx.jump_values)
+            u_B1 = np.concatenate([c[:, 1, :] for c in sol.band_coeffs], axis=1)
+            Xe = np.vstack([u_B1.T, [0.0, 1.0]])
+            assert sol.circle_coeffs
+            for j, coeff in sol.circle_coeffs.items():
+                circ = op.circles[j]
+                m = circ.n_points
+                v = jumps.circle_entry(j, circ.nodes())[0]
+                data = v[:, None] * (_full_kernels(op, circ) @ Xe)
+                want = np.fft.fft(data, axis=0)[circ.exponents % m].T / m
+                assert np.max(np.abs(coeff[:, 0] - want)) <= 1e-14 * np.max(np.abs(want))
+                assert np.all(coeff[:, 1] == 0.0)
+
+    def test_poisoned_entry_at_an_upper_test_node_warns(self, ctx):
+        jumps = _PoisonedAtATestNode(ctx.contours, [ctx.aux(4)], ctx.jump_values)
+        with pytest.warns(ResidualWarning, match="n=4"):
+            sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps)[4]
+        assert sol.residual.off_collocation > 1e-3
