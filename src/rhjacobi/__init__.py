@@ -1,6 +1,6 @@
-"""Recurrence coefficients, pointwise values, and weighted Cauchy transforms of
-orthogonal polynomials for Chebyshev-like weights on unions of disjoint real
-intervals, computed by solving a deformed Riemann-Hilbert problem numerically.
+"""Recurrence coefficients and weighted Cauchy transforms of orthogonal
+polynomials for Chebyshev-like weights on unions of disjoint real intervals,
+computed by solving a deformed Riemann-Hilbert problem numerically.
 Cost per coefficient is independent of its index; an independent quadrature +
 Lanczos reference computation is included for verification.
 """

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .chebyshev import ChebKind, Interval
-from .errors import ConvergenceError, DomainError, RHJacobiError, WeightError
+from .errors import DomainError, RHJacobiError, WeightError
 from .oracle import adaptive_oracle
 from .pipeline import DEFAULT_PPI, recip_approx, recurrence_range, toda_evolve
 from .weights import WeightSpec, h_from_config
@@ -134,11 +134,7 @@ def cmd_oracle(args) -> int:
     spec, _ = load_config(args.config)
     if not (0 <= args.n0 <= args.n1):
         raise ConfigError("need 0 <= n0 <= n1")
-    try:
-        segment = adaptive_oracle(spec, args.n1 + 1, args.tol)
-    except ConvergenceError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+    segment = adaptive_oracle(spec, args.n1 + 1, args.tol)
     delta = segment.meta["delta"]
     lines = [f"# method=oracle m_per_band={segment.meta['m_per_band']}", "n,a,b,delta"]
     for n in range(args.n0, args.n1 + 1):

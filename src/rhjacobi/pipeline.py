@@ -202,10 +202,9 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None,
     rcond, the smaller of the two solves' condition estimates, each taken for
     the real band system left after the circles are eliminated (LAPACK
     dgecon's 1-norm estimate, about 10 times the estimate for the complex
-    system of both columns' equations that earlier versions solved: the real
-    system is better conditioned; it moves by up to about 1e-3 relative when
-    the system changes only by rounding, so compare it across versions to 2-3
-    digits);
+    system of both columns' equations: the real system is better
+    conditioned; it moves by up to about 1e-3 relative when the system
+    changes only by rounding, so compare it across versions to 2-3 digits);
     circles_used, the number of circles the solve for n kept (circles whose
     jump is the identity are dropped); circle_deviation, the largest |F - I|
     over the circle nodes of the solve for n.  circle_deviation is kept where

@@ -21,7 +21,9 @@ D y_0 and row 1's i D y_1, with D = diag(i I_T, I_T) and y_0, y_1 real (T band
 unknowns per column).  Column 0's T complex equations, split into real and
 imaginary parts, are one real 2T x 2T system for both rows, with right-hand
 sides -1 (row 0) and -i (F_10 - c) (row 1), c the identity's share of the
-circle coupling; the column-1 equations are never assembled.
+circle coupling; the column-1 equations are never assembled.  So a band jump
+is given as its two entries, the operator's band-node tables are this
+system's (left, right), and a circle's solution is its column-0 density.
 
 Every circle computation runs on the upper half-circle only (Circle.upper):
 the nodes at angles 0..pi and the test nodes strictly above the real axis.
@@ -48,9 +50,9 @@ What is computed how often, and who owns it:
   CollocationOperator, the band kernel tables at every band node and test
   node and, for column 1, every upper circle point, in one pass over those
   points: per band and column one table off the band and one from above at
-  its own points, whose reflection (-conj) is the table from below.  It is
-  built by the first solve on the contour set and kept for every later one,
-  and so are the real tables of the band system (real_halves).  g and the h
+  its own points, whose reflection (-conj) is the table from below; at the
+  band nodes it keeps the band system's (left, right).  It is built by the
+  first solve on the contour set and kept for every later one.  g and the h
   basis depend on the bands only too: JumpValues reads them from the
   GreenData at every upper circle point at once, one call per side, each one
   pass over every band and gap at once, when the first solve asks for a
@@ -223,11 +225,15 @@ class CollocationOperator:
 
     Nothing here depends on n or on the jump data.  Column m of the unknown is
     expanded on every band q in the kernel bases[q][m]:
-    - plus[m], minus[m]: the column-m kernels of all bands side by side, at
-      all band nodes.  A band's rows at its own nodes hold its boundary values
-      from above and below; every other entry is the off-contour value, the
-      same in both.
-    - test_plus[m], test_minus[m]: the same at all band test nodes.
+    - test_plus[m], test_minus[m]: the column-m kernels of all bands side by
+      side, at all band test nodes.  A band's rows at its own test nodes hold
+      its boundary values from above and below; every other entry is the
+      off-contour value, the same in both.
+    - left, right: column 0's band equations in the real unknowns y (module
+      docstring), each (2T, T), real parts above imaginary parts: with P, M
+      the same tables at the band nodes, column 0's from above and column 1's
+      from below, left = [-Im P; Re P] (the columns of i P) and right =
+      [Re M; Im M], which an index scales by -F_10.
     - circle_points[j]: circle j's upper half (Circle.upper), its nodes at
       angles 0..pi, then its test nodes above the real axis.  The kernels at
       a lower point are -conj of those at its mirror point and are never
@@ -238,9 +244,8 @@ class CollocationOperator:
     every band's nodes and test nodes, one slice per band, and for column 1
     every circle's upper points.  Per band q and column m there are at most two
     cauchy_cheb_table calls, off the band at every other point and from above
-    at its own, whose rows are copied into the arrays above; from below, a
-    band's values at its own points are -conj of those from above, bit for
-    bit (cauchy_cheb_table).
+    at its own, whose rows are copied into the tables above; from below, its
+    own rows are -conj of those from above, bit for bit (cauchy_cheb_table).
     Circle j's tables (circle_tables) are built the first time a solve keeps
     circle j, and kept.  The tables at one point set off the contours
     (kernels_at, circle_at) are kept for the last point set only.
@@ -257,23 +262,23 @@ class CollocationOperator:
         ends = np.cumsum([bp.n_points for bp in bands]).tolist()
         self.spans = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
         T = ends[-1]
-        # plus and minus in Fortran order, as the band systems they are
-        # scaled into, so the assembly runs over contiguous columns.
-        self.plus, self.minus, self.test_plus, self.test_minus = (
-            [np.empty((T, T), dtype=complex, order=order) for _ in range(2)]
-            for order in "FFCC")
+        # At the band nodes, column 0's table from above and column 1's from
+        # below, the only ones the real band system reads.
+        at_nodes = np.empty((2, T, T), dtype=complex)
+        self.test_plus, self.test_minus = np.empty((2, 2, T, T), dtype=complex)
         self.circle_K = [np.ones((len(z), T + 1), dtype=complex) for z in self.circle_points]
         for m in range(2):
-            # Column m's cloud as (points, the row blocks they fill); a band's
-            # points fill its rows above and below, band q's are pieces 2q
-            # and 2q + 1.
+            # Column m's cloud as (points, the row blocks they fill, each with
+            # whether it is from below); band q's points are pieces 2q and
+            # 2q + 1.
             cloud = []
             for p, span in enumerate(self.spans):
-                cloud.append((self.band_nodes[p], (self.plus[m][span], self.minus[m][span])))
-                cloud.append((self.band_test_nodes[p],
-                              (self.test_plus[m][span], self.test_minus[m][span])))
+                cloud.append((self.band_nodes[p], ((at_nodes[m][span], m == 1),)))
+                cloud.append((self.band_test_nodes[p], ((self.test_plus[m][span], False),
+                                                        (self.test_minus[m][span], True))))
             if m == 1:
-                cloud += [(z, (K[:, :T],)) for z, K in zip(self.circle_points, self.circle_K)]
+                cloud += [(z, ((K[:, :T], False),))
+                          for z, K in zip(self.circle_points, self.circle_K)]
             for q, (bp, cols) in enumerate(zip(bands, self.spans)):
                 own, off = cloud[2 * q:2 * q + 2], cloud[:2 * q] + cloud[2 * q + 2:]
                 for side, pieces in ((Side.PLUS, own), (Side.OFF, off)):
@@ -281,28 +286,19 @@ class CollocationOperator:
                         continue
                     rows = cauchy_cheb_table(bases[q][m], bp.n_points, bp.interval,
                                              np.concatenate([z for z, _ in pieces]), side)
-                    # From below its own points, a band's table is -conj of
-                    # the table from above (cauchy_cheb_table), bit for bit.
+                    # tables[below]: from below its own points, a band's table
+                    # is -conj of the one from above (cauchy_cheb_table).
                     tables = (rows, -np.conj(rows) if side is Side.PLUS else rows)
                     start = 0
                     for z, blocks in pieces:
-                        for block, table in zip(blocks, tables):
-                            block[:, cols] = table[start:start + len(z)]
+                        for block, below in blocks:
+                            block[:, cols] = tables[below][start:start + len(z)]
                         start += len(z)
+        plus, minus = at_nodes
+        self.left = np.asfortranarray(np.vstack([-plus.imag, plus.real]))
+        self.right = np.asfortranarray(np.vstack([minus.real, minus.imag]))
         self._circle_tables: dict = {}
         self._last_points: tuple = (None, [], {})
-
-    @cached_property
-    def real_halves(self) -> tuple:
-        """(left, right), the real tables of column 0's band equations in the
-        real unknowns y (module docstring), each of shape (2T, T), real parts
-        above imaginary parts: left = [-Im plus[0]; Re plus[0]], the columns
-        of i plus[0] (the band jump's (0, 0) entry is 0), and right =
-        [Re minus[1]; Im minus[1]], which an index scales by -F_10.  Built by
-        the first solve and kept."""
-        plus, minus = self.plus[0], self.minus[1]
-        return (np.asfortranarray(np.vstack([-plus.imag, plus.real])),
-                np.asfortranarray(np.vstack([minus.real, minus.imag])))
 
     def circle_tables(self, j: int) -> tuple:
         """(G, K, span, table) for circle j, built on first request and kept.
@@ -467,8 +463,8 @@ class JumpValues:
     per side, each circle's weight in one weight_value call per side, and
     every later index reads them.  A request at other points fills that point
     set alone; as each point's value depends on that point only, it is the
-    value the whole cloud gives.  point serves one point off the circles, such as cauchy_pn's, and
-    keeps the last point only.
+    value the whole cloud gives.  point serves one point off the circles,
+    such as cauchy_pn's, and keeps the last point only.
     """
 
     def __init__(self, spec: WeightSpec, green: GreenData, contours: ContourSet):
@@ -535,8 +531,8 @@ class JumpAssembly:
     upper points of each circle only (module docstring).  The two real-axis
     crossing points take the upper limit; the glued function is continuous
     there because the wrapped gap phases agree with n times the gap jumps
-    modulo 2 pi i.  On the bands the jump is the constant-twisted
-    off-diagonal involution, band_jump, shape (len(ns), len(points), 2, 2).
+    modulo 2 pi i.  On band j the jump is the constant-twisted off-diagonal
+    involution [[0, F_01], [F_10, 0]]; band_jump gives its two entries.
 
     The n-independent factors come from `values`, which a SolveContext shares
     between all its indices.  auxes is a sequence of AuxData, one per index
@@ -570,14 +566,13 @@ class JumpAssembly:
         out[..., 1, 0] = v
         return out
 
-    def band_jump(self, j: int, x) -> np.ndarray:
+    def band_jump(self, j: int, x) -> tuple:
+        """(F_01, F_10) = (w e^-A_j, -e^A_j / w) at real points x of band j, w
+        the weight from above, each of shape (len(ns), len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         w = self.values.band_weight(j, x)
         a_j = self._A[:, j, None]
-        out = np.zeros((len(self.ns),) + x.shape + (2, 2), dtype=complex)
-        out[..., 0, 1] = w * np.exp(-a_j)
-        out[..., 1, 0] = -np.exp(a_j) / w
-        return out
+        return w * np.exp(-a_j), -np.exp(a_j) / w
 
 
 @dataclass
@@ -601,12 +596,12 @@ class RHSolution:
     Every band carries a density, and so does every circle the solve kept:
     circle_coeffs has an entry for kept circle j of the contour set the
     problem was posed on, none for a circle whose jump is the identity to
-    within IDENTITY_JUMP.  operator is that contour set's collocation
-    operator; its circles and bases are the solution's, and eval takes its
-    tables from there.
+    within IDENTITY_JUMP, holding its column-0 density (column 1's is 0).
+    operator is that contour set's collocation operator; its circles and
+    bases are the solution's, and eval takes its tables from there.
     """
 
-    circle_coeffs: dict           # kept circle j -> array (2, 2, n_points), [row, col, k]
+    circle_coeffs: dict           # kept circle j -> column 0, array (2, n_points), [row, k]
     band_coeffs: list             # per band: array (2, 2, n_points)
     residual: ResidualReport
     operator: CollocationOperator = field(repr=False, compare=False)
@@ -627,8 +622,7 @@ class RHSolution:
         out = np.zeros(zz.shape + (2, 2), dtype=complex)
         for j, coeff in self.circle_coeffs.items():
             span, table = self.operator.circle_at(self.operator.circles[j], zz)
-            for m in range(2):
-                out[..., m] += table @ coeff[:, m, span].T
+            out[..., 0] += table @ coeff[:, span].T
         for m, kernels in enumerate(self.operator.kernels_at(zz)):
             out[..., m] += kernels @ np.concatenate([c[:, m, :] for c in self.band_coeffs], axis=1).T
         return out[0] if scalar else out
@@ -739,7 +733,8 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> BlockSolu
     same kinds).  jumps gives the indices ns and, stacked over them, the jump
     data at a piece's points: circle_entry(j, z) on circle j, the entry v of
     its jump [[1, 0], [v, 1]], shape (len(ns), len(z)), and band_jump(j, x)
-    on band j, the jump matrices, shape (len(ns), len(x), 2, 2).
+    on band j, the entries (F_01, F_10) of its jump [[0, F_01], [F_10, 0]],
+    each of shape (len(ns), len(x)).
 
     A circle's jump is read as v at its upper points only (Circle.upper): by
     the Schwarz symmetry v at a lower point is -conj of v at its mirror
@@ -754,17 +749,17 @@ def solve_matrix_rhp(spec: WeightSpec, contours: ContourSet, jumps) -> BlockSolu
     The band jumps are collocated in the form [[0, f], [-1/f, 0]], f real,
     that a real weight gives: the real band system (module docstring) reads
     only Re F_10 at the band nodes, where a band jump of this form is fixed
-    by it.  The off-collocation residual takes the full band jumps at every
-    band test node and v at every upper circle test node, the dropped
-    circles' included, so a band jump of another form, or a circle entry off
-    the density's, shows there; above RESIDUAL_WARN it warns, naming the
-    index.  An index fails alone, with a SolverError carrying its
-    circle_deviation, if its band jump is not finite at a band node or test
-    node (before its system is factored), its band system is singular (as
-    for F_10 = 0), or its solution or residual is not finite, which is also
-    how an overflow or a circle entry that is not finite shows.  The
-    operator's tables are built by the first solve that needs them (the
-    "tables" stage).
+    by it.  The off-collocation residual takes both entries, complex, at
+    every band test node and v at every upper circle test node, the dropped
+    circles' included, so a band jump of another form (F_10 not real, or
+    F_01 F_10 != -1), or a circle entry off the density's, shows there;
+    above RESIDUAL_WARN it warns, naming the index.  An index fails alone,
+    with a SolverError carrying its circle_deviation, if an entry of its band
+    jump is not finite at a band node or test node (before its system is
+    factored), its band system is singular (as for F_10 = 0), or its
+    solution or residual is not finite, which is also how an overflow or a
+    circle entry that is not finite shows.  The operator's tables are built
+    by the first solve that needs them (the "tables" stage).
     """
     if default_bases(spec) != contours.bases:
         raise DomainError("the contour set was built for a weight of other kinds")
@@ -790,7 +785,6 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
         stages[stage] += clock[-1] - clock[-2]
 
     op = contours.operator
-    left, right = op.real_halves
     lap("tables")
 
     ns = [int(n) for n in jumps.ns]
@@ -804,27 +798,28 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
                           for vj, c in zip(v, contours.circles)]).reshape(-1, count)
     circle_deviation = np.max(deviation, axis=0, initial=0.0)
     keeps = ~(deviation < IDENTITY_JUMP)
-    F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_nodes)], axis=1)
-    test_F = np.concatenate([jumps.band_jump(j, x) for j, x in enumerate(op.band_test_nodes)],
-                            axis=1)
-    finite = np.all(np.isfinite(F), axis=(1, 2, 3)) & np.all(np.isfinite(test_F), axis=(1, 2, 3))
+    # (F_01, F_10) at every band node and at every band test node.
+    F, test_F = ([np.concatenate(entry, axis=1)
+                  for entry in zip(*(jumps.band_jump(j, x) for j, x in enumerate(points)))]
+                 for points in (op.band_nodes, op.band_test_nodes))
+    finite = np.all(np.isfinite(np.hstack(F + test_F)), axis=1)
     for k in np.flatnonzero(~finite):
         errors[k] = errors[k] or "band jump is not finite at its nodes and test nodes"
     # F_10 at the band nodes, with its copy for the imaginary parts' rows.
-    f = np.tile(F[:, :, 1, 0].real, 2)
+    f = np.tile(F[1].real, 2)
     del F
     lap("jumps")
     tables = {j: op.circle_tables(j) for j in np.flatnonzero(np.any(keeps, axis=1)).tolist()}
     lap("tables")
 
-    T = left.shape[1]
+    T = op.left.shape[1]
     # Column 0's equations in y, real parts above imaginary parts, with the
     # right-hand sides -1 (row 0) and -i F_10 (row 1).  Each system is the
     # transpose of a C-ordered slice, so it is in Fortran order and LAPACK
     # factors it in place instead of copying it.
     A = np.empty((count, 2 * T, 2 * T)).transpose(0, 2, 1)
-    A[:, :, :T] = left
-    np.multiply(-f[:, :, None], right, out=A[:, :, T:])
+    A[:, :, :T] = op.left
+    np.multiply(-f[:, :, None], op.right, out=A[:, :, T:])
     rhs = np.zeros((count, 2 * T, 2))
     rhs[:, :T, 0] = -1.0
     rhs[:, T:, 1] = -f[:, T:]
@@ -878,7 +873,7 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
         for k, coeff in zip(np.flatnonzero(keeps[j]), u):
             sol = solutions[ns[k]]
             if isinstance(sol, RHSolution):
-                sol.circle_coeffs[j] = np.stack([coeff, np.zeros_like(coeff)], axis=1)
+                sol.circle_coeffs[j] = coeff
     solved = np.array([not error for error in errors])
     worst = (float(np.max(residual[solved])), float(np.min(rcond[solved]))) if solved.any() \
         else (np.nan, np.nan)
@@ -933,11 +928,13 @@ def _off_collocation_residual(op: CollocationOperator, keeps: np.ndarray, tables
     keeps[j] marks the indices that keep circle j, tables and u0 hold each
     kept circle's tables and the column-0 coefficients of those indices,
     vKX[j] circle j's v Phi_-,r1 at its upper points by index and row, X the
-    band unknowns and test_F the band jumps at the band test nodes.  On
-    circle j F = [[1, 0], [v, 1]] and only circle j's own density jumps, so
-    the defect there is J - v Phi_-,r1 in column 0, with J circle j's series
-    (0 if dropped), and exactly 0 in column 1.  At a lower test node it is
-    +-conj of the defect at the mirror node, which it therefore repeats.
+    band unknowns and test_F the band jump's entries (F_01, F_10) at the band
+    test nodes.  On circle j F = [[1, 0], [v, 1]] and only circle j's own
+    density jumps, so the defect there is J - v Phi_-,r1 in column 0, with J
+    circle j's series (0 if dropped), and exactly 0 in column 1.  At a lower
+    test node it is +-conj of the defect at the mirror node, which it
+    therefore repeats.  On the bands F = [[0, F_01], [F_10, 0]], in complex
+    arithmetic and both columns, so a non-real F_10 or F_01 F_10 != -1 shows.
     """
     T = X.shape[1] // 2
     worst = []
@@ -955,7 +952,13 @@ def _off_collocation_residual(op: CollocationOperator, keeps: np.ndarray, tables
         part = table @ u[..., span].transpose(0, 2, 1)
         above[keeps[j], :, :, 0] += part
         below[keeps[j], :, :, 0] += part
-    defect = above - below @ test_F + (np.eye(2) - test_F)
+    # Phi_- F: column c is Phi_-'s column 1 - c times F's entry in column c.
+    F01, F10 = test_F
+    defect = above - below[..., ::-1] * np.stack([F10, F01], axis=-1)[:, :, None]
+    defect[..., 0, 0] += 1.0
+    defect[..., 0, 1] -= F01
+    defect[..., 1, 0] -= F10
+    defect[..., 1, 1] += 1.0
     worst.append(np.max(np.abs(defect), axis=(1, 2, 3)))
     return np.max(worst, axis=0)
 
@@ -971,7 +974,7 @@ def first_order(sol: RHSolution) -> np.ndarray:
     for j, coeff in sol.circle_coeffs.items():
         circ = sol.operator.circles[j]
         idx = int(np.nonzero(circ.exponents == -1)[0][0])
-        out -= circ.radius * coeff[:, :, idx]
+        out[:, 0] -= circ.radius * coeff[:, idx]
     for coeff in sol.band_coeffs:
         out += _I2PI * coeff[:, :, 0]
     return out

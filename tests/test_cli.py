@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from rhjacobi import cli
 from rhjacobi.cli import main
-from rhjacobi.errors import PrecisionWarning
+from rhjacobi.errors import ConvergenceError, PrecisionWarning
 
 
 def _config(tmp_path, intervals, kinds):
@@ -53,6 +54,18 @@ def test_oracle_reports_delta(single_u, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# method=oracle")
     assert lines[1] == "n,a,b,delta"
+
+
+def test_oracle_convergence_error_exits_2(single_u, capsys, monkeypatch):
+    # a ConvergenceError reaches main's handler for numerical failures
+    def unconverged(*args, **kwargs):
+        raise ConvergenceError("oracle did not converge within 4096 nodes per band")
+
+    monkeypatch.setattr(cli, "adaptive_oracle", unconverged)
+    assert main(["oracle", single_u, "--n1", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: oracle did not converge within 4096 nodes per band\n"
+    assert captured.out == ""
 
 
 def test_oracle_nan_tolerance_exits_1(single_u, capsys):

@@ -198,7 +198,8 @@ class TestBlocks:
         # n = 60 fails inside its block of 16; only the pairs that read its
         # solve (59 and 60) fail, and every other pair is bit-identical.  The
         # circle entry v is poisoned at the last upper test node, which the
-        # residual reads and the coupling and circle_deviation do not.
+        # residual reads and the coupling and circle_deviation do not; the
+        # band jump in its entry F_01, which the band system does not read.
         clean = recurrence_range(spec_two_band, 50, 85)
         method = "circle_entry" if poison == "nan circle v" else "band_jump"
         original = getattr(JumpAssembly, method)
@@ -208,7 +209,7 @@ class TestBlocks:
             if method == "circle_entry":
                 out[self.ns == 60, -1] = np.nan
             else:
-                out[self.ns == 60, ..., 0, 1] = np.nan if poison == "nan band jump" else np.inf
+                out[0][self.ns == 60] = np.nan if poison == "nan band jump" else np.inf
             return out
 
         monkeypatch.setattr(JumpAssembly, method, poisoned)

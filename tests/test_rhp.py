@@ -79,9 +79,7 @@ class _IdentityJumps:
         return np.zeros((1, len(np.atleast_1d(z))), dtype=complex)
 
     def band_jump(self, j, x):
-        out = np.zeros((1, len(np.atleast_1d(x)), 2, 2), dtype=complex)
-        out[..., 0, 0] = out[..., 1, 1] = 1.0
-        return out
+        return tuple(np.zeros((1, len(np.atleast_1d(x))), dtype=complex) for _ in range(2))
 
 
 class _IdentityAtNodesOnly(JumpAssembly):
@@ -123,7 +121,7 @@ class _PoisonedAtATestNode(JumpAssembly):
 
 class TestMatrixSolve:
     def test_identity_jumps_give_zero(self, spec_u):
-        # an identity band jump has F_10 = 0, so the band system, made of
+        # band jump entries (0, 0) have F_10 = 0, so the band system, made of
         # column 0's equations only, has an exact zero right half: the index
         # fails alone as singular (test_single_band_n0_exact_solution checks
         # a known solution)
@@ -258,11 +256,12 @@ class TestMatrixSolve:
 class TestJumpAssembly:
     def test_band_jump_involution(self, ctx_two_band, spec_two_band):
         jumps = JumpAssembly([ctx_two_band.aux(3)], ctx_two_band.jump_values)
+        # [[0, F_01], [F_10, 0]] has determinant -F_01 F_10 = 1, and for a
+        # real weight F_10 is real
         x = np.linspace(2.1, 2.9, 7)
-        F = jumps.band_jump(1, x)[0]
-        dets = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
-        np.testing.assert_allclose(dets, 1.0, atol=1e-12)
-        np.testing.assert_allclose(F[:, 0, 0], 0.0, atol=1e-15)
+        F01, F10 = (entry[0] for entry in jumps.band_jump(1, x))
+        np.testing.assert_allclose(F01 * F10, -1.0, atol=1e-12)
+        assert np.all(F10.imag == 0.0)
 
     def test_circle_jump_structure(self, ctx_two_band, spec_two_band):
         jumps = JumpAssembly([ctx_two_band.aux(3)], ctx_two_band.jump_values)
@@ -356,16 +355,24 @@ def _assert_close(got, want):
     assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
 
 
+def _band_node_tables(op):
+    """(P, M): the complex tables that op.left and op.right hold at the band
+    nodes, column 0's from above and column 1's from below."""
+    T = op.left.shape[1]
+    return op.left[T:] - 1j * op.left[:T], op.right[:T] + 1j * op.right[T:]
+
+
 class TestColdPath:
     def test_operator_matches_per_point_set_tables(self, spec_genus3):
         op = _operator(SolveContext(spec_genus3))
-        for m in range(2):
-            for p, span in enumerate(op.spans):
-                for z, above, below in ((op.band_nodes[p], op.plus[m], op.minus[m]),
-                                        (op.band_test_nodes[p], op.test_plus[m], op.test_minus[m])):
-                    want_plus, want_minus = _reference_kernels(op, m, z, own=p)
-                    _assert_close(above[span], want_plus)
-                    _assert_close(below[span], want_minus)
+        P, M = _band_node_tables(op)
+        for p, span in enumerate(op.spans):
+            _assert_close(P[span], _reference_kernels(op, 0, op.band_nodes[p], own=p)[0])
+            _assert_close(M[span], _reference_kernels(op, 1, op.band_nodes[p], own=p)[1])
+            for m in range(2):
+                want_plus, want_minus = _reference_kernels(op, m, op.band_test_nodes[p], own=p)
+                _assert_close(op.test_plus[m][span], want_plus)
+                _assert_close(op.test_minus[m][span], want_minus)
         for circ, z, K in zip(op.circles, op.circle_points, op.circle_K):
             # the upper half-circle: the nodes at angles 0..pi, then the test
             # nodes above the real axis
@@ -379,16 +386,23 @@ class TestColdPath:
     @pytest.mark.parametrize("spec_name", ["spec_two_band", "spec_genus3"])
     def test_tables_from_below_reflect_those_from_above(self, spec_name, request):
         # on a band's own points the table from below is -conj of the one
-        # from above, bit for bit, for every kind (T, U, V, W on genus 3)
+        # from above, bit for bit, for every kind (T, U, V, W on genus 3): at
+        # the band nodes column 1's, which the real system reads, and at the
+        # test nodes both columns'
         op = _operator(SolveContext(request.getfixturevalue(spec_name)))
-        for m in range(2):
-            for p, (bp, span) in enumerate(zip(op.bands, op.spans)):
-                for z, above, below in ((op.band_nodes[p], op.plus[m], op.minus[m]),
-                                        (op.band_test_nodes[p], op.test_plus[m], op.test_minus[m])):
-                    own_below = below[span, span]
-                    assert np.array_equal(own_below, -np.conj(above[span, span]))
-                    assert np.array_equal(own_below, cauchy_cheb_table(
-                        op.bases[p][m], bp.n_points, bp.interval, z, Side.MINUS))
+        P, M = _band_node_tables(op)
+        for p, (bp, span) in enumerate(zip(op.bands, op.spans)):
+            def table(m, z, side):
+                return cauchy_cheb_table(op.bases[p][m], bp.n_points, bp.interval, z, side)
+
+            z = op.band_nodes[p]
+            assert np.array_equal(P[span, span], table(0, z, Side.PLUS))
+            assert np.array_equal(M[span, span], -np.conj(table(1, z, Side.PLUS)))
+            assert np.array_equal(M[span, span], table(1, z, Side.MINUS))
+            for m in range(2):
+                own_below = op.test_minus[m][span, span]
+                assert np.array_equal(own_below, -np.conj(op.test_plus[m][span, span]))
+                assert np.array_equal(own_below, table(m, op.band_test_nodes[p], Side.MINUS))
 
     @pytest.mark.parametrize("workload", ["genus3", "window"])
     def test_first_solve_makes_one_pass(self, workload, spec_genus3, spec_two_band, count_calls):
@@ -410,6 +424,23 @@ class TestColdPath:
         toda_evolve(spec_two_band, 3, [0.0, 0.5, 1.0], 8)
         assert len(g_calls) == 2
 
+    @pytest.mark.parametrize("spec_name", ["spec_two_band", "spec_genus3"])
+    def test_axis_node_takes_the_upper_limit(self, spec_name, request):
+        # the one upper point on the real axis, node k = 0, takes its values
+        # from above, bit for bit; Side.OFF at x + 0j would not: the weight's
+        # b - u drops the sign of the zero imaginary part and comes out with
+        # the wrong sign
+        spec = request.getfixturevalue(spec_name)
+        ctx = SolveContext(spec)
+        for j, circ in enumerate(ctx.contours.circles):
+            assert np.array_equal(np.flatnonzero(circ.upper.imag == 0.0), [0])
+            x = circ.upper[:1].real
+            sign, R, transforms, g, w = ctx.jump_values.circle(j, circ.upper)
+            assert np.array_equal(np.vstack([sign, R, transforms, g])[:, :1],
+                                  ctx.jump_values._geometry_at(x, Side.PLUS))
+            assert np.array_equal(w[:1], spec.weight_value(j, x, Side.PLUS))
+            assert np.array_equal(spec.weight_value(j, x + 0j, Side.OFF), -w[:1])
+
     def test_cloud_values_match_a_lone_point_set(self, spec_genus3):
         ctx = SolveContext(spec_genus3)
         ctx.solution(0)
@@ -422,6 +453,14 @@ class TestColdPath:
                 np.testing.assert_array_equal(got, want)
 
 
+def _band_matrices(jumps, j, x):
+    """The band jumps [[0, F_01], [F_10, 0]] of the first index at points x
+    of band j, shape (len(x), 2, 2)."""
+    F = np.zeros((len(x), 2, 2), dtype=complex)
+    F[:, 0, 1], F[:, 1, 0] = (entry[0] for entry in jumps.band_jump(j, x))
+    return F
+
+
 def _two_sided_residual(sol, contours, jumps):
     """Max |Phi_+ - Phi_- F| over the test nodes of every piece of contours,
     with both boundary values summed from every density of sol: the defect
@@ -431,7 +470,7 @@ def _two_sided_residual(sol, contours, jumps):
     band_u = [np.concatenate([c[:, m, :] for c in sol.band_coeffs], axis=1) for m in range(2)]
     pieces = [(c.test_nodes(), jumps.circle_jump(j, c.test_nodes())[0], c, None)
               for j, c in enumerate(contours.circles)]
-    pieces += [(bp.test_nodes(), jumps.band_jump(p, bp.test_nodes())[0], None, p)
+    pieces += [(bp.test_nodes(), _band_matrices(jumps, p, bp.test_nodes()), None, p)
                for p, bp in enumerate(contours.bands)]
     worst = 0.0
     for z, F, own_circle, own_band in pieces:
@@ -442,17 +481,18 @@ def _two_sided_residual(sol, contours, jumps):
             above, below = _reference_kernels(op, m, z, own=own_band)
             plus[:, :, m] += above @ band_u[m].T
             minus[:, :, m] += below @ band_u[m].T
-            for circ, coeff in kept.items():
-                if circ == own_circle:
-                    # the nonnegative powers inside, the negated negative ones outside
-                    powers = ((z - circ.center) / circ.radius)[:, None] ** circ.exponents
-                    inside = circ.exponents >= 0
-                    plus[:, :, m] += powers[:, inside] @ coeff[:, m, inside].T
-                    minus[:, :, m] -= powers[:, ~inside] @ coeff[:, m, ~inside].T
-                else:
-                    part = _full_circle_table(circ, z) @ coeff[:, m, :].T
-                    plus[:, :, m] += part
-                    minus[:, :, m] += part
+        # a circle's density is column 0's only
+        for circ, coeff in kept.items():
+            if circ == own_circle:
+                # the nonnegative powers inside, the negated negative ones outside
+                powers = ((z - circ.center) / circ.radius)[:, None] ** circ.exponents
+                inside = circ.exponents >= 0
+                plus[:, :, 0] += powers[:, inside] @ coeff[:, inside].T
+                minus[:, :, 0] -= powers[:, ~inside] @ coeff[:, ~inside].T
+            else:
+                part = _full_circle_table(circ, z) @ coeff.T
+                plus[:, :, 0] += part
+                minus[:, :, 0] += part
         worst = max(worst, np.max(np.abs(plus - minus @ F)))
     return worst
 
@@ -522,16 +562,17 @@ class TestLU:
         assert len(solves) == 12
 
     def test_singular_system_fails_alone(self, spec_two_band, monkeypatch):
-        # At n = 1005 the band jump is diag(1, -1) on band 0 and the identity
-        # on band 1, so F_10 = 0 on every band node: the right half of the
-        # real system, -F_10 times the column-1 tables, is exactly zero (no
-        # circle is kept at these n), and the system is singular.
+        # At n = 1005 the band jump's entries are (0, 0) on every band, so
+        # F_10 = 0 on every band node: the right half of the real system,
+        # -F_10 times the column-1 tables, is exactly zero (no circle is kept
+        # at these n), and the system is singular.
         clean = recurrence_range(spec_two_band, 1000, 1010)
         original = JumpAssembly.band_jump
 
         def singular(self, j, x):
             out = original(self, j, x)
-            out[self.ns == 1005] = np.diag([1.0, -1.0 if j == 0 else 1.0])
+            for entry in out:
+                entry[self.ns == 1005] = 0.0
             return out
 
         monkeypatch.setattr(JumpAssembly, "band_jump", singular)
@@ -620,12 +661,20 @@ def _full_coupling(op, j, v):
     return _full_circle_table(circ, np.concatenate(op.band_nodes)) @ Z
 
 
+def _full_band_tables(op, m):
+    """(plus, minus): the complex column-m tables at every band node, from
+    above and from below, each band's points alone (_reference_kernels)."""
+    per_band = [_reference_kernels(op, m, z, own=p) for p, z in enumerate(op.band_nodes)]
+    return tuple(np.vstack(side) for side in zip(*per_band))
+
+
 def _complex_system(op, F, v, kept):
     """The complex 2T x 2T collocation system in the band unknowns of one
     index, both columns' equations, with the circles of `kept` eliminated
     (their full complex coupling); F the band jumps at the band nodes, v[j]
     circle j's jump entry F_10 at its nodes."""
     T = F.shape[0]
+    tables = [_full_band_tables(op, m) for m in range(2)]
     coupling = np.zeros((T, T + 1), dtype=complex)
     for j in kept:
         coupling += _full_coupling(op, j, v[j])
@@ -636,7 +685,8 @@ def _complex_system(op, F, v, kept):
         rows = slice(m * T, (m + 1) * T)
         for m2 in range(2):
             cols = slice(m2 * T, (m2 + 1) * T)
-            A[rows, cols] = -F[:, m2, m, None] * op.minus[m2] + eye[m, m2] * op.plus[m2]
+            plus, minus = tables[m2]
+            A[rows, cols] = -F[:, m2, m, None] * minus + eye[m, m2] * plus
         rhs[rows] = F[:, :, m] - eye[:, m]
         scale = eye[0, m] - F[:, 0, m]
         A[rows, T:] += scale[:, None] * coupling[:, :T]
@@ -654,7 +704,7 @@ class TestRealSolve:
         solves = []
         for n in ns:
             jumps = JumpAssembly([ctx.aux(n)], ctx.jump_values)
-            F = np.concatenate([jumps.band_jump(q, x)[0] for q, x in enumerate(op.band_nodes)])
+            F = np.concatenate([_band_matrices(jumps, q, x) for q, x in enumerate(op.band_nodes)])
             v = [jumps.circle_entry(j, c.nodes())[0] for j, c in enumerate(op.circles)]
             solves.append((n, ctx.solution(n), F, v))
         return ctx, solves
@@ -724,24 +774,29 @@ class TestRealSolve:
 
     @pytest.mark.parametrize("where", ["test nodes", "nodes and test nodes"])
     def test_band_jump_with_a_diagonal_shows_in_residual(self, case, where):
-        # the real system reads only F_10 at the band nodes; a band jump of
-        # another form shows in the residual, never as a silent success
+        # the real system reads only Re F_10 at the band nodes; a band jump of
+        # another form shows in the residual, never as a silent success.  A
+        # diagonal cannot be expressed in the entries (F_01, F_10), so the
+        # jump is taken off its form by 0.1 added to (a) F_01, so that
+        # F_01 F_10 != -1, and (b) 0.1i to F_10, so that it is not real
         ctx, solves = case
         op = _operator(ctx)
         points = np.concatenate(op.band_test_nodes if where == "test nodes"
                                 else op.band_nodes + op.band_test_nodes)
 
-        class DiagonalOnBands(JumpAssembly):
+        class OffItsForm(JumpAssembly):
             def band_jump(self, j, x):
-                out = super().band_jump(j, x)
-                out[:, np.isin(x, points), 0, 0] = 0.1
-                return out
+                entries = super().band_jump(j, x)
+                entries[self.entry][:, np.isin(x, points)] += self.shift
+                return entries
 
-        for n, _, _, _ in solves:
-            jumps = DiagonalOnBands([ctx.aux(n)], ctx.jump_values)
-            with pytest.warns(ResidualWarning, match=f"n={n}"):
-                sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps)[n]
-            assert sol.residual.off_collocation > 1e-3
+        for entry, shift in ((0, 0.1), (1, 0.1j)):
+            for n, _, _, _ in solves:
+                jumps = OffItsForm([ctx.aux(n)], ctx.jump_values)
+                jumps.entry, jumps.shift = entry, shift
+                with pytest.warns(ResidualWarning, match=f"n={n}"):
+                    sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps)[n]
+                assert sol.residual.off_collocation > 1e-3
 
 
 # Every h type of the config grammar, each positive on (0.5, 1.3) and without
@@ -839,8 +894,8 @@ class TestSchwarzSymmetry:
                 v = jumps.circle_entry(j, circ.nodes())[0]
                 data = v[:, None] * (_full_kernels(op, circ) @ Xe)
                 want = np.fft.fft(data, axis=0)[circ.exponents % m].T / m
-                assert np.max(np.abs(coeff[:, 0] - want)) <= 1e-14 * np.max(np.abs(want))
-                assert np.all(coeff[:, 1] == 0.0)
+                assert coeff.shape == want.shape == (2, m)
+                assert np.max(np.abs(coeff - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_poisoned_entry_at_an_upper_test_node_warns(self, ctx):
         jumps = _PoisonedAtATestNode(ctx.contours, [ctx.aux(4)], ctx.jump_values)
