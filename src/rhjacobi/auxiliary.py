@@ -112,10 +112,14 @@ def h_basis(green: GreenData, z, side: Side = Side.OFF) -> tuple:
     Both depend on the bands only, not on n or the weight, so values at fixed
     points serve every index and every weight on these bands (combine_h).
     One pass over every band and gap at once (green.h_series): the bands'
-    sqrt_cut rows of the transforms' geometry also make R."""
-    zz = np.atleast_1d(z)
+    sqrt_cut rows of the transforms' geometry also make R.  z may be 1-d
+    points' CutGeometry for the bands, then the gaps, which is then read."""
     intervals, coeffs = green.h_series
-    geo = CutGeometry(intervals, zz.ravel(), side)
+    if isinstance(z, CutGeometry):
+        geo, zz = z, z.z
+    else:
+        zz = np.atleast_1d(z)
+        geo = CutGeometry(intervals, zz.ravel(), side)
     transforms = series_at(ChebKind.T, coeffs, geo).reshape((len(coeffs),) + zz.shape)
     return band_product(geo.S[:len(green.bands)]).reshape(zz.shape), transforms
 

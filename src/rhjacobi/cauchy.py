@@ -122,8 +122,9 @@ class CutGeometry:
     them from one side: the unit variable t, J = joukowsky_inv(t) and S =
     sqrt_cut(z), each computed on first use and kept, so that every kernel
     kind and degree at these points shares them.  For one interval the arrays
-    have z's shape (at least 1-d); for a stack z must be 1-d and they are
-    (intervals, points).
+    have z's shape (at least 1-d).  For a stack they are (intervals, points):
+    z is 1-d, the points of every interval, or (intervals, points), row i the
+    points of interval i.
     """
 
     def __init__(self, interval, z, side: Side = Side.OFF):
@@ -149,6 +150,17 @@ class CutGeometry:
             return np.log(self.J)
         return _log_of_inverse(self.t, self.J, self.side)
 
+    def part(self, rows=slice(None), points=slice(None)) -> CutGeometry:
+        """This geometry for the stack's intervals at rows (a slice or a
+        sequence of positions) and its points at points (a slice): the parts
+        of t, J and S, each computed for the whole geometry first, so that
+        every reader of a part shares one pass (views for slices)."""
+        z = self.z[rows, points] if self.z.ndim == 2 else self.z[points]
+        sub = CutGeometry(self.interval[rows], z, self.side)
+        for name in ("t", "J", "S"):
+            vars(sub)[name] = getattr(self, name)[rows, points]
+        return sub
+
 
 def _check_endpoints(kind: ChebKind, interval, z) -> None:
     zc = np.asarray(z, dtype=complex)
@@ -172,26 +184,35 @@ def cauchy_cheb(kind: ChebKind, k: int, interval: Interval, z, side: Side = Side
     return out if out.shape else complex(out)
 
 
-def cauchy_cheb_table(kind: ChebKind, n: int, interval: Interval, z, side: Side = Side.OFF) -> np.ndarray:
+def cauchy_cheb_table(kind, n: int, interval, z, side: Side = Side.OFF) -> np.ndarray:
     """Stacked transforms for degrees 0..n-1: shape z.shape + (n,).
 
     Shares the J-power recursion across degrees; used heavily by the collocation
     assembly.  On the interval itself the table from below is -conj of the
     table from above, bit for bit (see the module docstring).
+
+    For a stack of intervals (chebyshev.Intervals) kind is one kind, or one
+    per interval, and the table is (intervals, points, n), row i interval
+    i's table (CutGeometry).  z may be the points' CutGeometry for interval
+    and side, whose values the table then reads.  The powers are made in the
+    table itself, its degrees ahead of its last axis of points, so that for
+    a stack table.transpose(0, 2, 1).reshape(-1, points) is a view: at each
+    point, a column of every interval's kernels.
     """
     if n < 1:
         raise DomainError("need at least one degree")
-    scalar = np.ndim(z) == 0
-    J, first, factor = _kernel_factors(kind, CutGeometry(interval, z, side))
+    scalar = not isinstance(z, CutGeometry) and np.ndim(z) == 0
+    geo = z if isinstance(z, CutGeometry) else CutGeometry(interval, z, side)
+    J, first, factor = _kernel_factors(kind, geo)
 
-    # powers[k] = J^k, each a contiguous row
-    powers = np.empty((n,) + J.shape, dtype=complex)
-    powers[0] = 1.0
+    # powers[..., k, :] = J^k, each a contiguous row, then times factor
+    powers = np.empty(J.shape[:-1] + (n,) + J.shape[-1:], dtype=complex)
+    powers[..., 0, :] = 1.0
     for k in range(1, n):
-        np.multiply(powers[k - 1], J, out=powers[k])
-    table = np.multiply(np.moveaxis(powers, 0, -1), factor[..., None],
-                        out=np.empty(J.shape + (n,), dtype=complex))
-    table[..., 0] = first
+        np.multiply(powers[..., k - 1, :], J, out=powers[..., k, :])
+    powers *= factor[..., None, :]
+    powers[..., 0, :] = first
+    table = np.moveaxis(powers, -2, -1)
     return table[0] if scalar else table
 
 
@@ -243,23 +264,37 @@ def series_at(kind: ChebKind, coeffs: np.ndarray, geo: CutGeometry) -> np.ndarra
     return out
 
 
-def _kernel_factors(kind: ChebKind, geo: CutGeometry) -> tuple:
+def _kernel_factors(kind, geo: CutGeometry) -> tuple:
     """(J, first, factor) at geo's points: the degree-k transform is factor
-    J^k for k >= 1 and first for k = 0."""
+    J^k for k >= 1 and first for k = 0.  For a stack, kind may be one kind per
+    interval: the rows of each kind are computed together, from the stack's
+    J and S (CutGeometry.part)."""
+    kinds = [kind] if isinstance(kind, ChebKind) else list(kind)
+    if len(set(kinds)) == 1:
+        first, factor = _first_and_factor(kinds[0], geo)
+        return geo.J, first, factor
+    first, factor = np.empty_like(geo.J), np.empty_like(geo.J)
+    for k in dict.fromkeys(kinds):
+        rows = [i for i, other in enumerate(kinds) if other is k]
+        first[rows], factor[rows] = _first_and_factor(k, geo.part(rows))
+    return geo.J, first, factor
+
+
+def _first_and_factor(kind: ChebKind, geo: CutGeometry) -> tuple:
+    """_kernel_factors' (first, factor) for one kind."""
     interval = geo.interval
     _check_endpoints(kind, interval, geo.z)
-    J = geo.J
     if kind is ChebKind.T:
         base = _I2PI / geo.S
-        return J, base, SQRT2 * base
+        return base, SQRT2 * base
     L = interval.length
     if kind is ChebKind.U:
-        factor = J * (2.0 * _I2PI) * (2.0 / L)
-        return J, factor, factor
+        factor = geo.J * (2.0 * _I2PI) * (2.0 / L)
+        return factor, factor
     # V: sqrt(z-a)/sqrt(z-b) - 1; W: 1 - sqrt(z-b)/sqrt(z-a); side-aware.
     num, sign = (geo.z - interval.a, 1.0) if kind is ChebKind.V else (geo.z - interval.b, -1.0)
     with np.errstate(invalid="ignore"):
         ratio = num / geo.S
     ratio = np.where(num == 0.0, 0.0, ratio)  # bounded endpoint: exact limit
     factor = sign * (ratio - 1.0) * _I2PI * (2.0 / L)
-    return J, factor, factor
+    return factor, factor

@@ -133,8 +133,16 @@ class Intervals:
     """
 
     def __init__(self, intervals):
-        columns = np.array([[iv.a, iv.b, iv.mid, iv.half, iv.length] for iv in intervals])
+        self.intervals = tuple(intervals)
+        columns = np.array([[iv.a, iv.b, iv.mid, iv.half, iv.length] for iv in self.intervals])
         self.a, self.b, self.mid, self.half, self.length = columns.T[:, :, None]
+
+    def __getitem__(self, index) -> Intervals:
+        """The stack of the intervals at index, a slice or a sequence of
+        positions."""
+        if isinstance(index, slice):
+            return Intervals(self.intervals[index])
+        return Intervals(self.intervals[i] for i in index)
 
     def to_unit(self, x):
         """Interval.to_unit, one row per interval."""

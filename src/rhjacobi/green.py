@@ -187,12 +187,15 @@ def eval_g(green: GreenData, z, side: Side = Side.OFF):
     Boundary values on bands and gaps come from the kernel boundary variants;
     z strictly off the real axis uses the principal branches.  Vectorized in z:
     one pass over every band at once (green.g_series), the bands' terms added
-    in band order.
+    in band order.  z may be 1-d points' CutGeometry for a stack whose first
+    intervals are the bands (as h_basis's), whose rows for them are read.
     """
-    scalar = np.ndim(z) == 0
-    zz = np.atleast_1d(z)
     bands, masses, weights = green.g_series
-    geo = CutGeometry(bands, zz.ravel(), side)
+    if isinstance(z, CutGeometry):
+        scalar, zz, geo = False, z.z, z.part(slice(0, len(masses)))
+    else:
+        scalar, zz = np.ndim(z) == 0, np.atleast_1d(z)
+        geo = CutGeometry(bands, zz.ravel(), side)
     logs = masses * geo.log_J()
     series = series_at(ChebKind.U, weights, geo)
     total = np.zeros(zz.size, dtype=complex)

@@ -37,9 +37,22 @@ DEFAULT_PPI = 16
 # Largest |F - I| on circles before double precision degrades visibly.
 JUMP_MAGNITUDE_HORIZON = 1e7
 
-# Bytes of stacked band systems (8 bytes per entry of the real systems) that
-# one block solve may hold: 32 indices of 64 unknowns, 8 of 128.
+# Bytes that one block solve may stack over its indices (block_size).  A
+# block holds one band system whatever its size; per index it stacks, at 16
+# bytes per complex value, the circle entries and their products with the
+# band unknowns (three values per upper circle point), the band jumps (two
+# entries at every band node and test node), the unknowns (about four values
+# per band node) and the residual's boundary values (eight per band test
+# node): 44 indices on two bands, 22 on four, at 16 points per band.
 BLOCK_BYTES = 1 << 20
+
+
+def block_size(contours) -> int:
+    """How many indices one block solve on contours takes: as many as stack
+    BLOCK_BYTES, at least one."""
+    upper = sum(len(c.upper) for c in contours.circles)
+    T = sum(bp.n_points for bp in contours.bands)
+    return max(1, BLOCK_BYTES // (16 * (3 * upper + 16 * T)))
 
 
 @dataclass
@@ -105,16 +118,14 @@ class SolveContext:
 
     def solve(self, ns) -> None:
         """Solve every index of ns that is not cached yet, in order, in blocks
-        of as many indices as fit BLOCK_BYTES of band systems (at least one);
-        DomainError, before any solve, unless every index is a non-negative
-        integer."""
+        of block_size indices; DomainError, before any solve, unless every
+        index is a non-negative integer."""
         for n in ns:
             _check_index(n, "an index")
         missing = [n for n in dict.fromkeys(ns) if n not in self._solutions]
         new = [n for n in missing if n not in self._aux]
         self._aux.update(zip(new, solve_aux_block(self.hsys, self.green, new)))
-        unknowns = 2 * sum(bp.n_points for bp in self.contours.bands)
-        size = max(1, BLOCK_BYTES // (8 * unknowns ** 2))
+        size = block_size(self.contours)
         for start in range(0, len(missing), size):
             jumps = JumpAssembly([self.aux(n) for n in missing[start:start + size]],
                                  self.jump_values)
@@ -203,8 +214,8 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None,
     the real band system left after the circles are eliminated (LAPACK
     dgecon's 1-norm estimate, about 10 times the estimate for the complex
     system of both columns' equations: the real system is better
-    conditioned; it moves by up to about 1e-3 relative when the system
-    changes only by rounding, so compare it across versions to 2-3 digits);
+    conditioned; it moved by 12% relative when the system changed only by
+    rounding, so compare it across versions to its order of magnitude);
     circles_used, the number of circles the solve for n kept (circles whose
     jump is the identity are dropped); circle_deviation, the largest |F - I|
     over the circle nodes of the solve for n.  circle_deviation is kept where

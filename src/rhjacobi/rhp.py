@@ -46,34 +46,37 @@ are solved; the off-collocation residual still checks every circle.
 What is computed how often, and who owns it:
 - per circle: its upper points (Circle.upper), computed once.
 - per geometry, the ContourSet: its circles, bands and kernel bases (the
-  default_bases of the weight it was built for), and its one
+  default_bases of the weight it was built for); its circle_geometry, J and
+  S of every band and gap at every upper circle point, made once and read by
+  the operator's column-1 tables, the h basis and g; and its one
   CollocationOperator, the band kernel tables at every band node and test
-  node and, for column 1, every upper circle point, in one pass over those
-  points: per band and column one table off the band and one from above at
-  its own points, whose reflection (-conj) is the table from below; at the
-  band nodes it keeps the band system's (left, right).  It is built by the
-  first solve on the contour set and kept for every later one.  g and the h
-  basis depend on the bands only too: JumpValues reads them from the
-  GreenData at every upper circle point at once, one call per side, each one
-  pass over every band and gap at once, when the first solve asks for a
+  node and, for column 1, every upper circle point: per column one stacked
+  table call over every band at each point set, each point set's geometry
+  made once (module cauchy), the table from below a band's own points the
+  reflection (-conj) of the one from above; at the band nodes it keeps the
+  band system's (left, right).  It is built by the first solve on the
+  contour set and kept for every later one.  g and the h basis depend on the
+  bands only too: JumpValues reads them from the GreenData at every upper
+  circle point at once, in one call each, when the first solve asks for a
   circle jump.
 - per kept circle, in the operator: its coupling operands at the band nodes
   (G over the upper half-circle) and its Laurent table at the band test
   nodes, built by the first solve that keeps it.
 - per jump spec, in JumpValues: the weight values at the upper circle points,
-  in one call per circle and side.
+  in one call per circle.
 - per block of indices, in one solve_matrix_rhp call, one NumPy call per
   step over all its indices: the circle jump entries (one exponential per
   circle over indices x upper points, taken only where it does not underflow
-  to 0), the stacked real band systems (the operator's left half, and its
-  right half scaled by -F_10) and their 1-norms, per circle one product of
-  its kernels with the band unknowns of every index, the kept circles'
-  coefficients (two Hermitian FFTs each) and the residual (one stacked
-  inverse FFT per circle, stacked products on the bands); per index, one
-  coupling product per kept circle, one lu_factor and lu_solve (LAPACK
-  dgetrf and dgetrs) and one dgecon call, and its RHSolution.  Each step
-  acts on every index alone, so an index's solution does not depend on its
-  block, and an index whose solve fails fails alone.
+  to 0), one product of every circle's kernels with the band unknowns of
+  every index, the kept circles' coefficients (two Hermitian FFTs each) and
+  the residual (one stacked inverse FFT per circle, stacked products on the
+  bands); per index, its real band system (the operator's left half, and its
+  right half scaled by -F_10, plus one coupling product per kept circle)
+  filled into the block's one system buffer, its 1-norm (LAPACK dlange), one
+  lu_factor and lu_solve (dgetrf and dgetrs) in that buffer and one dgecon
+  call, and its RHSolution.  Each step acts on every index alone, so an
+  index's solution does not depend on its block, and an index whose solve
+  fails fails alone.
 """
 
 from __future__ import annotations
@@ -87,8 +90,8 @@ import numpy as np
 from scipy.linalg import lapack as _lapack
 
 from .auxiliary import combine_h, h_basis, h_weights
-from .cauchy import Side, cauchy_cheb_table
-from .chebyshev import Interval, cheb_t_nodes
+from .cauchy import CutGeometry, Side, cauchy_cheb_table
+from .chebyshev import Interval, Intervals, cheb_t_nodes
 from .errors import DomainError, GeometryError, ResidualWarning, SolverError, WeightError
 from .green import GreenData, eval_g
 from .weights import WeightSpec
@@ -204,11 +207,14 @@ class BandPiece:
 @dataclass(frozen=True)
 class ContourSet:
     """The circles and bands of one geometry, the kernel bases of the weight
-    it was built for, and its one collocation operator.
+    it was built for, its one collocation operator and its one geometry at
+    the circle points.
 
-    Everything here is per geometry.  operator is built on first use and
-    kept, so every solve on this contour set shares it, whatever its jump
-    spec and n; solve_matrix_rhp refuses a weight of other kinds.
+    Everything here is per geometry.  operator and circle_geometry are built
+    on first use and kept, so every solve on this contour set shares them,
+    whatever its jump spec and n; solve_matrix_rhp refuses a weight of other
+    kinds.  The operator stacks the bands, so every band takes the same
+    number of points (build_contours gives each ppi).
     """
 
     circles: tuple
@@ -219,16 +225,31 @@ class ContourSet:
     def operator(self) -> CollocationOperator:
         return CollocationOperator(self)
 
+    @cached_property
+    def circle_geometry(self) -> CutGeometry:
+        """Every band, then every gap, seen off the contours from every
+        circle's upper points (Circle.upper, in circle order): the one
+        geometry there of the operator's column-1 tables, the h basis and g
+        (JumpValues)."""
+        bands = [bp.interval for bp in self.bands]
+        gaps = [Interval(left.b, right.a) for left, right in zip(bands, bands[1:])]
+        points = np.concatenate([np.empty(0, dtype=complex)] + [c.upper for c in self.circles])
+        return CutGeometry(Intervals(bands + gaps), points, Side.OFF)
+
 
 class CollocationOperator:
     """The kernel tables of one contour set in its band bases.
 
     Nothing here depends on n or on the jump data.  Column m of the unknown is
     expanded on every band q in the kernel bases[q][m]:
-    - test_plus[m], test_minus[m]: the column-m kernels of all bands side by
-      side, at all band test nodes.  A band's rows at its own test nodes hold
-      its boundary values from above and below; every other entry is the
-      off-contour value, the same in both.
+    - test_plus[m]: the column-m kernels of all bands side by side, at all
+      band test nodes, from above: a band's rows at its own test nodes hold
+      its boundary values from above, every other entry the off-contour value.
+    - test_jump[m]: per band, the jump of its own kernels across its test
+      nodes, from above minus from below, shape (bands, points, kernels).
+      From below a band's own table is -conj of the one from above, so the
+      jump is 2 Re of it, and the tables from below are test_plus[m] less
+      these blocks on the diagonal.
     - left, right: column 0's band equations in the real unknowns y (module
       docstring), each (2T, T), real parts above imaginary parts: with P, M
       the same tables at the band nodes, column 0's from above and column 1's
@@ -238,17 +259,22 @@ class CollocationOperator:
       angles 0..pi, then its test nodes above the real axis.  The kernels at
       a lower point are -conj of those at its mirror point and are never
       formed (module docstring).
-    - circle_K[j]: the column-1 kernels at circle_points[j], then a column of
-      ones for the identity's share of the jump.
-    The kernel tables come from one pass over the point cloud of column m:
-    every band's nodes and test nodes, one slice per band, and for column 1
-    every circle's upper points.  Per band q and column m there are at most two
-    cauchy_cheb_table calls, off the band at every other point and from above
-    at its own, whose rows are copied into the tables above; from below, its
-    own rows are -conj of those from above, bit for bit (cauchy_cheb_table).
-    Circle j's tables (circle_tables) are built the first time a solve keeps
-    circle j, and kept.  The tables at one point set off the contours
-    (kernels_at, circle_at) are kept for the last point set only.
+    - circle_kernels[j]: the column-1 kernels of all bands at
+      circle_points[j], one row per kernel and one column per point.
+    Every band takes part in one stacked cauchy_cheb_table call per column
+    and point set, each point set's geometry (cauchy.CutGeometry) made once:
+    each band's own nodes and test nodes, from above, for both columns; all
+    band nodes, then all test nodes, off every band; and, for column 1, each
+    circle's part of the contour set's circle_geometry (one table per
+    circle: a single table over every circle's points, 1.3 MB on four
+    bands, faults its pages afresh for every new contour set).  A band's own
+    entries of the second are replaced by those of the first.  Off the bands column 0 takes the band
+    points as real numbers and column 1 as complex ones, as they always have:
+    the affine map to [-1, 1] rounds the two apart, and dgecon's estimate of
+    the band system moves by up to 12% under a change of that size.  Circle
+    j's tables (circle_tables) are built the first time a solve keeps circle
+    j, and kept.  The tables at one point set off the contours (kernels_at,
+    circle_at) are kept for the last point set only.
     """
 
     def __init__(self, contours: ContourSet):
@@ -259,44 +285,41 @@ class CollocationOperator:
         self.band_nodes = [bp.nodes() for bp in bands]
         self.band_test_nodes = [bp.test_nodes() for bp in bands]
         self.circle_points = [c.upper for c in contours.circles]
-        ends = np.cumsum([bp.n_points for bp in bands]).tolist()
-        self.spans = [slice(lo, hi) for lo, hi in zip([0] + ends, ends)]
-        T = ends[-1]
-        # At the band nodes, column 0's table from above and column 1's from
-        # below, the only ones the real band system reads.
-        at_nodes = np.empty((2, T, T), dtype=complex)
-        self.test_plus, self.test_minus = np.empty((2, 2, T, T), dtype=complex)
-        self.circle_K = [np.ones((len(z), T + 1), dtype=complex) for z in self.circle_points]
+        n = bands[0].n_points
+        if any(bp.n_points != n for bp in bands):
+            raise DomainError("every band of a contour set needs the same number of points")
+        T = n * len(bands)
+        self.spans = [slice(q * n, (q + 1) * n) for q in range(len(bands))]
+        self.intervals = Intervals(bp.interval for bp in bands)
+        own = CutGeometry(self.intervals, np.hstack([self.band_nodes, self.band_test_nodes]),
+                          Side.PLUS)
+        points = np.concatenate(self.band_nodes + self.band_test_nodes)
+        self.test_plus, self.test_jump = [], []
         for m in range(2):
-            # Column m's cloud as (points, the row blocks they fill, each with
-            # whether it is from below); band q's points are pieces 2q and
-            # 2q + 1.
-            cloud = []
-            for p, span in enumerate(self.spans):
-                cloud.append((self.band_nodes[p], ((at_nodes[m][span], m == 1),)))
-                cloud.append((self.band_test_nodes[p], ((self.test_plus[m][span], False),
-                                                        (self.test_minus[m][span], True))))
-            if m == 1:
-                cloud += [(z, ((K[:, :T], False),))
-                          for z, K in zip(self.circle_points, self.circle_K)]
-            for q, (bp, cols) in enumerate(zip(bands, self.spans)):
-                own, off = cloud[2 * q:2 * q + 2], cloud[:2 * q] + cloud[2 * q + 2:]
-                for side, pieces in ((Side.PLUS, own), (Side.OFF, off)):
-                    if not pieces:
-                        continue
-                    rows = cauchy_cheb_table(bases[q][m], bp.n_points, bp.interval,
-                                             np.concatenate([z for z, _ in pieces]), side)
-                    # tables[below]: from below its own points, a band's table
-                    # is -conj of the one from above (cauchy_cheb_table).
-                    tables = (rows, -np.conj(rows) if side is Side.PLUS else rows)
-                    start = 0
-                    for z, blocks in pieces:
-                        for block, below in blocks:
-                            block[:, cols] = tables[below][start:start + len(z)]
-                        start += len(z)
-        plus, minus = at_nodes
-        self.left = np.asfortranarray(np.vstack([-plus.imag, plus.real]))
-        self.right = np.asfortranarray(np.vstack([minus.real, minus.imag]))
+            kinds = [b[m] for b in bases]
+            # kernels[(q, k), p]: band q's degree-k kernel at band point p.
+            off = CutGeometry(self.intervals, points.astype(complex) if m else points)
+            kernels = _by_kernel(cauchy_cheb_table(kinds, n, self.intervals, off))
+            above = cauchy_cheb_table(kinds, n, self.intervals, own)
+            for q, span in enumerate(self.spans):
+                at_nodes, at_test = above[q, :n].T, above[q, n:].T
+                # Column 1's at the nodes from below, the one the band system
+                # reads: -conj of the one from above (cauchy_cheb_table).
+                kernels[span, span] = -np.conj(at_nodes) if m else at_nodes
+                kernels[span, T + span.start:T + span.stop] = at_test
+            nodes, test = kernels[:, :T], kernels[:, T:]
+            if m:
+                self.right = np.hstack([nodes.real, nodes.imag]).T
+            else:
+                self.left = np.hstack([-nodes.imag, nodes.real]).T
+            self.test_plus.append(np.ascontiguousarray(test.T))
+            self.test_jump.append((2.0 * above[:, n:].real).astype(complex))
+        at_circles = contours.circle_geometry.part(slice(0, len(bands)))
+        ends = np.cumsum([0] + [len(z) for z in self.circle_points]).tolist()
+        self.circle_kernels = [
+            _by_kernel(cauchy_cheb_table([b[1] for b in bases], n, self.intervals,
+                                         at_circles.part(points=slice(lo, hi))))
+            for lo, hi in zip(ends, ends[1:])]
         self._circle_tables: dict = {}
         self._last_points: tuple = (None, [], {})
 
@@ -308,9 +331,9 @@ class CollocationOperator:
         W^-1 = W^H / n_j, W the Laurent table at the nodes, as a DFT.  Only its
         columns at the upper nodes k = 0..n_j / 2 are kept, each doubled but
         the two axis nodes' (k = 0 and n_j / 2), as the real [Re G, -Im G].
-        K is circle_K[j] at those nodes with -i for its column of ones: the
-        operands of coupling.  (span, table) is _circle_table at all band
-        test nodes."""
+        K is circle_kernels[j] at those nodes, transposed, and a column of -i
+        for the identity's share: the operands of coupling.  (span, table) is _circle_table at
+        all band test nodes."""
         if j not in self._circle_tables:
             circ = self.circles[j]
             n = circ.n_points
@@ -319,8 +342,8 @@ class CollocationOperator:
             spectrum[:, circ.exponents[span] % n] = table
             G = np.fft.fft(spectrum, axis=1)[:, :n // 2 + 1] / n
             G[:, 1:-1] *= 2.0
-            K = self.circle_K[j][:n // 2 + 1].copy()
-            K[:, -1] = -1j
+            K = np.full((n // 2 + 1, len(self.left.T) + 1), -1j)
+            K[:, :-1] = self.circle_kernels[j][:, :n // 2 + 1].T
             self._circle_tables[j] = (np.hstack([G.real, -G.imag]), K,
                                       *_circle_table(circ, np.concatenate(self.band_test_nodes)))
         return self._circle_tables[j]
@@ -330,7 +353,7 @@ class CollocationOperator:
         index, v its jump entry F_10 at circle j's upper points (of which
         the upper nodes, its first n_j / 2 + 1 entries, are read): the real
         (T, T + 1) matrix whose columns :T are G diag(v) K, K the bands'
-        column-1 tables at the nodes (circle_K), and whose column T holds
+        column-1 tables at the nodes (circle_kernels[j]), and whose column T holds
         Im(G v), the identity's share.
 
         By the Schwarz symmetry G, v and K at a node below the real axis are
@@ -362,10 +385,18 @@ class CollocationOperator:
         terms of recip_approx, builds them once, and the memo cannot grow."""
         key = z.tobytes()
         if self._last_points[0] != key:
-            kernels = [np.hstack([cauchy_cheb_table(self.bases[q][m], bp.n_points, bp.interval, z)
-                                  for q, bp in enumerate(self.bands)]) for m in range(2)]
+            geo = CutGeometry(self.intervals, z)
+            kernels = [np.ascontiguousarray(_by_kernel(cauchy_cheb_table(
+                [b[m] for b in self.bases], self.bands[0].n_points, self.intervals, geo)).T)
+                for m in range(2)]
             self._last_points = (key, kernels, {})
         return self._last_points
+
+
+def _by_kernel(table: np.ndarray) -> np.ndarray:
+    """A stacked cauchy_cheb_table (intervals, points, n) as one row per
+    kernel (interval, degree) and one column per point: a view."""
+    return table.transpose(0, 2, 1).reshape(-1, table.shape[1])
 
 
 def build_contours(spec: WeightSpec, ppi: int) -> ContourSet:
@@ -427,27 +458,13 @@ def _validate_h_on_disk(spec: WeightSpec, j: int, center: float, radius: float) 
             raise WeightError(f"h on band {j} {what} inside its deformation disk")
 
 
-def _fill(memo: dict, point_sets: dict, evaluate) -> None:
-    """memo[key] = evaluate(point_sets[key], side) for every key memo lacks, in
-    one call per side over all of those point sets: off the real axis with
-    Side.OFF, on it from above (Side.PLUS at the real points), as the jumps
-    take them.  The last axis of evaluate's values runs over the points."""
-    new = {key: z for key, z in point_sets.items() if key not in memo}
-    if not new:
-        return
-    z = np.concatenate(list(new.values()))
-    axis = z.imag == 0.0
-    values = None
-    for mask, side, points in ((~axis, Side.OFF, z[~axis]), (axis, Side.PLUS, z[axis].real)):
-        if len(points):
-            part = evaluate(points, side)
-            if values is None:
-                values = np.empty(part.shape[:-1] + z.shape, dtype=complex)
-            values[..., mask] = part
-    start = 0
-    for key, points in new.items():
-        memo[key] = values[..., start:start + len(points)]
-        start += len(points)
+def _fill(memo: dict, key, z: np.ndarray, evaluate) -> None:
+    """memo[key] = evaluate(z, side) unless memo has key, the points taken as
+    the jumps take them: complex points with Side.OFF, where a point x + 0j
+    on the real axis gives the limit from above by the sign of its zero
+    imaginary part, and real points from above (Side.PLUS)."""
+    if key not in memo:
+        memo[key] = evaluate(z, Side.OFF if np.iscomplexobj(z) else Side.PLUS)
 
 
 class JumpValues:
@@ -457,14 +474,16 @@ class JumpValues:
     from the bands' GreenData green, depend on the bands only, so every jump
     spec on them shares them (for_spec).  The weight values belong to the
     jump spec.  Both are memos keyed by the points' bytes, each point taken as
-    the jumps take it: off the real axis with Side.OFF, on it from above.  The
-    first circle request evaluates them at every circle's upper points
-    (Circle.upper), where the solver reads them: g and the h basis in one call
-    per side, each circle's weight in one weight_value call per side, and
-    every later index reads them.  A request at other points fills that point
-    set alone; as each point's value depends on that point only, it is the
-    value the whole cloud gives.  point serves one point off the circles,
-    such as cauchy_pn's, and keeps the last point only.
+    the jumps take it (_fill): off the real axis, and at a circle's axis node
+    x + 0j from above.  The first circle request evaluates them at every
+    circle's upper points (Circle.upper), where the solver reads them: g and
+    the h basis in one call each from the contour set's circle_geometry, the
+    J and S that the operator's column-1 tables read too, and each circle's
+    weight in one weight_value call; every later index reads them.  A
+    request at other points fills that point set alone; as each point's
+    value depends on that point only, it is the value the whole cloud gives.
+    point serves one point off the circles, such as cauchy_pn's, and keeps
+    the last point only.
     """
 
     def __init__(self, spec: WeightSpec, green: GreenData, contours: ContourSet):
@@ -483,23 +502,31 @@ class JumpValues:
         out._geometry = self._geometry
         return out
 
-    def _geometry_at(self, z: np.ndarray, side: Side) -> np.ndarray:
-        """circle_jump's sign, R, the h basis and g at points z, stacked."""
+    def _geometry_at(self, z, side: Side = Side.OFF) -> np.ndarray:
+        """circle_jump's sign, R, the h basis and g at points z, or at the
+        points of z, a CutGeometry for the bands then the gaps, stacked."""
+        points = z.z if isinstance(z, CutGeometry) else z
         R, transforms = h_basis(self.green, z, side)
-        return np.vstack([np.where(np.imag(z) < 0.0, 1.0, -1.0), R, transforms,
+        return np.vstack([np.where(np.imag(points) < 0.0, 1.0, -1.0), R, transforms,
                           eval_g(self.green, z, side)])
 
     def circle(self, j: int, z: np.ndarray) -> tuple:
         """(sign, R, transforms, g, weight) at points z of circle j; R and
         transforms as h_basis gives them."""
-        point_sets = [(j, z)]
         if self._cold:
             self._cold = False
-            point_sets = [*enumerate(c.upper for c in self.contours.circles), (j, z)]
-        _fill(self._geometry, {w.tobytes(): w for _, w in point_sets}, self._geometry_at)
-        for i in dict.fromkeys(i for i, _ in point_sets):
-            _fill(self._weights, {("circle", i, w.tobytes()): w for k, w in point_sets if k == i},
-                  partial(self.spec.weight_value, i))
+            circles = self.contours.circles
+            if any(c.upper.tobytes() not in self._geometry for c in circles):
+                values = self._geometry_at(self.contours.circle_geometry)
+                start = 0
+                for c in circles:
+                    self._geometry[c.upper.tobytes()] = values[:, start:start + len(c.upper)]
+                    start += len(c.upper)
+            for i, c in enumerate(circles):
+                _fill(self._weights, ("circle", i, c.upper.tobytes()), c.upper,
+                      partial(self.spec.weight_value, i))
+        _fill(self._geometry, z.tobytes(), z, self._geometry_at)
+        _fill(self._weights, ("circle", j, z.tobytes()), z, partial(self.spec.weight_value, j))
         values = self._geometry[z.tobytes()]
         weight = self._weights[("circle", j, z.tobytes())]
         return values[0], values[1], values[2:-1], values[-1], weight
@@ -507,16 +534,14 @@ class JumpValues:
     def band_weight(self, j: int, x: np.ndarray) -> np.ndarray:
         """The band-j weight's upper boundary value at real points x."""
         key = ("band", j, x.tobytes())
-        _fill(self._weights, {key: x}, partial(self.spec.weight_value, j))
+        _fill(self._weights, key, x, partial(self.spec.weight_value, j))
         return self._weights[key]
 
     def point(self, z: complex) -> tuple:
         """(R, transforms, g) at the single point z, each of length 1 in its
         last axis; rebuilt only when z differs from the last point asked for."""
         if self._point[0] != z:
-            memo: dict = {}
-            _fill(memo, {z: np.array([z], dtype=complex)}, self._geometry_at)
-            self._point = (z, memo[z])
+            self._point = (z, self._geometry_at(np.array([z], dtype=complex)))
         values = self._point[1]
         return values[1], values[2:-1], values[-1]
 
@@ -579,10 +604,10 @@ class JumpAssembly:
 class ResidualReport:
     """Off-collocation jump defect over every piece; rcond, LAPACK dgecon's
     estimate of the reciprocal 1-norm condition number of the real band
-    system (it moves by up to 1e-3 relative under rounding: compare to 2-3
-    digits);
-    and circle_deviation, the largest |F - I| over every circle's nodes, a
-    precision proxy (0 without circles)."""
+    system (it moved by 12% relative under a change of the system by
+    rounding: compare its order of magnitude); and circle_deviation, the
+    largest |F - I| over every circle's nodes, a precision proxy (0 without
+    circles)."""
 
     off_collocation: float
     rcond: float
@@ -813,46 +838,21 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
     lap("tables")
 
     T = op.left.shape[1]
-    # Column 0's equations in y, real parts above imaginary parts, with the
-    # right-hand sides -1 (row 0) and -i F_10 (row 1).  Each system is the
-    # transpose of a C-ordered slice, so it is in Fortran order and LAPACK
-    # factors it in place instead of copying it.
-    A = np.empty((count, 2 * T, 2 * T)).transpose(0, 2, 1)
-    A[:, :, :T] = op.left
-    np.multiply(-f[:, :, None], op.right, out=A[:, :, T:])
-    rhs = np.zeros((count, 2 * T, 2))
-    rhs[:, :T, 0] = -1.0
-    rhs[:, T:, 1] = -f[:, T:]
-    # On a kept circle c the column-1 rows read W u_c1 = 0 with W the Laurent
-    # table at c's own nodes, so u_c1 = 0, and the column-0 rows give
-    # u_c0 = W^-1 v (K u_B1 + [r == 1]) with K the bands' column-1 tables at
-    # c's nodes (and a column of ones).  Its Cauchy transform at the band
-    # nodes is G_c v K (u_B1, [r == 1]); substituting it into the band rows
-    # leaves a system in the band unknowns only.  op.coupling's real columns
-    # :T add to the real parts' rows, and its column T is the imaginary part
-    # of the identity's share, which row 1's right-hand side -i (F_10 - i C)
-    # takes as -C in its real parts' rows.
-    for j in tables:
-        for k in np.flatnonzero(keeps[j]):
-            coupling = op.coupling(j, v[j][k])
-            A[k, :T, T:] += coupling[:, :T]
-            rhs[k, :T, 1] -= coupling[:, T]
-    lap("assembly")
-
-    y, rcond = _factor(A, rhs, errors)
-    del A  # freed, factored, before the residual's arrays are made
+    y, rcond = _factor(op, f, [(j, keeps[j], v[j]) for j in tables], errors, lap)
     X = y * _PHASES[np.repeat([0, 1], T)]
     lap("lu")
 
     # Per circle, v (K u_B1 + [r == 1]) at its upper points by index and row
-    # r, from one product per circle over the block with the indices and rows
-    # in Xe's rows: a row of a matrix product does not depend on the others,
-    # so an index's values do not depend on its block.
-    Xe = np.zeros((count, 2, T + 1), dtype=complex)
-    Xe[..., :T] = X[:, T:].transpose(0, 2, 1)
-    Xe[:, 1, T] = 1.0
-    Xe = Xe.reshape(2 * count, T + 1)
-    vKX = [vj[:, None] * (Xe @ K.T).reshape(count, 2, -1) for vj, K in zip(v, op.circle_K)]
+    # r, from one product per circle over the block, with the indices and
+    # rows in its rows: a row of a matrix product does not depend on the
+    # others, so an index's values do not depend on its block.
+    u_B1 = X[:, T:].transpose(0, 2, 1).reshape(2 * count, T)
+    vKX = []
+    for vj, kernels in zip(v, op.circle_kernels):
+        values = (u_B1 @ kernels).reshape(count, 2, -1)
+        values[:, 1] += 1.0
+        values *= vj[:, None]
+        vKX.append(values)
     # u0[j]: u_c0 by row r of the indices that keep circle j.
     u0 = {j: _coefficients(contours.circles[j], vKX[j][keeps[j]]) for j in tables}
     residual = _off_collocation_residual(op, keeps, tables, u0, vKX, X, test_F)
@@ -883,11 +883,11 @@ def _solve(contours: ContourSet, jumps) -> BlockSolution:
 
 
 def lu_factor(a: np.ndarray) -> tuple:
-    """(lu, piv): LAPACK dgetrf's LU factorization of the real square matrix
-    a, in place where a is Fortran-ordered float64.  A singular a shows as a
-    zero on lu's diagonal."""
-    lu, piv, _ = _lapack.dgetrf(a, overwrite_a=True)
-    return lu, piv
+    """(lu, piv, singular): LAPACK dgetrf's LU factorization of the real
+    square matrix a, in place where a is Fortran-ordered float64, and
+    whether a is singular, a zero on lu's diagonal (dgetrf's info > 0)."""
+    lu, piv, info = _lapack.dgetrf(a, overwrite_a=True)
+    return lu, piv, info > 0
 
 
 def lu_solve(lu_piv: tuple, b: np.ndarray) -> np.ndarray:
@@ -895,24 +895,59 @@ def lu_solve(lu_piv: tuple, b: np.ndarray) -> np.ndarray:
     return _lapack.dgetrs(*lu_piv, b)[0]
 
 
-def _factor(A: np.ndarray, rhs: np.ndarray, errors: list) -> tuple:
-    """(y, rcond): per index k, the LU factorization of A[k] in place, the
-    solution for rhs[k] and dgecon's condition estimate; errors[k] names a
-    singular or non-finite system (y[k] is then 0 or not finite).  An index
-    whose error is named already is not factored, and its y[k] stays 0."""
-    y = np.zeros_like(rhs)
-    rcond = np.full(len(A), np.nan)
-    # The 1-norms of every system, taken before they are factored.
-    anorms = np.max(np.sum(np.abs(A), axis=1), axis=1)
-    for k in range(len(A)):
+def _factor(op: CollocationOperator, f: np.ndarray, kept: list, errors: list, lap) -> tuple:
+    """(y, rcond): per index k, its real band system, column 0's equations
+    in y with the right-hand sides -1 (row 0) and -i F_10 (row 1), f[k]
+    holding F_10 at the band nodes twice, once for each half of the rows;
+    kept lists (j, keeps[j], v[j]) for every circle some index keeps.
+
+    Every index's system and right-hand sides are filled into one buffer
+    each, the system Fortran-ordered so that LAPACK factors it in place
+    (dgetrf); it is solved (dgetrs) and its condition estimated (dgecon,
+    from the 1-norm dlange takes before the factoring) before the next index
+    is filled, so a block holds one system.  errors[k] names a singular or
+    non-finite system (y[k] is then 0 or not finite).  An index whose error
+    is named already is not assembled, and its y[k] stays 0.  lap times the
+    assembly and the LU of each index.
+    """
+    T = op.left.shape[1]
+    count = len(f)
+    y = np.zeros((count, 2 * T, 2))
+    rcond = np.full(count, np.nan)
+    A = np.empty((2 * T, 2 * T), order="F")
+    rhs = np.zeros((2 * T, 2))
+    rhs[:T, 0] = -1.0
+    for k in range(count):
         if errors[k]:
             continue
-        lu, piv = lu_factor(A[k])
-        if np.any(np.diagonal(lu) == 0.0):
+        A[:, :T] = op.left
+        np.multiply(-f[k, :, None], op.right, out=A[:, T:])
+        rhs[:T, 1] = 0.0
+        rhs[T:, 1] = -f[k, T:]
+        # On a kept circle c the column-1 rows read W u_c1 = 0 with W the
+        # Laurent table at c's own nodes, so u_c1 = 0, and the column-0 rows
+        # give u_c0 = W^-1 v (K u_B1 + [r == 1]) with K the bands' column-1
+        # tables at c's nodes (and a column of ones).  Its Cauchy transform
+        # at the band nodes is G_c v K (u_B1, [r == 1]); substituting it into
+        # the band rows leaves a system in the band unknowns only.
+        # op.coupling's real columns :T add to the real parts' rows, and its
+        # column T is the imaginary part of the identity's share, which row
+        # 1's right-hand side -i (F_10 - i C) takes as -C in its real parts'
+        # rows.
+        for j, keep, vj in kept:
+            if keep[k]:
+                coupling = op.coupling(j, vj[k])
+                A[:T, T:] += coupling[:, :T]
+                rhs[:T, 1] -= coupling[:, T]
+        anorm = _lapack.dlange("1", A)
+        lap("assembly")
+        lu, piv, singular = lu_factor(A)
+        if singular:
             errors[k] = "collocation system is numerically singular"
-            continue
-        y[k] = lu_solve((lu, piv), rhs[k])
-        rcond[k] = _lapack.dgecon(lu, anorms[k])[0]
+        else:
+            y[k] = lu_solve((lu, piv), rhs)
+            rcond[k] = _lapack.dgecon(lu, anorm)[0]
+        lap("lu")
     for k in np.flatnonzero(~np.all(np.isfinite(y), axis=(1, 2))):
         errors[k] = errors[k] or "collocation solution is not finite"
     return y, rcond
@@ -944,14 +979,18 @@ def _off_collocation_residual(op: CollocationOperator, keeps: np.ndarray, tables
             defect[keeps[j]] += _series_on_test_nodes(circ, u0[j])
         worst.append(np.max(np.abs(defect), axis=(1, 2)))
     # [index, point, row, column] of the two boundary values of Phi - I at the
-    # band test nodes, the bands in one product per column.
-    above, below = (np.stack([t[0] @ X[:, :T], t[1] @ X[:, T:]], axis=-1)
-                    for t in (op.test_plus, op.test_minus))
+    # band test nodes: from above, the bands in one product per column and
+    # the kept circles' densities, which do not jump there; from below, less
+    # each band's jump across its own test nodes.
+    columns = [X[:, :T], X[:, T:]]
+    above = np.stack([t @ x for t, x in zip(op.test_plus, columns)], axis=-1)
     for j, u in u0.items():
         *_, span, table = tables[j]
-        part = table @ u[..., span].transpose(0, 2, 1)
-        above[keeps[j], :, :, 0] += part
-        below[keeps[j], :, :, 0] += part
+        above[keeps[j], :, :, 0] += table @ u[..., span].transpose(0, 2, 1)
+    bands = len(op.spans)
+    below = above - np.stack([
+        (jump @ x.reshape(len(X), bands, -1, 2)).reshape(x.shape)
+        for jump, x in zip(op.test_jump, columns)], axis=-1)
     # Phi_- F: column c is Phi_-'s column 1 - c times F's entry in column c.
     F01, F10 = test_F
     defect = above - below[..., ::-1] * np.stack([F10, F01], axis=-1)[:, :, None]

@@ -225,11 +225,14 @@ class WeightSpec:
 
         Off the axis the principal branches apply; on the axis the side selects
         the one-sided limit (the two limits differ by a sign outside the band).
+        b - z is taken as -(z - b), which keeps the sign of a zero imaginary
+        part: at x + 0j with Side.OFF it is the limit from above, bit for bit
+        the value at x with Side.PLUS.
         """
         band = self.bands[j]
         alpha, beta = self.kinds[j].exponents
         u = np.asarray(z, dtype=complex if side is Side.OFF else float)
-        sa, sb = side_root(u - band.a, side), side_root(band.b - u, side.mirrored)
+        sa, sb = side_root(u - band.a, side), side_root(-(u - band.b), side.mirrored)
         out = np.asarray(self.h[j](z), dtype=complex)
         out = out * (sa if alpha > 0 else 1.0 / sa)
         out = out * (sb if beta > 0 else 1.0 / sb)

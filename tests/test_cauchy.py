@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import cauchy_quad, normalized_weight
 from rhjacobi.cauchy import (Side, cauchy_cheb, cauchy_cheb_series, cauchy_cheb_table,
                              joukowsky_inv, log_joukowsky_inv, sqrt_cut)
-from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, UNIT, cheb_eval
+from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, Intervals, UNIT, cheb_eval
 from rhjacobi.errors import EndpointError
 
 ALL_KINDS = list(ChebKind)
@@ -212,6 +212,27 @@ class TestSeries:
         for part in (slice(0, 1), slice(5, 6), slice(3, 20)):
             np.testing.assert_array_equal(cauchy_cheb_series(ChebKind.T, coeffs, UNIT, z[part]),
                                           whole[part])
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_stacked_table_is_each_intervals_own(self, side, rng):
+        # a stack of intervals of mixed kinds, at the same points (1-d z) or
+        # at each interval's own row of points, in one call: each row is its
+        # interval's own table, bit for bit, and the degrees-by-points view
+        # of the stack is the table's memory
+        ivs = [Interval(-1.0, 0.5), Interval(1.0, 2.5), Interval(3.0, 3.5)]
+        kinds = [ChebKind.T, ChebKind.U, ChebKind.W]
+        if side is Side.OFF:
+            shared = rng.standard_normal(20) * 3 + 1j * rng.standard_normal(20)
+        else:
+            shared = np.linspace(-2.0, 4.0, 20)
+        rows = np.array([iv.from_unit(rng.uniform(-0.9, 0.9, 7)) for iv in ivs])
+        for z in (shared, rows):
+            table = cauchy_cheb_table(kinds, 5, Intervals(ivs), z, side)
+            assert table.shape == (3, z.shape[-1], 5)
+            for i, (kind, iv) in enumerate(zip(kinds, ivs)):
+                want = cauchy_cheb_table(kind, 5, iv, z if z.ndim == 1 else z[i], side)
+                assert np.array_equal(table[i], want)
+            assert np.shares_memory(table.transpose(0, 2, 1).reshape(15, -1), table)
 
     @pytest.mark.parametrize("side", list(Side))
     @pytest.mark.parametrize("end", [-1.0, 1.0])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rhjacobi.auxiliary import h_basis
-from rhjacobi.cauchy import Side, cauchy_cheb_series, log_joukowsky_inv, sqrt_cut, unit_variable
+from rhjacobi.cauchy import (CutGeometry, Side, cauchy_cheb_series, log_joukowsky_inv, sqrt_cut,
+                             unit_variable)
 from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, adaptive_dct
 from rhjacobi.green import build_green, eval_R, eval_g, gap_density
 from rhjacobi.rhp import build_contours
@@ -211,6 +212,21 @@ class TestStackedGeometry:
         assert np.array_equal(R, want_R) and np.array_equal(transforms, want_transforms)
         assert np.array_equal(eval_R(gd.bands, z, side), want_R)
         assert np.array_equal(eval_g(gd, z, side), _reference_g(gd, z, side))
+
+    def test_shared_geometry_gives_the_same_values(self, cloud):
+        # h_basis and eval_g from one CutGeometry of the bands then the gaps
+        # (as ContourSet.circle_geometry) read its J and S, bit for bit what
+        # each makes from the points, and compute them once
+        gd, points = cloud
+        z = points[Side.OFF]
+        intervals, _ = gd.h_series
+        geo = CutGeometry(intervals, z)
+        R, transforms = h_basis(gd, geo)
+        J = geo.J
+        want_R, want_transforms = h_basis(gd, z)
+        assert np.array_equal(R, want_R) and np.array_equal(transforms, want_transforms)
+        assert np.array_equal(eval_g(gd, geo), eval_g(gd, z))
+        assert geo.J is J
 
     @pytest.mark.parametrize("side", [Side.OFF, Side.PLUS, Side.MINUS])
     def test_bitwise_at_a_scalar(self, cloud, side):

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from oracles import weight_integral
-from rhjacobi import cauchy, rhp
+from rhjacobi import cauchy, pipeline, rhp
 from rhjacobi.cauchy import cauchy_cheb
 from rhjacobi.chebyshev import SQRT2, ChebKind, UNIT
 from rhjacobi.errors import DomainError, ImagPartWarning, PrecisionWarning, SolverError
 from rhjacobi.oracle import adaptive_oracle, discretize
-from rhjacobi.pipeline import (BLOCK_BYTES, DEFAULT_PPI, SolveContext, _realify, cauchy_pn,
-                               orthonormal_eval, recip_approx, recurrence_range, toda_evolve)
+from rhjacobi.pipeline import (BLOCK_BYTES, DEFAULT_PPI, SolveContext, _realify, block_size,
+                               cauchy_pn, orthonormal_eval, recip_approx, recurrence_range,
+                               toda_evolve)
 from rhjacobi.rhp import JumpAssembly
 from rhjacobi.weights import WeightSpec
 
@@ -163,18 +164,19 @@ def _assert_same_solution(got, want):
 class TestBlocks:
     @pytest.mark.parametrize("workload", ["two bands while circles drop", "genus 3"])
     def test_index_bit_identical_in_any_block(self, workload, spec_two_band, spec_genus3,
-                                              count_calls):
+                                              count_calls, monkeypatch):
         # each index alone, in blocks from the first index on, and in blocks
-        # whose boundaries are moved by three; a block holds as many systems
-        # as fit BLOCK_BYTES at 8 bytes per entry of the real systems (32
-        # here, 8 on genus 3)
+        # whose boundaries are moved by three; a block holds block_size
+        # indices, cut here to a quarter of BLOCK_BYTES (11 on two bands, 5 on
+        # genus 3), as whole runs fit one block at full size
         spec, ns = ((spec_two_band, range(50, 86)) if workload == "two bands while circles drop"
                     else (spec_genus3, range(0, 13)))
         alone, blocks, shifted = (SolveContext(spec) for _ in range(3))
+        assert block_size(blocks.contours) >= len(ns)
+        monkeypatch.setattr(pipeline, "BLOCK_BYTES", BLOCK_BYTES // 4)
         calls = count_calls(rhp.solve_matrix_rhp)
         blocks.solve(ns)
-        unknowns = 2 * sum(bp.n_points for bp in blocks.contours.bands)
-        size = BLOCK_BYTES // (8 * unknowns ** 2)
+        size = block_size(blocks.contours)
         assert [len(args[2].ns) for args in calls] == [min(size, len(ns) - start)
                                                       for start in range(0, len(ns), size)]
         assert 1 < size < len(ns)
@@ -236,6 +238,32 @@ class TestBlocks:
             seg = recurrence_range(spec_two_band, 1000, 1002)
         assert [n for n, _ in seg.meta["failures"]] == [1000, 1001, 1002]
         assert np.all(np.isnan(seg.a))
+
+    def test_block_holds_one_system(self, spec_two_band, monkeypatch):
+        # the LU stage of a 32-index window block (n = 1000..1031) fills,
+        # factors and solves each index's system in one reused buffer: its
+        # traced allocations peak below four systems, where the stack of 32
+        # systems alone took 32 (1 MB)
+        ctx = SolveContext(spec_two_band)
+        T = sum(bp.n_points for bp in ctx.contours.bands)
+        peaks = []
+        original = rhp._factor
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = original(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        monkeypatch.setattr(rhp, "_factor", traced)
+        tracemalloc.start()
+        try:
+            seg = recurrence_range(spec_two_band, 1000, 1030, context=ctx)
+        finally:
+            tracemalloc.stop()
+        assert not seg.meta["failures"] and len(peaks) == 1
+        assert peaks[0] < 4 * (2 * T) ** 2 * 8
 
     def test_first_300_match_oracle(self, spec_two_band, ctx_two_band):
         seg = recurrence_range(spec_two_band, 0, 299, context=ctx_two_band)

@@ -110,6 +110,19 @@ class TestWeightSpec:
             val = spec.weight_value(0, x, Side.PLUS)
             assert val == pytest.approx(lim, abs=1e-8)
 
+    @pytest.mark.parametrize("kind", "TUVW")
+    def test_weight_value_at_x_plus_0j_is_the_limit_from_above(self, kind):
+        # x + 0j off the axis is the limit from above, bit for bit, left of,
+        # on and right of the band: b - z is taken as -(z - b), which keeps
+        # the zero imaginary part's sign (b - z would flip the weight's sign
+        # left of the band)
+        h = HProduct((HExpScale(0.3), HPoly((2.0, 0.5))))
+        spec = WeightSpec.build([(-1.0, 1.0)], [kind], [h])
+        x = np.array([-2.5, -1.3, -0.4, 0.7, 1.2, 3.0])
+        want = spec.weight_value(0, x, Side.PLUS)
+        assert np.array_equal(spec.weight_value(0, x + 0j, Side.OFF), want)
+        assert np.all(want[[0, 1, 4, 5]].imag != 0.0)
+
     def test_weight_on_sigma(self):
         spec = WeightSpec.build([(-1.0, 1.0), (2.0, 3.0)], ["U", "U"])
         assert spec.weight_value(0, 0.0, Side.PLUS) == pytest.approx(1.0)   # sqrt(1) sqrt(1)
