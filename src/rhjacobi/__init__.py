@@ -17,7 +17,7 @@ from .oracle import DiscreteMeasure, adaptive_oracle, discretize, tridiagonalize
 from .pipeline import (JacobiSegment, RecipApproximation, SolveContext, TodaTrajectory,
                        cauchy_pn, orthonormal_eval, recip_approx, recurrence_range,
                        toda_evolve)
-from .rhp import (BandPiece, BlockSolution, Circle, ContourSet, JumpAssembly, RHSolution,
+from .rhp import (BlockSolution, Circle, ContourSet, JumpAssembly, RHSolution,
                   build_contours, default_bases, first_order, solve_matrix_rhp)
 from .weights import (HExpScale, HFunction, HOne, HPoly, HProduct, HRational,
                       WeightSpec, h_from_config)

@@ -10,6 +10,7 @@ to 1/R are the closed-form Plemelj constants -i pi and pi.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,6 @@ from .chebyshev import ChebKind
 from .errors import ImagPartWarning, SolverError
 from .green import GreenData, band_product
 from .weights import WeightSpec
-import warnings
 
 # Constants tying a density series to the 1/R density it stands for (see
 # build_hsystem).

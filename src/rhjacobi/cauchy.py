@@ -234,30 +234,13 @@ def series_at(kind: ChebKind, coeffs: np.ndarray, geo: CutGeometry) -> np.ndarra
     """cauchy_cheb_series at geo's points.  For a stack of intervals, row i of
     coeffs holds interval i's series, padded with trailing zeros to a common
     length; the padding adds exact zeros, so each row has the value its own
-    series gives.  While at most half of the rows have started (reached
-    their last nonzero coefficient), Horner's steps run only over the rows
-    from the first to the last of those that have: a row that has not
-    started holds an exact 0, and 0 J + c = c."""
+    series gives."""
     J, first, factor = _kernel_factors(kind, geo)
     out = first * coeffs[..., 0, None]
     if coeffs.shape[-1] > 1:
         acc = np.empty(J.shape, dtype=complex)
         acc[...] = coeffs[..., -1, None]
-        top = coeffs.shape[-1] - 2
-        if coeffs.ndim > 1:
-            # The degree of each row's last nonzero coefficient (the top one
-            # for a row of zeros, which then runs every step).
-            starts = top + 1 - np.argmax(coeffs[:, ::-1] != 0.0, axis=1)
-            half = np.sort(starts)[(len(starts) - 1) // 2]
-            started = np.flatnonzero(starts > half)
-            if started.size and half < top and started[-1] - started[0] + 1 < len(starts):
-                rows = slice(started[0], started[-1] + 1)
-                part, J_part, c_part = acc[rows], J[rows], coeffs[rows]
-                for k in range(top, half, -1):
-                    part *= J_part
-                    part += c_part[:, k, None]
-                top = half
-        for k in range(top, 0, -1):
+        for k in range(coeffs.shape[-1] - 2, 0, -1):
             acc *= J
             acc += coeffs[..., k, None]
         out = out + factor * J * acc

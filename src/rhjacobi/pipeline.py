@@ -51,7 +51,7 @@ def block_size(contours) -> int:
     """How many indices one block solve on contours takes: as many as stack
     BLOCK_BYTES, at least one."""
     upper = sum(len(c.upper) for c in contours.circles)
-    T = sum(bp.n_points for bp in contours.bands)
+    T = contours.ppi * len(contours.bands)
     return max(1, BLOCK_BYTES // (16 * (3 * upper + 16 * T)))
 
 

@@ -44,26 +44,25 @@ precision.  The solver drops it for that solve, so at large n only the bands
 are solved; the off-collocation residual still checks every circle.
 
 What is computed how often, and who owns it:
-- per circle: its upper points (Circle.upper), computed once.
-- per geometry, the ContourSet: its circles, bands and kernel bases (the
-  default_bases of the weight it was built for); its circle_geometry, J and
-  S of every band and gap at every upper circle point, made once and read by
-  the operator's column-1 tables, the h basis and g; and its one
-  CollocationOperator, the band kernel tables at every band node and test
-  node and, for column 1, every upper circle point: per column one stacked
-  table call over every band at each point set, each point set's geometry
-  made once (module cauchy), the table from below a band's own points the
-  reflection (-conj) of the one from above; at the band nodes it keeps the
-  band system's (left, right).  It is built by the first solve on the
-  contour set and kept for every later one.  g and the h basis depend on the
-  bands only too: JumpValues reads them from the GreenData at every upper
-  circle point at once, in one call each, when the first solve asks for a
-  circle jump.
+- per geometry, the ContourSet: its circles, its bands at one ppi and its
+  kernel bases (the default_bases of the weight it was built for).  Each
+  point set it owns is made once, on first use: each circle's upper points
+  (Circle.upper) and each band's nodes and test nodes; so is each of its two
+  geometries (module cauchy): circle_geometry, J and S of every band and gap
+  at every upper circle point, and the operator's, J and S of every band at
+  every band point from above.  Its one CollocationOperator, built by the
+  first solve on the contour set and kept for every later one, makes per
+  column one stacked table call over every band at all band points, which
+  gives the band system's (left, right) and the tables at the test nodes,
+  and for column 1 one table call per circle on circle_geometry.  g and the
+  h basis depend on the bands only too: JumpValues reads them from the
+  GreenData at circle_geometry, in one call each, when the first solve asks
+  for a circle jump, and keeps them per circle.
 - per kept circle, in the operator: its coupling operands at the band nodes
   (G over the upper half-circle) and its Laurent table at the band test
   nodes, built by the first solve that keeps it.
-- per jump spec, in JumpValues: the weight values at the upper circle points,
-  in one call per circle.
+- per jump spec, in JumpValues: the weight values at each circle's upper
+  points and at each band's nodes and test nodes, one call per point set.
 - per block of indices, in one solve_matrix_rhp call, one NumPy call per
   step over all its indices: the circle jump entries (one exponential per
   circle over indices x upper points, taken only where it does not underflow
@@ -84,7 +83,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import lapack as _lapack
@@ -137,7 +136,8 @@ class Circle:
     positive modes decay at the rate set by the exterior clearance while its
     negative modes decay at the (slower) rate set by the enclosed band, so a
     lopsided consecutive range spends the unknowns where the density lives.
-    A solve computes at the upper points only (upper; module docstring).
+    A solve computes at the upper points only (upper; module docstring);
+    nodes() and test_nodes() are those points completed by their conjugates.
     """
 
     center: float
@@ -153,10 +153,11 @@ class Circle:
     def upper(self) -> np.ndarray:
         """The points of the upper half-circle where a solve takes the jump,
         computed once and read-only: the nodes k = 0..n_points / 2, at angles
-        0..pi, then the test nodes strictly above the real axis,
-        k = 0..n_points / 2 - 1."""
+        2 pi k / n_points from 0 to pi, then the test nodes strictly above the
+        real axis, k = 0..n_points / 2 - 1, at angles 2 pi (k + 1/2) / n_points."""
         half = self.n_points // 2
-        out = np.concatenate([self.nodes()[:half + 1], self.test_nodes()[:half]])
+        t = np.concatenate([np.arange(half + 1), np.arange(half) + 0.5])
+        out = self.center + self.radius * np.exp(2j * np.pi * t / self.n_points)
         out.flags.writeable = False
         return out
 
@@ -167,59 +168,45 @@ class Circle:
         return np.arange(-(c - 1 - p), p + 1)
 
     def nodes(self) -> np.ndarray:
-        """The equispaced collocation nodes, node k at angle 2 pi k / n_points.
-        A node below the real axis is the exact conjugate of its mirror
-        image, nodes()[n_points - k] == conj(nodes()[k]); the nodes at
-        k = 0 and k = n_points / 2 are taken as computed."""
-        return self._turned(0.0)
+        """The equispaced collocation nodes, node k at angle 2 pi k / n_points:
+        upper's nodes, then the conjugates of those strictly above the axis in
+        mirror order, so nodes()[n_points - k] == conj(nodes()[k])."""
+        above = self.upper[:self.n_points // 2 + 1]
+        return np.concatenate([above, np.conj(above[-2:0:-1])])
 
     def test_nodes(self) -> np.ndarray:
         """The nodes turned by half a step, test node k at angle
-        2 pi (k + 1/2) / n_points; those below the real axis are exact
-        conjugates, test_nodes()[n_points - 1 - k] == conj(test_nodes()[k])."""
-        return self._turned(0.5)
-
-    def _turned(self, shift: float) -> np.ndarray:
-        t = np.arange(self.n_points) + shift
-        unit = np.exp(2j * np.pi * t / self.n_points)
-        lower = np.flatnonzero(2.0 * t > self.n_points)
-        # t's mirror image is n_points - t, at index n_points - 2 shift - k.
-        unit[lower] = np.conj(unit[(self.n_points - 2 * shift - lower).astype(int)])
-        return self.center + self.radius * unit
-
-
-@dataclass(frozen=True)
-class BandPiece:
-    """A band with its collocation resolution."""
-
-    interval: Interval
-    n_points: int
-
-    def nodes(self) -> np.ndarray:
-        return np.asarray(cheb_t_nodes(self.n_points, self.interval))
-
-    def test_nodes(self) -> np.ndarray:
-        i = np.arange(self.n_points) + 1.0
-        t = np.cos(i * np.pi / (self.n_points + 1.0))
-        return np.asarray(self.interval.from_unit(t))
+        2 pi (k + 1/2) / n_points: upper's test nodes, then their conjugates
+        in mirror order, test_nodes()[n_points - 1 - k] == conj(test_nodes()[k])."""
+        above = self.upper[self.n_points // 2 + 1:]
+        return np.concatenate([above, np.conj(above[::-1])])
 
 
 @dataclass(frozen=True)
 class ContourSet:
-    """The circles and bands of one geometry, the kernel bases of the weight
-    it was built for, its one collocation operator and its one geometry at
-    the circle points.
+    """The circles and bands of one geometry, at ppi collocation points per
+    band, with the kernel bases of the weight it was built for.
 
-    Everything here is per geometry.  operator and circle_geometry are built
-    on first use and kept, so every solve on this contour set shares them,
-    whatever its jump spec and n; solve_matrix_rhp refuses a weight of other
-    kinds.  The operator stacks the bands, so every band takes the same
-    number of points (build_contours gives each ppi).
+    Its point sets and geometries are made on first use and kept, so every
+    solve on it shares them, whatever its jump spec and n (solve_matrix_rhp
+    refuses a weight of other kinds): per band, its ppi first-kind Chebyshev
+    roots (band_nodes) and its ppi second-kind ones (band_test_nodes);
+    circle_geometry; and the one operator built from them.
     """
 
     circles: tuple
-    bands: tuple
+    bands: tuple                  # the band Intervals
+    ppi: int
     bases: tuple                  # per band: (column-0 kind, column-1 kind)
+
+    @cached_property
+    def band_nodes(self) -> list:
+        return [np.asarray(cheb_t_nodes(self.ppi, band)) for band in self.bands]
+
+    @cached_property
+    def band_test_nodes(self) -> list:
+        t = np.cos((np.arange(self.ppi) + 1.0) * np.pi / (self.ppi + 1.0))
+        return [np.asarray(band.from_unit(t)) for band in self.bands]
 
     @cached_property
     def operator(self) -> CollocationOperator:
@@ -231,7 +218,7 @@ class ContourSet:
         circle's upper points (Circle.upper, in circle order): the one
         geometry there of the operator's column-1 tables, the h basis and g
         (JumpValues)."""
-        bands = [bp.interval for bp in self.bands]
+        bands = list(self.bands)
         gaps = [Interval(left.b, right.a) for left, right in zip(bands, bands[1:])]
         points = np.concatenate([np.empty(0, dtype=complex)] + [c.upper for c in self.circles])
         return CutGeometry(Intervals(bands + gaps), points, Side.OFF)
@@ -261,60 +248,52 @@ class CollocationOperator:
       formed (module docstring).
     - circle_kernels[j]: the column-1 kernels of all bands at
       circle_points[j], one row per kernel and one column per point.
-    Every band takes part in one stacked cauchy_cheb_table call per column
-    and point set, each point set's geometry (cauchy.CutGeometry) made once:
-    each band's own nodes and test nodes, from above, for both columns; all
-    band nodes, then all test nodes, off every band; and, for column 1, each
-    circle's part of the contour set's circle_geometry (one table per
-    circle: a single table over every circle's points, 1.3 MB on four
-    bands, faults its pages afresh for every new contour set).  A band's own
-    entries of the second are replaced by those of the first.  Off the bands column 0 takes the band
-    points as real numbers and column 1 as complex ones, as they always have:
-    the affine map to [-1, 1] rounds the two apart, and dgecon's estimate of
-    the band system moves by up to 12% under a change of that size.  Circle
-    j's tables (circle_tables) are built the first time a solve keeps circle
-    j, and kept.  The tables at one point set off the contours (kernels_at,
+    The band tables of column m are one stacked cauchy_cheb_table call over
+    every band at every band node and test node, all from above (one
+    cauchy.CutGeometry for both columns): on its own points a band's rows are
+    its boundary values from above, and every other band's rows its real
+    values off its cut.  Column 1's at a band's own nodes, which the band
+    system reads from below, are -conj of them.  circle_kernels[j] is one
+    table call per circle on its part of the contour set's circle_geometry (a
+    single table over every circle's points, 1.3 MB on four bands, faults its
+    pages afresh for every new contour set).  Circle j's tables
+    (circle_tables) are built the first time a solve keeps circle j, and
+    kept.  The tables at one point set off the contours (kernels_at,
     circle_at) are kept for the last point set only.
     """
 
     def __init__(self, contours: ContourSet):
-        bands = contours.bands
-        self.bands = bands
         self.bases = bases = contours.bases
         self.circles = contours.circles
-        self.band_nodes = [bp.nodes() for bp in bands]
-        self.band_test_nodes = [bp.test_nodes() for bp in bands]
+        self.band_nodes = contours.band_nodes
+        self.band_test_nodes = contours.band_test_nodes
         self.circle_points = [c.upper for c in contours.circles]
-        n = bands[0].n_points
-        if any(bp.n_points != n for bp in bands):
-            raise DomainError("every band of a contour set needs the same number of points")
-        T = n * len(bands)
-        self.spans = [slice(q * n, (q + 1) * n) for q in range(len(bands))]
-        self.intervals = Intervals(bp.interval for bp in bands)
-        own = CutGeometry(self.intervals, np.hstack([self.band_nodes, self.band_test_nodes]),
+        self.ppi = n = contours.ppi
+        bands = len(contours.bands)
+        T = n * bands
+        self.spans = [slice(q * n, (q + 1) * n) for q in range(bands)]
+        self.intervals = Intervals(contours.bands)
+        geo = CutGeometry(self.intervals, np.concatenate(self.band_nodes + self.band_test_nodes),
                           Side.PLUS)
-        points = np.concatenate(self.band_nodes + self.band_test_nodes)
         self.test_plus, self.test_jump = [], []
         for m in range(2):
-            kinds = [b[m] for b in bases]
+            table = cauchy_cheb_table([b[m] for b in bases], n, self.intervals, geo)
+            # Band q's own (test node, degree) block, for every q.
+            own = table[:, T:].reshape(bands, bands, n, n)[np.arange(bands), np.arange(bands)]
+            self.test_jump.append((2.0 * own.real).astype(complex))
             # kernels[(q, k), p]: band q's degree-k kernel at band point p.
-            off = CutGeometry(self.intervals, points.astype(complex) if m else points)
-            kernels = _by_kernel(cauchy_cheb_table(kinds, n, self.intervals, off))
-            above = cauchy_cheb_table(kinds, n, self.intervals, own)
-            for q, span in enumerate(self.spans):
-                at_nodes, at_test = above[q, :n].T, above[q, n:].T
-                # Column 1's at the nodes from below, the one the band system
-                # reads: -conj of the one from above (cauchy_cheb_table).
-                kernels[span, span] = -np.conj(at_nodes) if m else at_nodes
-                kernels[span, T + span.start:T + span.stop] = at_test
-            nodes, test = kernels[:, :T], kernels[:, T:]
+            kernels = _by_kernel(table)
+            nodes = kernels[:, :T]
             if m:
+                # Column 1's at a band's own nodes from below, the one the
+                # band system reads: -conj of the one from above.
+                for span in self.spans:
+                    nodes[span, span] = -np.conj(nodes[span, span])
                 self.right = np.hstack([nodes.real, nodes.imag]).T
             else:
                 self.left = np.hstack([-nodes.imag, nodes.real]).T
-            self.test_plus.append(np.ascontiguousarray(test.T))
-            self.test_jump.append((2.0 * above[:, n:].real).astype(complex))
-        at_circles = contours.circle_geometry.part(slice(0, len(bands)))
+            self.test_plus.append(np.ascontiguousarray(kernels[:, T:].T))
+        at_circles = contours.circle_geometry.part(slice(0, bands))
         ends = np.cumsum([0] + [len(z) for z in self.circle_points]).tolist()
         self.circle_kernels = [
             _by_kernel(cauchy_cheb_table([b[1] for b in bases], n, self.intervals,
@@ -387,7 +366,7 @@ class CollocationOperator:
         if self._last_points[0] != key:
             geo = CutGeometry(self.intervals, z)
             kernels = [np.ascontiguousarray(_by_kernel(cauchy_cheb_table(
-                [b[m] for b in self.bases], self.bands[0].n_points, self.intervals, geo)).T)
+                [b[m] for b in self.bases], self.ppi, self.intervals, geo)).T)
                 for m in range(2)]
             self._last_points = (key, kernels, {})
         return self._last_points
@@ -401,7 +380,9 @@ def _by_kernel(table: np.ndarray) -> np.ndarray:
 
 def build_contours(spec: WeightSpec, ppi: int) -> ContourSet:
     """Per-band circles plus the bands themselves as collocation pieces: ppi
-    points on each band, CIRCLE_POINTS_PER_PPI * ppi on each circle.
+    points on each band, CIRCLE_POINTS_PER_PPI * ppi on each circle.  It
+    checks the geometry and sizes the circles; every point set of the contour
+    set is made later, on first use (ContourSet).
 
     Circle j is centered at the band midpoint with radius 5/8 of the band
     length (below that the deformed jumps misbehave).  The contour set keeps
@@ -445,8 +426,8 @@ def build_contours(spec: WeightSpec, ppi: int) -> ContourSet:
         npts = int(CIRCLE_POINTS_PER_PPI * ppi)
         pos = max(12, min(int(np.ceil(37.0 / np.log(dist / radii[j]))), npts // 2))
         circles.append(Circle(float(centers[j]), float(radii[j]), npts, pos))
-    band_pieces = tuple(BandPiece(band, int(ppi)) for band in bands)
-    return ContourSet(circles=tuple(circles), bands=band_pieces, bases=default_bases(spec))
+    return ContourSet(circles=tuple(circles), bands=tuple(bands), ppi=int(ppi),
+                      bases=default_bases(spec))
 
 
 def _validate_h_on_disk(spec: WeightSpec, j: int, center: float, radius: float) -> None:
@@ -458,48 +439,37 @@ def _validate_h_on_disk(spec: WeightSpec, j: int, center: float, radius: float) 
             raise WeightError(f"h on band {j} {what} inside its deformation disk")
 
 
-def _fill(memo: dict, key, z: np.ndarray, evaluate) -> None:
-    """memo[key] = evaluate(z, side) unless memo has key, the points taken as
-    the jumps take them: complex points with Side.OFF, where a point x + 0j
-    on the real axis gives the limit from above by the sign of its zero
-    imaginary part, and real points from above (Side.PLUS)."""
-    if key not in memo:
-        memo[key] = evaluate(z, Side.OFF if np.iscomplexobj(z) else Side.PLUS)
-
-
 class JumpValues:
-    """The n-independent factors of the jumps of spec on one contour set.
+    """The n-independent factors of the jumps of spec on one contour set,
+    kept at the contour set's own point sets.
 
-    The circle entry's sign, g and the h basis (auxiliary.h_basis), all read
-    from the bands' GreenData green, depend on the bands only, so every jump
-    spec on them shares them (for_spec).  The weight values belong to the
-    jump spec.  Both are memos keyed by the points' bytes, each point taken as
-    the jumps take it (_fill): off the real axis, and at a circle's axis node
-    x + 0j from above.  The first circle request evaluates them at every
-    circle's upper points (Circle.upper), where the solver reads them: g and
-    the h basis in one call each from the contour set's circle_geometry, the
-    J and S that the operator's column-1 tables read too, and each circle's
-    weight in one weight_value call; every later index reads them.  A
-    request at other points fills that point set alone; as each point's
-    value depends on that point only, it is the value the whole cloud gives.
-    point serves one point off the circles, such as cauchy_pn's, and keeps
-    the last point only.
+    The circle entry's sign, g and the h basis (auxiliary.h_basis) at every
+    circle's upper points are made in one pass, g and the h basis in one call
+    each from the contour set's circle_geometry, and kept per circle.  Read
+    from the bands' GreenData green, they depend on the bands only, so every
+    jump spec on them shares them (for_spec).  The weight belongs to the jump
+    spec, kept per circle and per band node set, one weight_value call each.
+    Any other point set, such as a circle's full nodes(), is evaluated alone
+    and not kept; each point's value depends on that point only, so it is
+    the kept value.  A circle's points are taken off the axis (Side.OFF; its
+    axis node x + 0j gives the limit from above by the sign of its zero
+    imaginary part), a band's from above.  point serves one point off the
+    circles, such as cauchy_pn's, and keeps the last point only.
     """
 
     def __init__(self, spec: WeightSpec, green: GreenData, contours: ContourSet):
         self.spec = spec
         self.green = green
         self.contours = contours
-        self._geometry: dict = {}
+        self._circles: list = []
         self._weights: dict = {}
-        self._cold = True
         self._point: tuple = (None,)
 
     def for_spec(self, spec: WeightSpec) -> JumpValues:
-        """These values for a weight on the same bands: the g and h-basis memo
-        is shared, the weight memo starts empty."""
+        """These values for a weight on the same bands: the per-circle sign,
+        g and h basis are shared, the weights start empty."""
         out = JumpValues(spec, self.green, self.contours)
-        out._geometry = self._geometry
+        out._circles = self._circles
         return out
 
     def _geometry_at(self, z, side: Side = Side.OFF) -> np.ndarray:
@@ -510,32 +480,34 @@ class JumpValues:
         return np.vstack([np.where(np.imag(points) < 0.0, 1.0, -1.0), R, transforms,
                           eval_g(self.green, z, side)])
 
+    def _weight(self, key, j: int, z: np.ndarray, side: Side) -> np.ndarray:
+        """spec.weight_value(j, z, side), kept under key; evaluated and not
+        kept when key is None."""
+        if key is None:
+            return self.spec.weight_value(j, z, side)
+        if key not in self._weights:
+            self._weights[key] = self.spec.weight_value(j, z, side)
+        return self._weights[key]
+
     def circle(self, j: int, z: np.ndarray) -> tuple:
-        """(sign, R, transforms, g, weight) at points z of circle j; R and
-        transforms as h_basis gives them."""
-        if self._cold:
-            self._cold = False
-            circles = self.contours.circles
-            if any(c.upper.tobytes() not in self._geometry for c in circles):
-                values = self._geometry_at(self.contours.circle_geometry)
-                start = 0
-                for c in circles:
-                    self._geometry[c.upper.tobytes()] = values[:, start:start + len(c.upper)]
-                    start += len(c.upper)
-            for i, c in enumerate(circles):
-                _fill(self._weights, ("circle", i, c.upper.tobytes()), c.upper,
-                      partial(self.spec.weight_value, i))
-        _fill(self._geometry, z.tobytes(), z, self._geometry_at)
-        _fill(self._weights, ("circle", j, z.tobytes()), z, partial(self.spec.weight_value, j))
-        values = self._geometry[z.tobytes()]
-        weight = self._weights[("circle", j, z.tobytes())]
+        """(sign, R, transforms, g, weight) at complex points z of circle j; R
+        and transforms as h_basis gives them."""
+        circles = self.contours.circles
+        own = z is circles[j].upper
+        if own and not self._circles:
+            values = self._geometry_at(self.contours.circle_geometry)
+            ends = np.cumsum([0] + [len(c.upper) for c in circles]).tolist()
+            self._circles.extend(values[:, lo:hi] for lo, hi in zip(ends, ends[1:]))
+        values = self._circles[j] if own else self._geometry_at(z)
+        weight = self._weight(("circle", j) if own else None, j, z, Side.OFF)
         return values[0], values[1], values[2:-1], values[-1], weight
 
     def band_weight(self, j: int, x: np.ndarray) -> np.ndarray:
         """The band-j weight's upper boundary value at real points x."""
-        key = ("band", j, x.tobytes())
-        _fill(self._weights, key, x, partial(self.spec.weight_value, j))
-        return self._weights[key]
+        c = self.contours
+        key = ("nodes", j) if x is c.band_nodes[j] else \
+            ("test nodes", j) if x is c.band_test_nodes[j] else None
+        return self._weight(key, j, x, Side.PLUS)
 
     def point(self, z: complex) -> tuple:
         """(R, transforms, g) at the single point z, each of length 1 in its

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
 from rhjacobi import cli
 from rhjacobi.cli import main
 from rhjacobi.errors import ConvergenceError, PrecisionWarning
+from rhjacobi.pipeline import recip_approx
+from rhjacobi.rhp import JumpAssembly
 
 
 def _config(tmp_path, intervals, kinds):
@@ -182,3 +185,71 @@ def test_config_error_names_field(tmp_path, capsys, text, message):
         path.write_text(text)
     assert main(["coeffs", str(path), "--n1", "0"]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.fixture
+def two_band(tmp_path):
+    # at the default ppi, which resolves every command below without a warning
+    path = tmp_path / "two_band.json"
+    path.write_text(json.dumps({"intervals": [[-1.8, -1.0], [2.0, 3.0]], "kinds": ["T", "U"]}))
+    return str(path)
+
+
+def test_recip_succeeds(two_band, tmp_path):
+    out = tmp_path / "recip.csv"
+    assert main(["recip", two_band, "--nmax", "3", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "N,max_error,reference_rate"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
+    spec, ppi = cli.load_config(two_band)
+    approx = recip_approx(spec, 3, ppi=ppi)
+    assert [float(line.split(",")[1]) for line in lines[1:]] == approx.max_errors.tolist()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["oracle", "--n0", "3", "--n1", "1"], "need 0 <= n0 <= n1"),
+    (["toda", "--steps", "0"], "need steps >= 1"),
+    (["recip", "--nmax", "0"], "need at least one term"),
+])
+def test_empty_range_exits_1(two_band, capsys, argv, message):
+    assert main([argv[0], two_band, *argv[1:]]) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_exponent_pairs_and_per_band_h_match_letters(tmp_path, capsys):
+    # kinds as [alpha, beta] and h once per band: the same weight, the same CSV
+    h = {"type": "poly", "coeffs": [2.0, 0.5]}
+    csv = []
+    for kinds, h_doc in ((["T", "U"], h), ([[-1, -1], [1, 1]], [h, h])):
+        path = tmp_path / "weight.json"
+        path.write_text(json.dumps({"intervals": [[-1.8, -1.0], [2.0, 3.0]], "kinds": kinds,
+                                    "h": h_doc}))
+        assert main(["coeffs", str(path), "--n1", "3"]) == 0
+        csv.append(capsys.readouterr().out)
+    assert csv[0] == csv[1] and len(csv[0].splitlines()) == 5
+
+
+def test_exponent_pair_outside_the_kinds_names_field(tmp_path, capsys):
+    path = tmp_path / "weight.json"
+    path.write_text(json.dumps({"intervals": [[-1.0, 1.0]], "kinds": [[1, 0]]}))
+    assert main(["coeffs", str(path), "--n1", "0"]) == 1
+    assert "field 'kinds[0]' is invalid" in capsys.readouterr().err
+
+
+def test_failed_index_row_exits_2(two_band, capsys, monkeypatch):
+    # index 1's band jump is not finite, so its solve fails: the pairs 0 and
+    # 1, which read it, are rows n,,,message
+    original = JumpAssembly.band_jump
+
+    def poisoned(self, j, x):
+        out = original(self, j, x)
+        for entry in out:
+            entry[self.ns == 1] = np.nan
+        return out
+
+    monkeypatch.setattr(JumpAssembly, "band_jump", poisoned)
+    assert main(["coeffs", two_band, "--n1", "2"]) == 2
+    message = "band jump is not finite at its nodes and test nodes"
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:3] == [f"{n},,,{message}" for n in (0, 1)]
+    assert lines[3].startswith("2,") and len(lines[3].split(",")) == 4

@@ -245,7 +245,7 @@ class TestBlocks:
         # traced allocations peak below four systems, where the stack of 32
         # systems alone took 32 (1 MB)
         ctx = SolveContext(spec_two_band)
-        T = sum(bp.n_points for bp in ctx.contours.bands)
+        T = ctx.contours.ppi * len(ctx.contours.bands)
         peaks = []
         original = rhp._factor
 
@@ -385,6 +385,13 @@ class TestCauchyPn:
         with pytest.raises(DomainError):
             cauchy_pn(spec_two_band, 4, 0.5 + 1.0j, context=ctx_two_band, jacobi=seg)
 
+    @pytest.mark.parametrize("n0,n1", [(0, 2), (1, 4)])
+    def test_jacobi_segment_must_cover_the_indices(self, spec_two_band, ctx_two_band, n0, n1):
+        # p_4 needs b_0..b_3: a segment that stops at 2 or starts at 1 is refused
+        seg = recurrence_range(spec_two_band, n0, n1, context=ctx_two_band)
+        with pytest.raises(DomainError, match="does not cover 0..n-1"):
+            cauchy_pn(spec_two_band, 4, 0.5 + 1.0j, context=ctx_two_band, jacobi=seg)
+
     def test_near_support_warns(self, spec_two_band, ctx_two_band):
         with pytest.warns(PrecisionWarning):
             cauchy_pn(spec_two_band, 0, 2.5 + 1e-10j, context=ctx_two_band,
@@ -412,6 +419,14 @@ class TestOrthonormality:
     def test_count_below_one_rejected(self, spec_u, ctx_u, count):
         seg = recurrence_range(spec_u, 0, 2, context=ctx_u)
         with pytest.raises(DomainError):
+            orthonormal_eval(seg, count, np.zeros(3))
+
+
+    @pytest.mark.parametrize("n0,n1,count", [(0, 2, 5), (1, 4, 3)])
+    def test_count_past_the_segment_rejected(self, spec_u, ctx_u, n0, n1, count):
+        # p_0..p_{count-1} need a_0..a_{count-2} and b_0..b_{count-2}
+        seg = recurrence_range(spec_u, n0, n1, context=ctx_u)
+        with pytest.raises(DomainError, match="must cover indices 0..count-2"):
             orthonormal_eval(seg, count, np.zeros(3))
 
 
@@ -468,6 +483,10 @@ class TestToda:
         with pytest.raises(DomainError):
             toda_evolve(spec_u, 2, [[0.5, 1.0]], 8)
 
+    def test_no_pairs_rejected(self, spec_u):
+        with pytest.raises(DomainError, match="at least one coefficient pair"):
+            toda_evolve(spec_u, 0, [0.0], 8)
+
     def test_horizon_warning(self, spec_u):
         with pytest.warns(PrecisionWarning):
             toda_evolve(spec_u, 2, [15.0], 20)
@@ -508,6 +527,10 @@ class TestRecip:
         spec = WeightSpec.single(ChebKind.U)
         with pytest.raises(DomainError):
             recip_approx(spec, 3, ppi=8)
+
+    def test_no_terms_rejected(self, spec_two_band):
+        with pytest.raises(DomainError, match="at least one term"):
+            recip_approx(spec_two_band, 0)
 
     def test_zero_inside_a_deformation_disk(self):
         # 0 lies off the support but inside circle 0 (centre 0.55, radius

@@ -8,8 +8,8 @@ from rhjacobi.chebyshev import ChebKind, UNIT
 from rhjacobi.errors import DomainError, GeometryError, ResidualWarning, SolverError, WeightError
 from rhjacobi.green import build_green
 from rhjacobi.pipeline import SolveContext, recip_approx, recurrence_range, toda_evolve
-from rhjacobi.rhp import (ContourSet, JumpAssembly, JumpValues, _circle_table, build_contours,
-                          default_bases, first_order, solve_matrix_rhp)
+from rhjacobi.rhp import (JumpAssembly, JumpValues, _circle_table, build_contours, default_bases,
+                          first_order, solve_matrix_rhp)
 from rhjacobi.weights import HPoly, HRational, WeightSpec, h_from_config
 
 
@@ -20,7 +20,7 @@ class TestBuildContours:
         assert circ.center == 0.0
         assert circ.radius == 1.25
         assert circ.n_points == 160
-        assert ct.bands[0].n_points == 16
+        assert ct.ppi == 16 and ct.band_nodes[0].shape == ct.band_test_nodes[0].shape == (16,)
 
     def test_two_band_disjoint(self, spec_two_band):
         ct = build_contours(spec_two_band, 8)
@@ -66,10 +66,9 @@ class TestBuildContours:
         for circ in ct.circles:
             assert circ.nodes().shape == (80,)
             assert -1 in circ.exponents and 0 in circ.exponents
-        for bp in ct.bands:
-            x = bp.nodes()
-            assert x.shape == (8,)
-            assert np.all((bp.interval.a <= x) & (x <= bp.interval.b))
+        for band, x, t in zip(ct.bands, ct.band_nodes, ct.band_test_nodes):
+            assert x.shape == t.shape == (8,)
+            assert np.all((band.a < x) & (x < band.b) & (band.a < t) & (t < band.b))
 
 
 class _IdentityJumps:
@@ -340,19 +339,15 @@ def _reference_kernels(op, m, z, own=None):
     """Column-m kernels of every band at points z, side by side, as (plus,
     minus): one cauchy_cheb_table call per band and side at this point set
     alone, band `own` (which z lies on) from above and below, the others off
-    the contour."""
+    the contour: at real points their values from above, as the operator
+    takes every band point, which equal those off the contour."""
     plus, minus = [], []
-    for q, bp in enumerate(op.bands):
-        sides = (Side.PLUS, Side.MINUS) if q == own else (Side.OFF, Side.OFF)
+    off = Side.PLUS if np.isrealobj(z) else Side.OFF
+    for q, band in enumerate(op.intervals.intervals):
+        sides = (Side.PLUS, Side.MINUS) if q == own else (off, off)
         for out, side in zip((plus, minus), sides):
-            out.append(cauchy_cheb_table(op.bases[q][m], bp.n_points, bp.interval, z, side))
+            out.append(cauchy_cheb_table(op.bases[q][m], op.ppi, band, z, side))
     return np.hstack(plus), np.hstack(minus)
-
-
-def _assert_close(got, want):
-    # Band points enter the other bands' off-band calls as complex numbers,
-    # whose affine map to [-1, 1] rounds apart from the real one's.
-    assert np.all(np.abs(got - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
 
 
 def _band_node_tables(op):
@@ -376,12 +371,15 @@ class TestColdPath:
         op = _operator(SolveContext(spec_genus3))
         P, M = _band_node_tables(op)
         for p, span in enumerate(op.spans):
-            _assert_close(P[span], _reference_kernels(op, 0, op.band_nodes[p], own=p)[0])
-            _assert_close(M[span], _reference_kernels(op, 1, op.band_nodes[p], own=p)[1])
+            # bit for bit: one stacked table from above at every band point
+            # gives each band the values of its own call at each point set
+            x = op.band_nodes[p]
+            np.testing.assert_array_equal(P[span], _reference_kernels(op, 0, x, own=p)[0])
+            np.testing.assert_array_equal(M[span], _reference_kernels(op, 1, x, own=p)[1])
             for m in range(2):
                 want_plus, want_minus = _reference_kernels(op, m, op.band_test_nodes[p], own=p)
-                _assert_close(op.test_plus[m][span], want_plus)
-                _assert_close(_test_minus(op, m)[span], want_minus)
+                np.testing.assert_array_equal(op.test_plus[m][span], want_plus)
+                np.testing.assert_array_equal(_test_minus(op, m)[span], want_minus)
         for circ, z, kernels in zip(op.circles, op.circle_points, op.circle_kernels):
             # the upper half-circle: the nodes at angles 0..pi, then the test
             # nodes above the real axis
@@ -399,9 +397,9 @@ class TestColdPath:
         # test nodes both columns'
         op = _operator(SolveContext(request.getfixturevalue(spec_name)))
         P, M = _band_node_tables(op)
-        for p, (bp, span) in enumerate(zip(op.bands, op.spans)):
+        for p, (band, span) in enumerate(zip(op.intervals.intervals, op.spans)):
             def table(m, z, side):
-                return cauchy_cheb_table(op.bases[p][m], bp.n_points, bp.interval, z, side)
+                return cauchy_cheb_table(op.bases[p][m], op.ppi, band, z, side)
 
             z = op.band_nodes[p]
             assert np.array_equal(P[span, span], table(0, z, Side.PLUS))
@@ -414,13 +412,11 @@ class TestColdPath:
 
     @pytest.mark.parametrize("workload", ["genus3", "window"])
     def test_first_solve_makes_one_pass(self, workload, spec_genus3, spec_two_band, count_calls):
-        # at most one J and one S per interval stack and point set: the
-        # bands from above at their own points, off the bands at every band
-        # point (as real numbers for column 0, complex ones for column 1, as
-        # the band system has always read them), and the bands then gaps at
-        # the circles' upper points, which the column-1 tables, the h basis
-        # and g share; and one stacked table call per column and point set,
-        # each circle's upper points one set
+        # one J and one S per point set: the bands from above at every band
+        # node and test node, which both columns' band tables share, and the
+        # bands then gaps at the circles' upper points, which the column-1
+        # tables, the h basis and g share; and one stacked table call per
+        # column at the band points, and one per circle's upper points
         spec, n = (spec_genus3, 0) if workload == "genus3" else (spec_two_band, 1000)
         ctx = SolveContext(spec)
         tables = count_calls(cauchy.cauchy_cheb_table)
@@ -429,14 +425,13 @@ class TestColdPath:
         h_calls = count_calls(auxiliary.h_basis)
         g_calls = count_calls(green.eval_g)
         ctx.solution(n)
-        assert len(tables) == 4 + len(ctx.contours.circles)
+        assert len(tables) == 2 + len(ctx.contours.circles)
         assert len(h_calls) == len(g_calls) == 1
         J_keys = {(t.shape, t.tobytes()) for t, _ in J_calls}
         # joukowsky_inv makes its own square roots on [-1, 1]
         S_args = [args for args in S_calls if args[1] is not UNIT]
         S_keys = {(z.dtype, z.shape, z.tobytes(), len(iv.a), side) for z, iv, side in S_args}
-        # (S only where a kind reads it: column 0's U kernels on window do not)
-        assert len(J_calls) == len(J_keys) == 4 and len(S_args) == len(S_keys) >= 3
+        assert len(J_calls) == len(J_keys) == len(S_args) == len(S_keys) == 2
 
     def test_toda_times_share_g_at_the_circles(self, spec_two_band, count_calls):
         g_calls = count_calls(green.eval_g)
@@ -463,15 +458,20 @@ class TestColdPath:
             assert np.all(np.abs(got - want[1:]) <= 2e-15 * np.abs(want[1:]))
 
     def test_cloud_values_match_a_lone_point_set(self, spec_genus3):
+        # the values kept at the contour set's own point sets, made in one
+        # pass over every circle, against a copy of each point set, which is
+        # evaluated alone and not kept
         ctx = SolveContext(spec_genus3)
         ctx.solution(0)
-        # Without circles the values have no cloud to fill: each request is
-        # evaluated at its own points only.
-        no_cloud = ContourSet(circles=(), bands=ctx.contours.bands, bases=ctx.contours.bases)
+        values = ctx.jump_values
         for j, z in enumerate(_operator(ctx).circle_points):
-            lone = JumpValues(spec_genus3, ctx.green, no_cloud).circle(j, z)
-            for got, want in zip(ctx.jump_values.circle(j, z), lone):
+            for got, want in zip(values.circle(j, z), values.circle(j, z.copy())):
                 np.testing.assert_array_equal(got, want)
+        for j, points in enumerate(ctx.contours.band_nodes + ctx.contours.band_test_nodes):
+            j %= len(ctx.contours.bands)
+            np.testing.assert_array_equal(values.band_weight(j, points),
+                                          values.band_weight(j, points.copy()))
+        assert len(values._weights) == 3 * len(ctx.contours.bands)
 
 
 def _band_matrices(jumps, j, x):
@@ -491,8 +491,8 @@ def _two_sided_residual(sol, contours, jumps):
     band_u = [np.concatenate([c[:, m, :] for c in sol.band_coeffs], axis=1) for m in range(2)]
     pieces = [(c.test_nodes(), jumps.circle_jump(j, c.test_nodes())[0], c, None)
               for j, c in enumerate(contours.circles)]
-    pieces += [(bp.test_nodes(), _band_matrices(jumps, p, bp.test_nodes()), None, p)
-               for p, bp in enumerate(contours.bands)]
+    pieces += [(x, _band_matrices(jumps, p, x), None, p)
+               for p, x in enumerate(contours.band_test_nodes)]
     worst = 0.0
     for z, F, own_circle, own_band in pieces:
         plus = np.zeros((len(z), 2, 2), dtype=complex)
