@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import AuxData, build_hsystem, combine_h, h_weights, solve_aux, solve_aux_block
+from .auxiliary import (AuxData, build_hsystem, combine_h, h_basis, h_weights, solve_aux,
+                        solve_aux_block)
 from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
-from .green import build_green
+from .green import build_green, eval_g
 from .oracle import adaptive_gauss_mass
 from .rhp import (STAGES, JumpAssembly, JumpValues, RHSolution, build_contours, first_order,
                   solve_matrix_rhp)
@@ -283,45 +284,53 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None,
 
 
 def cauchy_pn(spec: WeightSpec, n: int, z, ppi: int | None = None, *,
-              context: SolveContext | None = None,
-              jacobi: JacobiSegment | None = None) -> complex:
+              context: SolveContext | None = None) -> complex:
     """Cauchy transform at z of (nth orthonormal polynomial) x (weight).
 
     The polynomials are orthonormal for the unit-mass normalization of the
-    weight with p_0 = 1; the transform integrates against the raw weight.  The
-    n-fold product of 1/(b_j c) is accumulated in log space, so b_0..b_{n-1}
-    must be finite and positive (DomainError otherwise).  n is a non-negative
-    integer and z finite (DomainError otherwise).  context and ppi as in
-    recurrence_range.
+    weight with p_0 = 1; the transform integrates against the raw weight.
+    n is a non-negative integer and z finite (DomainError otherwise); b_0..
+    b_{n-1} come from recurrence_range on the context, and a failed pair among
+    them raises SolverError.  One _cauchy_at call, which evaluates the solve
+    for n alone.  context and ppi as in recurrence_range.
     """
     _check_index(n, "n")
     zc = complex(z)
     if not np.isfinite(zc):
         raise DomainError(f"evaluation point {zc} is not finite")
     ctx = _context(spec, ppi, context)
-    for band in spec.bands:
-        if abs(zc.imag) < 1e-8 and band.a - 1e-8 <= zc.real <= band.b + 1e-8:
-            warnings.warn(f"evaluation point {zc} is within 1e-8 of the support",
-                          PrecisionWarning, stacklevel=2)
-    if jacobi is not None and n > 0:
-        if jacobi.n0 > 0 or jacobi.n1 < n - 1:
-            raise DomainError("provided Jacobi segment does not cover 0..n-1")
-        bs = jacobi.b[: n]
-    elif n > 0:
-        seg = recurrence_range(spec, 0, n - 1, context=ctx)
-        if seg.meta["failures"]:
-            raise SolverError(f"coefficient computation failed: {seg.meta['failures']}")
-        bs = seg.b
-    else:
-        bs = np.empty(0)
-    bad = np.flatnonzero(~(np.isfinite(bs) & (bs > 0.0)))
-    if bad.size:
-        raise DomainError(f"b_{bad[0]} = {bs[bad[0]]} is not finite and positive")
-    R, transforms, g = ctx.jump_values.point(zc)
-    expo = (complex(combine_h(h_weights(ctx.aux(n)), R, transforms)[0]) - n * g[0]
-            - np.sum(np.log(bs.astype(complex) * ctx.green.cap_const)))
-    s12 = ctx.solution(n).eval(zc)[0, 1]
-    return complex(s12 * np.exp(expo))
+    b = _first_pairs(spec, n, ctx).b if n > 0 else np.empty(0)
+    return complex(_cauchy_at(ctx, np.array([n]), zc, b)[0][0])
+
+
+def _first_pairs(spec: WeightSpec, count: int, ctx: SolveContext) -> JacobiSegment:
+    """recurrence_range for n = 0..count - 1 on ctx; SolverError if any pair
+    failed."""
+    seg = recurrence_range(spec, 0, count - 1, context=ctx)
+    if seg.meta["failures"]:
+        raise SolverError(f"coefficient computation failed: {seg.meta['failures']}")
+    return seg
+
+
+def _cauchy_at(ctx: SolveContext, ns: np.ndarray, z: complex, b: np.ndarray) -> tuple:
+    """(C[p_n w](z) for each index n of the integer array ns, and g(z)); b
+    holds b_0..b_{max(ns) - 1}.  C[p_n w](z) is the (1, 2) entry of the solve
+    for n times exp(h_n(z) - n g(z)) / prod_{k < n} b_k c.  g and the h basis
+    at z are made once for every n, h_n for all of ns in one combine_h, and
+    the product as a running sum of log(b_k c); only the solves for ns are
+    evaluated.  A PrecisionWarning when z is within 1e-8 of the support.
+    """
+    for band in ctx.spec.bands:
+        if abs(z.imag) < 1e-8 and band.a - 1e-8 <= z.real <= band.b + 1e-8:
+            warnings.warn(f"evaluation point {z} is within 1e-8 of the support",
+                          PrecisionWarning, stacklevel=3)
+    zz = np.array([z], dtype=complex)
+    R, transforms = h_basis(ctx.green, zz)
+    g = complex(eval_g(ctx.green, zz)[0])
+    h = combine_h(np.array([h_weights(ctx.aux(n)) for n in ns]), R, transforms)[:, 0]
+    log_b = np.concatenate([[0.0], np.cumsum(np.log(b * ctx.green.cap_const))])
+    s12 = np.array([ctx.solution(n).eval(z)[0, 1] for n in ns])
+    return s12 * np.exp(h - ns * g - log_b[ns]), g
 
 
 def toda_evolve(spec0: WeightSpec, k: int, times, ppi: int = DEFAULT_PPI) -> TodaTrajectory:
@@ -384,13 +393,14 @@ def orthonormal_eval(segment: JacobiSegment, count: int, x) -> np.ndarray:
     return out
 
 
-def recip_approx(spec: WeightSpec, n_terms: int, grid=None, ppi: int | None = None, *,
+def recip_approx(spec: WeightSpec, n_terms: int, ppi: int | None = None, *,
                  context: SolveContext | None = None) -> RecipApproximation:
     """Coefficients and partial-sum errors of the expansion of 1/x on the
-    support; context and ppi as in recurrence_range.  0 may lie inside a
-    deformation disk: the circle jumps, unit lower-triangular, leave the (1, 2)
-    entry that cauchy_pn reads unchanged.  The context's jump values hold g
-    and the h basis at 0, evaluated once for every term."""
+    support, the errors taken on a grid of step 0.01 over each band; context
+    and ppi as in recurrence_range.  0 may lie inside a deformation disk: the
+    circle jumps, unit lower-triangular, leave the (1, 2) entry that
+    _cauchy_at reads unchanged.  Every term's transform at 0 comes from one
+    _cauchy_at call, which makes g and the h basis at 0 once."""
     _check_index(n_terms, "n_terms")
     if n_terms < 1:
         raise DomainError("need at least one term")
@@ -398,29 +408,15 @@ def recip_approx(spec: WeightSpec, n_terms: int, grid=None, ppi: int | None = No
         if band.a <= 0.0 <= band.b:
             raise DomainError("0 lies inside the support; the expansion is undefined")
     ctx = _context(spec, ppi, context)
+    grid = np.concatenate([np.arange(b.a, b.b + 1e-12, 0.01) for b in spec.bands])
 
-    if grid is None:
-        grid = np.concatenate([np.arange(b.a, b.b + 1e-12, 0.01) for b in spec.bands])
-    grid = np.asarray(grid, dtype=float)
-
-    segment = recurrence_range(spec, 0, max(n_terms - 1, 0), context=ctx)
-    if segment.meta["failures"]:
-        raise SolverError(f"coefficient computation failed: {segment.meta['failures']}")
+    segment = _first_pairs(spec, n_terms, ctx)
     eta = sum(adaptive_gauss_mass(spec, j) for j in range(len(spec.bands)))
-    g0 = ctx.jump_values.point(0.0)[2][0]
-
-    coeffs = np.empty(n_terms)
-    for j in range(n_terms):
-        cj = cauchy_pn(spec, j, 0.0, context=ctx, jacobi=segment)
-        coeffs[j] = _realify(2j * np.pi * cj / eta, "recip coefficient", j)
-
-    pvals = orthonormal_eval(segment, n_terms, grid)
-    target = 1.0 / grid
-    partial = np.zeros_like(grid)
-    max_errors = np.empty(n_terms)
-    for j in range(n_terms):
-        partial = partial + coeffs[j] * pvals[j]
-        max_errors[j] = np.max(np.abs(partial - target))
+    values, g0 = _cauchy_at(ctx, np.arange(n_terms), 0j, segment.b)
+    coeffs = np.array([_realify(2j * np.pi * c / eta, "recip coefficient", j)
+                       for j, c in enumerate(values)])
+    partial = np.cumsum(coeffs[:, None] * orthonormal_eval(segment, n_terms, grid), axis=0)
+    max_errors = np.max(np.abs(partial - 1.0 / grid), axis=1)
     return RecipApproximation(coeffs=coeffs, max_errors=max_errors,
                               rate=float(np.exp(-g0.real)), grid=grid,
-                              eta=float(eta), g0=complex(g0))
+                              eta=float(eta), g0=g0)

@@ -360,8 +360,9 @@ class CollocationOperator:
 
     def _at(self, z: np.ndarray) -> tuple:
         """The tables at points z, rebuilt only when z differs from the last
-        point set asked for: repeated evaluation at one point, as in the
-        terms of recip_approx, builds them once, and the memo cannot grow."""
+        point set asked for: the solves of many indices evaluated at one
+        point, as in pipeline._cauchy_at's, build them once, and the memo
+        cannot grow."""
         key = z.tobytes()
         if self._last_points[0] != key:
             geo = CutGeometry(self.intervals, z)
@@ -453,8 +454,7 @@ class JumpValues:
     and not kept; each point's value depends on that point only, so it is
     the kept value.  A circle's points are taken off the axis (Side.OFF; its
     axis node x + 0j gives the limit from above by the sign of its zero
-    imaginary part), a band's from above.  point serves one point off the
-    circles, such as cauchy_pn's, and keeps the last point only.
+    imaginary part), a band's from above.
     """
 
     def __init__(self, spec: WeightSpec, green: GreenData, contours: ContourSet):
@@ -463,7 +463,6 @@ class JumpValues:
         self.contours = contours
         self._circles: list = []
         self._weights: dict = {}
-        self._point: tuple = (None,)
 
     def for_spec(self, spec: WeightSpec) -> JumpValues:
         """These values for a weight on the same bands: the per-circle sign,
@@ -508,14 +507,6 @@ class JumpValues:
         key = ("nodes", j) if x is c.band_nodes[j] else \
             ("test nodes", j) if x is c.band_test_nodes[j] else None
         return self._weight(key, j, x, Side.PLUS)
-
-    def point(self, z: complex) -> tuple:
-        """(R, transforms, g) at the single point z, each of length 1 in its
-        last axis; rebuilt only when z differs from the last point asked for."""
-        if self._point[0] != z:
-            self._point = (z, self._geometry_at(np.array([z], dtype=complex)))
-        values = self._point[1]
-        return values[1], values[2:-1], values[-1]
 
 
 class JumpAssembly:

@@ -371,31 +371,21 @@ class TestCauchyPn:
             val = cauchy_pn(spec_two_band, n, z, context=ctx_two_band)
             assert abs(z * val) < 1e-3
 
-    @pytest.mark.parametrize("factors", [
-        {1: np.nan},
-        {0: np.inf},
-        {2: 0.0},
-        {1: -1.0},              # one b negated flipped the transform's sign
-        {0: -1.0, 2: -1.0},     # two negated gave the positive b's transform
-    ])
-    def test_bad_jacobi_b_rejected(self, spec_two_band, ctx_two_band, factors):
-        seg = recurrence_range(spec_two_band, 0, 3, context=ctx_two_band)
-        for j, factor in factors.items():
-            seg.b[j] *= factor
-        with pytest.raises(DomainError):
-            cauchy_pn(spec_two_band, 4, 0.5 + 1.0j, context=ctx_two_band, jacobi=seg)
-
-    @pytest.mark.parametrize("n0,n1", [(0, 2), (1, 4)])
-    def test_jacobi_segment_must_cover_the_indices(self, spec_two_band, ctx_two_band, n0, n1):
-        # p_4 needs b_0..b_3: a segment that stops at 2 or starts at 1 is refused
-        seg = recurrence_range(spec_two_band, n0, n1, context=ctx_two_band)
-        with pytest.raises(DomainError, match="does not cover 0..n-1"):
-            cauchy_pn(spec_two_band, 4, 0.5 + 1.0j, context=ctx_two_band, jacobi=seg)
+    @pytest.mark.parametrize("z", [0.5, 0.3 + 0.8j, -1.4 + 0.3j])
+    def test_against_quadrature_of_the_oracle_polynomials(self, spec_two_band, ctx_two_band, z):
+        # C[p_n w](z) by Gauss quadrature on the oracle's nodes, with its p_n;
+        # past n of about 10 the reference itself cancels, so n stays small
+        jac = adaptive_oracle(spec_two_band, 6, 1e-12)
+        measure = discretize(spec_two_band, jac.meta["m_per_band"])
+        P = orthonormal_eval(jac, 6, measure.nodes)
+        for n in (1, 5):
+            ref = np.sum(P[n] * measure.weights / (measure.nodes - z)) / (2j * np.pi)
+            got = cauchy_pn(spec_two_band, n, z, context=ctx_two_band)
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
     def test_near_support_warns(self, spec_two_band, ctx_two_band):
         with pytest.warns(PrecisionWarning):
-            cauchy_pn(spec_two_band, 0, 2.5 + 1e-10j, context=ctx_two_band,
-                      jacobi=recurrence_range(spec_two_band, 0, 0, context=ctx_two_band))
+            cauchy_pn(spec_two_band, 0, 2.5 + 1e-10j, context=ctx_two_band)
 
 
 class TestOrthonormality:
@@ -522,6 +512,29 @@ class TestRecip:
         assert approx.coeffs[0] == pytest.approx(kappa0.real, abs=1e-10)
         ref_err = np.max(np.abs(kappa0.real - 1.0 / approx.grid))
         assert approx.max_errors[0] == pytest.approx(ref_err, rel=1e-12)
+
+    @pytest.mark.parametrize("spec_name,terms", [("spec_two_band", 40), ("spec_genus3", 12)])
+    def test_every_coefficient_is_definition(self, spec_name, terms, request):
+        spec = request.getfixturevalue(spec_name)
+        ctx = SolveContext(spec)
+        approx = recip_approx(spec, terms, context=ctx)
+        want = [_realify(2j * np.pi * cauchy_pn(spec, j, 0.0, context=ctx) / approx.eta,
+                         "recip coefficient", j) for j in range(terms)]
+        np.testing.assert_allclose(approx.coeffs, want, rtol=1e-14, atol=0)
+
+    def test_zero_near_the_support_warns_once(self):
+        # 0 is 1e-9 below the first band: one PrecisionWarning for all the
+        # terms, and the coefficients of the definition term by term
+        spec = WeightSpec.build([(1e-9, 1.0), (2.0, 3.0)], "TU")
+        ctx = SolveContext(spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            approx = recip_approx(spec, 3, context=ctx)
+        assert [w.category for w in caught].count(PrecisionWarning) == 1
+        with pytest.warns(PrecisionWarning):
+            want = [_realify(2j * np.pi * cauchy_pn(spec, j, 0.0, context=ctx) / approx.eta,
+                             "recip coefficient", j) for j in range(3)]
+        np.testing.assert_allclose(approx.coeffs, want, rtol=1e-14, atol=0)
 
     def test_zero_inside_support_rejected(self):
         spec = WeightSpec.single(ChebKind.U)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rhjacobi import auxiliary, cauchy, green, rhp
+from rhjacobi import auxiliary, cauchy, green, pipeline, rhp
 from rhjacobi.auxiliary import build_hsystem, combine_h, h_weights, solve_aux
 from rhjacobi.cauchy import Side, cauchy_cheb, cauchy_cheb_table
 from rhjacobi.chebyshev import ChebKind, UNIT
@@ -328,11 +328,27 @@ class TestCircleTables:
         recurrence_range(spec_genus3, 0, 8, context=ctx)
         assert sorted(_operator(ctx)._circle_tables) == [0, 1, 2, 3]
 
-    def test_recip_approx_builds_h_basis_at_zero_once(self, spec_genus3, count_calls):
+    def test_recip_approx_builds_h_basis_at_zero_once(self, spec_genus3, count_calls,
+                                                      monkeypatch):
+        # and g at 0 once, the coefficients once, and each term's solve at 0
+        # once
         calls = count_calls(auxiliary.h_basis)
+        g_calls = count_calls(green.eval_g)
+        range_calls = count_calls(pipeline.recurrence_range)
+        evals = []
+        original = rhp.RHSolution.eval
+
+        def counting_eval(sol, z):
+            evals.append(z)
+            return original(sol, z)
+
+        monkeypatch.setattr(rhp.RHSolution, "eval", counting_eval)
         approx = recip_approx(spec_genus3, 12)
         assert len(approx.coeffs) == 12
         assert sum(np.all(np.atleast_1d(args[1]) == 0.0) for args in calls) == 1
+        assert sum(np.all(np.atleast_1d(args[1]) == 0.0) for args in g_calls) == 1
+        assert len(range_calls) == 1
+        assert evals == [0.0] * 12
 
 
 def _reference_kernels(op, m, z, own=None):
