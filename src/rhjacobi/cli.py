@@ -17,7 +17,7 @@ import numpy as np
 from .chebyshev import ChebKind, Interval
 from .errors import DomainError, RHJacobiError, WeightError
 from .oracle import adaptive_oracle
-from .pipeline import DEFAULT_PPI, recip_approx, recurrence_range, toda_evolve
+from .pipeline import DEFAULT_PPI, SolveContext, recip_approx, recurrence_range, toda_evolve
 from .weights import WeightSpec, h_from_config
 
 CONFIG_FIELDS = ("intervals", "kinds", "h", "resolution")
@@ -32,7 +32,9 @@ def _fmt(x: float) -> str:
 
 
 def load_config(path: str):
-    """(spec, ppi) from a JSON config; ConfigError names the bad field."""
+    """(spec, ppi) from a JSON config; ConfigError names the bad field.  A
+    top-level 'h' list holds one entry per band; an h for every band is one
+    object, and a product on every band is {"type": "product", "factors": [...]}."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -74,14 +76,11 @@ def load_config(path: str):
         except (ValueError, WeightError) as exc:
             raise ConfigError(f"field 'kinds[{i}]' is invalid: {exc}")
     h_doc = doc.get("h")
+    per_band = h_doc if isinstance(h_doc, list) else [h_doc] * len(bands)
+    if len(per_band) != len(bands):
+        raise ConfigError("field 'h' as a list must match 'intervals' in length")
     try:
-        if h_doc is None:
-            hs = None
-        elif isinstance(h_doc, list) and len(h_doc) == len(bands) and all(
-                isinstance(e, (dict, list)) for e in h_doc):
-            hs = [h_from_config(e) for e in h_doc]
-        else:
-            hs = [h_from_config(h_doc)] * len(bands)
+        hs = None if h_doc is None else [h_from_config(e) for e in per_band]
     except WeightError as exc:
         raise ConfigError(f"field 'h' is invalid: {exc}")
     try:
@@ -117,7 +116,10 @@ def _write(out_path, lines) -> None:
 
 def cmd_coeffs(args) -> int:
     spec, ppi = load_config(args.config)
-    segment = recurrence_range(spec, args.n0, args.n1, _ppi(args, ppi))
+    if not (0 <= args.n0 <= args.n1):
+        raise ConfigError("need 0 <= n0 <= n1")
+    segment = recurrence_range(spec, args.n0, args.n1,
+                               context=SolveContext(spec, _ppi(args, ppi)))
     failures = dict(segment.meta["failures"])
     lines = ["n,a,b,residual"]
     for i, n in enumerate(segment.ns):
@@ -171,7 +173,9 @@ def cmd_toda(args) -> int:
 
 def cmd_recip(args) -> int:
     spec, ppi = load_config(args.config)
-    approx = recip_approx(spec, args.nmax, ppi=_ppi(args, ppi))
+    if args.nmax < 1:
+        raise ConfigError("need at least one term")
+    approx = recip_approx(spec, args.nmax, context=SolveContext(spec, _ppi(args, ppi)))
     lines = ["N,max_error,reference_rate"]
     for i in range(args.nmax):
         nterms = i + 1

@@ -6,9 +6,10 @@ assembled from antiderivatives of Chebyshev-kernel Cauchy transforms: the
 degree-0 term integrates to a log of the inverse Joukowsky map and the higher
 terms to second-kind kernels.  Normalization makes the function vanish (up to
 the intrinsic i pi phase) at the leftmost band endpoint, which pins the
-capacity-type constant and the 1/z coefficient.  build_green expands each
-band and gap density of 1/R once; Q_g, the equilibrium masses and the
-auxiliary function's moment system are all read from those series.
+capacity-type constant; build_green reads the shift from eval_g itself, at
+that endpoint from above.  build_green expands each band and gap density of
+1/R once; Q_g, the equilibrium masses and the auxiliary function's moment
+system are all read from those series.
 
 eval_R, eval_g and auxiliary.h_basis take every band (and gap) in one pass,
 as (intervals x points) arrays (cauchy.CutGeometry), with the series padded
@@ -23,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cauchy import CutGeometry, Side, joukowsky_inv, series_at, sqrt_cut
+from .cauchy import CutGeometry, Side, series_at
 from .chebyshev import SQRT2, ChebKind, Interval, Intervals, adaptive_dct
 from .errors import SolverError
 from .weights import WeightSpec
@@ -41,13 +42,13 @@ class GreenData:
     deltas: np.ndarray            # per gap: the (purely imaginary) jump across the gap
     cap_const: complex            # leading coefficient of exp(g) ~ c z at infinity
     g1: complex                   # 1/z coefficient of g at infinity
-    phi_ref: float                # the normalization constant (branch-invariant real part)
+    phi_ref: float                # Re g at the leftmost endpoint before normalization (eval_g's)
 
     @cached_property
     def g_series(self) -> tuple:
         """(the bands as Intervals, each band's mass as a column, each band's
         second-kind series of eval_g as a row, padded with zeros), built by
-        the first evaluation, like h_series, not by build_green."""
+        the first evaluation: build_green's, for phi_ref."""
         masses, rows = [], []
         for band, ser in zip(self.bands, self.band_series):
             c = ser.coeffs
@@ -75,11 +76,10 @@ def _padded(rows: list) -> np.ndarray:
 
 def eval_R(bands: tuple, z, side: Side = Side.OFF):
     """Product over bands of sqrt(z-a_j) sqrt(z-b_j); cuts exactly on the bands,
-    ~ z^(g+1) at infinity.  On gaps the PLUS side is the continuous real value."""
-    if np.ndim(z) == 0:  # scalar products, which round apart from the arrays'
-        return band_product([sqrt_cut(z, band, side) for band in bands])
-    S = CutGeometry(Intervals(bands), np.ravel(z), side).S
-    return band_product(S).reshape(np.shape(z))
+    ~ z^(g+1) at infinity.  On gaps the PLUS side is the continuous real value.
+    One pass over every band; a scalar z gives a complex."""
+    R = band_product(CutGeometry(Intervals(bands), np.ravel(z), side).S)
+    return complex(R[0]) if np.ndim(z) == 0 else R.reshape(np.shape(z))
 
 
 def band_product(S: np.ndarray) -> np.ndarray:
@@ -120,7 +120,8 @@ def solve_Q(gap_beta: list) -> np.ndarray:
 
 def build_green(spec: WeightSpec) -> GreenData:
     """Expand the band and gap densities, solve for Q_g, expand Q_g times each
-    band density, and fix all constants."""
+    band density, and fix all constants: phi_ref is Re eval_g at the leftmost
+    endpoint from above with phi_ref = 0, and cap_const follows from it."""
     g = spec.genus
     band_beta = [adaptive_dct(band_density(spec, band), band) for band in spec.bands]
     gap_beta = [adaptive_dct(gap_density(spec, gap), gap) for gap in spec.gaps]
@@ -136,49 +137,23 @@ def build_green(spec: WeightSpec) -> GreenData:
     prefix = np.cumsum([ser.coeffs[0] for ser in band_series])
     deltas = 2j * np.pi * (1.0 - prefix[:g])
 
-    phi_ref = _phi_ref(spec.bands, band_series)
-
-    log_cap = -phi_ref
     g1 = 0.0 + 0.0j
     for band, ser in zip(spec.bands, band_series):
         c = ser.coeffs
-        log_cap = log_cap + c[0] * np.log(4.0 / band.length)
         g1 = g1 - c[0] * band.mid
         if len(c) > 1:
             g1 = g1 - c[1] * band.length / (2.0 * SQRT2)
-    cap_const = np.exp(log_cap)
 
-    return GreenData(bands=spec.bands, q_coeffs=q_coeffs, band_beta=band_beta,
-                     gap_beta=gap_beta, band_series=band_series, deltas=deltas,
-                     cap_const=complex(cap_const), g1=complex(g1), phi_ref=phi_ref)
-
-
-def _phi_ref(bands, band_series) -> float:
-    """Real part of the antiderivative sum at the leftmost endpoint.
-
-    The imaginary part there is an artifact of log branches (it equals pi times
-    the total equilibrium mass); the real part is branch-invariant and is the
-    correct normalization for a function that is zero-real-part on the support
-    and log(c z)-like at infinity.  The inverse Joukowsky value at the leftmost
-    endpoint of its own band is the exact limit -1.
-    """
-    a1 = bands[0].a
-    total = 0.0
-    for j, (band, ser) in enumerate(zip(bands, band_series)):
-        c = ser.coeffs
-        if j == 0:
-            # The affine map rounds the endpoint off -1 by ~eps, which the
-            # non-Lipschitz inverse Joukowsky map amplifies to sqrt(eps);
-            # substitute the exact limit instead.
-            Jv = -1.0
-        else:
-            t = float(band.to_unit(a1))
-            Jv = float(np.real(joukowsky_inv(t, Side.PLUS)))  # in (-1, 0)
-        total += float(np.real(-c[0])) * np.log(abs(Jv))
-        if len(c) > 1:
-            ks = np.arange(1, len(c))
-            total += float(np.real(-SQRT2 * np.sum(c[1:] * Jv ** ks / ks)))
-    return total
+    # eval_g reads bands, band_series and phi_ref only, so cap_const is not
+    # read before it is set from phi_ref below
+    green = GreenData(bands=spec.bands, q_coeffs=q_coeffs, band_beta=band_beta,
+                      gap_beta=gap_beta, band_series=band_series, deltas=deltas,
+                      cap_const=0j, g1=complex(g1), phi_ref=0.0)
+    green.phi_ref = float(eval_g(green, spec.bands[0].a, Side.PLUS).real)
+    log_cap = sum((ser.coeffs[0] * np.log(4.0 / band.length)
+                   for band, ser in zip(spec.bands, band_series)), -green.phi_ref)
+    green.cap_const = complex(np.exp(log_cap))
+    return green
 
 
 def eval_g(green: GreenData, z, side: Side = Side.OFF):

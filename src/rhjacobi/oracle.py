@@ -1,7 +1,9 @@
 """Independent reference computation: discretize the weight by per-band Gauss
 rules and tridiagonalize the discrete measure by Lanczos with full
-reorthogonalization.  Used for verification and benchmarking only; it shares
-no code path with the Riemann-Hilbert pipeline beyond the quadrature rules.
+reorthogonalization.  Used for verification and benchmarking only.  The
+Riemann-Hilbert pipeline imports nothing from here, so the two share no code
+path beyond the weight's definition (WeightSpec) and the JacobiSegment that
+both return.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import numpy as np
 
 from .chebyshev import gauss_cheb_rule
 from .errors import ConvergenceError, DomainError, SolverError
+from .pipeline import JacobiSegment
 from .weights import WeightSpec
 
 _MAX_M_PER_BAND = 2 ** 15
@@ -74,8 +77,6 @@ def tridiagonalize(measure: DiscreteMeasure, n_coeffs: int):
     Lanczos on diag(nodes) seeded with sqrt(weights), with full
     reorthogonalization applied twice per step.
     """
-    from .pipeline import JacobiSegment  # local import to avoid a cycle
-
     m = measure.nodes.size
     if n_coeffs < 1:
         raise DomainError("need at least one coefficient")

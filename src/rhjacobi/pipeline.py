@@ -23,7 +23,6 @@ from .auxiliary import (AuxData, build_hsystem, combine_h, h_basis, h_weights, s
                         solve_aux_block)
 from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
 from .green import build_green, eval_g
-from .oracle import adaptive_gauss_mass
 from .rhp import (STAGES, JumpAssembly, JumpValues, RHSolution, build_contours, first_order,
                   solve_matrix_rhp)
 from .weights import WeightSpec
@@ -85,25 +84,25 @@ class TodaTrajectory:
 class SolveContext:
     """Everything the solves for one weight share, and a cache of the solves.
 
-    Per geometry (the bands and ppi, the collocation points per band): green,
-    hsys and the contours, built here; the contours' collocation operator and
-    g and the h basis at the circle points (read from green by jump_values),
-    built inside the first solve.  Per jump spec, jump_values: its spec, the
-    weight the jumps are taken from, and the weight values at the nodes, also
-    built inside the first solve.  with_jump_spec replaces it by a weight of
-    the same kinds on the same bands (e.g. exponentially scaled) and shares
-    everything per geometry.  Per index n: the auxiliary data (aux) and the
-    block that solved n, both cached; the block holds n's RHSolution or the
-    SolverError its solve failed with.  solve(ns) solves the indices of ns
-    that are not cached in blocks, one solve_matrix_rhp call each, after
-    one solve_aux_block call for the auxiliary data of all of them;
-    solution(n) is a block of one where n is not cached yet.  stages adds up
-    the seconds of every block solved here, per stage of rhp.STAGES.
+    Per geometry (the bands and ppi, the collocation points per band, which
+    only contours.ppi holds): green, hsys and the contours, built here; the
+    contours' collocation operator and g and the h basis at the circle points
+    (read from green by jump_values), built inside the first solve.  Per jump
+    spec, jump_values: its spec, the weight the jumps are taken from, and the
+    weight values at the nodes, also built inside the first solve.
+    with_jump_spec replaces it by a weight of the same kinds on the same bands
+    (e.g. exponentially scaled) and shares everything per geometry.  Per index
+    n: the auxiliary data (aux) and the block that solved n, both cached; the
+    block holds n's RHSolution or the SolverError its solve failed with.
+    solve(ns) solves the indices of ns that are not cached in blocks, one
+    solve_matrix_rhp call each, after one solve_aux_block call for the
+    auxiliary data of all of them; solution(n) is a block of one where n is
+    not cached yet.  stages adds up the seconds of every block solved here,
+    per stage of rhp.STAGES.
     """
 
     def __init__(self, spec: WeightSpec, ppi: int = DEFAULT_PPI):
         self.spec = spec
-        self.ppi = ppi
         self.green = build_green(spec)
         self.hsys = build_hsystem(spec, self.green)
         self.contours = build_contours(spec, ppi)
@@ -161,16 +160,13 @@ def _check_index(value, what: str) -> None:
         raise DomainError(f"{what} must be a non-negative integer, got {value!r}")
 
 
-def _context(spec: WeightSpec, ppi: int | None, context: SolveContext | None) -> SolveContext:
-    """context, or a new one for spec at ppi (DEFAULT_PPI if None);
-    DomainError if context was built for another weight, or if ppi is given
-    and differs from the context's."""
+def _context(spec: WeightSpec, context: SolveContext | None) -> SolveContext:
+    """context, or a new one for spec at DEFAULT_PPI if None; DomainError if
+    context was built for another weight."""
     if context is None:
-        return SolveContext(spec, DEFAULT_PPI if ppi is None else ppi)
+        return SolveContext(spec)
     if context.spec != spec:
         raise DomainError("the context was built for another weight")
-    if ppi is not None and ppi != context.ppi:
-        raise DomainError(f"ppi {ppi!r} differs from the context's {context.ppi}")
     return context
 
 
@@ -198,7 +194,7 @@ def _pair_from_orders(ctx: SolveContext, n: int, S1_n: np.ndarray, S1_n1: np.nda
     return _realify(a_c, "a", n), _realify(b_c, "b", n)
 
 
-def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None, *,
+def recurrence_range(spec: WeightSpec, n0: int, n1: int, *,
                      context: SolveContext | None = None) -> JacobiSegment:
     """Pairs (a_n, b_n) for n0 <= n <= n1; one solve per index, shared between
     neighbors, the solves for n0..n1+1 asked of the context up front, which
@@ -206,8 +202,9 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None,
     integers (DomainError otherwise).  Numerical failures of one index are
     recorded as (n, message) in meta["failures"] and the computation
     continues; a failed index does not change the others in its block.  A
-    context must be built for spec, and at ppi where ppi is given (DomainError
-    otherwise); without one a new one at ppi, or DEFAULT_PPI, is used.
+    context must be built for spec (DomainError otherwise); its contours fix
+    the resolution, meta["ppi"].  Without one a new one at DEFAULT_PPI is
+    used.
 
     Per-index arrays in meta, NaN (or -1 for counts) where the pair failed:
     residuals, the larger off-collocation residual of the pair's two solves;
@@ -233,7 +230,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None,
     _check_index(n1, "n1")
     if n0 > n1:
         raise DomainError(f"need 0 <= n0 <= n1, got ({n0}, {n1})")
-    ctx = _context(spec, ppi, context)
+    ctx = _context(spec, context)
     t_start = time.perf_counter()
     count = n1 - n0 + 1
     a = np.full(count, np.nan)
@@ -270,7 +267,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None,
                 circle_deviation[i] = getattr(exc, "circle_deviation", np.nan)
     meta = {
         "method": "rh",
-        "ppi": ctx.ppi,
+        "ppi": ctx.contours.ppi,
         "wall_time": time.perf_counter() - t_start,
         "residuals": residuals,
         "rcond": rcond,
@@ -283,7 +280,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, ppi: int | None = None,
     return JacobiSegment(n0=n0, n1=n1, a=a, b=b, meta=meta)
 
 
-def cauchy_pn(spec: WeightSpec, n: int, z, ppi: int | None = None, *,
+def cauchy_pn(spec: WeightSpec, n: int, z, *,
               context: SolveContext | None = None) -> complex:
     """Cauchy transform at z of (nth orthonormal polynomial) x (weight).
 
@@ -292,13 +289,13 @@ def cauchy_pn(spec: WeightSpec, n: int, z, ppi: int | None = None, *,
     n is a non-negative integer and z finite (DomainError otherwise); b_0..
     b_{n-1} come from recurrence_range on the context, and a failed pair among
     them raises SolverError.  One _cauchy_at call, which evaluates the solve
-    for n alone.  context and ppi as in recurrence_range.
+    for n alone.  context as in recurrence_range.
     """
     _check_index(n, "n")
     zc = complex(z)
     if not np.isfinite(zc):
         raise DomainError(f"evaluation point {zc} is not finite")
-    ctx = _context(spec, ppi, context)
+    ctx = _context(spec, context)
     b = _first_pairs(spec, n, ctx).b if n > 0 else np.empty(0)
     return complex(_cauchy_at(ctx, np.array([n]), zc, b)[0][0])
 
@@ -373,7 +370,7 @@ class RecipApproximation:
     max_errors: np.ndarray      # max-grid error of the N-term partial sum, N = 1..len
     rate: float                 # reference per-term decay exp(-Re g(0))
     grid: np.ndarray
-    eta: float                  # total mass of the raw weight
+    eta: float                  # total mass of the raw weight, from the solve for n = 0
     g0: complex                 # Green's function at 0
 
 
@@ -393,25 +390,27 @@ def orthonormal_eval(segment: JacobiSegment, count: int, x) -> np.ndarray:
     return out
 
 
-def recip_approx(spec: WeightSpec, n_terms: int, ppi: int | None = None, *,
+def recip_approx(spec: WeightSpec, n_terms: int, *,
                  context: SolveContext | None = None) -> RecipApproximation:
     """Coefficients and partial-sum errors of the expansion of 1/x on the
     support, the errors taken on a grid of step 0.01 over each band; context
-    and ppi as in recurrence_range.  0 may lie inside a deformation disk: the
-    circle jumps, unit lower-triangular, leave the (1, 2) entry that
-    _cauchy_at reads unchanged.  Every term's transform at 0 comes from one
-    _cauchy_at call, which makes g and the h basis at 0 once."""
+    as in recurrence_range.  0 may lie inside a deformation disk: the circle
+    jumps, unit lower-triangular, leave the (1, 2) entry that _cauchy_at
+    reads unchanged.  Every term's transform at 0 comes from one _cauchy_at
+    call, which makes g and the h basis at 0 once.  The weight's mass eta is
+    -2 pi i times the 1/z coefficient of the (1, 2) entry of the solve for
+    n = 0, whose transform C[w](z) ~ -eta / (2 pi i z)."""
     _check_index(n_terms, "n_terms")
     if n_terms < 1:
         raise DomainError("need at least one term")
     for band in spec.bands:
         if band.a <= 0.0 <= band.b:
             raise DomainError("0 lies inside the support; the expansion is undefined")
-    ctx = _context(spec, ppi, context)
+    ctx = _context(spec, context)
     grid = np.concatenate([np.arange(b.a, b.b + 1e-12, 0.01) for b in spec.bands])
 
     segment = _first_pairs(spec, n_terms, ctx)
-    eta = sum(adaptive_gauss_mass(spec, j) for j in range(len(spec.bands)))
+    eta = _realify(-2j * np.pi * first_order(ctx.solution(0))[0, 1], "eta", 0)
     values, g0 = _cauchy_at(ctx, np.arange(n_terms), 0j, segment.b)
     coeffs = np.array([_realify(2j * np.pi * c / eta, "recip coefficient", j)
                        for j, c in enumerate(values)])
@@ -419,4 +418,4 @@ def recip_approx(spec: WeightSpec, n_terms: int, ppi: int | None = None, *,
     max_errors = np.max(np.abs(partial - 1.0 / grid), axis=1)
     return RecipApproximation(coeffs=coeffs, max_errors=max_errors,
                               rate=float(np.exp(-g0.real)), grid=grid,
-                              eta=float(eta), g0=g0)
+                              eta=eta, g0=g0)

@@ -89,13 +89,11 @@ import numpy as np
 from scipy.linalg import lapack as _lapack
 
 from .auxiliary import combine_h, h_basis, h_weights
-from .cauchy import CutGeometry, Side, cauchy_cheb_table
+from .cauchy import _I2PI, CutGeometry, Side, cauchy_cheb_table
 from .chebyshev import Interval, Intervals, cheb_t_nodes
 from .errors import DomainError, GeometryError, ResidualWarning, SolverError, WeightError
 from .green import GreenData, eval_g
 from .weights import WeightSpec
-
-_I2PI = 1j / (2.0 * np.pi)
 
 # Largest |F - I| (its (1, 0) entry) at a circle's collocation nodes for which
 # the 2x2 solver drops the circle.  On two bands, n = 50..85, this and 1e-3 of

@@ -6,7 +6,8 @@ import pytest
 from rhjacobi import cli
 from rhjacobi.cli import main
 from rhjacobi.errors import ConvergenceError, PrecisionWarning
-from rhjacobi.pipeline import recip_approx
+from rhjacobi.green import build_green
+from rhjacobi.pipeline import SolveContext, recip_approx
 from rhjacobi.rhp import JumpAssembly
 
 
@@ -170,6 +171,10 @@ _VALID = {"intervals": [[-1.0, 1.0]], "kinds": ["U"]}
     (json.dumps({**_VALID, "kinds": ["U", "T"]}), "field 'kinds' must be a list matching"),
     (json.dumps({**_VALID, "kinds": ["X"]}), "field 'kinds[0]' is invalid"),
     (json.dumps({**_VALID, "h": {"type": "nope"}}), "field 'h' is invalid"),
+    # a top-level h list is one entry per band, never a product over all of them
+    (json.dumps({"intervals": [[-3.0, -1.0], [-0.5, 0.5], [1.0, 3.0]], "kinds": ["T", "T", "T"],
+                 "h": [{"type": "exp_scale", "c": 0.3}, {"type": "poly", "coeffs": [2.0, 0.5]}]}),
+     "field 'h' as a list must match 'intervals' in length"),
     (json.dumps({"intervals": [[0.0, 2.0], [1.0, 3.0]], "kinds": ["U", "U"]}),
      "invalid weight specification"),
     (json.dumps({**_VALID, "resolution": 8}), "field 'resolution' must be an object"),
@@ -202,7 +207,7 @@ def test_recip_succeeds(two_band, tmp_path):
     assert lines[0] == "N,max_error,reference_rate"
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3"]
     spec, ppi = cli.load_config(two_band)
-    approx = recip_approx(spec, 3, ppi=ppi)
+    approx = recip_approx(spec, 3, context=SolveContext(spec, ppi))
     assert [float(line.split(",")[1]) for line in lines[1:]] == approx.max_errors.tolist()
 
 
@@ -210,10 +215,15 @@ def test_recip_succeeds(two_band, tmp_path):
     (["oracle", "--n0", "3", "--n1", "1"], "need 0 <= n0 <= n1"),
     (["toda", "--steps", "0"], "need steps >= 1"),
     (["recip", "--nmax", "0"], "need at least one term"),
+    (["coeffs", "--n0", "3", "--n1", "1"], "need 0 <= n0 <= n1"),
+    (["coeffs", "--n0", "-1"], "need 0 <= n0 <= n1"),
 ])
-def test_empty_range_exits_1(two_band, capsys, argv, message):
+def test_empty_range_exits_1(two_band, capsys, count_calls, argv, message):
+    # rejected before any geometry is built
+    builds = count_calls(build_green)
     assert main([argv[0], two_band, *argv[1:]]) == 1
     assert message in capsys.readouterr().err
+    assert builds == []
 
 
 def test_exponent_pairs_and_per_band_h_match_letters(tmp_path, capsys):

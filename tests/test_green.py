@@ -109,12 +109,28 @@ class TestBuildGreen:
                 assert np.max(np.abs(ser(x) - dens)) <= 1e-13
 
 
+GEOMETRIES = ["two bands", "genus 3", "U band", "TTT bands"]
+
+
+def _geometry(name, request):
+    """The weight named by an entry of GEOMETRIES."""
+    if name == "TTT bands":
+        return WeightSpec.build([(-3.0, -1.0), (-0.5, 0.5), (1.0, 3.0)], "TTT")
+    return request.getfixturevalue({"two bands": "spec_two_band", "genus 3": "spec_genus3",
+                                    "U band": "spec_u"}[name])
+
+
 class TestEvalG:
-    def test_band_identity(self, spec_two_band, green_two_band):
-        for band in spec_two_band.bands:
-            x = np.linspace(band.a + 0.03, band.b - 0.03, 13)
-            s = eval_g(green_two_band, x, Side.PLUS) + eval_g(green_two_band, x, Side.MINUS)
-            assert np.max(np.abs(s)) < 1e-11
+    def test_band_identity(self, request):
+        # g+ + g- = 0 on every band holds only for the right phi_ref, which
+        # this checks apart from where build_green reads phi_ref
+        for name in GEOMETRIES:
+            spec = _geometry(name, request)
+            gd = build_green(spec)
+            for band in spec.bands:
+                x = np.linspace(band.a + 0.03, band.b - 0.03, 13)
+                s = eval_g(gd, x, Side.PLUS) + eval_g(gd, x, Side.MINUS)
+                assert np.max(np.abs(s)) < 1e-11, name
 
     def test_gap_jump_constant_equals_delta(self, spec_two_band, green_two_band):
         gap = spec_two_band.gaps[0]
@@ -132,10 +148,13 @@ class TestEvalG:
             vals = eval_g(green_two_band, z[mask])
             assert np.min(vals.real) > 0
 
-    def test_normalization_at_leftmost_endpoint(self, green_two_band):
-        # real part vanishes; the imaginary part is the intrinsic pi phase
-        val = eval_g(green_two_band, green_two_band.bands[0].a, Side.PLUS)
-        assert abs(val.real) < 1e-12
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_normalization_at_leftmost_endpoint(self, geometry, request):
+        # build_green reads phi_ref from eval_g at this point, so the real part
+        # vanishes by construction; the imaginary part is the intrinsic pi phase
+        gd = build_green(_geometry(geometry, request))
+        val = eval_g(gd, gd.bands[0].a, Side.PLUS)
+        assert val.real == 0.0
         assert val.imag == pytest.approx(np.pi, abs=1e-12)
 
     def test_derivative_consistency(self, green_two_band, spec_two_band):
@@ -145,9 +164,12 @@ class TestEvalG:
             / eval_R(spec_two_band.bands, z)
         assert abs(fd - exact) / abs(exact) < 1e-6
 
-    def test_log_asymptotics(self, green_two_band):
+    def test_log_asymptotics(self, request):
+        # cap_const, formed from phi_ref, against g far out
         z = 1e6 * (1.0 + 0.4j)
-        assert abs(eval_g(green_two_band, z) - np.log(green_two_band.cap_const * z)) < 1e-4
+        for name in GEOMETRIES:
+            gd = build_green(_geometry(name, request))
+            assert abs(eval_g(gd, z) - np.log(gd.cap_const * z)) < 1e-4, name
 
     def test_schwarz_symmetry(self, green_two_band, rng):
         z = rng.standard_normal(9) * 2 + 1j * rng.uniform(0.2, 2.0, 9)
@@ -237,6 +259,6 @@ class TestStackedGeometry:
         want_R, want_transforms = _reference_h(gd, zz, side)
         assert np.array_equal(R, want_R) and np.array_equal(transforms, want_transforms)
         got = eval_R(gd.bands, z, side)
-        assert isinstance(got, complex) and got == _reference_R(gd.bands, z, side)
+        assert isinstance(got, complex) and got == _reference_R(gd.bands, zz, side)[0]
         got = eval_g(gd, z, side)
         assert isinstance(got, complex) and got == _reference_g(gd, zz, side)[0]

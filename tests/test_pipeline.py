@@ -9,7 +9,7 @@ from rhjacobi import cauchy, pipeline, rhp
 from rhjacobi.cauchy import cauchy_cheb
 from rhjacobi.chebyshev import SQRT2, ChebKind, UNIT
 from rhjacobi.errors import DomainError, ImagPartWarning, PrecisionWarning, SolverError
-from rhjacobi.oracle import adaptive_oracle, discretize
+from rhjacobi.oracle import adaptive_gauss_mass, adaptive_oracle, discretize
 from rhjacobi.pipeline import (BLOCK_BYTES, DEFAULT_PPI, SolveContext, _realify, block_size,
                                cauchy_pn, orthonormal_eval, recip_approx, recurrence_range,
                                toda_evolve)
@@ -131,16 +131,11 @@ class TestRecurrenceRange:
             recip_approx(spec_two_band, 2, context=ctx)
 
     def test_ppi_must_match_context(self, spec_two_band):
-        # a ppi given with a context was silently replaced by the context's
+        # the context alone sets the resolution, and meta records its ppi
         ctx = SolveContext(spec_two_band, 8)
-        with pytest.raises(DomainError):
-            recurrence_range(spec_two_band, 0, 2, 32, context=ctx)
-        with pytest.raises(DomainError):
-            cauchy_pn(spec_two_band, 1, 0.5j, 32, context=ctx)
-        with pytest.raises(DomainError):
-            recip_approx(spec_two_band, 2, ppi=32, context=ctx)
-        assert recurrence_range(spec_two_band, 0, 2, 8, context=ctx).meta["ppi"] == 8
         assert recurrence_range(spec_two_band, 0, 2, context=ctx).meta["ppi"] == 8
+        ctx = SolveContext(spec_two_band, 32)
+        assert recurrence_range(spec_two_band, 0, 2, context=ctx).meta["ppi"] == 32
         assert recurrence_range(spec_two_band, 0, 0).meta["ppi"] == DEFAULT_PPI
 
     def test_programming_errors_propagate(self, spec_u, monkeypatch):
@@ -149,8 +144,8 @@ class TestRecurrenceRange:
             raise TypeError("broken call")
 
         monkeypatch.setattr(rhp, "lu_factor", broken)
-        with pytest.raises(TypeError):
-            recurrence_range(spec_u, 0, 1, 8)
+        with pytest.raises(TypeError, match="broken call"):
+            recurrence_range(spec_u, 0, 1, context=SolveContext(spec_u, 8))
 
 
 def _assert_same_solution(got, want):
@@ -442,7 +437,7 @@ class TestToda:
 
     def test_t0_identical_to_static(self, spec_u, ctx_u):
         traj = toda_evolve(spec_u, 5, [0.0], 16)
-        seg = recurrence_range(spec_u, 0, 4, 16)
+        seg = recurrence_range(spec_u, 0, 4, context=SolveContext(spec_u, 16))
         np.testing.assert_array_equal(traj.segments[0].a, seg.a)
         np.testing.assert_array_equal(traj.segments[0].b, seg.b)
 
@@ -522,6 +517,17 @@ class TestRecip:
                          "recip coefficient", j) for j in range(terms)]
         np.testing.assert_allclose(approx.coeffs, want, rtol=1e-14, atol=0)
 
+    @pytest.mark.parametrize("spec_name", ["spec_two_band", "spec_genus3", "U band"])
+    def test_eta_is_the_weights_mass(self, spec_name, request, count_calls):
+        # eta comes from the solve for n = 0, not from quadrature
+        spec = (WeightSpec.single(ChebKind.U, (0.5, 2.0)) if spec_name == "U band"
+                else request.getfixturevalue(spec_name))
+        calls = count_calls(adaptive_gauss_mass)
+        eta = recip_approx(spec, 2).eta
+        assert calls == []
+        want = sum(adaptive_gauss_mass(spec, j) for j in range(len(spec.bands)))
+        assert abs(eta - want) <= 1e-14 * abs(want)
+
     def test_zero_near_the_support_warns_once(self):
         # 0 is 1e-9 below the first band: one PrecisionWarning for all the
         # terms, and the coefficients of the definition term by term
@@ -539,7 +545,7 @@ class TestRecip:
     def test_zero_inside_support_rejected(self):
         spec = WeightSpec.single(ChebKind.U)
         with pytest.raises(DomainError):
-            recip_approx(spec, 3, ppi=8)
+            recip_approx(spec, 3, context=SolveContext(spec, 8))
 
     def test_no_terms_rejected(self, spec_two_band):
         with pytest.raises(DomainError, match="at least one term"):

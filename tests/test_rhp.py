@@ -59,7 +59,7 @@ class TestBuildContours:
         with pytest.raises(DomainError):
             build_contours(spec_u, ppi)
         with pytest.raises(DomainError):
-            recurrence_range(spec_u, 0, 1, ppi)
+            SolveContext(spec_u, ppi)
 
     def test_nodes_shapes(self, spec_two_band):
         ct = build_contours(spec_two_band, 8)
@@ -450,9 +450,10 @@ class TestColdPath:
         assert len(J_calls) == len(J_keys) == len(S_args) == len(S_keys) == 2
 
     def test_toda_times_share_g_at_the_circles(self, spec_two_band, count_calls):
+        # build_green's own call, at the leftmost endpoint, is not at the circles
         g_calls = count_calls(green.eval_g)
         toda_evolve(spec_two_band, 3, [0.0, 0.5, 1.0], 8)
-        assert len(g_calls) == 1
+        assert sum(isinstance(args[1], cauchy.CutGeometry) for args in g_calls) == 1
 
     @pytest.mark.parametrize("spec_name", ["spec_two_band", "spec_genus3"])
     def test_axis_node_takes_the_upper_limit(self, spec_name, request):
