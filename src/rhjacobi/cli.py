@@ -153,7 +153,7 @@ def cmd_toda(args) -> int:
         times = np.array([args.t0])
     else:
         times = np.linspace(args.t0, args.t1, args.steps)
-    traj = toda_evolve(spec, args.k, times, _ppi(args, ppi))
+    traj = toda_evolve(spec, args.k, times, context=SolveContext(spec, _ppi(args, ppi)))
     lines = ["t,n,a,b"]
     failed = []
     for t, seg in zip(traj.times, traj.segments):

@@ -1,13 +1,16 @@
 """End-to-end computations: recurrence coefficients, weighted Cauchy transforms,
 Toda-lattice evolution, and series approximation of 1/x on disconnected domains.
 
-One Riemann-Hilbert solve per index n, reused between consecutive coefficient
-pairs.  The indices a call needs are asked for up front and solved in blocks:
-one solve_matrix_rhp call per block stacks the jump data, the assembly and the
-residual of all its indices and factors one band system per index.  The
-Green's function, moment system, contours and collocation operator are built
-once per weight geometry and shared across n (and across Toda times, whose
-exponential factor changes only the jump data).
+One Riemann-Hilbert solve per index n, each made once per call and dropped
+once it is used.  Every entry point walks its indices forward in one pass
+(_forward): the solves arrive in blocks, one solve_matrix_rhp call per block,
+which stacks the jump data, the assembly and the residual of all its indices
+and factors one band system per index; the pair (a_n, b_n) is formed as soon
+as the solve for n + 1 arrives, and of each solve only what the next pair or
+a Cauchy transform reads is kept, so a call holds one block and its outputs.
+The Green's function, moment system, contours and collocation operator are
+built once per weight geometry and shared across n (and across Toda times,
+whose exponential factor changes only the jump data).
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auxiliary import (AuxData, build_hsystem, combine_h, h_basis, h_weights, solve_aux,
-                        solve_aux_block)
+from .auxiliary import build_hsystem, combine_h, h_basis, h_weights, solve_aux_block
 from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
 from .green import build_green, eval_g
 from .rhp import (STAGES, JumpAssembly, JumpValues, RHSolution, build_contours, first_order,
@@ -82,7 +84,7 @@ class TodaTrajectory:
 
 
 class SolveContext:
-    """Everything the solves for one weight share, and a cache of the solves.
+    """Everything the solves for one weight share, and nothing per index.
 
     Per geometry (the bands and ppi, the collocation points per band, which
     only contours.ppi holds): green, hsys and the contours, built here; the
@@ -91,13 +93,10 @@ class SolveContext:
     spec, jump_values: its spec, the weight the jumps are taken from, and the
     weight values at the nodes, also built inside the first solve.
     with_jump_spec replaces it by a weight of the same kinds on the same bands
-    (e.g. exponentially scaled) and shares everything per geometry.  Per index
-    n: the auxiliary data (aux) and the block that solved n, both cached; the
-    block holds n's RHSolution or the SolverError its solve failed with.
-    solve(ns) solves the indices of ns that are not cached in blocks, one
-    solve_matrix_rhp call each, after one solve_aux_block call for the
-    auxiliary data of all of them; solution(n) is a block of one where n is
-    not cached yet.  stages adds up the seconds of every block solved here,
+    (e.g. exponentially scaled) and shares everything per geometry.  No
+    auxiliary data and no solve is kept: solve(ns) makes them block by block
+    and hands each index's over as the iteration reaches it, and solution(n)
+    solves n anew.  stages adds up the seconds of every block solved here,
     per stage of rhp.STAGES.
     """
 
@@ -108,48 +107,52 @@ class SolveContext:
         self.contours = build_contours(spec, ppi)
         self.jump_values = JumpValues(spec, self.green, self.contours)
         self.stages = dict.fromkeys(STAGES, 0.0)
-        self._aux: dict = {}
-        self._solutions: dict = {}
 
-    def aux(self, n: int) -> AuxData:
-        if n not in self._aux:
-            self._aux[n] = solve_aux(self.hsys, self.green, n)
-        return self._aux[n]
-
-    def solve(self, ns) -> None:
-        """Solve every index of ns that is not cached yet, in order, in blocks
-        of block_size indices; DomainError, before any solve, unless every
-        index is a non-negative integer."""
+    def solve(self, ns):
+        """An iterator of (n, its AuxData, its RHSolution) over the indices of
+        ns, in order; DomainError, before any solve, unless every index is a
+        non-negative integer.  The indices are solved in blocks of block_size
+        as the iteration reaches them, one solve_aux_block and one
+        solve_matrix_rhp call per block, and a block is dropped when the next
+        one is solved.  A numerical failure (RHJacobiError, LinAlgError,
+        FloatingPointError) takes the place of the RHSolution: the SolverError
+        an index failed with alone, or an error the whole block raised, then
+        for every index of the block."""
+        ns = list(ns)
         for n in ns:
             _check_index(n, "an index")
-        missing = [n for n in dict.fromkeys(ns) if n not in self._solutions]
-        new = [n for n in missing if n not in self._aux]
-        self._aux.update(zip(new, solve_aux_block(self.hsys, self.green, new)))
+        return self._blocks(ns)
+
+    def _blocks(self, ns: list):
         size = block_size(self.contours)
-        for start in range(0, len(missing), size):
-            jumps = JumpAssembly([self.aux(n) for n in missing[start:start + size]],
-                                 self.jump_values)
-            block = solve_matrix_rhp(self.jump_values.spec, self.contours, jumps)
-            for stage, seconds in block.stages.items():
-                self.stages[stage] += seconds
-            self._solutions.update(dict.fromkeys(block.solutions, block))
+        for start in range(0, len(ns), size):
+            auxes = solve_aux_block(self.hsys, self.green, ns[start:start + size])
+            try:
+                block = solve_matrix_rhp(self.jump_values.spec, self.contours,
+                                         JumpAssembly(auxes, self.jump_values))
+                outcomes = [block.solutions[aux.n] for aux in auxes]
+                for stage, seconds in block.stages.items():
+                    self.stages[stage] += seconds
+            except (RHJacobiError, np.linalg.LinAlgError, FloatingPointError) as exc:
+                outcomes = [exc] * len(auxes)
+            yield from zip(ns[start:start + size], auxes, outcomes)
 
     def solution(self, n: int) -> RHSolution:
-        """The solve for index n; the SolverError it failed with is raised."""
-        _check_index(n, "an index")
-        if n not in self._solutions:
-            self.solve([n])
-        return self._solutions[n][n]
+        """The solve for index n, made anew; the error it failed with is
+        raised."""
+        [(_, _, outcome)] = self.solve([n])
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def with_jump_spec(self, jump_spec: WeightSpec) -> "SolveContext":
-        """This context with jump_spec's jump data, an empty solution cache and
-        zeroed stages; DomainError unless jump_spec has spec's bands and kinds."""
+        """This context with jump_spec's jump data and zeroed stages;
+        DomainError unless jump_spec has spec's bands and kinds."""
         if (jump_spec.bands, jump_spec.kinds) != (self.spec.bands, self.spec.kinds):
             raise DomainError("a jump spec must have the context's bands and kinds")
         ctx = copy.copy(self)
         ctx.jump_values = self.jump_values.for_spec(jump_spec)
         ctx.stages = dict.fromkeys(STAGES, 0.0)
-        ctx._solutions = {}
         return ctx
 
 
@@ -182,29 +185,37 @@ def _realify(value: complex, what: str, n: int) -> float:
     return float(re)
 
 
-def _pair_from_orders(ctx: SolveContext, n: int, S1_n: np.ndarray, S1_n1: np.ndarray):
-    h1_n = ctx.aux(n).h1
-    h1_n1 = ctx.aux(n + 1).h1
-    a_c = S1_n[0, 0] - S1_n1[0, 0] - h1_n + h1_n1 - ctx.green.g1
+def _pair(g1: complex, n: int, lo, hi) -> tuple:
+    """(a_n, b_n, residual, rcond, circles_used) of pair n from what _forward
+    keeps of the solves for n (lo) and n + 1 (hi): (first_order, h1, residual
+    report, circles kept), or the error the solve failed with, which is
+    raised."""
+    for solve in (lo, hi):
+        if isinstance(solve, Exception):
+            raise solve
+    (S1_n, h1_n, report_n, circles), (S1_n1, h1_n1, report_n1, _) = lo, hi
+    a_c = S1_n[0, 0] - S1_n1[0, 0] - h1_n + h1_n1 - g1
     prod = S1_n1[0, 1] * S1_n1[1, 0]
     if prod.real <= 0.0:
         raise SolverError(
             f"b_{n} radicand {prod:.3e} is not positive; increase the resolution")
     b_c = np.sqrt(prod)
-    return _realify(a_c, "a", n), _realify(b_c, "b", n)
+    return (_realify(a_c, "a", n), _realify(b_c, "b", n),
+            max(report_n.off_collocation, report_n1.off_collocation),
+            min(report_n.rcond, report_n1.rcond), circles)
 
 
 def recurrence_range(spec: WeightSpec, n0: int, n1: int, *,
                      context: SolveContext | None = None) -> JacobiSegment:
-    """Pairs (a_n, b_n) for n0 <= n <= n1; one solve per index, shared between
-    neighbors, the solves for n0..n1+1 asked of the context up front, which
-    makes them in blocks (SolveContext.solve).  n0 and n1 are non-negative
-    integers (DomainError otherwise).  Numerical failures of one index are
-    recorded as (n, message) in meta["failures"] and the computation
-    continues; a failed index does not change the others in its block.  A
-    context must be built for spec (DomainError otherwise); its contours fix
-    the resolution, meta["ppi"].  Without one a new one at DEFAULT_PPI is
-    used.
+    """Pairs (a_n, b_n) for n0 <= n <= n1; one solve per index, made once,
+    shared between neighbors and dropped once both its pairs are formed
+    (_forward), so the call holds one block of solves and the output arrays.
+    n0 and n1 are non-negative integers (DomainError otherwise).  Numerical
+    failures of one index are recorded as (n, message) in meta["failures"]
+    and the computation continues; a failed index does not change the others
+    in its block.  A context must be built for spec (DomainError otherwise);
+    its contours fix the resolution, meta["ppi"].  Without one a new one at
+    DEFAULT_PPI is used.
 
     Per-index arrays in meta, NaN (or -1 for counts) where the pair failed:
     residuals, the larger off-collocation residual of the pair's two solves;
@@ -230,41 +241,51 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, *,
     _check_index(n1, "n1")
     if n0 > n1:
         raise DomainError(f"need 0 <= n0 <= n1, got ({n0}, {n1})")
-    ctx = _context(spec, context)
+    return _forward(_context(spec, context), n0, n1)[0]
+
+
+def _forward(ctx: SolveContext, n0: int, n1: int, z: complex = 0j, at=range(0)) -> tuple:
+    """(segment, reads) from one forward pass over ctx.solve(range(n0, n1 +
+    2)): segment holds the pairs n0 <= n <= n1 as recurrence_range returns
+    them (n1 = n0 - 1 for none), and reads, for each index of the range at,
+    its AuxData and the (1, 2) entries at z of its solve and of its
+    first_order.  Pair n is formed as soon as the solve for n + 1 arrives;
+    of the solve for n only first_order, h1, the residual report and the
+    circles kept stay until then, and of the solves of at only their reads.
+    With at, SolverError after the pass if a pair failed, and otherwise the
+    error of a solve of at that failed."""
     t_start = time.perf_counter()
     count = n1 - n0 + 1
-    a = np.full(count, np.nan)
-    b = np.full(count, np.nan)
-    residuals = np.full(count, np.nan)
-    rcond = np.full(count, np.nan)
+    a, b, residuals, rcond, circle_deviation = (np.full(count, np.nan) for _ in range(5))
     circles_used = np.full(count, -1)
-    circle_deviation = np.full(count, np.nan)
-    failures = []
-    orders: dict = {}
+    failures, reads = [], []
     stages_before = dict(ctx.stages)
-
-    try:
-        ctx.solve(range(n0, n1 + 2))
-    except (RHJacobiError, np.linalg.LinAlgError, FloatingPointError):
-        pass  # a block failed as a whole: each index below is solved alone
-
-    def order_of(n):
-        if n not in orders:
-            orders[n] = first_order(ctx.solution(n))
-        return orders[n]
-
-    for i, n in enumerate(range(n0, n1 + 1)):
-        try:
-            circle_deviation[i] = ctx.solution(n).residual.circle_deviation
-            a[i], b[i] = _pair_from_orders(ctx, n, order_of(n), order_of(n + 1))
-            pair = (ctx.solution(n), ctx.solution(n + 1))
-            residuals[i] = max(s.residual.off_collocation for s in pair)
-            rcond[i] = min(s.residual.rcond for s in pair)
-            circles_used[i] = len(pair[0].circle_coeffs)
-        except (RHJacobiError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            failures.append((n, str(exc)))
-            if np.isnan(circle_deviation[i]):  # the solve for n failed
-                circle_deviation[i] = getattr(exc, "circle_deviation", np.nan)
+    prev = None
+    for n, aux, outcome in ctx.solve(range(n0, n1 + 2)):
+        solved = isinstance(outcome, RHSolution)
+        i = n - n0
+        if i < count:  # from the solve's report, or from the error it failed with
+            circle_deviation[i] = getattr(outcome.residual if solved else outcome,
+                                          "circle_deviation", np.nan)
+        if solved:
+            order = first_order(outcome)
+            if n in at:
+                reads.append((aux, outcome.eval(z)[0, 1], order[0, 1]))
+            outcome = (order, aux.h1, outcome.residual, len(outcome.circle_coeffs))
+        elif n in at:
+            reads.append(outcome)
+        if i > 0:
+            try:
+                a[i - 1], b[i - 1], residuals[i - 1], rcond[i - 1], circles_used[i - 1] = \
+                    _pair(ctx.green.g1, n - 1, prev, outcome)
+            except (RHJacobiError, np.linalg.LinAlgError, FloatingPointError) as exc:
+                failures.append((n - 1, str(exc)))
+        prev = outcome
+    if at and failures:
+        raise SolverError(f"coefficient computation failed: {failures}")
+    for read in reads:
+        if isinstance(read, Exception):
+            raise read
     meta = {
         "method": "rh",
         "ppi": ctx.contours.ppi,
@@ -277,7 +298,7 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, *,
         "failures": failures,
         "stages": {stage: ctx.stages[stage] - stages_before[stage] for stage in STAGES},
     }
-    return JacobiSegment(n0=n0, n1=n1, a=a, b=b, meta=meta)
+    return JacobiSegment(n0=n0, n1=n1, a=a, b=b, meta=meta), reads
 
 
 def cauchy_pn(spec: WeightSpec, n: int, z, *,
@@ -286,58 +307,55 @@ def cauchy_pn(spec: WeightSpec, n: int, z, *,
 
     The polynomials are orthonormal for the unit-mass normalization of the
     weight with p_0 = 1; the transform integrates against the raw weight.
-    n is a non-negative integer and z finite (DomainError otherwise); b_0..
-    b_{n-1} come from recurrence_range on the context, and a failed pair among
-    them raises SolverError.  One _cauchy_at call, which evaluates the solve
-    for n alone.  context as in recurrence_range.
+    n is a non-negative integer and z finite (DomainError otherwise).  One
+    forward pass (_forward) solves n = 0..n once each, forms b_0..b_{n-1},
+    and reads the solve for n at z before it is dropped; a failed pair among
+    them raises SolverError, and a failed solve for n = 0 the error it failed
+    with.  context as in recurrence_range.
     """
     _check_index(n, "n")
     zc = complex(z)
     if not np.isfinite(zc):
         raise DomainError(f"evaluation point {zc} is not finite")
     ctx = _context(spec, context)
-    b = _first_pairs(spec, n, ctx).b if n > 0 else np.empty(0)
-    return complex(_cauchy_at(ctx, np.array([n]), zc, b)[0][0])
+    segment, reads = _forward(ctx, 0, n - 1, zc, range(n, n + 1))
+    return complex(_cauchy_at(ctx, reads, zc, segment.b)[0][0])
 
 
-def _first_pairs(spec: WeightSpec, count: int, ctx: SolveContext) -> JacobiSegment:
-    """recurrence_range for n = 0..count - 1 on ctx; SolverError if any pair
-    failed."""
-    seg = recurrence_range(spec, 0, count - 1, context=ctx)
-    if seg.meta["failures"]:
-        raise SolverError(f"coefficient computation failed: {seg.meta['failures']}")
-    return seg
-
-
-def _cauchy_at(ctx: SolveContext, ns: np.ndarray, z: complex, b: np.ndarray) -> tuple:
-    """(C[p_n w](z) for each index n of the integer array ns, and g(z)); b
-    holds b_0..b_{max(ns) - 1}.  C[p_n w](z) is the (1, 2) entry of the solve
-    for n times exp(h_n(z) - n g(z)) / prod_{k < n} b_k c.  g and the h basis
-    at z are made once for every n, h_n for all of ns in one combine_h, and
-    the product as a running sum of log(b_k c); only the solves for ns are
-    evaluated.  A PrecisionWarning when z is within 1e-8 of the support.
+def _cauchy_at(ctx: SolveContext, reads: list, z: complex, b: np.ndarray) -> tuple:
+    """(C[p_n w](z) for the index n of each of _forward's reads at z, and
+    g(z)); b holds b_0..b_{max n - 1}.  C[p_n w](z) is the (1, 2) entry of
+    the solve for n times exp(h_n(z) - n g(z)) / prod_{k < n} b_k c.  g and
+    the h basis at z are made once for every n, h_n for all of them in one
+    combine_h, and the product as a running sum of log(b_k c).  A
+    PrecisionWarning when z is within 1e-8 of the support.
     """
     for band in ctx.spec.bands:
         if abs(z.imag) < 1e-8 and band.a - 1e-8 <= z.real <= band.b + 1e-8:
             warnings.warn(f"evaluation point {z} is within 1e-8 of the support",
                           PrecisionWarning, stacklevel=3)
+    auxes, s12, _ = zip(*reads)
+    ns = np.array([aux.n for aux in auxes])
     zz = np.array([z], dtype=complex)
     R, transforms = h_basis(ctx.green, zz)
     g = complex(eval_g(ctx.green, zz)[0])
-    h = combine_h(np.array([h_weights(ctx.aux(n)) for n in ns]), R, transforms)[:, 0]
+    h = combine_h(np.array([h_weights(aux) for aux in auxes]), R, transforms)[:, 0]
     log_b = np.concatenate([[0.0], np.cumsum(np.log(b * ctx.green.cap_const))])
-    s12 = np.array([ctx.solution(n).eval(z)[0, 1] for n in ns])
-    return s12 * np.exp(h - ns * g - log_b[ns]), g
+    return np.array(s12) * np.exp(h - ns * g - log_b[ns]), g
 
 
-def toda_evolve(spec0: WeightSpec, k: int, times, ppi: int = DEFAULT_PPI) -> TodaTrajectory:
+def toda_evolve(spec0: WeightSpec, k: int, times, *,
+                context: SolveContext | None = None) -> TodaTrajectory:
     """First k coefficient pairs of the weight scaled by exp(t x), per time;
     times is one time or a 1-d sequence of them (DomainError otherwise).
 
     The Green's function, moment system, and contours depend only on the bands
-    and are computed once; only the jump data and solves are per-time.  A time
-    whose circle-jump deviation at n = 0 exceeds JUMP_MAGNITUDE_HORIZON is
-    recorded in warnings_ and raises a PrecisionWarning.
+    and are computed once, in context (as in recurrence_range, built for
+    spec0); each time's pairs come from recurrence_range on
+    context.with_jump_spec(spec0.with_exp_factor(t)), so only the jump data
+    and solves are per-time.  A time whose circle-jump deviation at n = 0
+    exceeds JUMP_MAGNITUDE_HORIZON is recorded in warnings_ and raises a
+    PrecisionWarning.
     """
     _check_index(k, "k")
     if k < 1:
@@ -345,7 +363,7 @@ def toda_evolve(spec0: WeightSpec, k: int, times, ppi: int = DEFAULT_PPI) -> Tod
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.ndim > 1 or not np.all(np.isfinite(times)):
         raise DomainError(f"times must be finite and at most 1-d, got shape {times.shape}")
-    base = SolveContext(spec0, ppi)
+    base = _context(spec0, context)
     segments = []
     warns = []
     for t in times:
@@ -394,12 +412,15 @@ def recip_approx(spec: WeightSpec, n_terms: int, *,
                  context: SolveContext | None = None) -> RecipApproximation:
     """Coefficients and partial-sum errors of the expansion of 1/x on the
     support, the errors taken on a grid of step 0.01 over each band; context
-    as in recurrence_range.  0 may lie inside a deformation disk: the circle
-    jumps, unit lower-triangular, leave the (1, 2) entry that _cauchy_at
-    reads unchanged.  Every term's transform at 0 comes from one _cauchy_at
-    call, which makes g and the h basis at 0 once.  The weight's mass eta is
-    -2 pi i times the 1/z coefficient of the (1, 2) entry of the solve for
-    n = 0, whose transform C[w](z) ~ -eta / (2 pi i z)."""
+    as in recurrence_range.  One forward pass (_forward) solves n = 0..n_terms
+    once each, forms the pairs 0..n_terms - 1 and reads the solves for
+    0..n_terms - 1 at 0 before they are dropped; a failed pair raises
+    SolverError.  0 may lie inside a deformation disk: the circle jumps, unit
+    lower-triangular, leave the (1, 2) entry that is read unchanged.  Every
+    term's transform at 0 comes from one _cauchy_at call, which makes g and
+    the h basis at 0 once.  The weight's mass eta is -2 pi i times the 1/z
+    coefficient of the (1, 2) entry of the solve for n = 0, whose transform
+    C[w](z) ~ -eta / (2 pi i z)."""
     _check_index(n_terms, "n_terms")
     if n_terms < 1:
         raise DomainError("need at least one term")
@@ -409,9 +430,9 @@ def recip_approx(spec: WeightSpec, n_terms: int, *,
     ctx = _context(spec, context)
     grid = np.concatenate([np.arange(b.a, b.b + 1e-12, 0.01) for b in spec.bands])
 
-    segment = _first_pairs(spec, n_terms, ctx)
-    eta = _realify(-2j * np.pi * first_order(ctx.solution(0))[0, 1], "eta", 0)
-    values, g0 = _cauchy_at(ctx, np.arange(n_terms), 0j, segment.b)
+    segment, reads = _forward(ctx, 0, n_terms - 1, 0j, range(n_terms))
+    eta = _realify(-2j * np.pi * reads[0][2], "eta", 0)
+    values, g0 = _cauchy_at(ctx, reads, 0j, segment.b)
     coeffs = np.array([_realify(2j * np.pi * c / eta, "recip coefficient", j)
                        for j, c in enumerate(values)])
     partial = np.cumsum(coeffs[:, None] * orthonormal_eval(segment, n_terms, grid), axis=0)

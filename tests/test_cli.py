@@ -263,3 +263,22 @@ def test_failed_index_row_exits_2(two_band, capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1:3] == [f"{n},,,{message}" for n in (0, 1)]
     assert lines[3].startswith("2,") and len(lines[3].split(",")) == 4
+
+
+def test_recip_failed_index_exits_2(two_band, capsys, monkeypatch):
+    # index 1's circle entry is not finite, so its solve fails, and so do the
+    # pairs 0 and 1, which read it: no table, and the message on stderr
+    original = JumpAssembly.circle_entry
+
+    def poisoned(self, j, z):
+        out = original(self, j, z)
+        out[self.ns == 1] = np.nan
+        return out
+
+    monkeypatch.setattr(JumpAssembly, "circle_entry", poisoned)
+    assert main(["recip", two_band, "--nmax", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = "collocation solution is not finite"
+    assert captured.err == (f"error: coefficient computation failed: "
+                            f"[(0, '{message}'), (1, '{message}')]\n")

@@ -1,11 +1,13 @@
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from oracles import weight_integral
 from rhjacobi import cauchy, pipeline, rhp
+from rhjacobi.auxiliary import solve_aux
 from rhjacobi.cauchy import cauchy_cheb
 from rhjacobi.chebyshev import SQRT2, ChebKind, UNIT
 from rhjacobi.errors import DomainError, ImagPartWarning, PrecisionWarning, SolverError
@@ -49,7 +51,7 @@ class TestRecurrencePair:
         lambda spec, ctx: ctx.solve([3, 4.0]),
         lambda spec, ctx: recurrence_range(spec, 0, 2.0, context=ctx),
         lambda spec, ctx: recurrence_range(spec, False, True, context=ctx),
-        lambda spec, ctx: toda_evolve(spec, 2.5, [0.0], 8),
+        lambda spec, ctx: toda_evolve(spec, 2.5, [0.0], context=ctx),
         lambda spec, ctx: recip_approx(spec, 2.5, context=ctx),
         lambda spec, ctx: cauchy_pn(spec, 1.5, 0.5j, context=ctx),
         lambda spec, ctx: cauchy_pn(spec, 1, np.nan, context=ctx),
@@ -58,14 +60,23 @@ class TestRecurrencePair:
     ], ids=["cauchy_pn n=-1", "solution n=-1", "solve n=4.0", "n1=2.0", "bool n0, n1",
             "toda k=2.5", "recip n_terms=2.5", "cauchy_pn n=1.5", "z=nan", "z=inf",
             "z=0.5-inf j"])
-    def test_bad_index_or_point_rejected(self, spec_two_band, call):
+    def test_bad_index_or_point_rejected(self, spec_two_band, call, count_calls):
         # a negative index used to solve a meaningless problem, a float one
         # raised TypeError from range, a bool was taken for 0 or 1, and a
         # non-finite z returned nan+nanj with RuntimeWarnings
         ctx = SolveContext(spec_two_band, 8)
+        solves = count_calls(rhp.solve_matrix_rhp)
         with pytest.raises(DomainError):
             call(spec_two_band, ctx)
-        assert ctx._solutions == {}
+        assert solves == []
+
+    def test_indices_from_a_generator_solved(self, spec_two_band, count_calls):
+        # the index check must not use up a one-shot iterable
+        ctx = SolveContext(spec_two_band, 8)
+        solves = count_calls(rhp.solve_matrix_rhp)
+        got = [n for n, _, _ in ctx.solve(n for n in range(5))]
+        assert got == [0, 1, 2, 3, 4]
+        assert [list(args[2].ns) for args in solves] == [[0, 1, 2, 3, 4]]
 
 
 class TestRecurrenceRange:
@@ -111,7 +122,8 @@ class TestRecurrenceRange:
     def test_circle_deviation_recorded(self, spec_two_band, ctx_two_band):
         seg = recurrence_range(spec_two_band, 18, 20, context=ctx_two_band)
         for i, n in enumerate(seg.ns):
-            jumps = JumpAssembly([ctx_two_band.aux(n)], ctx_two_band.jump_values)
+            jumps = JumpAssembly([solve_aux(ctx_two_band.hsys, ctx_two_band.green, n)],
+                                 ctx_two_band.jump_values)
             dev = max(np.max(np.abs(jumps.circle_jump(j, c.nodes())[0, :, 1, 0]))
                       for j, c in enumerate(ctx_two_band.contours.circles))
             assert seg.meta["circle_deviation"][i] == dev
@@ -170,19 +182,18 @@ class TestBlocks:
         assert block_size(blocks.contours) >= len(ns)
         monkeypatch.setattr(pipeline, "BLOCK_BYTES", BLOCK_BYTES // 4)
         calls = count_calls(rhp.solve_matrix_rhp)
-        blocks.solve(ns)
+        in_blocks = {n: sol for n, _, sol in blocks.solve(ns)}
         size = block_size(blocks.contours)
         assert [len(args[2].ns) for args in calls] == [min(size, len(ns) - start)
                                                       for start in range(0, len(ns), size)]
         assert 1 < size < len(ns)
-        shifted.solve(ns[3:])
-        shifted.solve(ns[:3])
+        in_shifted = {n: sol for part in (ns[3:], ns[:3]) for n, _, sol in shifted.solve(part)}
         used = set()
         for n in ns:
             want = alone.solution(n)
             used.add(len(want.circle_coeffs))
-            for ctx in (blocks, shifted):
-                _assert_same_solution(ctx.solution(n), want)
+            for got in (in_blocks, in_shifted):
+                _assert_same_solution(got[n], want)
         assert used >= ({0, 1, 2} if workload == "two bands while circles drop" else {4})
 
     @pytest.mark.parametrize("poison,message", [
@@ -269,8 +280,8 @@ class TestBlocks:
 
     def test_memory_flat_over_first_1000(self, spec_two_band):
         # unchunked, the stacked band systems of the 1001 solves alone would
-        # take 1001 x 64 KiB = 66 MB; chunked, the peak is the cache of
-        # solutions (about 5.6 MB) plus one block
+        # take 1001 x 64 KiB = 66 MB; solved in blocks and dropped once used,
+        # the peak is the context's per-geometry tables plus one block
         ctx = SolveContext(spec_two_band)
         tracemalloc.start()
         try:
@@ -279,7 +290,42 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert not seg.meta["failures"]
-        assert peak < 16e6
+        assert peak < 4e6  # 3.0 MB measured
+
+
+class TestSolveOnce:
+    @pytest.mark.parametrize("entry,expected", [
+        ("recurrence_range", list(range(3, 11))),
+        ("recip_approx", list(range(7))),
+        ("cauchy_pn", list(range(6))),
+        ("toda_evolve", sorted(list(range(4)) * 2)),
+    ])
+    def test_each_index_solved_once_and_dropped(self, spec_two_band, count_calls, monkeypatch,
+                                                 entry, expected):
+        # n1 - n0 + 2 indices for recurrence_range(3, 9), N + 1 for
+        # recip_approx(6), n + 1 for cauchy_pn(5) and (k + 1) per time for
+        # toda_evolve(k = 3, two times); no solution outlives the call
+        ctx = SolveContext(spec_two_band, 8)
+        calls = count_calls(rhp.solve_matrix_rhp)
+        counting = pipeline.solve_matrix_rhp
+        made = []
+
+        def recording(*args):
+            block = counting(*args)
+            made.extend(weakref.ref(sol) for sol in block.solutions.values()
+                        if isinstance(sol, rhp.RHSolution))
+            return block
+
+        monkeypatch.setattr(pipeline, "solve_matrix_rhp", recording)
+        run = {"recurrence_range": lambda: recurrence_range(spec_two_band, 3, 9, context=ctx),
+               "recip_approx": lambda: recip_approx(spec_two_band, 6, context=ctx),
+               "cauchy_pn": lambda: cauchy_pn(spec_two_band, 5, 0.5j, context=ctx),
+               "toda_evolve": lambda: toda_evolve(spec_two_band, 3, [0.0, 0.5], context=ctx)}
+        out = run[entry]()
+        assert sorted(n for args in calls for n in args[2].ns.tolist()) == expected
+        assert len(made) == len(expected)
+        # out and ctx are still alive here
+        assert out is not None and [ref for ref in made if ref() is not None] == []
 
 
 class TestSharedOperator:
@@ -427,7 +473,7 @@ class TestToda:
         ctx = SolveContext(spec_u, 8)
         scaled = ctx.with_jump_spec(spec_u.with_exp_factor(0.5))
         assert scaled.green is ctx.green and scaled.contours is ctx.contours
-        assert scaled.aux(3) is ctx.aux(3)
+        assert scaled.hsys is ctx.hsys
         assert scaled.jump_values.spec is not ctx.jump_values.spec
         assert scaled.solution(1) is not ctx.solution(1)
         # the contours and g belong to the context's bands, the operator to its kinds
@@ -436,13 +482,13 @@ class TestToda:
                 ctx.with_jump_spec(other)
 
     def test_t0_identical_to_static(self, spec_u, ctx_u):
-        traj = toda_evolve(spec_u, 5, [0.0], 16)
+        traj = toda_evolve(spec_u, 5, [0.0], context=SolveContext(spec_u, 16))
         seg = recurrence_range(spec_u, 0, 4, context=SolveContext(spec_u, 16))
         np.testing.assert_array_equal(traj.segments[0].a, seg.a)
         np.testing.assert_array_equal(traj.segments[0].b, seg.b)
 
     def test_matches_scaled_oracle(self, spec_u):
-        traj = toda_evolve(spec_u, 6, [0.5, 2.0], 20)
+        traj = toda_evolve(spec_u, 6, [0.5, 2.0], context=SolveContext(spec_u, 20))
         for t, seg in zip(traj.times, traj.segments):
             ref = adaptive_oracle(spec_u.with_exp_factor(t), 6, 1e-12)
             np.testing.assert_allclose(seg.a, ref.a, atol=1e-9)
@@ -451,7 +497,8 @@ class TestToda:
     def test_halfspeed_flow_identities(self, spec_u):
         # d/dt of J(w e^{tx}) equals half the tridiagonal commutator flow
         dt = 1e-4
-        traj = toda_evolve(spec_u, 8, [1.0 - dt, 1.0, 1.0 + dt], 20)
+        traj = toda_evolve(spec_u, 8, [1.0 - dt, 1.0, 1.0 + dt],
+                           context=SolveContext(spec_u, 20))
         am, a0, ap = (s.a for s in traj.segments)
         bm, b0, bp = (s.b for s in traj.segments)
         adot = (ap - am) / (2 * dt)
@@ -461,20 +508,22 @@ class TestToda:
         np.testing.assert_allclose(bdot[:-1], 0.5 * b0[:-1] * (a0[1:] - a0[:-1]), atol=1e-6)
 
     def test_scalar_time_is_one_time(self, spec_u):
-        one, seq = toda_evolve(spec_u, 2, 0.5, 8), toda_evolve(spec_u, 2, [0.5], 8)
+        ctx = SolveContext(spec_u, 8)
+        one = toda_evolve(spec_u, 2, 0.5, context=ctx)
+        seq = toda_evolve(spec_u, 2, [0.5], context=ctx)
         assert one.times.shape == (1,) and len(one.segments) == 1
         np.testing.assert_array_equal(one.segments[0].a, seq.segments[0].a)
         np.testing.assert_array_equal(one.segments[0].b, seq.segments[0].b)
         with pytest.raises(DomainError):
-            toda_evolve(spec_u, 2, [[0.5, 1.0]], 8)
+            toda_evolve(spec_u, 2, [[0.5, 1.0]], context=ctx)
 
     def test_no_pairs_rejected(self, spec_u):
         with pytest.raises(DomainError, match="at least one coefficient pair"):
-            toda_evolve(spec_u, 0, [0.0], 8)
+            toda_evolve(spec_u, 0, [0.0], context=SolveContext(spec_u, 8))
 
     def test_horizon_warning(self, spec_u):
         with pytest.warns(PrecisionWarning):
-            toda_evolve(spec_u, 2, [15.0], 20)
+            toda_evolve(spec_u, 2, [15.0], context=SolveContext(spec_u, 20))
 
     def test_overflowing_jumps_recorded_as_failures(self, spec_two_band):
         # at t = 200 the solves overflow: both pairs fail, none is NaN, and the
@@ -495,7 +544,7 @@ class TestToda:
         import warnings as _w
         with _w.catch_warnings():
             _w.simplefilter("error", PrecisionWarning)
-            toda_evolve(spec_u, 2, [2.0], 20)
+            toda_evolve(spec_u, 2, [2.0], context=SolveContext(spec_u, 20))
 
 
 class TestRecip:

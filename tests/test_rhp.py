@@ -13,6 +13,11 @@ from rhjacobi.rhp import (JumpAssembly, JumpValues, _circle_table, build_contour
 from rhjacobi.weights import HPoly, HRational, WeightSpec, h_from_config
 
 
+def _aux(ctx, n):
+    """The auxiliary data of index n on ctx's geometry."""
+    return solve_aux(ctx.hsys, ctx.green, n)
+
+
 class TestBuildContours:
     def test_single_interval_default(self, spec_u):
         ct = build_contours(spec_u, 16)
@@ -192,7 +197,7 @@ class TestMatrixSolve:
     def test_dropped_circles_still_checked(self, ctx_two_band, spec_two_band):
         # every circle is dropped (identity at its nodes), yet the residual at
         # the test nodes between them must see the 0.1 jump entry
-        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, [ctx_two_band.aux(300)],
+        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, [_aux(ctx_two_band, 300)],
                                      ctx_two_band.jump_values)
         with pytest.warns(ResidualWarning):
             sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[300]
@@ -225,8 +230,8 @@ class TestMatrixSolve:
         # circle_jump is the unit lower-triangular view of v: a jump with an
         # upper entry cannot be expressed, and one patched into circle_jump
         # never reaches the solve
-        clean = JumpAssembly([ctx_two_band.aux(3)], ctx_two_band.jump_values)
-        jumps = _UpperEntryOnCircles([ctx_two_band.aux(3)], ctx_two_band.jump_values)
+        clean = JumpAssembly([_aux(ctx_two_band, 3)], ctx_two_band.jump_values)
+        jumps = _UpperEntryOnCircles([_aux(ctx_two_band, 3)], ctx_two_band.jump_values)
         z = ctx_two_band.contours.circles[0].nodes()
         F = clean.circle_jump(0, z)
         assert np.all(F[..., 0, 0] == 1.0) and np.all(F[..., 1, 1] == 1.0)
@@ -244,7 +249,7 @@ class TestMatrixSolve:
         # v off by 0.1 at one upper test node, on a kept (n = 3) and on a
         # dropped circle (n = 300): the residual sees it, never a success
         for n, kept in ((3, 2), (300, 0)):
-            jumps = _PoisonedAtATestNode(ctx_two_band.contours, [ctx_two_band.aux(n)],
+            jumps = _PoisonedAtATestNode(ctx_two_band.contours, [_aux(ctx_two_band, n)],
                                          ctx_two_band.jump_values)
             with pytest.warns(ResidualWarning, match=f"n={n}"):
                 sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[n]
@@ -254,7 +259,7 @@ class TestMatrixSolve:
 
 class TestJumpAssembly:
     def test_band_jump_involution(self, ctx_two_band, spec_two_band):
-        jumps = JumpAssembly([ctx_two_band.aux(3)], ctx_two_band.jump_values)
+        jumps = JumpAssembly([_aux(ctx_two_band, 3)], ctx_two_band.jump_values)
         # [[0, F_01], [F_10, 0]] has determinant -F_01 F_10 = 1, and for a
         # real weight F_10 is real
         x = np.linspace(2.1, 2.9, 7)
@@ -263,7 +268,7 @@ class TestJumpAssembly:
         assert np.all(F10.imag == 0.0)
 
     def test_circle_jump_structure(self, ctx_two_band, spec_two_band):
-        jumps = JumpAssembly([ctx_two_band.aux(3)], ctx_two_band.jump_values)
+        jumps = JumpAssembly([_aux(ctx_two_band, 3)], ctx_two_band.jump_values)
         z = ctx_two_band.contours.circles[0].nodes()
         F = jumps.circle_jump(0, z)[0]
         np.testing.assert_allclose(F[:, 0, 0], 1.0, atol=1e-15)
@@ -273,7 +278,7 @@ class TestJumpAssembly:
 
     def test_circle_jump_decays_in_n(self, ctx_u, spec_u):
         z = ctx_u.contours.circles[0].nodes()
-        jumps = JumpAssembly([ctx_u.aux(n) for n in range(8, 20)], ctx_u.jump_values)
+        jumps = JumpAssembly([_aux(ctx_u, n) for n in range(8, 20)], ctx_u.jump_values)
         devs = np.max(np.abs(jumps.circle_jump(0, z)[..., 1, 0]), axis=1)
         assert all(b < a for a, b in zip(devs, devs[1:]))
 
@@ -334,7 +339,7 @@ class TestCircleTables:
         # once
         calls = count_calls(auxiliary.h_basis)
         g_calls = count_calls(green.eval_g)
-        range_calls = count_calls(pipeline.recurrence_range)
+        passes = count_calls(pipeline._forward)
         evals = []
         original = rhp.RHSolution.eval
 
@@ -347,7 +352,7 @@ class TestCircleTables:
         assert len(approx.coeffs) == 12
         assert sum(np.all(np.atleast_1d(args[1]) == 0.0) for args in calls) == 1
         assert sum(np.all(np.atleast_1d(args[1]) == 0.0) for args in g_calls) == 1
-        assert len(range_calls) == 1
+        assert len(passes) == 1
         assert evals == [0.0] * 12
 
 
@@ -452,7 +457,7 @@ class TestColdPath:
     def test_toda_times_share_g_at_the_circles(self, spec_two_band, count_calls):
         # build_green's own call, at the leftmost endpoint, is not at the circles
         g_calls = count_calls(green.eval_g)
-        toda_evolve(spec_two_band, 3, [0.0, 0.5, 1.0], 8)
+        toda_evolve(spec_two_band, 3, [0.0, 0.5, 1.0], context=SolveContext(spec_two_band, 8))
         assert sum(isinstance(args[1], cauchy.CutGeometry) for args in g_calls) == 1
 
     @pytest.mark.parametrize("spec_name", ["spec_two_band", "spec_genus3"])
@@ -545,7 +550,7 @@ class TestOneSidedResidual:
         op = _operator(ctx)
         for j, circ in enumerate(ctx.contours.circles):
             n = circ.n_points
-            jump = JumpAssembly([ctx.aux(0)], ctx.jump_values).circle_jump(j, circ.nodes())
+            jump = JumpAssembly([_aux(ctx, 0)], ctx.jump_values).circle_jump(j, circ.nodes())
             # and a random jump entry of the symmetric form, -conj of the
             # upper one at the mirror node, imaginary on the axis
             upper = rng.standard_normal(n // 2 + 1) + 1j * rng.standard_normal(n // 2 + 1)
@@ -566,7 +571,7 @@ class TestOneSidedResidual:
         for n in range(9):
             sol = ctx.solution(n)
             assert len(sol.circle_coeffs) == 4
-            jumps = JumpAssembly([ctx.aux(n)], ctx.jump_values)
+            jumps = JumpAssembly([_aux(ctx, n)], ctx.jump_values)
             want = _two_sided_residual(sol, ctx.contours, jumps)
             assert abs(sol.residual.off_collocation - want) <= 1e-13
 
@@ -575,13 +580,13 @@ class TestOneSidedResidual:
         for n in range(50, 86):
             sol = ctx_two_band.solution(n)
             used.add(len(sol.circle_coeffs))
-            jumps = JumpAssembly([ctx_two_band.aux(n)], ctx_two_band.jump_values)
+            jumps = JumpAssembly([_aux(ctx_two_band, n)], ctx_two_band.jump_values)
             want = _two_sided_residual(sol, ctx_two_band.contours, jumps)
             assert abs(sol.residual.off_collocation - want) <= 1e-13
         assert used == {0, 1, 2}
 
     def test_dropped_circles(self, ctx_two_band, spec_two_band):
-        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, [ctx_two_band.aux(300)],
+        jumps = _IdentityAtNodesOnly(ctx_two_band.contours, [_aux(ctx_two_band, 300)],
                                      ctx_two_band.jump_values)
         with pytest.warns(ResidualWarning):
             sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[300]
@@ -626,7 +631,7 @@ class TestLU:
 class TestExponentialScreen:
     def test_matches_unscreened_exponential(self, spec_two_band):
         ctx = SolveContext(spec_two_band)
-        auxes = [ctx.aux(n) for n in range(1000, 1012)]
+        auxes = [_aux(ctx, n) for n in range(1000, 1012)]
         jumps = JumpAssembly(auxes, ctx.jump_values)
         weights = np.array([h_weights(aux) for aux in auxes])
         for j, z in enumerate(_operator(ctx).circle_points):
@@ -645,7 +650,7 @@ class TestExponentialScreen:
         ns = list(range(1000, 1012))
         ctx = SolveContext(spec_two_band)
         clean = solve_matrix_rhp(spec_two_band, ctx.contours,
-                                 JumpAssembly([ctx.aux(n) for n in ns], ctx.jump_values))
+                                 JumpAssembly([_aux(ctx, n) for n in ns], ctx.jump_values))
 
         class PoisonedG:
             def circle(self, j, z):
@@ -659,7 +664,7 @@ class TestExponentialScreen:
                 return ctx.jump_values.band_weight(j, x)
 
         block = solve_matrix_rhp(spec_two_band, ctx.contours,
-                                 JumpAssembly([ctx.aux(n) for n in ns], PoisonedG()))
+                                 JumpAssembly([_aux(ctx, n) for n in ns], PoisonedG()))
         failed = block.solutions[1005]
         assert isinstance(failed, SolverError) and "not finite" in str(failed)
         for n in ns:
@@ -742,7 +747,7 @@ class TestRealSolve:
         op = _operator(ctx)
         solves = []
         for n in ns:
-            jumps = JumpAssembly([ctx.aux(n)], ctx.jump_values)
+            jumps = JumpAssembly([_aux(ctx, n)], ctx.jump_values)
             F = np.concatenate([_band_matrices(jumps, q, x) for q, x in enumerate(op.band_nodes)])
             v = [jumps.circle_entry(j, c.nodes())[0] for j, c in enumerate(op.circles)]
             solves.append((n, ctx.solution(n), F, v))
@@ -831,7 +836,7 @@ class TestRealSolve:
 
         for entry, shift in ((0, 0.1), (1, 0.1j)):
             for n, _, _, _ in solves:
-                jumps = OffItsForm([ctx.aux(n)], ctx.jump_values)
+                jumps = OffItsForm([_aux(ctx, n)], ctx.jump_values)
                 jumps.entry, jumps.shift = entry, shift
                 with pytest.warns(ResidualWarning, match=f"n={n}"):
                     sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps)[n]
@@ -898,7 +903,7 @@ class TestSchwarzSymmetry:
         # at small n, where every circle is kept; the exponent's rounding
         # grows with n
         for n in (0, 1, 4):
-            jumps = JumpAssembly([ctx.aux(n)], ctx.jump_values)
+            jumps = JumpAssembly([_aux(ctx, n)], ctx.jump_values)
             for j, circ in enumerate(ctx.contours.circles):
                 m = circ.n_points
                 k = np.arange(m // 2)
@@ -913,7 +918,7 @@ class TestSchwarzSymmetry:
         for n in (1, 4):
             sol = ctx.solution(n)
             want = _two_sided_residual(sol, ctx.contours,
-                                       JumpAssembly([ctx.aux(n)], ctx.jump_values))
+                                       JumpAssembly([_aux(ctx, n)], ctx.jump_values))
             assert abs(sol.residual.off_collocation - want) <= 1e-13
 
     def test_coefficients_match_full_fft(self, ctx):
@@ -923,7 +928,7 @@ class TestSchwarzSymmetry:
         op = _operator(ctx)
         for n in (1, 4):
             sol = ctx.solution(n)
-            jumps = JumpAssembly([ctx.aux(n)], ctx.jump_values)
+            jumps = JumpAssembly([_aux(ctx, n)], ctx.jump_values)
             u_B1 = np.concatenate([c[:, 1, :] for c in sol.band_coeffs], axis=1)
             Xe = np.vstack([u_B1.T, [0.0, 1.0]])
             assert sol.circle_coeffs
@@ -937,7 +942,7 @@ class TestSchwarzSymmetry:
                 assert np.max(np.abs(coeff - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_poisoned_entry_at_an_upper_test_node_warns(self, ctx):
-        jumps = _PoisonedAtATestNode(ctx.contours, [ctx.aux(4)], ctx.jump_values)
+        jumps = _PoisonedAtATestNode(ctx.contours, [_aux(ctx, 4)], ctx.jump_values)
         with pytest.warns(ResidualWarning, match="n=4"):
             sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps)[4]
         assert sol.residual.off_collocation > 1e-3
