@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .auxiliary import build_hsystem, combine_h, h_basis, h_weights, solve_aux_block
+from .cauchy import cauchy_cheb_table
 from .errors import DomainError, ImagPartWarning, PrecisionWarning, RHJacobiError, SolverError
 from .green import build_green, eval_g
 from .rhp import (STAGES, JumpAssembly, JumpValues, RHSolution, build_contours, first_order,
@@ -234,8 +235,8 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, *,
     meta["stages"] holds the seconds this call's block solves spent per stage
     of rhp.STAGES, summed over the blocks ("tables" is the collocation
     operator's build, paid by the first block on a context, and each circle's
-    Laurent tables, paid by the first block with an index that keeps the
-    circle).
+    tables, its coupling operand and its Laurent table at the band test
+    nodes, paid by the first block with an index that keeps the circle).
     """
     _check_index(n0, "n0")
     _check_index(n1, "n1")
@@ -244,16 +245,18 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, *,
     return _forward(_context(spec, context), n0, n1)[0]
 
 
-def _forward(ctx: SolveContext, n0: int, n1: int, z: complex = 0j, at=range(0)) -> tuple:
+def _forward(ctx: SolveContext, n0: int, n1: int, at=range(0)) -> tuple:
     """(segment, reads) from one forward pass over ctx.solve(range(n0, n1 +
     2)): segment holds the pairs n0 <= n <= n1 as recurrence_range returns
     them (n1 = n0 - 1 for none), and reads, for each index of the range at,
-    its AuxData and the (1, 2) entries at z of its solve and of its
-    first_order.  Pair n is formed as soon as the solve for n + 1 arrives;
-    of the solve for n only first_order, h1, the residual report and the
-    circles kept stay until then, and of the solves of at only their reads.
-    With at, SolverError after the pass if a pair failed, and otherwise the
-    error of a solve of at that failed."""
+    its AuxData, row 0 of its solve's column-1 band coefficients (all bands
+    in order: the only density of the (1, 2) entry, a circle's being column
+    0's alone) and the (1, 2) entry of its first_order.  Pair n is formed as
+    soon as the solve for n + 1 arrives; of the solve for n only
+    first_order, h1, the residual report and the circles kept stay until
+    then, and of the solves of at only their reads.  With at, SolverError
+    after the pass if a pair failed, and otherwise the error of a solve of
+    at that failed."""
     t_start = time.perf_counter()
     count = n1 - n0 + 1
     a, b, residuals, rcond, circle_deviation = (np.full(count, np.nan) for _ in range(5))
@@ -270,7 +273,8 @@ def _forward(ctx: SolveContext, n0: int, n1: int, z: complex = 0j, at=range(0)) 
         if solved:
             order = first_order(outcome)
             if n in at:
-                reads.append((aux, outcome.eval(z)[0, 1], order[0, 1]))
+                reads.append((aux, np.concatenate([c[0, 1] for c in outcome.band_coeffs]),
+                              order[0, 1]))
             outcome = (order, aux.h1, outcome.residual, len(outcome.circle_coeffs))
         elif n in at:
             reads.append(outcome)
@@ -309,39 +313,48 @@ def cauchy_pn(spec: WeightSpec, n: int, z, *,
     weight with p_0 = 1; the transform integrates against the raw weight.
     n is a non-negative integer and z finite (DomainError otherwise).  One
     forward pass (_forward) solves n = 0..n once each, forms b_0..b_{n-1},
-    and reads the solve for n at z before it is dropped; a failed pair among
-    them raises SolverError, and a failed solve for n = 0 the error it failed
-    with.  context as in recurrence_range.
+    and keeps of the solve for n what its (1, 2) entry at z reads
+    (_cauchy_at) before it is dropped; a failed pair among them raises
+    SolverError, and a failed solve for n = 0 the error it failed with.
+    context as in recurrence_range.
     """
     _check_index(n, "n")
     zc = complex(z)
     if not np.isfinite(zc):
         raise DomainError(f"evaluation point {zc} is not finite")
     ctx = _context(spec, context)
-    segment, reads = _forward(ctx, 0, n - 1, zc, range(n, n + 1))
+    segment, reads = _forward(ctx, 0, n - 1, range(n, n + 1))
     return complex(_cauchy_at(ctx, reads, zc, segment.b)[0][0])
 
 
 def _cauchy_at(ctx: SolveContext, reads: list, z: complex, b: np.ndarray) -> tuple:
-    """(C[p_n w](z) for the index n of each of _forward's reads at z, and
-    g(z)); b holds b_0..b_{max n - 1}.  C[p_n w](z) is the (1, 2) entry of
-    the solve for n times exp(h_n(z) - n g(z)) / prod_{k < n} b_k c.  g and
-    the h basis at z are made once for every n, h_n for all of them in one
-    combine_h, and the product as a running sum of log(b_k c).  A
+    """(C[p_n w](z) for the index n of each of _forward's reads, and g(z));
+    b holds b_0..b_{max n - 1}.  C[p_n w](z) is the (1, 2) entry at z of the
+    solve for n times exp(h_n(z) - n g(z)) / prod_{k < n} b_k c.  One
+    geometry at z, the bands then the gaps (ContourSet.geometry_at), serves
+    g, the h basis and, through its band rows, one cauchy_cheb_table call for
+    the column-1 kernels of every band at z; every index's (1, 2) entry is
+    one product of those kernels with its band coefficients, h_n for all of
+    them one combine_h and the product a running sum of log(b_k c).  A
     PrecisionWarning when z is within 1e-8 of the support.
     """
     for band in ctx.spec.bands:
         if abs(z.imag) < 1e-8 and band.a - 1e-8 <= z.real <= band.b + 1e-8:
             warnings.warn(f"evaluation point {z} is within 1e-8 of the support",
                           PrecisionWarning, stacklevel=3)
-    auxes, s12, _ = zip(*reads)
+    auxes, coeffs, _ = zip(*reads)
     ns = np.array([aux.n for aux in auxes])
-    zz = np.array([z], dtype=complex)
-    R, transforms = h_basis(ctx.green, zz)
-    g = complex(eval_g(ctx.green, zz)[0])
+    contours = ctx.contours
+    geo = contours.geometry_at(np.array([z], dtype=complex))
+    bands = geo.part(slice(0, len(contours.bands)))
+    kernels = cauchy_cheb_table([kinds[1] for kinds in contours.bases], contours.ppi,
+                                bands.interval, bands)
+    s12 = np.array(coeffs) @ kernels[:, 0].ravel()
+    R, transforms = h_basis(ctx.green, geo)
+    g = complex(eval_g(ctx.green, geo)[0])
     h = combine_h(np.array([h_weights(aux) for aux in auxes]), R, transforms)[:, 0]
     log_b = np.concatenate([[0.0], np.cumsum(np.log(b * ctx.green.cap_const))])
-    return np.array(s12) * np.exp(h - ns * g - log_b[ns]), g
+    return s12 * np.exp(h - ns * g - log_b[ns]), g
 
 
 def toda_evolve(spec0: WeightSpec, k: int, times, *,
@@ -413,14 +426,15 @@ def recip_approx(spec: WeightSpec, n_terms: int, *,
     """Coefficients and partial-sum errors of the expansion of 1/x on the
     support, the errors taken on a grid of step 0.01 over each band; context
     as in recurrence_range.  One forward pass (_forward) solves n = 0..n_terms
-    once each, forms the pairs 0..n_terms - 1 and reads the solves for
-    0..n_terms - 1 at 0 before they are dropped; a failed pair raises
-    SolverError.  0 may lie inside a deformation disk: the circle jumps, unit
-    lower-triangular, leave the (1, 2) entry that is read unchanged.  Every
-    term's transform at 0 comes from one _cauchy_at call, which makes g and
-    the h basis at 0 once.  The weight's mass eta is -2 pi i times the 1/z
-    coefficient of the (1, 2) entry of the solve for n = 0, whose transform
-    C[w](z) ~ -eta / (2 pi i z)."""
+    once each, forms the pairs 0..n_terms - 1 and keeps of the solves for
+    0..n_terms - 1 what their (1, 2) entries read before they are dropped; a
+    failed pair raises SolverError.  0 may lie inside a deformation disk: the
+    circle jumps, unit lower-triangular, leave the (1, 2) entry that is read
+    unchanged.  Every term's transform at 0 comes from one _cauchy_at call,
+    which makes one geometry at 0 for g, the h basis and the column-1
+    kernels, and reads no circle table.  The weight's mass eta is -2 pi i
+    times the 1/z coefficient of the (1, 2) entry of the solve for n = 0,
+    whose transform C[w](z) ~ -eta / (2 pi i z)."""
     _check_index(n_terms, "n_terms")
     if n_terms < 1:
         raise DomainError("need at least one term")
@@ -430,7 +444,7 @@ def recip_approx(spec: WeightSpec, n_terms: int, *,
     ctx = _context(spec, context)
     grid = np.concatenate([np.arange(b.a, b.b + 1e-12, 0.01) for b in spec.bands])
 
-    segment, reads = _forward(ctx, 0, n_terms - 1, 0j, range(n_terms))
+    segment, reads = _forward(ctx, 0, n_terms - 1, range(n_terms))
     eta = _realify(-2j * np.pi * reads[0][2], "eta", 0)
     values, g0 = _cauchy_at(ctx, reads, 0j, segment.b)
     coeffs = np.array([_realify(2j * np.pi * c / eta, "recip coefficient", j)

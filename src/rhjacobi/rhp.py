@@ -58,9 +58,10 @@ What is computed how often, and who owns it:
   h basis depend on the bands only too: JumpValues reads them from the
   GreenData at circle_geometry, in one call each, when the first solve asks
   for a circle jump, and keeps them per circle.
-- per kept circle, in the operator: its coupling operands at the band nodes
-  (G over the upper half-circle) and its Laurent table at the band test
-  nodes, built by the first solve that keeps it.
+- per kept circle, in the operator: its coupling operand at the band nodes
+  (G over the upper half-circle, in closed form: one geometric sum per band
+  node and upper node, no table and no FFT) and its Laurent table at the
+  band test nodes, built by the first solve that keeps it.
 - per jump spec, in JumpValues: the weight values at each circle's upper
   points and at each band's nodes and test nodes, one call per point set.
 - per block of indices, in one solve_matrix_rhp call, one NumPy call per
@@ -70,8 +71,9 @@ What is computed how often, and who owns it:
   every index, the kept circles' coefficients (two Hermitian FFTs each) and
   the residual (one stacked inverse FFT per circle, stacked products on the
   bands); per index, its real band system (the operator's left half, and its
-  right half scaled by -F_10, plus one coupling product per kept circle)
-  filled into the block's one system buffer, its 1-norm (LAPACK dlange), one
+  right half scaled by -F_10, plus the coupling: one real product per kept
+  circle in the operator's buffers, summed there and added once) filled into
+  the block's one system buffer, its 1-norm (LAPACK dlange), one
   lu_factor and lu_solve (dgetrf and dgetrs) in that buffer and one dgecon
   call, and its RHSolution.  Each step acts on every index alone, so an
   index's solution does not depend on its block, and an index whose solve
@@ -159,11 +161,16 @@ class Circle:
         out.flags.writeable = False
         return out
 
-    @property
+    @cached_property
     def exponents(self) -> np.ndarray:
+        """The Laurent exponents of a density on the circle, computed once and
+        read-only: the n_points consecutive ones from -(n_points - 1 - P) to
+        P, P = min(pos_modes, n_points / 2)."""
         c = self.n_points
         p = min(self.pos_modes, c // 2)
-        return np.arange(-(c - 1 - p), p + 1)
+        out = np.arange(-(c - 1 - p), p + 1)
+        out.flags.writeable = False
+        return out
 
     def nodes(self) -> np.ndarray:
         """The equispaced collocation nodes, node k at angle 2 pi k / n_points:
@@ -212,14 +219,19 @@ class ContourSet:
 
     @cached_property
     def circle_geometry(self) -> CutGeometry:
-        """Every band, then every gap, seen off the contours from every
-        circle's upper points (Circle.upper, in circle order): the one
-        geometry there of the operator's column-1 tables, the h basis and g
-        (JumpValues)."""
+        """geometry_at every circle's upper points (Circle.upper, in circle
+        order): the one geometry there of the operator's column-1 tables, the
+        h basis and g (JumpValues)."""
+        return self.geometry_at(np.concatenate([np.empty(0, dtype=complex)]
+                                               + [c.upper for c in self.circles]))
+
+    def geometry_at(self, z: np.ndarray) -> CutGeometry:
+        """Every band, then every gap, seen off the contours from 1-d points
+        z: the geometry that the h basis (auxiliary.h_basis), g
+        (green.eval_g) and, through its band rows, the kernel tables share."""
         bands = list(self.bands)
         gaps = [Interval(left.b, right.a) for left, right in zip(bands, bands[1:])]
-        points = np.concatenate([np.empty(0, dtype=complex)] + [c.upper for c in self.circles])
-        return CutGeometry(Intervals(bands + gaps), points, Side.OFF)
+        return CutGeometry(Intervals(bands + gaps), z, Side.OFF)
 
 
 class CollocationOperator:
@@ -246,6 +258,11 @@ class CollocationOperator:
       formed (module docstring).
     - circle_kernels[j]: the column-1 kernels of all bands at
       circle_points[j], one row per kernel and one column per point.
+    - circle_tables(j), for a circle some solve keeps: G^T, the closed-form
+      map from its upper nodes' data to the band nodes, and its Laurent
+      table at the band test nodes.  coupling forms with G^T and
+      circle_kernels[j] an index's coupling product in buffers the operator
+      keeps, so that an index's system receives one summed coupling.
     The band tables of column m are one stacked cauchy_cheb_table call over
     every band at every band node and test node, all from above (one
     cauchy.CutGeometry for both columns): on its own points a band's rows are
@@ -257,7 +274,8 @@ class CollocationOperator:
     pages afresh for every new contour set).  Circle j's tables
     (circle_tables) are built the first time a solve keeps circle j, and
     kept.  The tables at one point set off the contours (kernels_at,
-    circle_at) are kept for the last point set only.
+    circle_at), which RHSolution.eval reads, are kept for the last point
+    set only.
     """
 
     def __init__(self, contours: ContourSet):
@@ -301,48 +319,66 @@ class CollocationOperator:
         self._last_points: tuple = (None, [], {})
 
     def circle_tables(self, j: int) -> tuple:
-        """(G, K, span, table) for circle j, built on first request and kept.
+        """(G^T, span, table) for circle j, built on first request and kept.
 
-        G maps data at circle j's nodes to the Cauchy transform at all band
-        nodes of the density that interpolates it: _circle_table there times
-        W^-1 = W^H / n_j, W the Laurent table at the nodes, as a DFT.  Only its
-        columns at the upper nodes k = 0..n_j / 2 are kept, each doubled but
-        the two axis nodes' (k = 0 and n_j / 2), as the real [Re G, -Im G].
-        K is circle_kernels[j] at those nodes, transposed, and a column of -i
-        for the identity's share: the operands of coupling.  (span, table) is _circle_table at
-        all band test nodes."""
+        G, (T, U) with U = n_j / 2 + 1, maps data at circle j's upper nodes
+        k = 0..n_j / 2 to the Cauchy transform at all band nodes of the
+        density that interpolates it, in closed form (_circle_to_band), each
+        column doubled but the two axis nodes' (k = 0 and n_j / 2).  G^T is
+        its real transpose (2 U, T): rows 2k and 2k + 1 hold Re and -Im of
+        column k, the operand of coupling.  (span, table) is _circle_table at
+        all band test nodes, for the residual."""
         if j not in self._circle_tables:
             circ = self.circles[j]
-            n = circ.n_points
-            span, table = _circle_table(circ, np.concatenate(self.band_nodes))
-            spectrum = np.zeros((len(table), n), dtype=complex)
-            spectrum[:, circ.exponents[span] % n] = table
-            G = np.fft.fft(spectrum, axis=1)[:, :n // 2 + 1] / n
+            U = circ.n_points // 2 + 1
+            T = len(self.left.T)
+            G = _circle_to_band(circ, np.concatenate(self.band_nodes))
             G[:, 1:-1] *= 2.0
-            K = np.full((n // 2 + 1, len(self.left.T) + 1), -1j)
-            K[:, :-1] = self.circle_kernels[j][:, :n // 2 + 1].T
-            self._circle_tables[j] = (np.hstack([G.real, -G.imag]), K,
+            G_T = np.empty((U, 2, T))
+            G_T[:, 0], G_T[:, 1] = G.real.T, -G.imag.T
+            self._circle_tables[j] = (G_T.reshape(2 * U, T),
                                       *_circle_table(circ, np.concatenate(self.band_test_nodes)))
         return self._circle_tables[j]
 
-    def coupling(self, j: int, v: np.ndarray) -> np.ndarray:
-        """The coupling of circle j into column 0's band equations for one
-        index, v its jump entry F_10 at circle j's upper points (of which
-        the upper nodes, its first n_j / 2 + 1 entries, are read): the real
-        (T, T + 1) matrix whose columns :T are G diag(v) K, K the bands'
-        column-1 tables at the nodes (circle_kernels[j]), and whose column T holds
-        Im(G v), the identity's share.
+    def coupling(self, circles) -> np.ndarray:
+        """The coupling into column 0's band equations of the circles one
+        index keeps, given as pairs (j, v), v circle j's jump entry F_10 at
+        its upper points (of which the upper nodes, its first n_j / 2 + 1
+        entries, are read): the real (T, T + 1) matrix whose columns :T sum
+        Re(G diag(v) K) over the circles, K the bands' column-1 tables at the
+        nodes (circle_kernels[j]), and whose column T sums Im(G v), the
+        identity's share.  It is the transposed view of a C-ordered
+        (T + 1, T) buffer of the operator, which the next call overwrites.
 
         By the Schwarz symmetry G, v and K at a node below the real axis are
         conj G, -conj v and -conj K at its mirror image, so G diag(v) K is
         twice the real part of its sum over the nodes above the axis, plus
         the two axis nodes, and G v is i times the imaginary part of that
-        sum.  It is made from the upper nodes alone as Re(G diag(v) K) with
-        circle_tables' G and K (whose -i turns Re into Im for the column of
-        ones), one real product [Re G, -Im G] @ [Re(v K); Im(v K)]."""
-        G, K, _, _ = self.circle_tables(j)
-        vK = v[:len(K), None] * K
-        return G @ np.concatenate([vK.real, vK.imag])
+        sum.  Per circle it is one real product in reused buffers: the
+        (T + 1, U) complex vK, K diag(v) above a row -i v for the identity's
+        share, whose real view holds each node's pair (Re, Im), times
+        circle_tables' G^T, whose rows hold the matching pairs (Re G, -Im G),
+        is Re(G diag(v) [K; -i])^T; each circle's is added into one sum."""
+        total, term, operand = self._coupling_buffers
+        total[...] = 0.0
+        for j, v in circles:
+            G_T, _, _ = self.circle_tables(j)
+            U = len(G_T) // 2
+            vK = operand[:len(total) * U].reshape(-1, U)
+            np.multiply(self.circle_kernels[j][:, :U], v[:U], out=vK[:-1])
+            np.multiply(v[:U], -1j, out=vK[-1])
+            np.matmul(vK.view(float), G_T, out=term)
+            total += term
+        return total.T
+
+    @cached_property
+    def _coupling_buffers(self) -> tuple:
+        """coupling's buffers, made by its first call: the sum and one
+        circle's product, each (T + 1, T), and one circle's complex operand,
+        flat, sized for the largest circle."""
+        T = len(self.left.T)
+        U = max(c.n_points // 2 + 1 for c in self.circles)
+        return (*np.empty((2, T + 1, T)), np.empty((T + 1) * U, dtype=complex))
 
     def kernels_at(self, z: np.ndarray) -> list:
         """Per column m, the column-m kernels of all bands side by side at
@@ -619,22 +655,15 @@ class BlockSolution:
     """The solves of one block of indices.
 
     solutions maps each index of the block to its RHSolution, or to the
-    SolverError its solve failed with; block[n] returns the one or raises the
-    other.  residual is the block's worst: the largest off-collocation
-    residual and the smallest rcond over the indices that were solved (NaN if
-    none was), the largest circle deviation over all of them.  stages holds
-    the seconds the block spent in each of STAGES.
+    SolverError its solve failed with.  residual is the block's worst: the
+    largest off-collocation residual and the smallest rcond over the indices
+    that were solved (NaN if none was), the largest circle deviation over all
+    of them.  stages holds the seconds the block spent in each of STAGES.
     """
 
     solutions: dict
     residual: ResidualReport
     stages: dict
-
-    def __getitem__(self, n: int) -> RHSolution:
-        outcome = self.solutions[n]
-        if isinstance(outcome, SolverError):
-            raise outcome.with_traceback(None)
-        return outcome
 
 
 def _circle_table(circ: Circle, z) -> tuple:
@@ -663,6 +692,43 @@ def _circle_table(circ: Circle, z) -> tuple:
         _powers(np.divide(1.0, w, out=np.zeros_like(w), where=~inner), out=table[:neg][::-1])
     table[:neg] *= -1.0
     return slice(n_neg - neg, n_neg + pos), table.T
+
+
+def _circle_to_band(circ: Circle, x: np.ndarray) -> np.ndarray:
+    """G, shape (len(x), n_points / 2 + 1): the Cauchy transform at points x
+    off the circle of the density that interpolates data at circ's upper
+    nodes, column k for a unit value at node k: the untruncated Laurent table
+    at x (_circle_table) times W^-1 = W^H / n, W the table at the nodes,
+    in closed form.
+
+    With w = (x - center) / radius, q = w e^(-2 pi i k / n) and P and -M the
+    largest and smallest of circ.exponents, row x of column k sums q^e / n
+    over e = 0..P inside the circle and minus it over e = -M..-1 outside, the
+    geometric sums (1 - q^(P + 1)) / (n (1 - q)) and (1 - q^-M) / (n (1 - q))
+    (Henrici, Numer. Math. 33, 1979).  M + P + 1 = n, so q^(P + 1) and q^-M
+    are w^(P + 1) and w^-M times one phase, e^(-2 pi i (k (P + 1) mod n) / n),
+    each power taken of the half that decays, so none overflows; far points'
+    powers underflow to zero, which is their value."""
+    n = circ.n_points
+    P = int(circ.exponents[-1])
+    k = np.arange(n // 2 + 1)
+    w = ((np.asarray(x) - circ.center) / circ.radius)[:, None]
+    inner = np.abs(w) < 1.0
+    with np.errstate(under="ignore"):
+        inside = np.where(inner, w, 0.0) ** (P + 1)
+        outside = np.divide(1.0, w, out=np.zeros_like(w), where=~inner) ** (n - 1 - P)
+    power = np.where(inner, inside, outside)
+    return (1.0 - power * _unit_root(k * (P + 1), n)) / (n * (1.0 - w * _unit_root(k, n)))
+
+
+def _unit_root(m: np.ndarray, n: int) -> np.ndarray:
+    """e^(-2 pi i m / n) for integers m, its angle reduced exactly to
+    [-pi/4, pi/4] and turned by a power of -i.  Taken at the full angle, an
+    angle near 2 pi carries an error near eps 2 pi, which 1 - q in
+    _circle_to_band amplifies to 2e-15 of max |G| at 120 and 240 nodes."""
+    quarter = np.rint(4 * (m % n) / n).astype(int)
+    rest = 4 * (m % n) - quarter * n
+    return np.exp(-0.5j * np.pi * rest / n) * np.array([1, -1j, -1, 1j, 1])[quarter]
 
 
 def _reaching(x: float, count: int) -> int:
@@ -866,10 +932,11 @@ def _factor(op: CollocationOperator, f: np.ndarray, kept: list, errors: list, la
     each, the system Fortran-ordered so that LAPACK factors it in place
     (dgetrf); it is solved (dgetrs) and its condition estimated (dgecon,
     from the 1-norm dlange takes before the factoring) before the next index
-    is filled, so a block holds one system.  errors[k] names a singular or
-    non-finite system (y[k] is then 0 or not finite).  An index whose error
-    is named already is not assembled, and its y[k] stays 0.  lap times the
-    assembly and the LU of each index.
+    is filled, so a block holds one system.  The circles an index keeps
+    enter its system as one matrix, op.coupling's sum over them.  errors[k]
+    names a singular or non-finite system (y[k] is then 0 or not finite).
+    An index whose error is named already is not assembled, and its y[k]
+    stays 0.  lap times the assembly and the LU of each index.
     """
     T = op.left.shape[1]
     count = len(f)
@@ -891,15 +958,16 @@ def _factor(op: CollocationOperator, f: np.ndarray, kept: list, errors: list, la
         # tables at c's nodes (and a column of ones).  Its Cauchy transform
         # at the band nodes is G_c v K (u_B1, [r == 1]); substituting it into
         # the band rows leaves a system in the band unknowns only.
-        # op.coupling's real columns :T add to the real parts' rows, and its
-        # column T is the imaginary part of the identity's share, which row
-        # 1's right-hand side -i (F_10 - i C) takes as -C in its real parts'
-        # rows.
-        for j, keep, vj in kept:
-            if keep[k]:
-                coupling = op.coupling(j, vj[k])
-                A[:T, T:] += coupling[:, :T]
-                rhs[:T, 1] -= coupling[:, T]
+        # op.coupling's real columns :T, summed over the kept circles, add to
+        # the real parts' rows in one pass (both are column-major views), and
+        # its column T is the imaginary part of the identity's share, which
+        # row 1's right-hand side -i (F_10 - i C) takes as -C in its real
+        # parts' rows.
+        circles = [(j, vj[k]) for j, keep, vj in kept if keep[k]]
+        if circles:
+            coupling = op.coupling(circles)
+            A[:T, T:] += coupling[:, :T]
+            rhs[:T, 1] -= coupling[:, T]
         anorm = _lapack.dlange("1", A)
         lap("assembly")
         lu, piv, singular = lu_factor(A)
@@ -973,8 +1041,8 @@ def first_order(sol: RHSolution) -> np.ndarray:
     out = np.zeros((2, 2), dtype=complex)
     for j, coeff in sol.circle_coeffs.items():
         circ = sol.operator.circles[j]
-        idx = int(np.nonzero(circ.exponents == -1)[0][0])
-        out[:, 0] -= circ.radius * coeff[:, idx]
+        # the exponents are consecutive from circ.exponents[0] < 0
+        out[:, 0] -= circ.radius * coeff[:, -1 - circ.exponents[0]]
     for coeff in sol.band_coeffs:
         out += _I2PI * coeff[:, :, 0]
     return out

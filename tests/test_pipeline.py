@@ -7,10 +7,11 @@ import pytest
 
 from oracles import weight_integral
 from rhjacobi import cauchy, pipeline, rhp
-from rhjacobi.auxiliary import solve_aux
+from rhjacobi.auxiliary import combine_h, eval_h, h_basis, h_weights, solve_aux
 from rhjacobi.cauchy import cauchy_cheb
 from rhjacobi.chebyshev import SQRT2, ChebKind, UNIT
 from rhjacobi.errors import DomainError, ImagPartWarning, PrecisionWarning, SolverError
+from rhjacobi.green import eval_g
 from rhjacobi.oracle import adaptive_gauss_mass, adaptive_oracle, discretize
 from rhjacobi.pipeline import (BLOCK_BYTES, DEFAULT_PPI, SolveContext, _realify, block_size,
                                cauchy_pn, orthonormal_eval, recip_approx, recurrence_range,
@@ -427,6 +428,42 @@ class TestCauchyPn:
     def test_near_support_warns(self, spec_two_band, ctx_two_band):
         with pytest.warns(PrecisionWarning):
             cauchy_pn(spec_two_band, 0, 2.5 + 1e-10j, context=ctx_two_band)
+
+
+class TestCauchyAt:
+    # genus 3 at 0, at a point inside circle 2's disk (centre 0.9, radius
+    # 0.5) and at one off the axis
+    POINTS = [0j, 0.45 + 0j, 0.3 + 0.7j]
+
+    @pytest.mark.parametrize("z", POINTS)
+    def test_entries_match_the_general_evaluator(self, spec_genus3, z):
+        # the (1, 2) entries from the band coefficients and one column-1
+        # table at z against each solve's own eval at z, times the same factor
+        ctx = SolveContext(spec_genus3)
+        segment, reads = pipeline._forward(ctx, 0, 5, range(6))
+        got, g = pipeline._cauchy_at(ctx, reads, z, segment.b)
+        log_b = np.concatenate([[0.0], np.cumsum(np.log(segment.b * ctx.green.cap_const))])
+        for n, value in enumerate(got):
+            h = eval_h(ctx.green, solve_aux(ctx.hsys, ctx.green, n), z)
+            want = ctx.solution(n).eval(z)[0, 1] * np.exp(h - n * g - log_b[n])
+            assert abs(value - want) <= 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("z", POINTS)
+    def test_one_geometry_gives_the_values_of_one_per_reader(self, spec_genus3, z):
+        # the h basis, g and the column-1 table read from one geometry at z,
+        # bit for bit their values from a geometry of their own
+        ctx = SolveContext(spec_genus3)
+        segment, reads = pipeline._forward(ctx, 0, 5, range(6))
+        got, g = pipeline._cauchy_at(ctx, reads, z, segment.b)
+        zz = np.array([z])
+        auxes, coeffs, _ = zip(*reads)
+        ns = np.arange(6)
+        want_g = complex(eval_g(ctx.green, zz)[0])
+        h = combine_h(np.array([h_weights(aux) for aux in auxes]), *h_basis(ctx.green, zz))[:, 0]
+        s12 = np.array(coeffs) @ ctx.contours.operator.kernels_at(zz)[1][0]
+        log_b = np.concatenate([[0.0], np.cumsum(np.log(segment.b * ctx.green.cap_const))])
+        assert g == want_g
+        np.testing.assert_array_equal(got, s12 * np.exp(h - ns * want_g - log_b[ns]))
 
 
 class TestOrthonormality:

@@ -8,8 +8,8 @@ from rhjacobi.chebyshev import ChebKind, UNIT
 from rhjacobi.errors import DomainError, GeometryError, ResidualWarning, SolverError, WeightError
 from rhjacobi.green import build_green
 from rhjacobi.pipeline import SolveContext, recip_approx, recurrence_range, toda_evolve
-from rhjacobi.rhp import (JumpAssembly, JumpValues, _circle_table, build_contours, default_bases,
-                          first_order, solve_matrix_rhp)
+from rhjacobi.rhp import (JumpAssembly, JumpValues, _circle_table, _circle_to_band, build_contours,
+                          default_bases, first_order, solve_matrix_rhp)
 from rhjacobi.weights import HPoly, HRational, WeightSpec, h_from_config
 
 
@@ -168,8 +168,8 @@ class TestMatrixSolve:
         hs = build_hsystem(spec_u, gd)
         ct = build_contours(spec_u, 8)
         jumps = JumpAssembly([solve_aux(hs, gd, 1)], JumpValues(spec_u, gd, ct))
-        s1 = solve_matrix_rhp(spec_u, ct, jumps)[1]
-        s2 = solve_matrix_rhp(spec_u, ct, jumps)[1]
+        s1 = solve_matrix_rhp(spec_u, ct, jumps).solutions[1]
+        s2 = solve_matrix_rhp(spec_u, ct, jumps).solutions[1]
         assert s1.circle_coeffs.keys() == s2.circle_coeffs.keys()
         for a, b in zip(list(s1.circle_coeffs.values()) + s1.band_coeffs,
                         list(s2.circle_coeffs.values()) + s2.band_coeffs):
@@ -200,7 +200,7 @@ class TestMatrixSolve:
         jumps = _IdentityAtNodesOnly(ctx_two_band.contours, [_aux(ctx_two_band, 300)],
                                      ctx_two_band.jump_values)
         with pytest.warns(ResidualWarning):
-            sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[300]
+            sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps).solutions[300]
         assert sol.circle_coeffs == {}
         assert sol.residual.off_collocation > 0.05
 
@@ -215,11 +215,11 @@ class TestMatrixSolve:
         ct_t = build_contours(spec_t, ppi)
         with pytest.warns(ResidualWarning):
             wrong = solve_matrix_rhp(spec_t, ct_t,
-                                     JumpAssembly([aux], JumpValues(spec_u, gd, ct_t)))[1]
+                                     JumpAssembly([aux], JumpValues(spec_u, gd, ct_t))).solutions[1]
         assert wrong.residual.off_collocation > 1.0
         ct = build_contours(spec_u, ppi)
         jumps = JumpAssembly([aux], JumpValues(spec_u, gd, ct))
-        right = solve_matrix_rhp(spec_u, ct, jumps)[1]
+        right = solve_matrix_rhp(spec_u, ct, jumps).solutions[1]
         assert right.residual.off_collocation < 1e-6
         # the contour set's operator is in the U weight's bases
         with pytest.raises(DomainError):
@@ -237,8 +237,8 @@ class TestMatrixSolve:
         assert np.all(F[..., 0, 0] == 1.0) and np.all(F[..., 1, 1] == 1.0)
         assert np.all(F[..., 0, 1] == 0.0)
         assert np.array_equal(F[..., 1, 0], clean.circle_entry(0, z))
-        want = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, clean)[3]
-        got = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[3]
+        want = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, clean).solutions[3]
+        got = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps).solutions[3]
         assert got.circle_coeffs.keys() == want.circle_coeffs.keys() == {0, 1}
         for x, y in zip(list(got.circle_coeffs.values()) + got.band_coeffs,
                         list(want.circle_coeffs.values()) + want.band_coeffs):
@@ -252,7 +252,7 @@ class TestMatrixSolve:
             jumps = _PoisonedAtATestNode(ctx_two_band.contours, [_aux(ctx_two_band, n)],
                                          ctx_two_band.jump_values)
             with pytest.warns(ResidualWarning, match=f"n={n}"):
-                sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[n]
+                sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps).solutions[n]
             assert sol.residual.off_collocation > 1e-3
             assert len(sol.circle_coeffs) == kept
 
@@ -325,6 +325,52 @@ class TestCircleTables:
                 full = _full_circle_table(circ, z)
                 np.testing.assert_allclose(table @ u[span], full @ u, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("ppi", [12, 16, 24])
+    @pytest.mark.parametrize("spec_name", ["spec_two_band", "spec_genus3"])
+    def test_closed_form_matches_the_fft_route(self, spec_name, ppi, request):
+        # G at the band nodes in closed form against the untruncated Laurent
+        # table there times the DFT of the node values, by an FFT, at the
+        # upper nodes
+        contours = build_contours(request.getfixturevalue(spec_name), ppi)
+        x = np.concatenate(contours.band_nodes)
+        for circ in contours.circles:
+            n = circ.n_points
+            spectrum = np.zeros((len(x), n), dtype=complex)
+            spectrum[:, circ.exponents % n] = _full_circle_table(circ, x)
+            want = np.fft.fft(spectrum, axis=1)[:, :n // 2 + 1] / n
+            got = _circle_to_band(circ, x)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_closed_form_matches_a_40_digit_sum(self):
+        # the band (1.26, 1.27) at |w| = 1.008..1.016 off circle 0, where
+        # 1 - q is smallest, and the band (-1, 1) inside it; the sums over
+        # the exponents of q^e / n in 40 digits at every fourth upper node,
+        # from the same double w
+        mpmath = pytest.importorskip("mpmath")
+        contours = build_contours(WeightSpec.build([(-1.0, 1.0), (1.26, 1.27)], "TT"), 16)
+        x = np.concatenate(contours.band_nodes)
+        with mpmath.workdps(40):
+            for circ in contours.circles:
+                n = circ.n_points
+                ks = np.arange(0, n // 2 + 1, 4)
+                want = np.empty((len(x), len(ks)), dtype=complex)
+                for a, w in enumerate((x - circ.center) / circ.radius):
+                    # q^0..q^P inside, minus q^-1..q^-M outside
+                    inside = abs(w) < 1.0
+                    count = circ.exponents[-1] + 1 if inside else -circ.exponents[0]
+                    for b, k in enumerate(ks):
+                        q = mpmath.mpf(w) * mpmath.expjpi(mpmath.mpf(-2 * int(k)) / n)
+                        step = q if inside else 1 / q
+                        term = 1 if inside else step
+                        total = 0
+                        for _ in range(count):
+                            total += term
+                            term *= step
+                        want[a, b] = complex((total if inside else -total) / n)
+                got = _circle_to_band(circ, x)[:, ks]
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_tables_built_only_for_kept_circles(self, spec_two_band, spec_genus3):
         ctx = SolveContext(spec_two_band)
         recurrence_range(spec_two_band, 1000, 1002, context=ctx)
@@ -335,10 +381,11 @@ class TestCircleTables:
 
     def test_recip_approx_builds_h_basis_at_zero_once(self, spec_genus3, count_calls,
                                                       monkeypatch):
-        # and g at 0 once, the coefficients once, and each term's solve at 0
-        # once
+        # and g at 0 once, the coefficients once, and the terms' (1, 2)
+        # entries at 0 from one column-1 table there, with no RHSolution.eval
         calls = count_calls(auxiliary.h_basis)
         g_calls = count_calls(green.eval_g)
+        tables = count_calls(cauchy.cauchy_cheb_table)
         passes = count_calls(pipeline._forward)
         evals = []
         original = rhp.RHSolution.eval
@@ -347,13 +394,20 @@ class TestCircleTables:
             evals.append(z)
             return original(sol, z)
 
+        def at_zero(z):
+            points = z.z if isinstance(z, cauchy.CutGeometry) else z
+            return np.all(np.atleast_1d(points) == 0.0)
+
         monkeypatch.setattr(rhp.RHSolution, "eval", counting_eval)
         approx = recip_approx(spec_genus3, 12)
         assert len(approx.coeffs) == 12
-        assert sum(np.all(np.atleast_1d(args[1]) == 0.0) for args in calls) == 1
-        assert sum(np.all(np.atleast_1d(args[1]) == 0.0) for args in g_calls) == 1
+        assert sum(at_zero(args[1]) for args in calls) == 1
+        assert sum(at_zero(args[1]) for args in g_calls) == 1
+        # cauchy_cheb_table(kind, n, interval, z): one call at 0, column 1's
+        assert [args[0] for args in tables if at_zero(args[3])] \
+            == [[kinds[1] for kinds in default_bases(spec_genus3)]]
         assert len(passes) == 1
-        assert evals == [0.0] * 12
+        assert evals == []
 
 
 def _reference_kernels(op, m, z, own=None):
@@ -558,7 +612,7 @@ class TestOneSidedResidual:
             w = np.concatenate([upper, -np.conj(upper[1:-1][::-1])])
             for data in (jump[0, :, 1, 0], w):
                 want = _full_coupling(op, j, data)
-                got = op.coupling(j, data)
+                got = op.coupling([(j, data)])
                 scale = np.max(np.abs(want))
                 assert np.max(np.abs(got[:, :-1] - want[:, :-1].real)) <= 1e-14 * scale
                 assert np.max(np.abs(got[:, -1] - want[:, -1].imag)) <= 1e-14 * scale
@@ -589,7 +643,7 @@ class TestOneSidedResidual:
         jumps = _IdentityAtNodesOnly(ctx_two_band.contours, [_aux(ctx_two_band, 300)],
                                      ctx_two_band.jump_values)
         with pytest.warns(ResidualWarning):
-            sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps)[300]
+            sol = solve_matrix_rhp(spec_two_band, ctx_two_band.contours, jumps).solutions[300]
         want = _two_sided_residual(sol, ctx_two_band.contours, jumps)
         assert want > 0.05
         assert abs(sol.residual.off_collocation - want) <= 1e-13
@@ -669,8 +723,8 @@ class TestExponentialScreen:
         assert isinstance(failed, SolverError) and "not finite" in str(failed)
         for n in ns:
             if n != 1005:
-                want = clean[n]
-                got = block[n]
+                want = clean.solutions[n]
+                got = block.solutions[n]
                 assert got.residual == want.residual and not got.circle_coeffs
                 for x, y in zip(got.band_coeffs, want.band_coeffs):
                     assert np.array_equal(x, y)
@@ -796,8 +850,8 @@ class TestRealSolve:
                 K = _full_kernels(op, circ)
                 mirrored = v[j].copy()
                 mirrored[n // 2 + 1:] = -np.conj(v[j][1:n // 2][::-1])
-                got = op.coupling(j, v[j])
-                assert np.array_equal(got, op.coupling(j, mirrored))
+                got = op.coupling([(j, v[j])]).copy()
+                assert np.array_equal(got, op.coupling([(j, mirrored)]))
                 departure = np.abs(G) @ (np.abs(v[j] - mirrored)[:, None] * np.abs(K))
                 for data, slack in ((mirrored, 0.0), (v[j], departure)):
                     want = _full_coupling(op, j, data)
@@ -839,7 +893,7 @@ class TestRealSolve:
                 jumps = OffItsForm([_aux(ctx, n)], ctx.jump_values)
                 jumps.entry, jumps.shift = entry, shift
                 with pytest.warns(ResidualWarning, match=f"n={n}"):
-                    sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps)[n]
+                    sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps).solutions[n]
                 assert sol.residual.off_collocation > 1e-3
 
 
@@ -944,5 +998,5 @@ class TestSchwarzSymmetry:
     def test_poisoned_entry_at_an_upper_test_node_warns(self, ctx):
         jumps = _PoisonedAtATestNode(ctx.contours, [_aux(ctx, 4)], ctx.jump_values)
         with pytest.warns(ResidualWarning, match="n=4"):
-            sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps)[4]
+            sol = solve_matrix_rhp(ctx.jump_values.spec, ctx.contours, jumps).solutions[4]
         assert sol.residual.off_collocation > 1e-3
