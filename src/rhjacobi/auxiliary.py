@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cauchy import CutGeometry, Side, series_at
-from .chebyshev import ChebKind
+from .chebyshev import ChebKind, moments
 from .errors import ImagPartWarning, SolverError
 from .green import GreenData, band_product
 from .weights import WeightSpec
@@ -68,12 +68,13 @@ def build_hsystem(spec: WeightSpec, green: GreenData) -> HSystem:
     By the Plemelj jump of the first-kind Cauchy transform, a series of
     i sqrt(x-a) sqrt(b-x)/R_plus on a band stands for -i pi times 1/R_plus
     against the normalized first-kind weight, and one of sqrt(x-a) sqrt(b-x)/R
-    on a gap for pi times 1/R; these are BAND_FACTOR and GAP_FACTOR.
+    on a gap for pi times 1/R; these are BAND_FACTOR and GAP_FACTOR.  Every
+    moment comes from one chebyshev.moments pass over both series lists.
     """
     g = spec.genus
-    H = BAND_FACTOR * np.array([ser.moments(g + 2) for ser in green.band_beta]).T
-    G = GAP_FACTOR * np.array([ser.moments(g + 2) for ser in green.gap_beta],
-                              dtype=complex).reshape(g, g + 2).T
+    M = moments(green.band_beta + green.gap_beta, g + 2)
+    H = BAND_FACTOR * M[:g + 1].T
+    G = GAP_FACTOR * M[g + 1:].T
     try:
         H_inv = np.linalg.inv(H[: g + 1, :])
     except np.linalg.LinAlgError as exc:

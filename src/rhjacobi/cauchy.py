@@ -233,18 +233,42 @@ def cauchy_cheb_series(kind: ChebKind, coeffs, interval: Interval, z, side: Side
 def series_at(kind: ChebKind, coeffs: np.ndarray, geo: CutGeometry) -> np.ndarray:
     """cauchy_cheb_series at geo's points.  For a stack of intervals, row i of
     coeffs holds interval i's series, padded with trailing zeros to a common
-    length; the padding adds exact zeros, so each row has the value its own
-    series gives."""
+    length; each row has the value its own series gives (_horner)."""
     J, first, factor = _kernel_factors(kind, geo)
     out = first * coeffs[..., 0, None]
     if coeffs.shape[-1] > 1:
-        acc = np.empty(J.shape, dtype=complex)
-        acc[...] = coeffs[..., -1, None]
-        for k in range(coeffs.shape[-1] - 2, 0, -1):
-            acc *= J
-            acc += coeffs[..., k, None]
-        out = out + factor * J * acc
+        out = out + factor * J * _horner(coeffs, J)
     return out
+
+
+def _horner(coeffs: np.ndarray, J: np.ndarray) -> np.ndarray:
+    """The sum over k >= 1 of coeffs[..., k] J^(k - 1), by Horner's rule.
+
+    For a stack (coeffs 2-d, one row per row of J) each row starts at its own
+    last nonzero coefficient: a step through a row's zero padding would only
+    keep its sum at an exact zero.  The rows are taken longest first, so the
+    rows begun at each step are a leading slice.  Each product goes to a
+    buffer of its own: NumPy (2.4, on AVX-512) multiplies a one-element array
+    in place by a scalar loop that rounds apart from its vector loop, so in
+    place a point's value would depend on how many others share the step.
+    """
+    if coeffs.ndim == 1:
+        return _horner(coeffs[None], J[None])[0]
+    lengths = (coeffs.shape[-1] - np.argmax(coeffs[:, ::-1] != 0, axis=1)).tolist()
+    order = sorted(range(len(lengths)), key=lambda i: -lengths[i])
+    if order != sorted(order):
+        return _horner(coeffs[order], J[order])[np.argsort(order)]
+    acc = np.zeros(J.shape, dtype=complex)
+    prod = np.empty_like(acc)
+    begun = 0
+    for k in range(lengths[0] - 1, 0, -1):
+        if begun < len(lengths) and lengths[begun] > k:
+            begun = sum(n > k for n in lengths)
+            head, J_head, prod_head, c_head = (acc[:begun], J[:begun], prod[:begun],
+                                               coeffs[:begun, :, None])
+        np.multiply(head, J_head, out=prod_head)
+        np.add(prod_head, c_head[:, k], out=head)
+    return acc
 
 
 def _kernel_factors(kind, geo: CutGeometry) -> tuple:

@@ -24,6 +24,8 @@ keeps only the square-root factors (exponents +/-1 at each endpoint).
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -148,6 +150,10 @@ class Intervals:
         """Interval.to_unit, one row per interval."""
         return (np.asarray(x) - self.mid) / self.half
 
+    def from_unit(self, t):
+        """Interval.from_unit, one row per interval."""
+        return self.mid + self.half * np.asarray(t)
+
 
 def cheb_eval(kind: ChebKind, k: int, x):
     """Evaluate the degree-k polynomial of the given kind at x in [-1, 1].
@@ -184,6 +190,7 @@ def cheb_t_nodes(m: int, interval: Interval = UNIT) -> np.ndarray:
     """The m roots of the degree-m first-kind polynomial, mapped to the interval.
 
     Returned in decreasing order of the cosine argument (the natural DCT order).
+    For a stack of intervals (Intervals), one row of m nodes per interval.
     """
     if m < 1:
         raise DomainError("node count must be >= 1")
@@ -218,13 +225,38 @@ class ChebSeries:
 
     def moments(self, count: int) -> np.ndarray:
         """Integrals of x^k times the series against the normalized first-kind
-        weight on its interval, k = 0..count-1.
+        weight on its interval, k = 0..count-1: row 0 of moments([self],
+        count)."""
+        return moments([self], count)[0]
 
-        One Gauss-Chebyshev rule, exact for every integrand of degree
-        len(self) + count - 2.
-        """
-        x = cheb_t_nodes((len(self) + count) // 2 + 1, self.interval)
-        return np.mean(x ** np.arange(count)[:, None] * self(x), axis=1)
+
+def moments(series: list, count: int) -> np.ndarray:
+    """ChebSeries.moments(count) of each series, one row per series.
+
+    Each series takes one Gauss-Chebyshev rule of its own, (len + count) // 2
+    + 1 nodes, exact for every integrand of degree len + count - 2.  The
+    series are summed at all their nodes in one Clenshaw pass (chebval with
+    one coefficient column per node), over the coefficients padded with
+    trailing zeros to one length: Clenshaw's state stays an exact zero
+    through the padding, so each series' values are bit for bit its own
+    chebval's.  The powers are taken at all nodes at once, the means per
+    series.
+    """
+    if not series:
+        return np.empty((0, count), dtype=complex)
+    sizes = [(len(ser) + count) // 2 + 1 for ser in series]
+    ends = list(itertools.accumulate(sizes, initial=0))
+    nodes = [cheb_t_nodes(m, ser.interval) for m, ser in zip(sizes, series)]
+    t = np.concatenate([ser.interval.to_unit(x) for ser, x in zip(series, nodes)])
+    # one coefficient column per node, padded with zeros; Clenshaw on
+    # classical T after undoing the sqrt(2) normalization
+    coeffs = np.zeros((max(map(len, series)), ends[-1]), dtype=complex)
+    for ser, lo, hi in zip(series, ends, ends[1:]):
+        coeffs[:len(ser), lo:hi] = ser.coeffs[:, None]
+    coeffs[1:] *= SQRT2
+    values = np.polynomial.chebyshev.chebval(t, coeffs, tensor=False)
+    terms = np.concatenate(nodes) ** np.arange(count)[:, None] * values
+    return np.array([terms[:, lo:hi].mean(axis=1) for lo, hi in zip(ends, ends[1:])])
 
 
 def dct_coeffs(samples, interval: Interval = UNIT) -> ChebSeries:
@@ -233,30 +265,71 @@ def dct_coeffs(samples, interval: Interval = UNIT) -> ChebSeries:
     DCT-II by one FFT of the even extension of the samples, O(m log m); its
     rounding stays near eps, below the tail test of adaptive_dct.
     """
-    samples = np.atleast_1d(np.asarray(samples, dtype=complex))
-    m = samples.size
+    return ChebSeries(interval, _dct(np.atleast_1d(samples)))
+
+
+def _dct(samples: np.ndarray) -> np.ndarray:
+    """dct_coeffs' coefficients of each row of samples, along the last axis:
+    one FFT over every row."""
+    samples = np.asarray(samples, dtype=complex)
+    m = samples.shape[-1]
     if m < 1:
         raise DomainError("need at least one sample")
-    spectrum = np.fft.fft(np.concatenate([samples, samples[::-1]]))[:m]
-    coeffs = np.exp(-0.5j * np.pi * np.arange(m) / m) * spectrum / m
-    coeffs[0] *= 0.5
-    coeffs[1:] /= SQRT2
-    return ChebSeries(interval, coeffs)
+    extended = np.concatenate([samples, samples[..., ::-1]], axis=-1)
+    spectrum = np.fft.fft(extended, axis=-1)[..., :m]
+    coeffs = _phases(m) * spectrum / m
+    coeffs[..., 0] *= 0.5
+    coeffs[..., 1:] /= SQRT2
+    return coeffs
 
 
-def adaptive_dct(f: Callable, interval: Interval = UNIT) -> ChebSeries:
+@functools.lru_cache(maxsize=16)
+def _phases(m: int) -> np.ndarray:
+    """The DCT-II phases exp(-i pi k / (2 m)), k < m, read-only and kept for
+    the last 16 sample counts (adaptive_dct's doubling takes 8)."""
+    out = np.exp(-0.5j * np.pi * np.arange(m) / m)
+    out.flags.writeable = False
+    return out
+
+
+def adaptive_dct(f: Callable, interval: Interval = UNIT) -> ChebSeries | list:
     """Sample-double from DCT_M0 until the last three coefficients drop below
-    TAIL_TOL relative to the largest, then truncate trailing negligible ones."""
+    TAIL_TOL relative to the largest, then truncate trailing negligible ones.
+
+    For a stack of intervals (Intervals) it expands every interval's function
+    together and returns one series per interval: at each sample count m,
+    f(x, rows) gives the samples at x, (len(rows), m) nodes, of the intervals
+    at the positions rows (an ascending list) that have not yet passed the
+    tail test, and one DCT takes every row; a row drops out once it passes.
+    For one Interval, f(x) samples at 1-d nodes x: a one-row stack.
+    ConvergenceError names every interval still short of the test at
+    DCT_CAP.
+    """
+    if isinstance(interval, Interval):
+        [series] = adaptive_dct(lambda x, rows: np.asarray(f(x[0]))[None], Intervals([interval]))
+        return series
+    series = [None] * len(interval.intervals)
+    rows, stack = list(range(len(series))), interval
     m = DCT_M0
-    while m <= DCT_CAP:
-        series = dct_coeffs(f(cheb_t_nodes(m, interval)), interval)
-        mags = np.abs(series.coeffs)
-        scale = mags.max()
-        if scale == 0.0 or np.all(mags[-3:] <= TAIL_TOL * scale):
-            return series.truncated()
+    while rows and m <= DCT_CAP:
+        if len(rows) < len(stack.intervals):
+            stack = interval[rows]
+        coeffs = _dct(f(cheb_t_nodes(m, stack), rows))
+        mags = np.abs(coeffs)
+        passed = (mags[:, -3:] <= TAIL_TOL * mags.max(axis=1, keepdims=True)).all(axis=1)
+        rest = []
+        for row, c, done in zip(rows, coeffs, passed.tolist()):
+            if done:
+                series[row] = ChebSeries(interval.intervals[row], c).truncated()
+            else:
+                rest.append(row)
+        rows = rest
         m *= 2
-    raise ConvergenceError(
-        f"Chebyshev coefficients did not decay below {TAIL_TOL:g} by m={DCT_CAP} on {interval}")
+    if rows:
+        raise ConvergenceError(
+            f"Chebyshev coefficients did not decay below {TAIL_TOL:g} by m={DCT_CAP} on "
+            + ", ".join(str(interval.intervals[row]) for row in rows))
+    return series
 
 
 def gauss_cheb_rule(kind: ChebKind, interval: Interval, m: int, h: Callable | None = None):

@@ -11,21 +11,30 @@ that endpoint from above.  build_green expands each band and gap density of
 1/R once; Q_g, the equilibrium masses and the auxiliary function's moment
 system are all read from those series.
 
+Set-up is one stacked pass per stage: one adaptive_dct over every band and
+gap density (densities, one eval_R per sample count), one over Q_g times
+every band density, from the same samples where the first pass took them,
+and the moments of solve_Q and auxiliary.build_hsystem in one
+chebyshev.moments pass each.  Every series is bit for bit the one its own
+interval's expansion gives.
+
 eval_R, eval_g and auxiliary.h_basis take every band (and gap) in one pass,
 as (intervals x points) arrays (cauchy.CutGeometry), with the series padded
-with trailing zeros to one length (GreenData.g_series and h_series); each
-value is bit for bit the one its own interval's formulas give.
+with trailing zeros to one length (GreenData.g_series and h_series), which
+the Horner sum of cauchy.series_at skips; each value is bit for bit the one
+its own interval's formulas give.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .cauchy import CutGeometry, Side, series_at
-from .chebyshev import SQRT2, ChebKind, Interval, Intervals, adaptive_dct
+from .chebyshev import SQRT2, ChebKind, Intervals, adaptive_dct, moments
 from .errors import SolverError
 from .weights import WeightSpec
 
@@ -36,9 +45,9 @@ class GreenData:
 
     bands: tuple
     q_coeffs: np.ndarray          # ascending, monic, length g+1
-    band_beta: list               # per band: first-kind series of band_density
-    gap_beta: list                # per gap: first-kind series of gap_density
-    band_series: list             # per band: series of Q times band_density; coeffs[0]: mass
+    band_beta: list               # per band: first-kind series of its density (densities)
+    gap_beta: list                # per gap: first-kind series of its density (densities)
+    band_series: list             # per band: series of Q times its density; coeffs[0]: mass
     deltas: np.ndarray            # per gap: the (purely imaginary) jump across the gap
     cap_const: complex            # leading coefficient of exp(g) ~ c z at infinity
     g1: complex                   # 1/z coefficient of g at infinity
@@ -91,26 +100,31 @@ def band_product(S: np.ndarray) -> np.ndarray:
     return out
 
 
-def band_density(spec: WeightSpec, band: Interval):
-    """i sqrt(x-a) sqrt(b-x) / R_plus(x) on a band: smooth and real."""
-    return lambda x: 1j * np.sqrt(x - band.a) * np.sqrt(band.b - x) / eval_R(spec.bands, x, Side.PLUS)
-
-
-def gap_density(spec: WeightSpec, gap: Interval):
-    """sqrt(x-a) sqrt(b-x) / R(x) on a gap: smooth and real."""
-    return lambda x: np.sqrt(x - gap.a) * np.sqrt(gap.b - x) / np.real(eval_R(spec.bands, x, Side.PLUS))
+def densities(spec: WeightSpec, intervals: Intervals, x: np.ndarray, rows: list) -> np.ndarray:
+    """The smooth, real densities of 1/R at points x, one row of points per
+    interval at the positions rows (an ascending list) of intervals, spec's
+    bands then its gaps: i sqrt(x-a) sqrt(b-x) / R_plus(x) on a band,
+    sqrt(x-a) sqrt(b-x) / R(x) on a gap (R real there).  One eval_R over
+    every row."""
+    root = np.sqrt(x - intervals.a[rows]) * np.sqrt(intervals.b[rows] - x)
+    R = eval_R(spec.bands, x, Side.PLUS)
+    bands = bisect.bisect_left(rows, len(spec.bands))
+    out = 1j * root / R  # then the gap rows, a trailing block, overwritten
+    out[bands:] = root[bands:] / np.real(R[bands:])
+    return out
 
 
 def solve_Q(gap_beta: list) -> np.ndarray:
     """Monic Q_g whose gap integrals of Q_g/R all vanish.
 
     The integrand's inverse-square-root endpoint factors are the first-kind
-    weight, so each gap integral of x^k/R is a moment of the gap's series.
+    weight, so each gap integral of x^k/R is a moment of the gap's series;
+    all of them come from one chebyshev.moments pass.
     """
     g = len(gap_beta)
     if g == 0:
         return np.array([1.0])
-    M = np.array([ser.moments(g + 1).real for ser in gap_beta])
+    M = moments(gap_beta, g + 1).real
     try:
         h = np.linalg.solve(M[:, :g], -M[:, g])
     except np.linalg.LinAlgError as exc:
@@ -121,17 +135,35 @@ def solve_Q(gap_beta: list) -> np.ndarray:
 def build_green(spec: WeightSpec) -> GreenData:
     """Expand the band and gap densities, solve for Q_g, expand Q_g times each
     band density, and fix all constants: phi_ref is Re eval_g at the leftmost
-    endpoint from above with phi_ref = 0, and cap_const follows from it."""
+    endpoint from above with phi_ref = 0, and cap_const follows from it.
+
+    Two stacked adaptive_dct calls: one over every band and gap density,
+    one eval_R per sample count (densities), then one over Q_g times each
+    band density, which reuses the band densities the first call sampled at
+    each sample count and evaluates only those it never sampled.
+    """
     g = spec.genus
-    band_beta = [adaptive_dct(band_density(spec, band), band) for band in spec.bands]
-    gap_beta = [adaptive_dct(gap_density(spec, gap), gap) for gap in spec.gaps]
+    intervals = Intervals(spec.bands + spec.gaps)
+    taken = {}  # (sample count, row) -> that row's densities at those nodes
+
+    def sampled(x, rows):
+        out = densities(spec, intervals, x, rows)
+        taken.update(zip(((x.shape[-1], row) for row in rows), out))
+        return out
+
+    series = adaptive_dct(sampled, intervals)
+    band_beta, gap_beta = series[:g + 1], series[g + 1:]
     q_coeffs = solve_Q(gap_beta)
 
-    band_series = []
-    for band in spec.bands:
-        dens = band_density(spec, band)
-        band_series.append(adaptive_dct(
-            lambda x: np.polynomial.polynomial.polyval(x, q_coeffs) * dens(x), band))
+    def times_q(x, rows):
+        keys = [(x.shape[-1], row) for row in rows]
+        fresh = [i for i, key in enumerate(keys) if key not in taken]
+        if fresh:
+            taken.update(zip((keys[i] for i in fresh),
+                             densities(spec, intervals, x[fresh], [rows[i] for i in fresh])))
+        return np.polynomial.polynomial.polyval(x, q_coeffs) * np.array([taken[key] for key in keys])
+
+    band_series = adaptive_dct(times_q, intervals[:g + 1])
 
     # Jump of g across gap ell: 2 pi i times the equilibrium mass to the right.
     prefix = np.cumsum([ser.coeffs[0] for ser in band_series])

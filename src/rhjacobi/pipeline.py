@@ -98,14 +98,20 @@ class SolveContext:
     auxiliary data and no solve is kept: solve(ns) makes them block by block
     and hands each index's over as the iteration reaches it, and solution(n)
     solves n anew.  stages adds up the seconds of every block solved here,
-    per stage of rhp.STAGES.
+    per stage of rhp.STAGES; setup_stages holds the seconds of the set-up
+    here, per builder: build_green, build_hsystem and build_contours.
     """
 
     def __init__(self, spec: WeightSpec, ppi: int = DEFAULT_PPI):
         self.spec = spec
+        t0 = time.perf_counter()
         self.green = build_green(spec)
+        t1 = time.perf_counter()
         self.hsys = build_hsystem(spec, self.green)
+        t2 = time.perf_counter()
         self.contours = build_contours(spec, ppi)
+        self.setup_stages = {"build_green": t1 - t0, "build_hsystem": t2 - t1,
+                             "build_contours": time.perf_counter() - t2}
         self.jump_values = JumpValues(spec, self.green, self.contours)
         self.stages = dict.fromkeys(STAGES, 0.0)
 
@@ -237,6 +243,9 @@ def recurrence_range(spec: WeightSpec, n0: int, n1: int, *,
     operator's build, paid by the first block on a context, and each circle's
     tables, its coupling operand and its Laurent table at the band test
     nodes, paid by the first block with an index that keeps the circle).
+    meta["setup_stages"] is a copy of the context's setup_stages: the seconds
+    its build_green, build_hsystem and build_contours took, once per context
+    however many calls share it.
     """
     _check_index(n0, "n0")
     _check_index(n1, "n1")
@@ -301,6 +310,7 @@ def _forward(ctx: SolveContext, n0: int, n1: int, at=range(0)) -> tuple:
         "max_residual": float(np.nanmax(residuals)) if np.any(np.isfinite(residuals)) else np.nan,
         "failures": failures,
         "stages": {stage: ctx.stages[stage] - stages_before[stage] for stage in STAGES},
+        "setup_stages": dict(ctx.setup_stages),
     }
     return JacobiSegment(n0=n0, n1=n1, a=a, b=b, meta=meta), reads
 

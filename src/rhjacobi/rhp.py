@@ -268,10 +268,10 @@ class CollocationOperator:
     cauchy.CutGeometry for both columns): on its own points a band's rows are
     its boundary values from above, and every other band's rows its real
     values off its cut.  Column 1's at a band's own nodes, which the band
-    system reads from below, are -conj of them.  circle_kernels[j] is one
-    table call per circle on its part of the contour set's circle_geometry (a
-    single table over every circle's points, 1.3 MB on four bands, faults its
-    pages afresh for every new contour set).  Circle j's tables
+    system reads from below, are -conj of them.  circle_kernels[j] is circle
+    j's columns, a view, of one stacked table call over every circle's points
+    on the contour set's circle_geometry (0.66 MB on four bands at 16 points
+    per band, whose circles have 161 upper points each).  Circle j's tables
     (circle_tables) are built the first time a solve keeps circle j, and
     kept.  The tables at one point set off the contours (kernels_at,
     circle_at), which RHSolution.eval reads, are kept for the last point
@@ -309,12 +309,10 @@ class CollocationOperator:
             else:
                 self.left = np.hstack([-nodes.imag, nodes.real]).T
             self.test_plus.append(np.ascontiguousarray(kernels[:, T:].T))
-        at_circles = contours.circle_geometry.part(slice(0, bands))
+        at_circles = _by_kernel(cauchy_cheb_table([b[1] for b in bases], n, self.intervals,
+                                                  contours.circle_geometry.part(slice(0, bands))))
         ends = np.cumsum([0] + [len(z) for z in self.circle_points]).tolist()
-        self.circle_kernels = [
-            _by_kernel(cauchy_cheb_table([b[1] for b in bases], n, self.intervals,
-                                         at_circles.part(points=slice(lo, hi))))
-            for lo, hi in zip(ends, ends[1:])]
+        self.circle_kernels = [at_circles[:, lo:hi] for lo, hi in zip(ends, ends[1:])]
         self._circle_tables: dict = {}
         self._last_points: tuple = (None, [], {})
 

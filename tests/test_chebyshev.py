@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from rhjacobi.chebyshev import (SQRT2, ChebKind, ChebSeries, Interval, UNIT, adaptive_dct,
-                                cheb_eval, cheb_t_nodes, dct_coeffs, gauss_cheb_rule)
+from rhjacobi.chebyshev import (SQRT2, ChebKind, ChebSeries, Interval, Intervals, UNIT,
+                                adaptive_dct, cheb_eval, cheb_t_nodes, dct_coeffs,
+                                gauss_cheb_rule, moments)
 from rhjacobi.errors import ConvergenceError, DomainError, WeightError
 
 ALL_KINDS = list(ChebKind)
@@ -115,6 +116,47 @@ class TestBandIntegral:
     def test_nonsmooth_fails_to_converge(self):
         with pytest.raises(ConvergenceError):
             adaptive_dct(np.abs)
+
+    def test_stacked_row_that_never_converges_is_named(self):
+        # in a stack the other rows stop early; the error names the interval
+        # whose row is still short of the tail test at DCT_CAP, and only it
+        ivs = Intervals([Interval(-1.0, 1.0), Interval(-0.5, 2.0), Interval(3.0, 4.0)])
+        funcs = [np.exp, np.abs, np.cos]
+        with pytest.raises(ConvergenceError, match=r"on Interval\(a=-0\.5, b=2\.0\)$"):
+            adaptive_dct(lambda x, rows: np.array([funcs[r](t) for r, t in zip(rows, x)]), ivs)
+
+
+def _chebval_moments(ser, count):
+    """ChebSeries.moments by its per-series formula: one Gauss-Chebyshev rule
+    and numpy's chebval of this series alone."""
+    x = cheb_t_nodes((len(ser) + count) // 2 + 1, ser.interval)
+    c = ser.coeffs.copy()
+    c[1:] *= SQRT2
+    values = np.polynomial.chebyshev.chebval(ser.interval.to_unit(x), c)
+    return np.mean(x ** np.arange(count)[:, None] * values, axis=1)
+
+
+class TestStackedMoments:
+    # moments takes every series in one Clenshaw pass over zero-padded rows,
+    # each series at its own node count; each row must be its own
+    # chebval's, bit for bit, whatever the other lengths.
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_rows_are_each_series_own(self, count):
+        rng = np.random.default_rng(5)
+        lengths = [1, 2, 3, 17, 33, 40]
+        series = [ChebSeries(Interval(-1.0 - k, 0.5 + 2 * k),
+                             rng.standard_normal(n) + 1j * rng.standard_normal(n))
+                  for k, n in enumerate(lengths)]
+        got = moments(series, count)
+        assert got.shape == (len(series), count)
+        for order in (series, series[::-1]):
+            for row, ser in zip(moments(order, count), order):
+                assert np.array_equal(row, _chebval_moments(ser, count))
+        for row, ser in zip(got, series):
+            assert np.array_equal(ser.moments(count), row)
+
+    def test_no_series(self):
+        assert moments([], 3).shape == (0, 3)
 
 
 class TestGaussChebRule:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from rhjacobi import auxiliary, chebyshev, green
 from rhjacobi.auxiliary import h_basis
-from rhjacobi.cauchy import (CutGeometry, Side, cauchy_cheb_series, log_joukowsky_inv, sqrt_cut,
-                             unit_variable)
-from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, adaptive_dct
-from rhjacobi.green import build_green, eval_R, eval_g, gap_density
+from rhjacobi.cauchy import (CutGeometry, Side, _kernel_factors, cauchy_cheb_series,
+                             log_joukowsky_inv, sqrt_cut, unit_variable)
+from rhjacobi.chebyshev import SQRT2, ChebKind, Interval, Intervals, adaptive_dct
+from rhjacobi.green import build_green, densities, eval_R, eval_g
 from rhjacobi.rhp import build_contours
 from rhjacobi.weights import WeightSpec
 
@@ -45,7 +46,11 @@ class TestSolveQ:
         root = -q[0] / q[1]
         assert -1.0 < root < 2.0
         gap = Interval(-1.0, 2.0)
-        dens = gap_density(spec_two_band, gap)
+
+        def dens(x):
+            return (np.sqrt(x - gap.a) * np.sqrt(gap.b - x)
+                    / np.real(eval_R(spec_two_band.bands, x, Side.PLUS)))
+
         # the gap integral of Q/R, by its own expansion rather than the moments
         ser = adaptive_dct(lambda x: np.polynomial.polynomial.polyval(x, q) * dens(x), gap)
         assert abs(np.pi * ser.coeffs[0]) < 1e-12
@@ -107,6 +112,66 @@ class TestBuildGreen:
             for ser, x, dens in checks:
                 assert len(ser) <= 40
                 assert np.max(np.abs(ser(x) - dens)) <= 1e-13
+
+
+def _equal_bands(count):
+    """count T bands of equal length on [-1, 1], with equal gaps."""
+    ends = np.linspace(-1.0, 1.0, 2 * count)
+    return WeightSpec.build(list(zip(ends[::2], ends[1::2])), "T" * count)
+
+
+class TestStackedExpansion:
+    """build_green expands every band and gap density in one stacked
+    adaptive_dct call, then Q times every band density in one more; each
+    series must be the one its own interval's call gives, bit for bit."""
+
+    @pytest.fixture(params=["one band", "two bands", "genus 3", "12 bands"])
+    def spec(self, request):
+        if request.param == "one band":
+            return WeightSpec.single(ChebKind.T, (0.5, 2.0))
+        if request.param == "12 bands":
+            return _equal_bands(12)
+        return request.getfixturevalue({"two bands": "spec_two_band",
+                                        "genus 3": "spec_genus3"}[request.param])
+
+    def test_stacked_series_are_each_intervals_own(self, spec):
+        intervals = Intervals(spec.bands + spec.gaps)
+        bands = len(spec.bands)
+        gd = build_green(spec)
+        q = gd.q_coeffs
+        stops = [{}, {}]
+
+        def stacked(pass_, f, stack):
+            def sampled(x, rows):
+                stops[pass_].update(dict.fromkeys(rows, x.shape[-1]))
+                return f(x, rows)
+            return adaptive_dct(sampled, stack)
+
+        dens = stacked(0, lambda x, rows: densities(spec, intervals, x, rows), intervals)
+        times_q = stacked(1, lambda x, rows: (np.polynomial.polynomial.polyval(x, q)
+                                              * densities(spec, intervals, x, rows)),
+                          intervals[:bands])
+        # build_green's, with the second call's densities read from the first
+        assert all(np.array_equal(a.coeffs, b.coeffs)
+                   for a, b in zip(dens + times_q, gd.band_beta + gd.gap_beta + gd.band_series))
+        for row, iv in enumerate(intervals.intervals):
+            own = adaptive_dct(lambda x: densities(spec, intervals, x[None], [row])[0], iv)
+            assert dens[row].interval == iv and np.array_equal(dens[row].coeffs, own.coeffs)
+            if row < bands:
+                own = adaptive_dct(lambda x: (np.polynomial.polynomial.polyval(x, q)
+                                              * densities(spec, intervals, x[None], [row])[0]), iv)
+                assert np.array_equal(times_q[row].coeffs, own.coeffs)
+        if bands == 12:
+            # Q times the densities: rows stop at 32, 64 and 256 samples
+            assert sorted(set(stops[1].values())) == [32, 64, 256]
+
+    def test_two_expansions_and_two_density_passes(self, spec_genus3, count_calls):
+        # genus 3: every density of the first call is resolved by m = 32, and
+        # the second call reuses its samples at m = 16 and 32
+        dcts = count_calls(chebyshev.adaptive_dct)
+        Rs = count_calls(green.eval_R)
+        build_green(spec_genus3)
+        assert len(dcts) == 2 and len(Rs) == 2
 
 
 GEOMETRIES = ["two bands", "genus 3", "U band", "TTT bands"]
@@ -210,6 +275,21 @@ def _reference_g(green, z, side):
     return total - green.phi_ref
 
 
+def _padded_series_at(kind, coeffs, geo):
+    """cauchy.series_at by a Horner sum over every row from the last
+    column of the zero-padded coefficients."""
+    J, first, factor = _kernel_factors(kind, geo)
+    out = first * coeffs[..., 0, None]
+    if coeffs.shape[-1] > 1:
+        acc = np.empty(J.shape, dtype=complex)
+        acc[...] = coeffs[..., -1, None]
+        for k in range(coeffs.shape[-1] - 2, 0, -1):
+            acc *= J
+            acc += coeffs[..., k, None]
+        out = out + factor * J * acc
+    return out
+
+
 class TestStackedGeometry:
     """h_basis, eval_R and eval_g take every band and gap in one pass; each
     value must be the one the per-interval formulas give, bit for bit."""
@@ -249,6 +329,23 @@ class TestStackedGeometry:
         assert np.array_equal(R, want_R) and np.array_equal(transforms, want_transforms)
         assert np.array_equal(eval_g(gd, geo), eval_g(gd, z))
         assert geo.J is J
+
+    @pytest.mark.parametrize("side", [Side.OFF, Side.PLUS, Side.MINUS])
+    def test_padding_skipped_bitwise(self, spec_genus3, side, monkeypatch):
+        # series_at starts each row at its own last coefficient; the
+        # zero-padded Horner sum over every row gives the same h_basis and
+        # eval_g at the genus-3 circle cloud, bit for bit
+        gd = build_green(spec_genus3)
+        z = np.concatenate([p for c in build_contours(spec_genus3, 16).circles
+                            for p in (c.nodes(), c.test_nodes())])
+        z = z[z.imag != 0.0] if side is Side.OFF else np.real(z)
+        assert len({len(s) for s in gd.band_beta + gd.gap_beta}) > 1
+        got = h_basis(gd, z, side), eval_g(gd, z, side)
+        for module in (auxiliary, green):
+            monkeypatch.setattr(module, "series_at", _padded_series_at)
+        want = h_basis(gd, z, side), eval_g(gd, z, side)
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
+        assert np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("side", [Side.OFF, Side.PLUS, Side.MINUS])
     def test_bitwise_at_a_scalar(self, cloud, side):

@@ -369,6 +369,17 @@ class TestSharedOperator:
         assert all(seconds >= 0.0 for seconds in stages.values())
         assert sum(stages.values()) <= seg.meta["wall_time"]
 
+    def test_setup_stages_timed(self, spec_two_band):
+        # the context's set-up per builder, copied into every segment's meta,
+        # also through a context that shares the geometry (with_jump_spec)
+        ctx = SolveContext(spec_two_band)
+        assert set(ctx.setup_stages) == {"build_green", "build_hsystem", "build_contours"}
+        assert all(seconds > 0.0 for seconds in ctx.setup_stages.values())
+        for context in (ctx, ctx.with_jump_spec(spec_two_band.with_exp_factor(0.5))):
+            seg = recurrence_range(context.spec, 0, 1, context=context)
+            assert seg.meta["setup_stages"] == ctx.setup_stages
+            assert seg.meta["setup_stages"] is not ctx.setup_stages
+
 
 class TestRealifyPolicy:
     def test_small_imag_dropped_silently(self):

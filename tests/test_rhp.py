@@ -463,6 +463,8 @@ class TestColdPath:
                                                              circ.test_nodes()[:half]]))
             assert np.all(z.imag >= 0.0) and np.all(z[half + 1:].imag > 0.0)
             np.testing.assert_array_equal(kernels.T, _reference_kernels(op, 1, z)[0])
+        # every circle's kernels are columns of one table
+        assert all(k.base is op.circle_kernels[0].base for k in op.circle_kernels)
 
     @pytest.mark.parametrize("spec_name", ["spec_two_band", "spec_genus3"])
     def test_tables_from_below_reflect_those_from_above(self, spec_name, request):
@@ -491,7 +493,7 @@ class TestColdPath:
         # node and test node, which both columns' band tables share, and the
         # bands then gaps at the circles' upper points, which the column-1
         # tables, the h basis and g share; and one stacked table call per
-        # column at the band points, and one per circle's upper points
+        # column at the band points, and one over every circle's upper points
         spec, n = (spec_genus3, 0) if workload == "genus3" else (spec_two_band, 1000)
         ctx = SolveContext(spec)
         tables = count_calls(cauchy.cauchy_cheb_table)
@@ -500,7 +502,7 @@ class TestColdPath:
         h_calls = count_calls(auxiliary.h_basis)
         g_calls = count_calls(green.eval_g)
         ctx.solution(n)
-        assert len(tables) == 2 + len(ctx.contours.circles)
+        assert len(tables) == 3
         assert len(h_calls) == len(g_calls) == 1
         J_keys = {(t.shape, t.tobytes()) for t, _ in J_calls}
         # joukowsky_inv makes its own square roots on [-1, 1]
